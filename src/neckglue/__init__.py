@@ -10,6 +10,21 @@ with mean-curvature, Jacobi-field and indicial-root checks.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+
+def _configure_threads() -> None:
+    """Cap the BLAS/OpenMP pools at NECKGLUE_THREADS; runs before numpy loads."""
+    count = _os.environ.get("NECKGLUE_THREADS")
+    if not count:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(var, count)
+
+
+_configure_threads()
+
 from .config import Configuration, InteractionSystem, build_interaction_system
 from .geometry import AmbientPoint, ImmersionPatch
 from .green import GreenData

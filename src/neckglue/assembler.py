@@ -22,6 +22,7 @@ eps; the two routes are cross-checked at moderate eps in the test suite).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -342,68 +343,67 @@ def _point_rows(patches, m: int, ambient: int):
     return np.concatenate(rows, axis=0) if rows else np.empty((0, 1 + m + ambient))
 
 
-def export_ply(surface_or_patches, path: str) -> None:
-    """ASCII PLY point cloud: x y z from the first three ambient coordinates
-    (a projection for viewers), then the remaining coordinates, patch id and
-    parameter coordinates as extra properties."""
-    patches = _patch_list(surface_or_patches)
+_CHUNK_ROWS = 250  # rows per block; larger blocks are no faster and leave more heap resident
+
+
+def _write_point_cloud(patches, ply_path=None, csv_path=None) -> None:
+    """Write the valid nodes as ASCII PLY and/or CSV in one chunked pass: per
+    block of _CHUNK_ROWS rows one `%` renders "patch_id params" and one the
+    coordinates, each value once to 17 significant (lossless) digits; PLY
+    lines are "coords id params", CSV lines "id,params,coords"."""
+    patches = _patch_list(patches)
     if not patches:
         raise ValueError("nothing to export")
-    m = patches[0].m
-    n = patches[0].ambient_dim // 2
-    rows = _point_rows(patches, m, 2 * n)
+    m, ambient = patches[0].m, patches[0].ambient_dim
+    rows = _point_rows(patches, m, ambient)
+    names = (["x", "y", "z"] + [f"c{i}" for i in range(3, ambient)])[:ambient]
+    ply_header = (
+        "ply\nformat ascii 1.0\ncomment ambient space is R^{2n}; x y z are the "
+        f"first three ambient coordinates (projection)\nelement vertex {len(rows)}\n"
+        + "".join(f"property double {name}\n" for name in names) + "property int patch_id\n"
+        + "".join(f"property double p{i}\n" for i in range(m)) + "end_header\n"
+    )
+    csv_header = ",".join(["patch_id"] + [f"p{i}" for i in range(m)]
+                          + [f"c{i}" for i in range(ambient)]) + "\n"
+    sinks = [(label, path, header) for label, path, header in
+             (("PLY", ply_path, ply_header), ("CSV", csv_path, csv_header)) if path]
+    lead_row = " ".join(["%d"] + ["%.17g"] * m)
+    coord_row = " ".join(["%.17g"] * ambient)
     try:
-        with open(path, "w") as fh:
-            fh.write("ply\nformat ascii 1.0\n")
-            fh.write(
-                "comment ambient space is R^{2n}; x y z are the first three "
-                "ambient coordinates (projection)\n"
-            )
-            fh.write(f"element vertex {rows.shape[0]}\n")
-            names = ["x", "y", "z"][: min(3, 2 * n)]
-            names += [f"c{i}" for i in range(len(names), 2 * n)]
-            for name in names:
-                fh.write(f"property double {name}\n")
-            fh.write("property int patch_id\n")
-            for i in range(m):
-                fh.write(f"property double p{i}\n")
-            fh.write("end_header\n")
-            for row in rows:
-                coords = row[1 + m:]
-                pid = int(row[0])
-                pars = row[1 : 1 + m]
-                fields = [f"{v:.17g}" for v in coords] + [str(pid)] + [
-                    f"{v:.17g}" for v in pars
-                ]
-                fh.write(" ".join(fields) + "\n")
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w")) for _, path, _ in sinks]
+            for fh, (_, _, header) in zip(files, sinks):
+                fh.write(header)
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                block = rows[start:start + _CHUNK_ROWS]
+                lead = ("\n".join([lead_row] * len(block))
+                        % tuple(block[:, :1 + m].ravel().tolist()))
+                coords = ("\n".join([coord_row] * len(block))
+                          % tuple(block[:, 1 + m:].ravel().tolist()))
+                for fh, (label, _, _) in zip(files, sinks):
+                    sep, parts = (" ", (coords, lead)) if label == "PLY" else (",", (lead, coords))
+                    lines = zip(*(part.replace(" ", sep).split("\n") for part in parts))
+                    fh.write("\n".join(map(sep.join, lines)) + "\n")
     except OSError as exc:
-        raise OSError(f"PLY export to {path!r} failed: {exc}") from exc
+        where = " and ".join(f"{label} export to {path!r}" for label, path, _ in sinks)
+        raise OSError(f"{where} failed: {exc}") from exc
+
+
+def export_ply(surface_or_patches, path: str, csv_path: str = None) -> None:
+    """ASCII PLY point cloud: x y z from the first three ambient coordinates
+    (a projection for viewers), then the remaining coordinates, patch id and
+    parameter coordinates as extra properties.  With csv_path, the CSV file
+    of export_csv is written in the same pass."""
+    _write_point_cloud(surface_or_patches, ply_path=path, csv_path=csv_path)
 
 
 def export(surface_or_patches, format: str, path: str) -> None:
     """Write the point cloud in the requested format ('ply' or 'csv')."""
-    if format == "ply":
-        export_ply(surface_or_patches, path)
-    elif format == "csv":
-        export_csv(surface_or_patches, path)
-    else:
+    if format not in ("ply", "csv"):
         raise ValueError(f"unknown export format {format!r} (use 'ply' or 'csv')")
+    _write_point_cloud(surface_or_patches, **{f"{format}_path": path})
 
 
 def export_csv(surface_or_patches, path: str) -> None:
     """CSV point cloud, one header row, 17-significant-digit (lossless) values."""
-    patches = _patch_list(surface_or_patches)
-    if not patches:
-        raise ValueError("nothing to export")
-    m = patches[0].m
-    n = patches[0].ambient_dim // 2
-    rows = _point_rows(patches, m, 2 * n)
-    header = ["patch_id"] + [f"p{i}" for i in range(m)] + [f"c{i}" for i in range(2 * n)]
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fields = [str(int(row[0]))] + [f"{v:.17g}" for v in row[1:]]
-                fh.write(",".join(fields) + "\n")
-    except OSError as exc:
-        raise OSError(f"CSV export to {path!r} failed: {exc}") from exc
+    _write_point_cloud(surface_or_patches, csv_path=path)

@@ -24,19 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 __all__ = ["main", "parse_config"]
-
-
-def _configure_threads() -> None:
-    count = os.environ.get("NECKGLUE_THREADS")
-    if not count:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, count)
 
 
 def parse_config(path: str):
@@ -230,7 +220,9 @@ def cmd_neck(args) -> int:
                                   "fd_sup_by_level": sups, "observed_order": order})
     report.check("minimality FD order - 2", abs(order - 2.0), 0.4)
     if args.export:
-        _export(patch_list=[build(h0)], path=args.export)
+        from .assembler import export
+
+        export([build(h0)], "csv" if args.export.endswith(".csv") else "ply", args.export)
         report.section("export", {"path": args.export})
     report.time_mark("total")
     return _finish(report, args)
@@ -283,7 +275,7 @@ def cmd_glue(args) -> int:
     import numpy as np
 
     from .assembler import GridSpec, assemble, boundary_gap, config_digest, \
-        curvature_report, export_csv, export_ply
+        curvature_report, export_ply
     from .config import build_interaction_system
     from .green import GreenData, balance_residual
     from .report import RunReport
@@ -321,9 +313,8 @@ def cmd_glue(args) -> int:
         report.check("matching residual", corr["residual_norm"], 1e-10)
 
     if args.export:
-        export_ply(surface, args.export)
         csv_path = args.export.rsplit(".", 1)[0] + ".csv"
-        export_csv(surface, csv_path)
+        export_ply(surface, args.export, csv_path=csv_path)
         report.section("export", {"ply": args.export, "csv": csv_path})
     report.time_mark("total")
     return _finish(report, args)
@@ -414,15 +405,6 @@ def cmd_dtn(args) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 
-def _export(patch_list, path):
-    from .assembler import export_csv, export_ply
-
-    if path.endswith(".csv"):
-        export_csv(patch_list, path)
-    else:
-        export_ply(patch_list, path)
-
-
 def _write_report(report, args) -> None:
     if getattr(args, "report", None):
         report.write(args.report)
@@ -482,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

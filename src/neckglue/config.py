@@ -70,6 +70,9 @@ class Configuration:
         n = int(self.n)
         if n < 2:
             raise ValueError("dimension n must be >= 2")
+        for key in ("points", "rotations", "A0", "epsilon", "rho_star"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} must be finite (got NaN or inf)")
         if self.points.ndim != 2 or self.points.shape[1] != n:
             raise ValueError(f"points must be a (k, {n}) array")
         k = self.points.shape[0]

@@ -307,3 +307,97 @@ class TestExport:
         assert (tmp_path / "s.ply").exists() and (tmp_path / "s.csv").exists()
         with pytest.raises(ValueError, match="unknown export format"):
             export(surf, "obj", str(tmp_path / "s.obj"))
+
+
+def _neck_pair(n):
+    """Two small n-dimensional neck patches, the second with masked nodes, so
+    rows of both patch ids share a block."""
+    counts = (3,) * (n - 2) + (6,)
+    grids = default_angle_grids(n, counts, margin=0.5)
+    patches = [neck_patch(NeckParams(n=n, beta=beta, epsilon=0.3), angle_grids=grids,
+                          t_grid=np.linspace(-1.0, 1.0, 5)) for beta in (1.0, 2.5)]
+    patches[1].mask.flat[::5] = False
+    return patches
+
+
+def _reference_rows(patches):
+    """(patch_id, params, coords) per valid node, built without the exporter."""
+    for pid, patch in enumerate(patches):
+        axes = [np.arange(d) * h for d, h in zip(patch.param_dims, patch.spacings)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        for pars, coords in zip(mesh[patch.mask], patch.samples[patch.mask]):
+            yield pid, pars, coords
+
+
+def _reference_ply(patches):
+    m, ambient = patches[0].m, patches[0].ambient_dim
+    rows = list(_reference_rows(patches))
+    names = ["x", "y", "z"] + [f"c{i}" for i in range(3, ambient)]
+    lines = ["ply", "format ascii 1.0",
+             "comment ambient space is R^{2n}; x y z are the first three ambient "
+             "coordinates (projection)",
+             f"element vertex {len(rows)}"]
+    lines += [f"property double {name}" for name in names]
+    lines += ["property int patch_id"] + [f"property double p{i}" for i in range(m)]
+    lines.append("end_header")
+    for pid, pars, coords in rows:
+        lines.append(" ".join([f"{v:.17g}" for v in coords] + [str(pid)]
+                              + [f"{v:.17g}" for v in pars]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_csv(patches):
+    m, ambient = patches[0].m, patches[0].ambient_dim
+    lines = [",".join(["patch_id"] + [f"p{i}" for i in range(m)]
+                      + [f"c{i}" for i in range(ambient)])]
+    for pid, pars, coords in _reference_rows(patches):
+        lines.append(",".join([str(pid)] + [f"{v:.17g}" for v in pars]
+                              + [f"{v:.17g}" for v in coords]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestChunkedWriter:
+    """The block writer with blocks of 7 rows: several full blocks, a
+    remainder, and blocks that straddle the two patches."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        import neckglue.assembler as assembler
+
+        monkeypatch.setattr(assembler, "_CHUNK_ROWS", 7)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_bytes_match_per_row_reference(self, tmp_path, n):
+        patches = _neck_pair(n)
+        rows = sum(int(p.mask.sum()) for p in patches)
+        assert rows > 14 and rows % 7
+        export_ply(patches, str(tmp_path / "s.ply"))
+        export_csv(patches, str(tmp_path / "s.csv"))
+        assert (tmp_path / "s.ply").read_bytes() == _reference_ply(patches)
+        assert (tmp_path / "s.csv").read_bytes() == _reference_csv(patches)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_loadtxt_round_trip_bit_exact(self, tmp_path, n):
+        patches = _neck_pair(n)
+        ambient = patches[0].ambient_dim
+        ref = list(_reference_rows(patches))
+        ids = np.array([pid for pid, _, _ in ref], dtype=float)
+        pars = np.array([p for _, p, _ in ref])
+        coords = np.array([c for _, _, c in ref])
+        export_ply(patches, str(tmp_path / "s.ply"), csv_path=str(tmp_path / "s.csv"))
+        header = (tmp_path / "s.ply").read_text().splitlines().index("end_header") + 1
+        ply = np.loadtxt(tmp_path / "s.ply", skiprows=header)
+        assert np.array_equal(ply[:, :ambient], coords)
+        assert np.array_equal(ply[:, ambient], ids)
+        assert np.array_equal(ply[:, ambient + 1:], pars)
+        csv = np.loadtxt(tmp_path / "s.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(csv, np.column_stack([ids, pars, coords]))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_single_pass_matches_separate_exports(self, tmp_path, n):
+        patches = _neck_pair(n)
+        export_ply(patches, str(tmp_path / "a.ply"), csv_path=str(tmp_path / "a.csv"))
+        export_ply(patches, str(tmp_path / "b.ply"))
+        export_csv(patches, str(tmp_path / "b.csv"))
+        for ext in ("ply", "csv"):
+            assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -94,6 +96,21 @@ class TestCommands:
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("A0", [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("epsilon", math.inf),
+        ("points", [[1.0, 0.0, math.nan], [-1.0, 0.0, 0.0]]),
+        ("rotations", [np.eye(3).tolist(), [[1.0, 0.0, 0.0], [0.0, math.nan, -1.0],
+                                            [0.0, 1.0, 0.0]]]),
+        ("rho_star", -math.inf),
+    ])
+    def test_non_finite_input_exit_two(self, tmp_path, capsys, key, value):
+        doc = dict(FLAGSHIP)
+        doc[key] = value  # serialized as the JSON extensions NaN / Infinity
+        assert main(["validate", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err
+
     def test_missing_file_exit_two(self):
         assert main(["validate", "/nonexistent/cfg.json"]) == 2
 
@@ -137,11 +154,33 @@ class TestCommands:
     def test_threads_env_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NECKGLUE_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        from neckglue.cli import _configure_threads
+        from neckglue import _configure_threads
         import os
 
         _configure_threads()
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status to count threads")
+    def test_threads_cap_takes_effect(self):
+        # a fresh interpreter with only NECKGLUE_THREADS set: the cap must be
+        # in place before numpy starts its BLAS pool
+        import neckglue
+
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["NECKGLUE_THREADS"] = "1"
+        src = str(pathlib.Path(neckglue.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import neckglue\n"
+                 "for line in open('/proc/self/status'):\n"
+                 "    if line.startswith('Threads:'):\n"
+                 "        print(line.split()[1])\n")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
 
 class TestGlueCommand:
