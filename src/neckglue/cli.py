@@ -28,6 +28,9 @@ import sys
 
 __all__ = ["main", "parse_config"]
 
+OPTION_KEYS = ("quadrature_nodes", "mc_samples", "seed", "sh_degree",
+               "neck_s_nodes", "neck_angle_nodes", "outer_spacing")
+
 
 def parse_config(path: str):
     """Parse and validate a configuration file.
@@ -58,8 +61,12 @@ def parse_config(path: str):
             raise ValueError(f"{path}: missing required key {key!r}")
         return doc[key]
 
+    n = need("n")
+    if isinstance(n, bool) or not isinstance(n, (int, float)) \
+            or (isinstance(n, float) and not n.is_integer()):
+        raise ValueError(f"{path}: n must be an integer, got {n!r}")
+    n = int(n)
     try:
-        n = int(need("n"))
         points = np.asarray(need("points"), dtype=float)
         rotations_raw = need("rotations")
         rotations = []
@@ -94,6 +101,10 @@ def parse_config(path: str):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ValueError(f"{path}: 'options' must be an object")
+    unknown = sorted(set(options) - set(OPTION_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown options key {unknown[0]!r}; "
+                         f"known keys: {', '.join(OPTION_KEYS)}")
     return config, options
 
 

@@ -24,7 +24,6 @@ Chart poles (any polar angle at 0 or pi) are masked, never evaluated.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,7 @@ __all__ = [
     "AmbientPoint",
     "ImmersionPatch",
     "check_orthogonal",
-    "first_fundamental_form",
     "mean_curvature_field",
-    "mean_curvature_vector",
     "sphere_chart",
     "sphere_chart_eval",
 ]
@@ -201,85 +198,124 @@ class ImmersionPatch:
         return self.samples.shape[-1]
 
 
-def _stencil_valid(mask: np.ndarray, periodic, radius: int = 1) -> np.ndarray:
-    """Nodes whose full radius-r hypercube neighborhood is in-grid and masked valid."""
-    valid = mask.copy()
-    m = mask.ndim
-    for off in itertools.product(range(-radius, radius + 1), repeat=m):
-        if all(o == 0 for o in off):
-            continue
-        shifted = mask
-        for ax, o in enumerate(off):
-            if o:
-                shifted = np.roll(shifted, -o, axis=ax)
-        valid &= shifted
-    for ax in range(m):
+def _wrapped_rows(a, out, axis):
+    """Matching slices (out[i], a[i+1], a[i], a[i-1]) along axis: the
+    interior block, then the two end rows, whose neighbours wrap around."""
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    size = src.shape[0]
+    yield dst[1:-1], src[2:], src[1:-1], src[:-2]
+    for i in {0, size - 1}:
+        j, k = (i + 1) % size, (i - 1) % size
+        yield dst[i : i + 1], src[j : j + 1], src[i : i + 1], src[k : k + 1]
+
+
+def central_difference(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.ndarray:
+    """Second-order central difference of a along axis, from slices.
+
+    order 1 gives (a[i+1] - a[i-1]) / 2h, order 2 gives
+    (a[i+1] - 2 a[i] + a[i-1]) / h^2.  Neighbours wrap around at both ends,
+    so rows whose stencil crosses a non-periodic edge hold wrapped values
+    that the caller must mask.
+    """
+    out = np.empty_like(a)
+    for d, plus, centre, minus in _wrapped_rows(a, out, axis):
+        if order == 1:
+            np.subtract(plus, minus, out=d)
+        else:
+            np.multiply(centre, 2, out=d)
+            np.subtract(plus, d, out=d)
+            d += minus
+    out /= 2 * h if order == 1 else h**2
+    return out
+
+
+def _stencil_valid(mask: np.ndarray, periodic) -> np.ndarray:
+    """Nodes whose full 3^m neighbourhood is in-grid and masked valid: the
+    hypercube is a product of 3-node stencils, so erode one axis at a time."""
+    valid = mask
+    for ax in range(mask.ndim):
+        eroded = np.empty_like(valid)
+        for d, plus, centre, minus in _wrapped_rows(valid, eroded, ax):
+            np.logical_and(plus, minus, out=d)
+            d &= centre
         if not periodic[ax]:
-            sl = [slice(None)] * m
-            sl[ax] = slice(0, radius)
-            valid[tuple(sl)] = False
-            sl[ax] = slice(-radius, None)
-            valid[tuple(sl)] = False
+            edges = np.moveaxis(eroded, ax, 0)
+            edges[0] = edges[-1] = False
+        valid = eroded
     return valid
 
 
-def _shift(a: np.ndarray, axis: int, k: int) -> np.ndarray:
-    """a evaluated at node index + k along axis (wraparound; validity is
-    handled separately by _stencil_valid)."""
-    return np.roll(a, -k, axis=axis)
+def _metric_inverse(J):
+    """Entries ginv[a][b] of the inverse of g_ab = J_a . J_b, per node.
 
-
-def _fd_first(samples, spacings):
-    """Central first differences along every axis: list of arrays dims+(2n,)."""
-    return [
-        (_shift(samples, a, 1) - _shift(samples, a, -1)) / (2 * spacings[a])
-        for a in range(samples.ndim - 1)
-    ]
-
-
-def _fd_second(samples, spacings, a, b):
-    if a == b:
-        h = spacings[a]
-        return (_shift(samples, a, 1) - 2 * samples + _shift(samples, a, -1)) / h**2
-    ha, hb = spacings[a], spacings[b]
-    pp = _shift(_shift(samples, a, 1), b, 1)
-    pm = _shift(_shift(samples, a, 1), b, -1)
-    mp = _shift(_shift(samples, a, -1), b, 1)
-    mm = _shift(_shift(samples, a, -1), b, -1)
-    return (pp - pm - mp + mm) / (4 * ha * hb)
+    Unpivoted LDL^T over the m x m entries, then g^{-1} = L^{-T} D^{-1} L^{-1}.
+    ok is False where a pivot is not positive and finite (g not positive
+    definite or not finite); such pivots are replaced by 1 so every entry
+    stays finite.
+    """
+    m = len(J)
+    g = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            g[a][b] = g[b][a] = np.einsum("...c,...c->...", J[a], J[b])
+    L = [[None] * m for _ in range(m)]
+    D = []
+    ok = np.ones(g[0][0].shape, dtype=bool)
+    for j in range(m):
+        d = g[j][j] - sum(L[j][k] ** 2 * D[k] for k in range(j))
+        good = np.isfinite(d) & (d > 0)
+        ok &= good
+        D.append(np.where(good, d, 1.0))
+        for i in range(j + 1, m):
+            L[i][j] = (g[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+    # M = L^{-1}, unit lower triangular, by forward substitution
+    M = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i):
+            M[i][j] = -sum(L[i][k] * M[k][j] for k in range(j, i))
+    ginv = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            ginv[a][b] = ginv[b][a] = sum(M[k][a] * M[k][b] / D[k] for k in range(b, m))
+    return ginv, ok
 
 
 def _mean_curvature_block(samples, spacings):
     """Mean-curvature vectors for every node of a block (boundary wraps are
     garbage; validity is the caller's job).  Returns (H, ok) with ok False
-    at nodes whose FD metric is exactly singular or non-finite."""
+    at nodes whose FD metric is not positive definite or non-finite."""
     m = samples.ndim - 1
-    J = np.stack(_fd_first(samples, spacings), axis=-1)  # dims + (2n, m)
-    g = np.einsum("...ca,...cb->...ab", J, J)
-    det = np.linalg.det(g)
-    ok = np.isfinite(det) & (det > 0)
-    g = np.where(ok[..., None, None], g, np.eye(m))
-    ginv = np.linalg.inv(g)
-    W = np.zeros_like(samples)
+    J = [central_difference(samples, a, spacings[a]) for a in range(m)]
+    ginv, ok = _metric_inverse(J)
+    # W = g^{ab} d_a d_b X, one mixed difference d_b(d_a X) per pair a < b
+    W = None
     for a in range(m):
-        for b in range(m):
-            coeff = ginv[..., a, b]
-            if a == b:
-                W += coeff[..., None] * _fd_second(samples, spacings, a, a)
-            else:
-                W += coeff[..., None] * _fd_second(samples, spacings, a, b)
+        d2 = central_difference(samples, a, spacings[a], order=2)
+        d2 *= ginv[a][a][..., None]
+        if W is None:
+            W = d2
+        else:
+            W += d2
+        for b in range(a + 1, m):
+            dab = central_difference(J[a], b, spacings[b])
+            dab *= 2 * ginv[a][b][..., None]
+            W += dab
     # subtract the tangential part: W - J g^{-1} J^T W
-    JtW = np.einsum("...ca,...c->...a", J, W)
-    coeffs = np.einsum("...ab,...b->...a", ginv, JtW)
-    return W - np.einsum("...ca,...a->...c", J, coeffs), ok
+    JtW = [np.einsum("...c,...c->...", J[a], W) for a in range(m)]
+    for a in range(m):
+        coeff = sum(ginv[a][b] * JtW[b] for b in range(m))
+        W -= J[a] * coeff[..., None]
+    return W, ok
 
 
 def mean_curvature_field(patch: ImmersionPatch, chunk: int = 16):
     """Mean-curvature vector at every evaluable node.
 
     Returns (H, valid): H has the shape of samples (zero where invalid) and
-    valid flags nodes with a complete, in-mask second-order stencil.  Blocks
-    along axis 0 keep the working set small on 4-d grids.
+    valid flags nodes with a complete, in-mask second-order stencil and a
+    positive definite FD metric.  A non-periodic axis 0 is processed in
+    blocks of `chunk` rows, which bounds the working set on 4-d grids
+    without changing the result.
     """
     valid = _stencil_valid(patch.mask, patch.periodic)
     H = np.zeros_like(patch.samples)
@@ -296,50 +332,3 @@ def mean_curvature_field(patch: ImmersionPatch, chunk: int = 16):
             valid[lo:hi] &= ok[1:-1]
     H[~valid] = 0.0
     return H, valid
-
-
-def _node_block(patch, node, radius=1):
-    """Extract the radius-r neighborhood of a node as a small block."""
-    idx = []
-    for ax, i in enumerate(node):
-        size = patch.samples.shape[ax]
-        take = np.arange(i - radius, i + radius + 1)
-        if patch.periodic[ax]:
-            take %= size
-        elif take[0] < 0 or take[-1] >= size:
-            raise ValueError(f"node {node} lacks a full stencil along axis {ax}")
-        idx.append(take)
-    block = patch.samples
-    submask = patch.mask
-    for ax, take in enumerate(idx):
-        block = np.take(block, take, axis=ax)
-        submask = np.take(submask, take, axis=ax)
-    return block, submask
-
-
-def first_fundamental_form(patch: ImmersionPatch, node) -> np.ndarray:
-    """FD first fundamental form g_ij = d_iX . d_jX at one grid node."""
-    block, submask = _node_block(patch, tuple(node))
-    if not submask.all():
-        raise ValueError(f"stencil of node {tuple(node)} hits a masked node")
-    J = np.stack(
-        [d[(1,) * patch.m] for d in _fd_first(block, patch.spacings)], axis=-1
-    )
-    g = J.T @ J
-    # fail loudly on rank-deficient charts rather than returning garbage
-    if np.linalg.matrix_rank(g, tol=1e-10 * max(1.0, float(np.max(np.abs(g))))) < patch.m:
-        raise ValueError(f"degenerate FD Jacobian at node {tuple(node)}")
-    return g
-
-
-def mean_curvature_vector(patch: ImmersionPatch, node) -> np.ndarray:
-    """FD mean-curvature vector at one grid node (exactly normal to the
-    FD tangent vectors)."""
-    block, submask = _node_block(patch, tuple(node))
-    if not submask.all():
-        raise ValueError(f"stencil of node {tuple(node)} hits a masked node")
-    H, ok = _mean_curvature_block(block, patch.spacings)
-    center = (1,) * patch.m
-    if not ok[center]:
-        raise ValueError(f"degenerate FD Jacobian at node {tuple(node)}")
-    return H[center]

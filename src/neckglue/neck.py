@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AmbientPoint, ImmersionPatch, check_orthogonal, sphere_chart
+from .geometry import (AmbientPoint, ImmersionPatch, central_difference, check_orthogonal,
+                       sphere_chart)
 
 __all__ = [
     "NeckParams",
@@ -324,9 +325,7 @@ class SphereGridOps:
         return field.ndim - self.m - (1 if vector else 0) + j
 
     def _cdiff(self, field, j, vector):
-        ax = self._axis(field, j, vector)
-        h = self.spacings[j]
-        return (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2 * h)
+        return central_difference(field, self._axis(field, j, vector), self.spacings[j])
 
     def d(self, field, j, vector=False):
         """Unit-speed derivative along the j-th frame direction."""
@@ -499,14 +498,12 @@ def linearized_apply(field: NormalField, n: int = None) -> NormalField:
     sin_ns = np.sin(n * s_col)
     cos_ns = np.cos(n * s_col)
 
-    def ds(arr):
-        return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2 * hs)
-
     def sturm(arr, weight):
         # (sin ns)^{2-2/n} d_s( (sin ns)^{2/n} d_s arr )
-        inner = weight * ds(arr)
-        return sin_ns ** (2.0 - 2.0 / n) * ds(inner) if arr.ndim == 1 + grid_rank \
-            else sin_ns[..., None] ** (2.0 - 2.0 / n) * ds(inner)
+        inner = weight * central_difference(arr, 0, hs)
+        outer = central_difference(inner, 0, hs)
+        return sin_ns ** (2.0 - 2.0 / n) * outer if arr.ndim == 1 + grid_rank \
+            else sin_ns[..., None] ** (2.0 - 2.0 / n) * outer
 
     w_f = sin_ns ** (2.0 / n)
     w_T = sin_ns[..., None] ** (2.0 / n)

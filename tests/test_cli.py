@@ -111,6 +111,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"{key} must be finite" in err
 
+    @pytest.mark.parametrize("value", [3.7, "3", True])
+    def test_non_integral_n_exit_two(self, tmp_path, capsys, value):
+        doc = dict(FLAGSHIP, n=value)
+        assert main(["validate", write_config(tmp_path, doc)]) == 2
+        assert "n must be an integer" in capsys.readouterr().err
+
+    def test_unknown_option_exit_two(self, tmp_path, capsys):
+        doc = dict(FLAGSHIP, options={"sh_degree": 8, "quadrature_node": 16})
+        assert main(["validate", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown options key 'quadrature_node'" in err
+        for key in ("quadrature_nodes", "mc_samples", "seed", "sh_degree",
+                    "neck_s_nodes", "neck_angle_nodes", "outer_spacing"):
+            assert key in err
+
     def test_missing_file_exit_two(self):
         assert main(["validate", "/nonexistent/cfg.json"]) == 2
 

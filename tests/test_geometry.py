@@ -1,16 +1,18 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from neckglue import neck
 from neckglue.geometry import (
     AmbientPoint,
     ImmersionPatch,
+    central_difference,
     check_orthogonal,
-    first_fundamental_form,
     mean_curvature_field,
-    mean_curvature_vector,
     sphere_chart,
     sphere_chart_eval,
 )
@@ -29,6 +31,17 @@ def sphere_patch(theta1, theta2):
         samples=samples,
         periodic=(False, True),
     )
+
+
+def fd_metric(patch, node):
+    """g = J.J at one node, J from central_difference on its 3^m block."""
+    block = patch.samples
+    for ax, k in enumerate(node):
+        block = np.take(block, [k - 1, k, k + 1], axis=ax, mode="wrap")
+    centre = (1,) * patch.m
+    J = np.stack([central_difference(block, a, h)[centre]
+                  for a, h in enumerate(patch.spacings)], axis=-1)
+    return J.T @ J
 
 
 def plane_patch(h=0.1, count=9):
@@ -110,7 +123,7 @@ class TestCheckOrthogonal:
 class TestFirstFundamentalForm:
     def test_flat_plane_identity(self):
         patch = plane_patch()
-        g = first_fundamental_form(patch, (4, 4))
+        g = fd_metric(patch, (4, 4))
         assert_allclose(g, np.eye(2), atol=1e-13)
 
     def test_round_sphere_metric(self):
@@ -119,24 +132,28 @@ class TestFirstFundamentalForm:
         patch = sphere_patch(theta1, theta2)
         h = theta1[1] - theta1[0]
         for i in (15, 40, 70):
-            g = first_fundamental_form(patch, (i, 10))
+            g = fd_metric(patch, (i, 10))
             expect = np.diag([1.0, math.sin(theta1[i]) ** 2])
             assert np.max(np.abs(g - expect)) < 5 * h**2
 
-    def test_masked_stencil_raises(self):
+    def test_masked_stencil_invalid(self):
         patch = plane_patch()
         patch.mask[4, 5] = False
-        with pytest.raises(ValueError):
-            first_fundamental_form(patch, (4, 4))
+        H, valid = mean_curvature_field(patch)
+        assert not valid[4, 4]
+        assert np.all(H[4, 4] == 0.0)
 
-    def test_degenerate_jacobian_raises(self):
+    def test_degenerate_jacobian_invalid(self):
         u = np.arange(9) * 0.1
         mesh = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
         samples = np.zeros(mesh.shape[:-1] + (4,))
         samples[..., 0] = mesh[..., 0]  # second direction collapses
         patch = ImmersionPatch(spacings=(0.1, 0.1), samples=samples)
-        with pytest.raises(ValueError):
-            first_fundamental_form(patch, (4, 4))
+        g = fd_metric(patch, (4, 4))
+        assert np.linalg.matrix_rank(g, tol=1e-10) < 2
+        H, valid = mean_curvature_field(patch)
+        assert not valid[4, 4]
+        assert np.all(H[4, 4] == 0.0)
 
     def test_neck_t_chart_metric_is_conformal(self):
         # The t-chart metric comes out (cosh nt)^{2/n} (dt^2 + round sphere),
@@ -149,7 +166,7 @@ class TestFirstFundamentalForm:
         grids = default_angle_grids(3, (101, 200), margin=0.5)
         patch = neck_patch(params, angle_grids=grids, t_grid=t_grid)
         for node in [(40, 30, 10), (100, 50, 80), (160, 70, 150)]:
-            g = first_fundamental_form(patch, node)
+            g = fd_metric(patch, node)
             t = t_grid[node[0]]
             conf = math.cosh(n * t) ** (2.0 / n)
             theta1 = grids[0][node[1]]
@@ -166,8 +183,9 @@ class TestFirstFundamentalForm:
 class TestMeanCurvature:
     def test_flat_plane_zero(self):
         patch = plane_patch()
-        H = mean_curvature_vector(patch, (4, 4))
-        assert np.max(np.abs(H)) < 1e-13
+        H, valid = mean_curvature_field(patch)
+        assert valid[4, 4]
+        assert np.max(np.abs(H[4, 4])) < 1e-13
 
     def test_unit_sphere_value(self):
         theta1 = np.linspace(0.4, math.pi - 0.4, 61)
@@ -202,13 +220,13 @@ class TestMeanCurvature:
         params = NeckParams(n=3, beta=1.0, epsilon=1.0)
         grids = default_angle_grids(3, (17, 32), margin=0.5)
         patch = neck_patch(params, angle_grids=grids, t_grid=np.linspace(-1, 1, 21))
+        Hfield, valid = mean_curvature_field(patch)
         rng = np.random.default_rng(5)
         for _ in range(20):
             node = (rng.integers(1, 20), rng.integers(1, 16), rng.integers(0, 32))
-            try:
-                H = mean_curvature_vector(patch, tuple(node))
-            except ValueError:
+            if not valid[node]:
                 continue
+            H = Hfield[node]
             block = patch.samples
             for ax, k in enumerate(node):
                 block = np.take(block, [k - 1, k, k + 1], axis=ax, mode="wrap")
@@ -219,11 +237,12 @@ class TestMeanCurvature:
                 tangent = (fwd - bwd) / (2 * patch.spacings[ax])
                 assert abs(H @ tangent) < 1e-10 * scale * np.linalg.norm(tangent)
 
-    def test_masked_node_raises(self):
+    def test_masked_node_invalid(self):
         patch = plane_patch()
         patch.mask[3, 3] = False
-        with pytest.raises(ValueError):
-            mean_curvature_vector(patch, (4, 4))
+        H, valid = mean_curvature_field(patch)
+        assert not valid[4, 4]
+        assert np.all(H[4, 4] == 0.0)
 
     def test_degenerate_metric_marked_invalid(self):
         # rank-deficient immersion: no crash, nodes flagged invalid
@@ -235,5 +254,176 @@ class TestMeanCurvature:
         H, valid = mean_curvature_field(patch)
         assert not valid.any()
         assert np.isfinite(H).all()
-        with pytest.raises(ValueError, match="degenerate"):
-            mean_curvature_vector(patch, (4, 4))
+        assert np.all(H[4, 4] == 0.0)
+
+
+# ----------------------------------------------------------------------
+# The np.roll engine this module used before the slice-based one: kept here
+# only as the oracle the slice engine must reproduce.
+# ----------------------------------------------------------------------
+
+def _roll_shift(a, axis, k):
+    return np.roll(a, -k, axis=axis)
+
+
+def _roll_stencil_valid(mask, periodic):
+    valid = mask.copy()
+    m = mask.ndim
+    for off in np.ndindex(*(3,) * m):
+        shifted = mask
+        for ax, o in enumerate(off):
+            if o != 1:
+                shifted = np.roll(shifted, 1 - o, axis=ax)
+        valid &= shifted
+    for ax in range(m):
+        if not periodic[ax]:
+            edges = np.moveaxis(valid, ax, 0)
+            edges[0] = edges[-1] = False
+    return valid
+
+
+def _roll_second(samples, spacings, a, b):
+    s = _roll_shift
+    if a == b:
+        return (s(samples, a, 1) - 2 * samples + s(samples, a, -1)) / spacings[a] ** 2
+    pp = s(s(samples, a, 1), b, 1)
+    pm = s(s(samples, a, 1), b, -1)
+    mp = s(s(samples, a, -1), b, 1)
+    mm = s(s(samples, a, -1), b, -1)
+    return (pp - pm - mp + mm) / (4 * spacings[a] * spacings[b])
+
+
+def _roll_block(samples, spacings):
+    m = samples.ndim - 1
+    J = np.stack([(_roll_shift(samples, a, 1) - _roll_shift(samples, a, -1)) / (2 * spacings[a])
+                  for a in range(m)], axis=-1)
+    g = np.einsum("...ca,...cb->...ab", J, J)
+    det = np.linalg.det(g)
+    ok = np.isfinite(det) & (det > 0)
+    ginv = np.linalg.inv(np.where(ok[..., None, None], g, np.eye(m)))
+    W = np.zeros_like(samples)
+    for a in range(m):
+        for b in range(m):
+            W += ginv[..., a, b][..., None] * _roll_second(samples, spacings, a, b)
+    coeffs = np.einsum("...ab,...b->...a", ginv, np.einsum("...ca,...c->...a", J, W))
+    return W - np.einsum("...ca,...a->...c", J, coeffs), ok
+
+
+def roll_mean_curvature_field(patch, chunk):
+    valid = _roll_stencil_valid(patch.mask, patch.periodic)
+    H = np.zeros_like(patch.samples)
+    n0 = patch.samples.shape[0]
+    if patch.m == 1 or patch.periodic[0] or n0 <= chunk + 2:
+        H[...], ok = _roll_block(patch.samples, patch.spacings)
+        valid &= ok
+    else:
+        for lo in range(1, n0 - 1, chunk):
+            hi = min(lo + chunk, n0 - 1)
+            Hb, ok = _roll_block(patch.samples[lo - 1 : hi + 1], patch.spacings)
+            H[lo:hi] = Hb[1:-1]
+            valid[lo:hi] &= ok[1:-1]
+    H[~valid] = 0.0
+    return H, valid
+
+
+def roll_central_difference(a, axis, h, order=1):
+    assert order == 1
+    return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2 * h)
+
+
+def holed_neck_patch(n, t_nodes=15):
+    """Twisted n-neck over t x angles, bent so that its metric has off-diagonal
+    entries: periodic azimuth, a masked hole."""
+    rng = np.random.default_rng(n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    params = NeckParams(n=n, beta=1.3, epsilon=0.2, rotation=q * np.sign(np.diag(r)))
+    counts = (9,) * (n - 2) + (12,)
+    grids = default_angle_grids(n, counts, margin=0.5)
+    t_grid = np.linspace(-0.9, 0.9, t_nodes)
+    patch = neck_patch(params, angle_grids=grids, t_grid=t_grid)
+    phase = sum(np.meshgrid(t_grid, *grids, indexing="ij"))
+    for k in range(2 * n):
+        patch.samples[..., k] += 0.2 * np.sin(phase + k)
+    hole = (slice(6, 8),) + (slice(3, 5),) * (n - 1)
+    patch.mask[hole] = False
+    return patch
+
+
+class TestSliceEngineAgreement:
+    """The slice engine against the np.roll oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_field_matches_roll_oracle(self, n):
+        patch = holed_neck_patch(n)
+        assert patch.periodic[-1] and not patch.periodic[0]
+        chunk = 4  # 15 rows along the non-periodic axis 0: several blocks
+        H_old, valid_old = roll_mean_curvature_field(patch, chunk)
+        H, valid = mean_curvature_field(patch, chunk=chunk)
+        assert np.array_equal(valid, valid_old)
+        assert not valid[6:8].all() and valid.any()
+        sup = np.linalg.norm(H_old, axis=-1)[valid_old].max()
+        assert np.abs(H - H_old).max() <= 1e-12 * sup
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("translation", dict(a=np.array([0.2, -0.5, 1.0]), alpha=0.9)),
+        ("dilation", dict(delta=1.3)),
+        ("su", dict(A=np.array([[1.0, 0.3, -0.2], [0.3, -0.4, 0.5], [-0.2, 0.5, 0.7]]))),
+        ("o2n_rot", dict(A=np.array([[0.0, 0.4, -1.0], [-0.4, 0.0, 0.2], [1.0, -0.2, 0.0]]))),
+        ("o2n_boost", dict(A=np.array([[0.0, -0.6, 0.1], [0.6, 0.0, 0.8], [-0.1, -0.8, 0.0]]))),
+    ])
+    def test_linearized_apply_matches_roll_oracle(self, kind, kw, monkeypatch):
+        grids = default_angle_grids(3, (21, 40), margin=0.6)
+        s = 0.5 + 4e-3 * np.arange(-3, 4)
+        fld = neck.jacobi_field(kind, 3, s, grids, **kw)
+        new = neck.linearized_apply(fld)
+        monkeypatch.setattr(neck, "central_difference", roll_central_difference)
+        old = neck.linearized_apply(fld)
+        assert np.array_equal(new.valid, old.valid)
+        for got, want in ((new.f, old.f), (new.T, old.T)):
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-15 * scale
+
+
+class TestChunking:
+    """mean_curvature_field's chunk: rows of axis 0 per block."""
+
+    def test_chunk_leaves_field_unchanged(self):
+        patch = holed_neck_patch(4, t_nodes=20)
+        n0 = patch.param_dims[0]
+        H_ref, valid_ref = mean_curvature_field(patch, chunk=n0)
+        sup = np.linalg.norm(H_ref, axis=-1)[valid_ref].max()
+        for chunk in (1, 3, 16):
+            H, valid = mean_curvature_field(patch, chunk=chunk)
+            assert np.array_equal(valid, valid_ref), chunk
+            assert np.abs(H - H_ref).max() <= 1e-14 * sup, chunk
+
+    def test_chunk_bounds_working_set(self):
+        patch = holed_neck_patch(4, t_nodes=40)
+        peaks = {}
+        for chunk in (2, patch.param_dims[0]):
+            tracemalloc.start()
+            mean_curvature_field(patch, chunk=chunk)
+            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[2] < peaks[patch.param_dims[0]]
+
+
+def test_degenerate_metric_row_stays_finite():
+    # X(u, v, w) = (u, c(u) v, w) with c = 0 on the row u = u[5]: the v-axis
+    # collapses there, so g is singular with a zero middle LDL^T pivot.
+    u = 0.1 * np.arange(11)
+    mesh = np.stack(np.meshgrid(u, u, u, indexing="ij"), axis=-1)
+    c = np.cos(mesh[..., 0]) * (mesh[..., 0] - u[5]) / 0.1
+    samples = np.zeros(mesh.shape[:-1] + (6,))
+    samples[..., 0] = mesh[..., 0]
+    samples[..., 1] = c * mesh[..., 1]
+    samples[..., 2] = mesh[..., 2]
+    samples[..., 3] = 0.3 * mesh[..., 0] ** 2
+    patch = ImmersionPatch(spacings=(0.1,) * 3, samples=samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H, valid = mean_curvature_field(patch, chunk=3)
+    assert np.isfinite(H).all()
+    assert not valid[5].any()
+    assert np.all(H[5] == 0.0)
+    assert valid[3, 1:-1, 1:-1].all()
