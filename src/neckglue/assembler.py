@@ -99,7 +99,8 @@ class GluedSurface:
         return GreenData(self.config, self.alpha)
 
 
-def config_digest(config: Configuration) -> str:
+def config_digest(config: Configuration, options: dict = None) -> str:
+    """Short sha256 of the geometry and the resolved options."""
     payload = {
         "n": config.n,
         "points": config.points.tolist(),
@@ -107,6 +108,7 @@ def config_digest(config: Configuration) -> str:
         "A0": config.A0.tolist(),
         "epsilon": config.epsilon,
         "rho_star": config.rho_star,
+        "options": options,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -28,15 +28,27 @@ import sys
 
 __all__ = ["main", "parse_config"]
 
-OPTION_KEYS = ("quadrature_nodes", "mc_samples", "seed", "sh_degree",
-               "neck_s_nodes", "neck_angle_nodes", "outer_spacing")
+# Every options key with its default (None: the library's default).  Keys
+# with an int default must be integers.
+OPTION_DEFAULTS = {"quadrature_nodes": 32, "mc_samples": 200000, "seed": 0, "sh_degree": 8,
+                   "neck_s_nodes": 48, "neck_angle_nodes": None, "outer_spacing": None}
+
+
+def _integer(path, key, value):
+    """value as an int if it is a JSON integer (or an integral float)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def parse_config(path: str):
     """Parse and validate a configuration file.
 
-    Returns (Configuration, options dict).  Malformed JSON is reported with
-    line/column anchors; semantic violations name the offending key.
+    Returns (Configuration, options dict).  The options dict holds every key
+    of OPTION_DEFAULTS, validated, with defaults filled in.  Malformed JSON
+    is reported with line/column anchors; semantic violations name the
+    offending key.
     """
     import numpy as np
 
@@ -61,11 +73,7 @@ def parse_config(path: str):
             raise ValueError(f"{path}: missing required key {key!r}")
         return doc[key]
 
-    n = need("n")
-    if isinstance(n, bool) or not isinstance(n, (int, float)) \
-            or (isinstance(n, float) and not n.is_integer()):
-        raise ValueError(f"{path}: n must be an integer, got {n!r}")
-    n = int(n)
+    n = _integer(path, "n", need("n"))
     try:
         points = np.asarray(need("points"), dtype=float)
         rotations_raw = need("rotations")
@@ -101,11 +109,18 @@ def parse_config(path: str):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ValueError(f"{path}: 'options' must be an object")
-    unknown = sorted(set(options) - set(OPTION_KEYS))
+    unknown = sorted(set(options) - set(OPTION_DEFAULTS))
     if unknown:
         raise ValueError(f"{path}: unknown options key {unknown[0]!r}; "
-                         f"known keys: {', '.join(OPTION_KEYS)}")
-    return config, options
+                         f"known keys: {', '.join(OPTION_DEFAULTS)}")
+    options = {key: _integer(path, key, value) if isinstance(OPTION_DEFAULTS[key], int)
+               else value for key, value in options.items()}
+    spacing = options.get("outer_spacing")
+    if "outer_spacing" in options and (isinstance(spacing, bool) or not isinstance(
+            spacing, (int, float)) or not 0 < spacing < float("inf")):
+        raise ValueError(f"{path}: outer_spacing must be a positive finite number, "
+                         f"got {spacing!r}")
+    return config, dict(OPTION_DEFAULTS, **options)
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +158,8 @@ def cmd_validate(args) -> int:
     from .report import RunReport
     from .assembler import config_digest
 
-    config, _ = parse_config(args.config)
-    report = RunReport("validate", config_digest(config))
+    config, options = parse_config(args.config)
+    report = RunReport("validate", config_digest(config, options))
     system = build_interaction_system(config)
     _interaction_sections(report, config, system)
     report.time_mark("total")
@@ -161,15 +176,16 @@ def cmd_interaction(args) -> int:
     from .assembler import config_digest
 
     config, options = parse_config(args.config)
-    report = RunReport("interaction", config_digest(config))
+    if args.seed is not None:
+        options["seed"] = args.seed
+    report = RunReport("interaction", config_digest(config, options))
     system = build_interaction_system(config)
     _interaction_sections(report, config, system)
 
-    seed = args.seed if args.seed is not None else int(options.get("seed", 0))
     if config.n <= PRODUCT_RULE_MAX_DIM:
-        rule = product_gauss_rule(config.n, int(options.get("quadrature_nodes", 32)))
+        rule = product_gauss_rule(config.n, options["quadrature_nodes"])
     else:
-        rule = monte_carlo_rule(config.n, int(options.get("mc_samples", 200000)), seed)
+        rule = monte_carlo_rule(config.n, options["mc_samples"], options["seed"])
     cross = {"rule": rule.kind, "entries": []}
     for j in range(config.k):
         for jp in range(j + 1, config.k):
@@ -292,7 +308,7 @@ def cmd_glue(args) -> int:
     from .report import RunReport
 
     config, options = parse_config(args.config)
-    report = RunReport("glue", config_digest(config))
+    report = RunReport("glue", config_digest(config, options))
     system = build_interaction_system(config)
     _interaction_sections(report, config, system)
     if not (system.h1_holds and system.h2 and system.h3):
@@ -306,9 +322,9 @@ def cmd_glue(args) -> int:
     report.check("balance residual at Gamma^-1 Lambda", float(np.max(balance)), 1e-8)
 
     grid = GridSpec(
-        neck_s_nodes=int(options.get("neck_s_nodes", 48)),
-        neck_angle_nodes=options.get("neck_angle_nodes"),
-        outer_spacing=options.get("outer_spacing"),
+        neck_s_nodes=options["neck_s_nodes"],
+        neck_angle_nodes=options["neck_angle_nodes"],
+        outer_spacing=options["outer_spacing"],
     )
     surface = assemble(config, system.alpha, grid)
     gaps = boundary_gap(surface)
@@ -319,7 +335,7 @@ def cmd_glue(args) -> int:
 
     if config.n == 3:
         corr = _measured_matching(config, system, surface,
-                                  L=int(options.get("sh_degree", 8)))
+                                  L=options["sh_degree"])
         report.section("matching_step", corr)
         report.check("matching residual", corr["residual_norm"], 1e-10)
 

@@ -34,7 +34,6 @@ __all__ = [
     "check_orthogonal",
     "mean_curvature_field",
     "sphere_chart",
-    "sphere_chart_eval",
 ]
 
 
@@ -58,18 +57,6 @@ class AmbientPoint:
     @property
     def n(self) -> int:
         return self.x.size
-
-    def as_vector(self) -> np.ndarray:
-        """Flatten to (x_1..x_n, y_1..y_n)."""
-        return np.concatenate([self.x, self.y])
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "AmbientPoint":
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.size % 2:
-            raise ValueError("flat ambient vector must have even length")
-        n = v.size // 2
-        return AmbientPoint(v[:n], v[n:])
 
 
 def check_orthogonal(M: np.ndarray) -> float:
@@ -126,21 +113,6 @@ def sphere_chart(angles: np.ndarray, with_jacobian: bool = False):
 
     theta, jac = rec(angles)
     return (theta, jac) if with_jacobian else theta
-
-
-def sphere_chart_eval(angles, n: int):
-    """Chart point and its n-1 coordinate derivative vectors at one node.
-
-    Returns (Theta, derivatives) with Theta a unit n-vector and derivatives
-    a list of n-1 mutually orthogonal vectors.
-    """
-    if n < 2:
-        raise ValueError("sphere chart requires dimension n >= 2")
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.shape != (n - 1,):
-        raise ValueError(f"expected {n - 1} angles for S^{n - 1}, got {angles.shape}")
-    theta, jac = sphere_chart(angles, with_jacobian=True)
-    return theta, [jac[:, k] for k in range(n - 1)]
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Configuration
-from .geometry import ImmersionPatch
+from .geometry import ImmersionPatch, _metric_inverse
 from .quadrature import QuadratureRule, omega_n, sphere_rule
 
 __all__ = [
@@ -38,11 +38,12 @@ __all__ = [
     "graph_patch",
     "green_eval",
     "green_gradient",
-    "green_hessian",
+    "green_laplacian",
     "regular_part",
 ]
 
 SINGULAR_CLEARANCE = 1e-12
+_CHUNK_POINTS = 8192  # points per block of graph_mean_curvature; bounds its working set
 
 
 @dataclass(frozen=True)
@@ -84,40 +85,40 @@ def green_eval(data: GreenData, x) -> np.ndarray:
 
 
 def green_gradient(data: GreenData, x) -> np.ndarray:
-    """Jacobian dG_i/dx_l, shape (..., n, n)."""
+    """Jacobian dG_i/dx_l, shape (..., n, n); per end, with u = x - x_j,
+    d(R_j u / r^n)/du = R_j / r^n - n (R_j u) u^T / r^{n+2}."""
     x = np.asarray(x, dtype=float)
     cfg = data.config
     n = cfg.n
     out = np.broadcast_to(cfg.A0, x.shape[:-1] + (n, n)).copy()
-    eye = np.eye(n)
     for j in range(cfg.k):
         u = x - cfg.points[j]
-        r2 = np.sum(u * u, axis=-1)[..., None, None]
-        r = np.sqrt(r2)
-        D = eye / r**n - n * u[..., :, None] * u[..., None, :] / r ** (n + 2)
-        out = out + data.alpha[j] * np.einsum("il,...lm->...im", cfg.rotations[j], D)
+        r = np.sqrt(np.sum(u * u, axis=-1))[..., None, None]
+        Ru = u @ cfg.rotations[j].T
+        out += data.alpha[j] * (cfg.rotations[j] / r**n
+                                - n * Ru[..., :, None] * u[..., None, :] / r ** (n + 2))
     return out
 
 
-def green_hessian(data: GreenData, x) -> np.ndarray:
-    """Second derivatives d^2 G_i / dx_l dx_m, shape (..., n, n, n)."""
+def green_laplacian(data: GreenData, x, ginv) -> np.ndarray:
+    """g^{lm} d_l d_m G_i for a symmetric (..., n, n) ginv, shape (..., n),
+    with no Hessian formed: per end, with u = x - x_j and r = |u|,
+        g^{lm} d_l d_m (u / r^n) = -n (2 g^{-1} u + tr(g^{-1}) u) / r^{n+2}
+                                   + n (n+2) u (u^T g^{-1} u) / r^{n+4}.
+    ginv = I gives the Laplacian, which vanishes (each term is harmonic)."""
     x = np.asarray(x, dtype=float)
+    ginv = np.asarray(ginv, dtype=float)
     cfg = data.config
     n = cfg.n
-    out = np.zeros(x.shape[:-1] + (n, n, n))
-    eye = np.eye(n)
+    tr = np.trace(ginv, axis1=-2, axis2=-1)[..., None]
+    out = np.zeros(np.broadcast_shapes(x.shape, tr.shape))
     for j in range(cfg.k):
         u = x - cfg.points[j]
-        r = np.linalg.norm(u, axis=-1)[..., None, None, None]
-        # D2[(u_i / r^n)]_{lm} = -n (delta_il u_m + delta_im u_l + delta_lm u_i)/r^{n+2}
-        #                        + n(n+2) u_i u_l u_m / r^{n+4}
-        d_il_um = eye[:, :, None] * u[..., None, None, :]
-        d_im_ul = eye[:, None, :] * u[..., None, :, None]
-        d_lm_ui = eye[None, :, :] * u[..., :, None, None]
-        D2 = -n * (d_il_um + d_im_ul + d_lm_ui) / r ** (n + 2) \
-            + n * (n + 2) * u[..., :, None, None] * u[..., None, :, None] \
-            * u[..., None, None, :] / r ** (n + 4)
-        out = out + data.alpha[j] * np.einsum("ip,...plm->...ilm", cfg.rotations[j], D2)
+        r = np.sqrt(np.sum(u * u, axis=-1))[..., None]
+        gu = (ginv @ u[..., None])[..., 0]
+        q = np.sum(u * gu, axis=-1, keepdims=True)
+        lap = -n * (2 * gu + tr * u) / r ** (n + 2) + n * (n + 2) * q * u / r ** (n + 4)
+        out += data.alpha[j] * lap @ cfg.rotations[j].T
     return out
 
 
@@ -266,24 +267,26 @@ def graph_patch(data: GreenData, half_width: float = None, spacing: float = None
 
 def graph_mean_curvature(data: GreenData, x) -> np.ndarray:
     """Mean-curvature vector of the graph x + i eps G(x) from the exact
-    derivatives of G, shape (..., 2n).
+    derivatives of G, shape (..., 2n), streamed in blocks of _CHUNK_POINTS.
 
     With J = [I; eps DG] and g = I + eps^2 DG^T DG,
         H = W - J g^{-1} J^T W,   W = (0, eps g^{lm} d_l d_m G).
     """
     x = np.asarray(x, dtype=float)
-    cfg = data.config
-    n = cfg.n
-    eps = cfg.epsilon
-    DG = green_gradient(data, x)          # (..., n, n) rows dG_i
-    D2G = green_hessian(data, x)          # (..., n, n, n)
-    eye = np.eye(n)
-    g = eye + eps**2 * np.einsum("...il,...im->...lm", DG, DG)
-    ginv = np.linalg.inv(g)
-    Wy = eps * np.einsum("...lm,...ilm->...i", ginv, D2G)
-    # J^T W with W = (0, Wy): rows of J are (e_l, eps dG/dx_l)
-    JtW = eps * np.einsum("...il,...i->...l", DG, Wy)
-    coeff = np.einsum("...lm,...m->...l", ginv, JtW)
-    Hx = -coeff
-    Hy = Wy - eps * np.einsum("...il,...l->...i", DG, coeff)
-    return np.concatenate([Hx, Hy], axis=-1)
+    n = data.config.n
+    eps = data.config.epsilon
+    flat = x.reshape(-1, n)
+    out = np.empty((flat.shape[0], 2 * n))
+    for start in range(0, flat.shape[0], _CHUNK_POINTS):
+        xb = flat[start:start + _CHUNK_POINTS]
+        DG = green_gradient(data, xb)          # (B, n, n) rows dG_i
+        # columns J_l = (e_l, eps d_l G); g >= I, so every LDL^T pivot is >= 1
+        J = [np.concatenate([np.broadcast_to(e, xb.shape), eps * DG[:, :, l]], axis=-1)
+             for l, e in enumerate(np.eye(n))]
+        ginv = np.array(_metric_inverse(J)[0]).transpose(2, 0, 1)
+        Wy = eps * green_laplacian(data, xb, ginv)
+        # g^{-1} J^T W, with J^T W = eps DG^T Wy since W = (0, Wy)
+        coeff = (ginv @ (eps * Wy[:, None, :] @ DG)[:, 0, :, None])[:, :, 0]
+        out[start:start + len(xb), :n] = -coeff
+        out[start:start + len(xb), n:] = Wy - eps * (DG @ coeff[:, :, None])[:, :, 0]
+    return out.reshape(x.shape[:-1] + (2 * n,))

@@ -126,6 +126,27 @@ class TestCommands:
                     "neck_s_nodes", "neck_angle_nodes", "outer_spacing"):
             assert key in err
 
+    @pytest.mark.parametrize("key", ["quadrature_nodes", "mc_samples", "seed", "sh_degree",
+                                     "neck_s_nodes"])
+    @pytest.mark.parametrize("value", [True, 8.7, "many"])
+    def test_non_integer_option_exit_two(self, tmp_path, capsys, key, value):
+        doc = dict(FLAGSHIP, options={key: value})
+        assert main(["interaction", write_config(tmp_path, doc)]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, -0.3, math.inf, math.nan, True, "wide"])
+    def test_bad_outer_spacing_exit_two(self, tmp_path, capsys, value):
+        doc = dict(FLAGSHIP, options={"outer_spacing": value})
+        assert main(["glue", write_config(tmp_path, doc)]) == 2
+        assert "outer_spacing must be a positive finite number" in capsys.readouterr().err
+
+    def test_options_resolved_with_defaults(self, tmp_path):
+        doc = dict(FLAGSHIP, options={"quadrature_nodes": 16.0})
+        _, options = parse_config(write_config(tmp_path, doc))
+        assert options["quadrature_nodes"] == 16
+        assert isinstance(options["quadrature_nodes"], int)
+        assert options["sh_degree"] == 8 and options["outer_spacing"] is None
+
     def test_missing_file_exit_two(self):
         assert main(["validate", "/nonexistent/cfg.json"]) == 2
 
@@ -216,6 +237,22 @@ class TestGlueCommand:
         assert "matching_step" in doc["sections"]
         gap = doc["sections"]["boundary_gap"][0]["position_gap_sup"]
         assert 0 < gap < 1e-2
+
+    def test_digest_covers_options(self, tmp_path):
+        # runs differing only in outer_spacing must not share a digest; an
+        # option spelled out at its default resolves to the same digest
+        digests = []
+        for name, options in (("a", {"outer_spacing": 0.6}), ("b", {"outer_spacing": 0.5}),
+                              ("c", {"outer_spacing": 0.6, "sh_degree": 8})):
+            doc = dict(FLAGSHIP)
+            doc["options"] = dict(options, neck_s_nodes=17, neck_angle_nodes=[9, 16])
+            report_path = tmp_path / f"{name}.json"
+            code = main(["--report", str(report_path), "glue",
+                         write_config(tmp_path, doc, name=f"{name}.cfg.json")])
+            assert code == 0
+            digests.append(json.loads(report_path.read_text())["config_digest"])
+        assert digests[0] != digests[1]
+        assert digests[0] == digests[2]
 
     def test_glue_gate_on_failed_hypotheses(self, tmp_path):
         doc = dict(FLAGSHIP)

@@ -14,7 +14,6 @@ from neckglue.geometry import (
     check_orthogonal,
     mean_curvature_field,
     sphere_chart,
-    sphere_chart_eval,
 )
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch
 
@@ -56,7 +55,9 @@ class TestAmbientPoint:
     def test_round_trip(self):
         p = AmbientPoint([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert p.n == 3
-        assert_allclose(AmbientPoint.from_vector(p.as_vector()).x, p.x)
+        # patches store a point flat as (x_1..x_n, y_1..y_n)
+        x, y = np.split(np.concatenate([p.x, p.y]), 2)
+        assert_allclose(AmbientPoint(x, y).x, p.x)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
@@ -67,12 +68,12 @@ class TestAmbientPoint:
 
 class TestSphereChart:
     def test_equator_point_n3(self):
-        theta, _ = sphere_chart_eval([math.pi / 2, 0.0], 3)
+        theta = sphere_chart(np.array([math.pi / 2, 0.0]))
         assert_allclose(theta, [1.0, 0.0, 0.0], atol=1e-15)
         assert abs(np.linalg.norm(theta) - 1.0) < 1e-14
 
     def test_circle_n2(self):
-        theta, _ = sphere_chart_eval([0.0], 2)
+        theta = sphere_chart(np.array([0.0]))
         assert_allclose(theta, [1.0, 0.0], atol=1e-15)
 
     def test_random_n4_derivatives_orthogonal(self):
@@ -81,9 +82,9 @@ class TestSphereChart:
             angles = np.empty(3)
             angles[:2] = rng.uniform(0.1, math.pi - 0.1, 2)
             angles[2] = rng.uniform(0.0, 2 * math.pi)
-            theta, derivs = sphere_chart_eval(angles, 4)
+            theta, D = sphere_chart(angles, with_jacobian=True)
+            assert D.shape == (4, 3)
             assert abs(np.linalg.norm(theta) - 1.0) < 1e-14
-            D = np.stack(derivs, axis=1)
             gram = D.T @ D
             off = gram - np.diag(np.diag(gram))
             assert np.max(np.abs(off)) < 1e-12
@@ -95,13 +96,13 @@ class TestSphereChart:
             angles = np.empty(2)
             angles[0] = rng.uniform(0.05, math.pi - 0.05)
             angles[1] = rng.uniform(0.0, 2 * math.pi)
-            theta, derivs = sphere_chart_eval(angles, 3)
-            assert abs(derivs[0] @ derivs[1]) < 1e-12
+            theta, D = sphere_chart(angles, with_jacobian=True)
+            assert abs(D[:, 0] @ D[:, 1]) < 1e-12
             assert abs(theta @ theta - 1.0) < 1e-14
 
     def test_dimension_error(self):
         with pytest.raises(ValueError):
-            sphere_chart_eval([0.0], 1)
+            sphere_chart(np.empty(0))
 
 
 class TestCheckOrthogonal:

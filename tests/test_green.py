@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from neckglue import green
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.geometry import ImmersionPatch, mean_curvature_field
 from neckglue.green import (
@@ -14,12 +16,62 @@ from neckglue.green import (
     graph_patch,
     green_eval,
     green_gradient,
-    green_hessian,
+    green_laplacian,
     regular_part,
 )
 from neckglue.quadrature import omega_n
 
-from conftest import flagship_at
+from conftest import flagship_at, random_orthogonal
+
+
+def rank3_green_gradient(data, x):
+    """dG_i/dx_l through an (..., n, n) einsum per end (the rank-3 route)."""
+    cfg = data.config
+    n = cfg.n
+    out = np.broadcast_to(cfg.A0, x.shape[:-1] + (n, n)).copy()
+    eye = np.eye(n)
+    for j in range(cfg.k):
+        u = x - cfg.points[j]
+        r = np.sqrt(np.sum(u * u, axis=-1))[..., None, None]
+        D = eye / r**n - n * u[..., :, None] * u[..., None, :] / r ** (n + 2)
+        out = out + data.alpha[j] * np.einsum("il,...lm->...im", cfg.rotations[j], D)
+    return out
+
+
+def rank3_green_hessian(data, x):
+    """The full second derivatives d^2 G_i / dx_l dx_m, shape (..., n, n, n)."""
+    cfg = data.config
+    n = cfg.n
+    out = np.zeros(x.shape[:-1] + (n, n, n))
+    eye = np.eye(n)
+    for j in range(cfg.k):
+        u = x - cfg.points[j]
+        r = np.linalg.norm(u, axis=-1)[..., None, None, None]
+        d_il_um = eye[:, :, None] * u[..., None, None, :]
+        d_im_ul = eye[:, None, :] * u[..., None, :, None]
+        d_lm_ui = eye[None, :, :] * u[..., :, None, None]
+        D2 = -n * (d_il_um + d_im_ul + d_lm_ui) / r ** (n + 2) \
+            + n * (n + 2) * u[..., :, None, None] * u[..., None, :, None] \
+            * u[..., None, None, :] / r ** (n + 4)
+        out = out + data.alpha[j] * np.einsum("ip,...plm->...ilm", cfg.rotations[j], D2)
+    return out
+
+
+def rank3_graph_mean_curvature(data, x):
+    """Reference H = W - J g^{-1} J^T W from the full Hessian and
+    np.linalg.inv, with every point held in memory at once."""
+    cfg = data.config
+    n = cfg.n
+    eps = cfg.epsilon
+    DG = rank3_green_gradient(data, x)
+    D2G = rank3_green_hessian(data, x)
+    g = np.eye(n) + eps**2 * np.einsum("...il,...im->...lm", DG, DG)
+    ginv = np.linalg.inv(g)
+    Wy = eps * np.einsum("...lm,...ilm->...i", ginv, D2G)
+    JtW = eps * np.einsum("...il,...i->...l", DG, Wy)
+    coeff = np.einsum("...lm,...m->...l", ginv, JtW)
+    return np.concatenate([-coeff, Wy - eps * np.einsum("...il,...l->...i", DG, coeff)],
+                          axis=-1)
 
 
 def single_point_data(alpha=1.0, A0=None, n=3):
@@ -71,13 +123,23 @@ class TestDerivatives:
     def test_hessian_fd_and_symmetry(self, flagship):
         data = GreenData(flagship, np.array([4.0, 12.0]))
         x0 = np.array([-0.2, 0.5, 0.9])
-        D2 = green_hessian(data, x0)
+        D2 = rank3_green_hessian(data, x0)
         assert np.max(np.abs(D2 - np.swapaxes(D2, -1, -2))) < 1e-14
         h = 1e-4
+        fd = np.empty((3, 3, 3))
         for l in range(3):
             el = np.zeros(3); el[l] = h
-            fd = (green_gradient(data, x0 + el) - green_gradient(data, x0 - el)) / (2 * h)
-            assert np.max(np.abs(fd - D2[:, :, l])) < 1e-6
+            fd[:, :, l] = (green_gradient(data, x0 + el) - green_gradient(data, x0 - el)) / (2 * h)
+            assert np.max(np.abs(fd[:, :, l] - D2[:, :, l])) < 1e-6
+        rng = np.random.default_rng(7)
+        spd = [np.eye(3)]
+        for _ in range(2):
+            a = rng.standard_normal((3, 3))
+            spd.append(a @ a.T + 0.5 * np.eye(3))
+        for ginv in spd:
+            lap = green_laplacian(data, x0, ginv)
+            expect = np.einsum("lm,ilm->i", ginv, fd)
+            assert np.max(np.abs(lap - expect)) < 1e-6 * max(1.0, np.max(np.abs(ginv)))
 
     def test_harmonicity_exact_trace(self, flagship):
         data = GreenData(flagship, np.array([4.0, 12.0]))
@@ -86,8 +148,7 @@ class TestDerivatives:
         keep = np.all(
             [np.linalg.norm(pts - p, axis=1) > 0.3 for p in flagship.points], axis=0
         )
-        D2 = green_hessian(data, pts[keep])
-        trace = np.einsum("...ill->...i", D2)
+        trace = green_laplacian(data, pts[keep], np.eye(3))
         assert np.max(np.abs(trace)) < 1e-10
 
     def test_harmonicity_fd_laplacian(self, flagship):
@@ -261,3 +322,78 @@ class TestGraphPatch:
             sups.append(np.linalg.norm(H, axis=-1).max())
         slope = np.polyfit(np.log(eps_values), np.log(sups), 1)[0]
         assert abs(slope - 3.0) < 0.3
+
+
+class TestStreamedCurvature:
+    """graph_mean_curvature in blocks of _CHUNK_POINTS, against the rank-3
+    Hessian route."""
+
+    @staticmethod
+    def twisted_data(n, eps, rng):
+        k = 3
+        points = rng.uniform(-1.0, 1.0, size=(k, n))
+        rotations = [random_orthogonal(n, rng) for _ in range(k)]
+        A0 = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+        cfg = Configuration(n, points, rotations, A0, eps, 0.2)
+        return GreenData(cfg, rng.uniform(1.0, 5.0, size=k))
+
+    @staticmethod
+    def clear_points(data, shape, rng):
+        """Points in the shells rho_* < |x - x_j| < 2 rho_* around the ends,
+        where the outer patch attains its sup|H|, clear of every ball."""
+        cfg = data.config
+        count = int(np.prod(shape))
+        theta = rng.standard_normal((8 * count + 64, cfg.n))
+        theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+        radii = cfg.rho_star * rng.uniform(1.0, 2.0, size=(theta.shape[0], 1))
+        pts = cfg.points[rng.integers(cfg.k, size=theta.shape[0])] + radii * theta
+        keep = np.all(
+            [np.linalg.norm(pts - p, axis=1) > cfg.rho_star for p in cfg.points], axis=0
+        )
+        return pts[keep][:count].reshape(shape + (cfg.n,))
+
+    @staticmethod
+    def cancellation_floor(data, x):
+        """eps times the float rounding of the harmonic terms that cancel in
+        g^{lm} d_l d_m G (size alpha_j n (n+2) / r_j^{n+1}).  H is an eps^3
+        residual, so both routes resolve it only down to this floor; at
+        n = 2, eps = 1e-4 it is ~1e-10 sup|H|, and both routes sit that far
+        from an extended-precision evaluation."""
+        cfg = data.config
+        n = cfg.n
+        size = sum(a * n * (n + 2) / np.linalg.norm(x - p, axis=-1) ** (n + 1)
+                   for a, p in zip(data.alpha, cfg.points))
+        return np.finfo(float).eps * cfg.epsilon * np.max(size)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_blocks_match_rank3_route(self, n, eps, monkeypatch):
+        monkeypatch.setattr(green, "_CHUNK_POINTS", 7)
+        rng = np.random.default_rng(100 * n + int(-math.log10(eps)))
+        data = self.twisted_data(n, eps, rng)
+        for shape in ((), (23,), (4, 5)):
+            x = self.clear_points(data, shape, rng)
+            H = graph_mean_curvature(data, x)
+            H_ref = rank3_graph_mean_curvature(data, x)
+            assert H.shape == shape + (2 * n,)
+            sup = np.max(np.abs(H_ref))
+            assert sup > 0
+            tol = 1e-11 * sup + 8 * self.cancellation_floor(data, x)
+            assert np.max(np.abs(H - H_ref)) <= tol, shape
+
+    def test_streaming_bounds_working_set(self, flagship):
+        data = GreenData(flagship, np.array([4.0, 12.0]))
+        rng = np.random.default_rng(5)
+        N = 2 * green._CHUNK_POINTS
+
+        def peak(count):
+            x = self.clear_points(data, (count,), rng)
+            tracemalloc.start()
+            H = graph_mean_curvature(data, x)
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return top, H.nbytes
+
+        peak_n, _ = peak(N)
+        peak_4n, out_4n = peak(4 * N)
+        assert peak_4n <= peak_n + out_4n

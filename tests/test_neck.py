@@ -110,7 +110,7 @@ class TestNeckPoint:
     def test_n2_diagonal_point(self):
         params = unit_scale_params(2)
         p = neck_point(params, math.pi / 4, [0.0])
-        v = p.as_vector()
+        v = np.concatenate([p.x, p.y])
         c = math.cos(math.pi / 4)
         assert_allclose(v, [c, 0.0, c, 0.0], atol=1e-14)
 
