@@ -32,6 +32,10 @@ __all__ = ["main", "parse_config"]
 # with an int default must be integers.
 OPTION_DEFAULTS = {"quadrature_nodes": 32, "mc_samples": 200000, "seed": 0, "sh_degree": 8,
                    "neck_s_nodes": 48, "neck_angle_nodes": None, "outer_spacing": None}
+# Smallest accepted counts: the neck's nested second differences in s need 5
+# nodes, a central difference along each neck angle 3.
+OPTION_MINIMA = {"quadrature_nodes": 1, "mc_samples": 1, "sh_degree": 1, "neck_s_nodes": 5,
+                 "neck_angle_nodes": 3}
 
 
 def _integer(path, key, value):
@@ -115,6 +119,16 @@ def parse_config(path: str):
                          f"known keys: {', '.join(OPTION_DEFAULTS)}")
     options = {key: _integer(path, key, value) if isinstance(OPTION_DEFAULTS[key], int)
                else value for key, value in options.items()}
+    counts = options.get("neck_angle_nodes")
+    if counts is not None:
+        if not isinstance(counts, list) or len(counts) != n - 1:
+            raise ValueError(f"{path}: neck_angle_nodes must be a list of n - 1 = {n - 1} "
+                             f"integers, got {counts!r}")
+        options["neck_angle_nodes"] = [_integer(path, "neck_angle_nodes", c) for c in counts]
+    for key, low in OPTION_MINIMA.items():
+        value = options.get(key)
+        if value is not None and min(value if isinstance(value, list) else [value]) < low:
+            raise ValueError(f"{path}: {key} must be >= {low}, got {value!r}")
     spacing = options.get("outer_spacing")
     if "outer_spacing" in options and (isinstance(spacing, bool) or not isinstance(
             spacing, (int, float)) or not 0 < spacing < float("inf")):
@@ -338,6 +352,8 @@ def cmd_glue(args) -> int:
                                   L=options["sh_degree"])
         report.section("matching_step", corr)
         report.check("matching residual", corr["residual_norm"], 1e-10)
+    else:
+        report.skip("matching step", f"the spherical-harmonic basis needs n = 3, got n = {config.n}")
 
     if args.export:
         csv_path = args.export.rsplit(".", 1)[0] + ".csv"

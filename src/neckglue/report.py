@@ -45,12 +45,19 @@ class RunReport:
         })
         return bool(ok)
 
+    def skip(self, name: str, detail: str) -> None:
+        """Record a check that was not run; it neither passes nor fails."""
+        self.data["checks"].append({
+            "name": name, "pass": None, "skipped": True, "detail": detail,
+            "value": None, "threshold": None, "op": None,
+        })
+
     def time_mark(self, name: str) -> None:
         self.timings[name] = time.perf_counter() - self._t0
 
     @property
     def all_passed(self) -> bool:
-        return all(c["pass"] for c in self.data["checks"])
+        return all(c["pass"] for c in self.data["checks"] if not c.get("skipped"))
 
     def to_json(self, include_timings: bool = True) -> str:
         payload = dict(self.data)
@@ -69,7 +76,7 @@ class RunReport:
         if d["config_digest"]:
             print(f"config digest {d['config_digest']}", file=stream)
         for c in d["checks"]:
-            mark = "ok " if c["pass"] else "FAIL"
+            mark = "skip" if c.get("skipped") else "ok " if c["pass"] else "FAIL"
             if c["value"] is not None:
                 print(
                     f"  [{mark}] {c['name']}: {c['value']:.6g} {c['op']} {c['threshold']:.6g}",
@@ -79,6 +86,9 @@ class RunReport:
                 detail = f" ({c['detail']})" if c.get("detail") else ""
                 print(f"  [{mark}] {c['name']}{detail}", file=stream)
         verdict = "all checks passed" if self.all_passed else "SOME CHECKS FAILED"
+        skipped = sum(1 for c in d["checks"] if c.get("skipped"))
+        if skipped:
+            verdict += f" ({skipped} skipped)"
         print(f"  => {verdict}", file=stream)
 
 

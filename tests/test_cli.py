@@ -140,6 +140,35 @@ class TestCommands:
         assert main(["glue", write_config(tmp_path, doc)]) == 2
         assert "outer_spacing must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("neck_s_nodes", 1, "neck_s_nodes must be >= 5"),
+        ("neck_s_nodes", 4, "neck_s_nodes must be >= 5"),
+        ("neck_angle_nodes", [2, 8], "neck_angle_nodes must be >= 3"),
+        ("neck_angle_nodes", [8, 0], "neck_angle_nodes must be >= 3"),
+        ("neck_angle_nodes", [8], "neck_angle_nodes must be a list of n - 1 = 2"),
+        ("neck_angle_nodes", [8, 8, 8], "neck_angle_nodes must be a list of n - 1 = 2"),
+        ("neck_angle_nodes", 8, "neck_angle_nodes must be a list of n - 1 = 2"),
+        ("neck_angle_nodes", [8, 8.5], "neck_angle_nodes must be an integer"),
+        ("neck_angle_nodes", [8, True], "neck_angle_nodes must be an integer"),
+        ("quadrature_nodes", 0, "quadrature_nodes must be >= 1"),
+        ("mc_samples", -5, "mc_samples must be >= 1"),
+        ("mc_samples", 0, "mc_samples must be >= 1"),
+        ("sh_degree", 0, "sh_degree must be >= 1"),
+    ])
+    def test_option_out_of_range_exit_two(self, tmp_path, capsys, key, value, message):
+        doc = dict(FLAGSHIP, options={key: value})
+        assert main(["validate", write_config(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_option_range_boundaries_accepted(self, tmp_path):
+        doc = dict(FLAGSHIP, options={"neck_s_nodes": 5, "neck_angle_nodes": [3, 3.0],
+                                      "quadrature_nodes": 1, "mc_samples": 1, "sh_degree": 1})
+        _, options = parse_config(write_config(tmp_path, doc))
+        assert options["neck_angle_nodes"] == [3, 3]
+        assert all(isinstance(c, int) for c in options["neck_angle_nodes"])
+        doc = dict(FLAGSHIP, options={"neck_angle_nodes": None})
+        assert parse_config(write_config(tmp_path, doc))[1]["neck_angle_nodes"] is None
+
     def test_options_resolved_with_defaults(self, tmp_path):
         doc = dict(FLAGSHIP, options={"quadrature_nodes": 16.0})
         _, options = parse_config(write_config(tmp_path, doc))
@@ -235,6 +264,7 @@ class TestGlueCommand:
         doc = json.loads(report_path.read_text())
         assert "boundary_gap" in doc["sections"]
         assert "matching_step" in doc["sections"]
+        assert not any("skipped" in c for c in doc["checks"])
         gap = doc["sections"]["boundary_gap"][0]["position_gap_sup"]
         assert 0 < gap < 1e-2
 
@@ -253,6 +283,35 @@ class TestGlueCommand:
             digests.append(json.loads(report_path.read_text())["config_digest"])
         assert digests[0] != digests[1]
         assert digests[0] == digests[2]
+
+    def test_matching_skipped_for_n2(self, tmp_path, capsys):
+        # the matching step needs the S^2 basis: at n = 2 it is a named
+        # skipped check, and the verdict says so
+        doc = {"n": 2, "points": [[1.0, 0.0], [-1.0, 0.0]],
+               "rotations": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+               "A0": [[3.0, 0.0], [0.0, 1.0]], "epsilon": 1e-4, "rho_star": 0.45}
+        report_path = tmp_path / "glue.json"
+        assert main(["--report", str(report_path), "glue", write_config(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        assert "[skip] matching step" in out
+        assert "=> all checks passed (1 skipped)" in out
+        report = json.loads(report_path.read_text())
+        skipped = [c for c in report["checks"] if c.get("skipped")]
+        assert [c["name"] for c in skipped] == ["matching step"]
+        assert skipped[0]["pass"] is None and "n = 3" in skipped[0]["detail"]
+        assert "matching_step" not in report["sections"]
+
+    def test_skip_does_not_hide_a_failure(self, capsys):
+        from neckglue.report import RunReport
+
+        report = RunReport("glue")
+        report.check("passes", 0.0, 1.0)
+        report.skip("matching step", "not run")
+        assert report.all_passed
+        report.check("fails", 2.0, 1.0)
+        assert not report.all_passed
+        report.print_summary()
+        assert "=> SOME CHECKS FAILED (1 skipped)" in capsys.readouterr().out
 
     def test_glue_gate_on_failed_hypotheses(self, tmp_path):
         doc = dict(FLAGSHIP)

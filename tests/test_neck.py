@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from neckglue.geometry import mean_curvature_field
+from neckglue.geometry import central_difference, mean_curvature_field, sphere_chart
 from neckglue.neck import (
     NeckParams,
+    NormalField,
     asymptote_residual,
     default_angle_grids,
     jacobi_field,
@@ -322,6 +323,152 @@ class TestLinearizedOperator:
             sups.append(float(err[out.valid].max()))
         assert sups[0] < 5e-2
         assert abs(math.log2(sups[0] / sups[1]) - 2.0) < 0.35
+
+
+# ----------------------------------------------------------------------
+# The per-operator sphere route linearized_apply took before the fused one
+# (one derivative per operator call, connection terms as vectors, a
+# projection after every derivative): kept only as the oracle the fused
+# route must reproduce.
+# ----------------------------------------------------------------------
+
+class PerOperatorOps:
+    def __init__(self, angle_grids):
+        self.m = len(angle_grids)
+        self.spacings = [float(g[1] - g[0]) for g in angle_grids]
+        self.periodic = (False,) * (self.m - 1) + (True,)
+        mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
+        self.theta, jac = sphere_chart(mesh, with_jacobian=True)
+        self.norms = np.linalg.norm(jac, axis=-2)
+        self.frame = jac / self.norms[..., None, :]
+        self.conn = [self.project(self.d(self.frame[..., :, j], j, vector=True))
+                     for j in range(self.m)]
+
+    def d(self, field, j, vector=False):
+        axis = field.ndim - self.m - (1 if vector else 0) + j
+        norm = self.norms[..., j][..., None] if vector else self.norms[..., j]
+        return central_difference(field, axis, self.spacings[j]) / norm
+
+    def project(self, v):
+        return v - np.sum(v * self.theta, axis=-1, keepdims=True) * self.theta
+
+    def grad(self, f):
+        return sum(self.d(f, j)[..., None] * self.frame[..., :, j] for j in range(self.m))
+
+    def div(self, T):
+        return sum(np.sum(self.d(T, j, vector=True) * self.frame[..., :, j], axis=-1)
+                   for j in range(self.m))
+
+    def directional(self, T, u):
+        out = sum(np.sum(u * self.frame[..., :, k], axis=-1)[..., None]
+                  * self.d(T, k, vector=True) for k in range(self.m))
+        return self.project(out)
+
+    def laplacian(self, f):
+        g = self.grad(f)
+        return sum(self.d(self.d(f, j), j) - np.sum(self.conn[j] * g, axis=-1)
+                   for j in range(self.m))
+
+    def connection_laplacian(self, T):
+        out = 0.0
+        for j in range(self.m):
+            W = self.project(self.d(T, j, vector=True))
+            out = out + self.project(self.d(W, j, vector=True))
+            out = out - self.directional(T, self.conn[j])
+        return out
+
+    def interior_valid(self, layers):
+        valid = np.ones(self.theta.shape[:-1], dtype=bool)
+        for j in range(self.m):
+            if not self.periodic[j]:
+                edges = np.moveaxis(valid, j, 0)
+                edges[:layers] = edges[-layers:] = False
+        return valid
+
+
+def per_operator_linearized_apply(field):
+    n = field.n
+    ops = PerOperatorOps(field.angle_grids)
+    s = field.s
+    hs = float(s[1] - s[0])
+    s_col = s.reshape((s.size,) + (1,) * ops.m)
+    sin_ns, cos_ns = np.sin(n * s_col), np.cos(n * s_col)
+
+    def sturm(arr, weight, outer_weight):
+        inner = weight * central_difference(arr, 0, hs)
+        return outer_weight * central_difference(inner, 0, hs)
+
+    F = (sturm(field.f, sin_ns ** (2.0 / n), sin_ns ** (2.0 - 2.0 / n))
+         + ops.laplacian(field.f) - (n - 1) * field.f
+         + (n * n - 1) * sin_ns**2 * field.f - 2.0 * cos_ns * ops.div(field.T))
+    sin_v, cos_v = sin_ns[..., None], cos_ns[..., None]
+    T = (sturm(field.T, sin_v ** (2.0 / n), sin_v ** (2.0 - 2.0 / n))
+         + ops.connection_laplacian(field.T) - field.T
+         + 3.0 * sin_v**2 * field.T + 2.0 * cos_v * ops.grad(field.f))
+    valid = np.zeros(field.f.shape, dtype=bool)
+    valid[2:-2] = ops.interior_valid(2)[None]
+    return F, T, valid & field.valid
+
+
+def smooth_field(n, counts, rng):
+    """A smooth normal field outside the Jacobi kernel: random quadratic and
+    linear sphere data with s-profiles that are no kernel profile."""
+    grids = default_angle_grids(n, counts, margin=0.6)
+    theta = sphere_chart(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
+    B, C = rng.standard_normal((2, n, n))
+    a, b = rng.standard_normal((2, n))
+    s = 0.5 + 3e-3 * np.arange(-3, 4)
+    s_col = s.reshape((-1,) + (1,) * (n - 1))
+    f = np.cos(2 * s_col) * (np.einsum("...i,ij,...j->...", theta, B, theta) + theta @ a)
+    v = theta @ C.T + b
+    tang = v - np.sum(v * theta, axis=-1, keepdims=True) * theta
+    T = np.sin(s_col + 0.4)[..., None] * tang
+    return NormalField(n=n, s=s, angle_grids=grids, f=f + 0.3 * np.sin(3 * s_col), T=T)
+
+
+def random_family_params(kind, n, rng):
+    M = rng.standard_normal((n, n))
+    return {"translation": dict(a=rng.standard_normal(n), alpha=0.7),
+            "dilation": dict(delta=1.3),
+            "su": dict(A=M + M.T),
+            "o2n_rot": dict(A=M - M.T),
+            "o2n_boost": dict(A=M - M.T)}[kind]
+
+
+ORACLE_GRIDS = {3: (41, 80), 4: (17, 17, 32)}
+
+
+class TestFusedSphereOperators:
+    """linearized_apply against the per-operator route it replaced."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_non_kernel_field_matches(self, n):
+        fld = smooth_field(n, ORACLE_GRIDS[n], np.random.default_rng(n))
+        out = linearized_apply(fld)
+        F, T, valid = per_operator_linearized_apply(fld)
+        assert np.array_equal(out.valid, valid) and valid.any()
+        for got, want in ((out.f, F), (out.T, T)):
+            scale = np.abs(want[valid]).max()
+            assert scale > 0.1
+            assert np.abs(got - want)[valid].max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["translation", "dilation", "su", "o2n_rot", "o2n_boost"])
+    def test_jacobi_residuals_match(self, n, kind):
+        rng = np.random.default_rng(7)
+        s = math.pi / (2 * n) + 2e-3 * np.arange(-2, 3)
+        grids = default_angle_grids(n, ORACLE_GRIDS[n], margin=0.6)
+        fld = jacobi_field(kind, n, s, grids, **random_family_params(kind, n, rng))
+        out = linearized_apply(fld)
+        F, T, valid = per_operator_linearized_apply(fld)
+        assert np.array_equal(out.valid, valid) and valid.any()
+
+        def sup(f, t):
+            return float((np.abs(f) + np.linalg.norm(t, axis=-1))[valid].max())
+
+        want = sup(F, T)
+        assert want > 0
+        assert abs(sup(out.f, out.T) - want) <= 1e-9 * want
 
 
 class TestNeckMinimality:
