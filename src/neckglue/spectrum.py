@@ -86,30 +86,6 @@ def indicial_roots(n: int, k: int, family: str = "all") -> IndicialTable:
 # Per-mode systems
 # ----------------------------------------------------------------------
 
-def _mode_coefficients(n: int, k: int, family: str):
-    """Constants (c, d, w) of M(t): c_i - d_i sech^2(nt) on the diagonal and,
-    for the coupled exact modes, w_i tanh(nt) off it (w is None otherwise)."""
-    if family == "coexact":
-        if k < 1:
-            raise ValueError("coexact modes require k >= 1")
-        return (((n - 2) / 2.0 + k) ** 2,), ((16 - n * n) / 4.0,), None
-    if k == 0:
-        return (n * n / 4.0,), (3.0 * n * n / 4.0,), None
-    K = k * (n - 2 + k)
-    return ((K + n * n / 4.0, K + (n - 4) ** 2 / 4.0),
-            (3.0 * n * n / 4.0, (16 - n * n) / 4.0), (2.0 * K, 2.0))
-
-
-def _fill_mode_matrix(M, coeffs, th, sech2):
-    """Write M(t) at tanh(nt) = th, sech^2(nt) = sech2 into M."""
-    c, d, w = coeffs
-    for i in range(len(c)):
-        M[i, i] = c[i] - d[i] * sech2
-    if w is not None:
-        M[0, 1], M[1, 0] = w[0] * th, w[1] * th
-    return M
-
-
 def mode_system_matrix(n: int, k: int, t: float, kind: str = "interior",
                        family: str = "exact") -> np.ndarray:
     """Coefficient matrix M(t) of the second-order system z'' = M(t) z.
@@ -122,11 +98,26 @@ def mode_system_matrix(n: int, k: int, t: float, kind: str = "interior",
         raise ValueError("kind must be 'interior' or 'asymptotic'")
     if family not in ("exact", "coexact"):
         raise ValueError("family must be 'exact' or 'coexact'")
-    coeffs = _mode_coefficients(n, k, family)
-    M = np.zeros((len(coeffs[0]),) * 2)
-    if kind == "asymptotic":
-        return _fill_mode_matrix(M, coeffs, -1.0, 0.0)
-    return _fill_mode_matrix(M, coeffs, math.tanh(n * t), 1.0 / math.cosh(n * t) ** 2)
+    if kind == "interior":
+        th = math.tanh(n * t)
+        sech2 = 1.0 / math.cosh(n * t) ** 2
+    else:
+        th, sech2 = -1.0, 0.0
+
+    if family == "coexact":
+        if k < 1:
+            raise ValueError("coexact modes require k >= 1")
+        return np.array([[((n - 2) / 2.0 + k) ** 2 - (16 - n * n) / 4.0 * sech2]])
+
+    if k == 0:
+        return np.array([[n * n / 4.0 - 3.0 * n * n / 4.0 * sech2]])
+    K = k * (n - 2 + k)
+    return np.array(
+        [
+            [K + n * n / 4.0 - 3.0 * n * n / 4.0 * sech2, 2.0 * K * th],
+            [2.0 * th, K + (n - 4) ** 2 / 4.0 - (16 - n * n) / 4.0 * sech2],
+        ]
+    )
 
 
 def frozen_characteristic_roots(n: int, k: int, side: int = -1,
@@ -174,14 +165,11 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     if initial.shape != (2 * d,):
         raise ValueError(f"initial data must have length {2 * d}")
 
-    # validates kind and family once; the asymptotic M is constant, the
-    # interior one is refilled in place from the same constants
-    M = mode_system_matrix(n, k, 0.0, kind=kind, family=family)
-    coeffs = _mode_coefficients(n, k, family)
+    # validates kind and family once; the asymptotic M is constant
+    M0 = mode_system_matrix(n, k, 0.0, kind=kind, family=family)
 
     def rhs(t, z):
-        if kind == "interior":
-            _fill_mode_matrix(M, coeffs, math.tanh(n * t), 1.0 / math.cosh(n * t) ** 2)
+        M = M0 if kind == "asymptotic" else mode_system_matrix(n, k, t, kind=kind, family=family)
         return np.concatenate([z[d:], M @ z[:d]])
 
     def blown(t, z):
