@@ -13,11 +13,16 @@ upper half of the neck is the image of the lower half under the exact
 symmetry s -> pi/n - s composed with y-conjugation and the e^{i pi/n}
 rotation, so its boundary is a rho_* circle in the rotated frame.
 
-Boundary gaps compare the neck boundary circle against the outer graph at
-the same angular nodes; curvature reports use the FD engine on neck patches
-and the exact-derivative route on the outer graph (whose FD truncation,
-proportional to eps h^2, would bury the eps^3 nonlinear residual at small
-eps; the two routes are cross-checked at moderate eps in the test suite).
+Everything measured on the rho_* spheres goes through one sampler: at unit
+vectors Theta it returns the neck and outer-graph points and their radial
+tangents d/drho, the neck's from the closed-form d/ds of NeckParams.evaluate.
+Boundary gaps compare the two sides at the same nodes; the matching step
+analyzes the value and rho_*-scaled conormal gaps in each end's frame (gap @
+R_j, where the neck is collinear with Theta) and runs one linear matching
+solve.  Curvature reports use the FD engine on neck patches and the
+exact-derivative route on the outer graph (whose FD truncation, proportional
+to eps h^2, would bury the eps^3 nonlinear residual at small eps; the two
+routes are cross-checked at moderate eps in the test suite).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .config import Configuration
 from .geometry import AmbientPoint, ImmersionPatch, mean_curvature_field, sphere_chart
 from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, \
     green_gradient, regular_part
+from .matching import SphereGrid, match_boundaries, sh_analyze
 from .neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
 from .quadrature import omega_n, sphere_rule
 
@@ -47,8 +53,13 @@ __all__ = [
     "export_csv",
     "export_ply",
     "hausdorff_to_planes",
+    "matching_step",
     "scales_from",
 ]
+
+POLAR_MARGIN = 0.4         # polar angle grids stay this far from the chart poles
+BOUNDARY_NODES = (24, 64)  # boundary-gap nodes per polar angle, along the azimuth
+HISTOGRAM_BINS = 12        # curvature-report histogram bins
 
 
 def scales_from(epsilon: float, rho_star: float, beta: float, n: int):
@@ -66,19 +77,11 @@ class GridSpec:
     neck_s_nodes: int = 48
     neck_angle_nodes: tuple = None     # per-angle counts; default set by n
     outer_spacing: float = None        # default rho_*/4
-    outer_half_width: float = None     # default 2/rho_0
-    boundary_angle_nodes: tuple = None
-    polar_margin: float = 0.4
 
     def neck_angles(self, n: int) -> tuple:
         if self.neck_angle_nodes is not None:
             return tuple(self.neck_angle_nodes)
         return (24,) * (n - 2) + (48,)
-
-    def boundary_angles(self, n: int) -> tuple:
-        if self.boundary_angle_nodes is not None:
-            return tuple(self.boundary_angle_nodes)
-        return (24,) * (n - 2) + (64,)
 
 
 @dataclass
@@ -138,17 +141,12 @@ def assemble(config: Configuration, alpha, grid: GridSpec = None) -> GluedSurfac
         )
         s_star, t_star = scales_from(eps, rho_star, float(alpha[j]), n)
         t_grid = np.linspace(t_star, -t_star, grid.neck_s_nodes)
-        angle_grids = default_angle_grids(n, grid.neck_angles(n), margin=grid.polar_margin)
+        angle_grids = default_angle_grids(n, grid.neck_angles(n), margin=POLAR_MARGIN)
         necks.append(neck_patch(params, angle_grids=angle_grids, t_grid=t_grid))
         params_list.append(params)
         scales.append({"s_star": s_star, "t_star": t_star, "rho_star": rho_star})
 
-    outer = graph_patch(
-        data,
-        half_width=grid.outer_half_width,
-        spacing=grid.outer_spacing,
-        exclusion=rho_star,
-    )
+    outer = graph_patch(data, spacing=grid.outer_spacing, exclusion=rho_star)
     provenance = {"config_digest": config_digest(config), "alpha": alpha.tolist()}
     return GluedSurface(
         config=config, alpha=alpha, outer=outer, necks=necks,
@@ -161,24 +159,29 @@ def assemble(config: Configuration, alpha, grid: GridSpec = None) -> GluedSurfac
 # Boundary gaps
 # ----------------------------------------------------------------------
 
-def _boundary_samples(surface: GluedSurface, j: int, angle_grids):
-    """Neck lower-boundary samples and matching outer-graph samples."""
+def _boundary_samples(surface: GluedSurface, j: int, theta):
+    """Both sides of end j's rho_* sphere at unit vectors theta (..., n).
+
+    Returns (neck, neck_dr, outer, outer_dr), each (..., 2n) as (x, y): the
+    neck's lower-boundary point and the outer-graph point x_j + rho_* Theta
+    + i eps G, each with its radial tangent d/drho.  The neck's is its
+    closed-form d/ds over dr/ds (< 0 on the lower branch, so it points away
+    from the waist like the outer (Theta, eps DG Theta)).
+    """
     cfg = surface.config
-    n = cfg.n
-    params = surface.neck_params[j]
-    s_star = surface.scales[j]["s_star"]
-    mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
-    theta = sphere_chart(mesh)
-    rad = params.scale * math.sin(n * s_star) ** (-1.0 / n)
-    neck_x = rad * math.cos(s_star) * theta + params.translation.x
-    neck_y = rad * math.sin(s_star) * (theta @ params.rotation.T) + params.translation.y
+    x, y, dx, dy = surface.neck_params[j].evaluate(surface.scales[j]["s_star"], theta,
+                                                   with_ds=True)
+    drds = np.sum(dx * theta, axis=-1, keepdims=True)   # dx/ds = (dr/ds) Theta
     base_x = cfg.points[j] + surface.scales[j]["rho_star"] * theta
     data = surface.green
-    outer_y = cfg.epsilon * green_eval(data, base_x)
-    return theta, neck_x, neck_y, base_x, outer_y
+    outer_dy = cfg.epsilon * np.einsum("...il,...l->...i", green_gradient(data, base_x), theta)
+    return (np.concatenate([x, y], axis=-1),
+            np.concatenate([dx, dy], axis=-1) / drds,
+            np.concatenate([base_x, cfg.epsilon * green_eval(data, base_x)], axis=-1),
+            np.concatenate([theta, outer_dy], axis=-1))
 
 
-def boundary_gap(surface: GluedSurface, angle_grids=None):
+def boundary_gap(surface: GluedSurface):
     """Per-end boundary mismatch at the matching circles.
 
     Reports the sup position gap, the sup conormal angle gap, and the
@@ -186,46 +189,24 @@ def boundary_gap(surface: GluedSurface, angle_grids=None):
     exactly by construction of s_*, so the position gap is the height
     mismatch; its sup is dominated by the part of the outer field's linear
     term orthogonal to R_j Theta and decays like eps, while the collinear
-    projection is killed by balancing and decays like eps^3.
+    projection is killed by balancing and decays like eps^3.  The gaps are
+    sampled on a BOUNDARY_NODES angle grid.
     """
-    cfg = surface.config
-    n = cfg.n
-    if angle_grids is None:
-        angle_grids = default_angle_grids(n, GridSpec().boundary_angles(n), margin=0.4)
-    data = surface.green
+    n = surface.config.n
+    counts = (BOUNDARY_NODES[0],) * (n - 2) + (BOUNDARY_NODES[1],)
+    theta = sphere_chart(np.stack(np.meshgrid(
+        *default_angle_grids(n, counts, margin=POLAR_MARGIN), indexing="ij"), axis=-1))
     rule = sphere_rule(n) if n <= 4 else None
     out = []
-    for j in range(cfg.k):
-        theta, neck_x, neck_y, base_x, outer_y = _boundary_samples(surface, j, angle_grids)
-        pos_gap = np.sqrt(
-            np.sum((neck_x - base_x) ** 2, axis=-1) + np.sum((neck_y - outer_y) ** 2, axis=-1)
-        )
-        collinear = _collinear_gap(surface, j, rule) if rule is not None else None
-
-        # outer radial tangent d/dr (x_j + r Theta, eps G)
-        DG = green_gradient(data, base_x)
-        w_out = np.concatenate(
-            [theta, cfg.epsilon * np.einsum("...il,...l->...i", DG, theta)], axis=-1
-        )
-        # neck radial tangent: d(neck)/ds / (dr/ds); dr/ds < 0 on the lower
-        # branch, so -d/ds points away from the waist like the outer radial
-        params = surface.neck_params[j]
-        s_star = surface.scales[j]["s_star"]
-        h = 1e-6
-        def point(s):
-            rad = params.scale * np.sin(n * s) ** (-1.0 / n)
-            px = rad * np.cos(s) * theta
-            py = rad * np.sin(s) * (theta @ params.rotation.T)
-            return np.concatenate([px, py], axis=-1)
-        w_neck = -(point(s_star + h) - point(s_star - h)) / (2 * h)
+    for j in range(surface.config.k):
+        neck, w_neck, outer, w_out = _boundary_samples(surface, j, theta)
         cosang = np.sum(w_out * w_neck, axis=-1) / (
             np.linalg.norm(w_out, axis=-1) * np.linalg.norm(w_neck, axis=-1)
         )
-        ang = np.arccos(np.clip(cosang, -1.0, 1.0))
         out.append({
-            "position_gap_sup": float(np.max(pos_gap)),
-            "conormal_angle_sup": float(np.max(ang)),
-            "collinear_gap_abs": collinear,
+            "position_gap_sup": float(np.max(np.linalg.norm(neck - outer, axis=-1))),
+            "conormal_angle_sup": float(np.max(np.arccos(np.clip(cosang, -1.0, 1.0)))),
+            "collinear_gap_abs": _collinear_gap(surface, j, rule) if rule is not None else None,
         })
     return out
 
@@ -233,26 +214,53 @@ def boundary_gap(surface: GluedSurface, angle_grids=None):
 def _collinear_gap(surface: GluedSurface, j: int, rule) -> float:
     """|(1/omega_n) int (y_outer - y_neck) . R_j Theta dtheta| at the circle;
     quadrature nodes carry explicit unit vectors, so no chart poles arise."""
-    cfg = surface.config
-    n = cfg.n
-    params = surface.neck_params[j]
-    s_star = surface.scales[j]["s_star"]
-    nodes, w = rule.nodes, rule.weights
-    rad = params.scale * math.sin(n * s_star) ** (-1.0 / n)
-    rtheta = nodes @ params.rotation.T
-    neck_y = rad * math.sin(s_star) * rtheta + params.translation.y
-    base_x = cfg.points[j] + surface.scales[j]["rho_star"] * nodes
-    outer_y = cfg.epsilon * green_eval(surface.green, base_x)
-    proj = w @ np.sum((outer_y - neck_y) * rtheta, axis=1)
+    n = surface.config.n
+    neck, _, outer, _ = _boundary_samples(surface, j, rule.nodes)
+    rtheta = rule.nodes @ surface.neck_params[j].rotation.T
+    proj = rule.weights @ np.sum((outer[:, n:] - neck[:, n:]) * rtheta, axis=1)
     return abs(float(proj)) / omega_n(n)
+
+
+def matching_step(surface: GluedSurface, gamma, degree: int) -> dict:
+    """Measure each end's leading-order boundary discrepancies and run one
+    linear matching solve on them (n = 3).
+
+    Per end j the height gap y_outer - y_neck and the rho_*-scaled conormal
+    gap rho_* d/drho (y_outer - y_neck) are rotated into the end's frame
+    (gap @ R_j: the neck is collinear with R_j Theta there, with Theta
+    here) and expanded in real spherical harmonics up to `degree`.
+    max_relative_delta = max_j max(|delta alpha_j|, |delta beta_j|) / alpha_j
+    measures how far the measured surface sits from the solved scales.
+    """
+    cfg = surface.config
+    if cfg.n != 3:
+        raise ValueError(f"the spherical-harmonic matching basis needs n = 3, got n = {cfg.n}")
+    grid = SphereGrid(degree)
+    rho = cfg.rho_star
+    discrepancies = []
+    for j, params in enumerate(surface.neck_params):
+        neck, neck_dr, outer, outer_dr = _boundary_samples(surface, j, grid.nodes)
+        value_gap = (outer[..., 3:] - neck[..., 3:]) @ params.rotation
+        conormal_gap = rho * (outer_dr[..., 3:] - neck_dr[..., 3:]) @ params.rotation
+        discrepancies.append((sh_analyze(value_gap, grid), sh_analyze(conormal_gap, grid)))
+    corr = match_boundaries(cfg, surface.alpha, discrepancies, gamma=gamma)
+    relative = np.maximum(np.abs(corr.delta_alpha), np.abs(corr.delta_beta)) / surface.alpha
+    return {
+        "delta_alpha": corr.delta_alpha,
+        "delta_beta": corr.delta_beta,
+        "max_relative_delta": float(np.max(relative)),
+        "phi_sup": [p.norm() for p in corr.phi],
+        "phi_tilde_sup": [p.norm() for p in corr.phi_tilde],
+        "residual_norm": corr.residual_norm,
+    }
 
 
 # ----------------------------------------------------------------------
 # Curvature report
 # ----------------------------------------------------------------------
 
-def curvature_report(surface: GluedSurface, histogram_bins: int = 12):
-    """Per-patch mean-curvature statistics.
+def curvature_report(surface: GluedSurface):
+    """Per-patch mean-curvature statistics (HISTOGRAM_BINS-bin histograms).
 
     Neck patches: FD engine sup and histogram (the model is exactly minimal,
     so this is the h^2 discretization floor).  Outer patch: sup from the
@@ -263,7 +271,7 @@ def curvature_report(surface: GluedSurface, histogram_bins: int = 12):
     for j, patch in enumerate(surface.necks):
         H, valid = mean_curvature_field(patch)
         mags = np.linalg.norm(H, axis=-1)[valid]
-        hist, edges = np.histogram(mags, bins=histogram_bins)
+        hist, edges = np.histogram(mags, bins=HISTOGRAM_BINS)
         report["necks"].append({
             "sup": float(mags.max()) if mags.size else 0.0,
             "histogram_counts": hist.tolist(),
@@ -277,7 +285,7 @@ def curvature_report(surface: GluedSurface, histogram_bins: int = 12):
     mags_a = np.linalg.norm(Ha, axis=-1)
     Hfd, valid = mean_curvature_field(outer)
     mags_fd = np.linalg.norm(Hfd, axis=-1)[valid]
-    hist, edges = np.histogram(mags_a, bins=histogram_bins)
+    hist, edges = np.histogram(mags_a, bins=HISTOGRAM_BINS)
     report["outer"] = {
         "sup_analytic": float(mags_a.max()) if mags_a.size else 0.0,
         "sup_fd": float(mags_fd.max()) if mags_fd.size else 0.0,

@@ -316,7 +316,7 @@ def cmd_glue(args) -> int:
     import numpy as np
 
     from .assembler import GridSpec, assemble, boundary_gap, config_digest, \
-        curvature_report, export_ply
+        curvature_report, export_ply, matching_step
     from .config import build_interaction_system
     from .green import GreenData, balance_residual
     from .report import RunReport
@@ -348,10 +348,13 @@ def cmd_glue(args) -> int:
     report.section("scales", surface.scales)
 
     if config.n == 3:
-        corr = _measured_matching(config, system, surface,
-                                  L=options["sh_degree"])
-        report.section("matching_step", corr)
-        report.check("matching residual", corr["residual_norm"], 1e-10)
+        step = matching_step(surface, system.gamma, options["sh_degree"])
+        report.section("matching_step", step)
+        report.check("matching residual", step["residual_norm"], 1e-10)
+        # the correction falls like eps^2 in the asymptotic range (0.046 on
+        # the flagship at eps = 1e-4); at 0.1 of the solved scales it no
+        # longer is a correction (4.7 at eps = 1e-3, rho_* = 0.45)
+        report.check("matching max |delta|/alpha", step["max_relative_delta"], 0.1)
     else:
         report.skip("matching step", f"the spherical-harmonic basis needs n = 3, got n = {config.n}")
 
@@ -361,58 +364,6 @@ def cmd_glue(args) -> int:
         report.section("export", {"ply": args.export, "csv": csv_path})
     report.time_mark("total")
     return _finish(report, args)
-
-
-def _measured_matching(config, system, surface, L=8):
-    """Measure the leading-order boundary discrepancies of the assembled
-    surface per end and run one linear matching solve on them."""
-    import math
-
-    import numpy as np
-
-    from .green import green_eval, green_gradient
-    from .matching import SphereGrid, match_boundaries, sh_analyze
-
-    grid = SphereGrid(L)
-    eps = config.epsilon
-    rho = config.rho_star
-    data = surface.green
-    discrepancies = []
-    for j in range(config.k):
-        params = surface.neck_params[j]
-        s_star = surface.scales[j]["s_star"]
-        nodes = grid.nodes.reshape(-1, 3)
-        base = config.points[j] + rho * nodes
-        outer_y = eps * green_eval(data, base)
-        n = config.n
-
-        def neck_y(s):
-            rad = params.scale * math.sin(n * s) ** (-1.0 / n)
-            return rad * math.sin(s) * (nodes @ params.rotation.T) + params.translation.y
-
-        gap = (outer_y - neck_y(s_star)).reshape(grid.nodes.shape)
-        value_gap = sh_analyze(gap, grid)
-
-        DG = green_gradient(data, base)
-        douter = eps * np.einsum("pil,pl->pi", DG, nodes)
-        h = 1e-6
-
-        def radius(s):
-            return params.scale * math.cos(s) * math.sin(n * s) ** (-1.0 / n)
-
-        drds = (radius(s_star + h) - radius(s_star - h)) / (2 * h)
-        dneck = (neck_y(s_star + h) - neck_y(s_star - h)) / (2 * h) / drds
-        conormal_gap = sh_analyze((rho * (douter - dneck)).reshape(grid.nodes.shape), grid)
-        discrepancies.append((value_gap, conormal_gap))
-
-    corr = match_boundaries(config, system.alpha, discrepancies, gamma=system.gamma)
-    return {
-        "delta_alpha": corr.delta_alpha,
-        "delta_beta": corr.delta_beta,
-        "phi_sup": [p.norm() for p in corr.phi],
-        "phi_tilde_sup": [p.norm() for p in corr.phi_tilde],
-        "residual_norm": corr.residual_norm,
-    }
 
 
 def cmd_dtn(args) -> int:

@@ -17,6 +17,18 @@ The lower-end radius of the neck scaled by (n beta eps)^{1/n} is
 
 decreasing from +infinity to its waist minimum on the lower branch.
 
+Evaluation.  NeckParams.evaluate is the one place the scaled, twisted neck
+
+    (x, y) = (n beta eps)^{1/n} (sin ns)^{-1/n} (cos s Theta, sin s R Theta)
+
+is written out; its s-derivative is taken in closed form,
+
+    d(x, y)/ds = (n beta eps)^{1/n} (sin ns)^{-1/n-1}
+                 (-cos((n-1)s) Theta, sin((n-1)s) R Theta),
+
+so dr/ds = -(n beta eps)^{1/n} (sin ns)^{-1/n-1} cos((n-1)s), which for n >= 3
+vanishes at the waist s = pi/(2(n-1)).
+
 Linearized operator.  A normal field V = i e^{i(1-n)s} f Theta + i e^{is} T
 (f scalar, T tangent to S^{n-1}) is mapped to the pair
 
@@ -90,6 +102,22 @@ class NeckParams:
     @property
     def scale(self) -> float:
         return (self.n * self.beta * self.epsilon) ** (1.0 / self.n)
+
+    def evaluate(self, s, theta, with_ds: bool = False):
+        """Neck point (x, y) over unit vectors theta (..., n); s broadcasts
+        against theta's leading axes.  With with_ds also the closed-form
+        tangent (dx/ds, dy/ds), returned as (x, y, dx, dy)."""
+        n = self.n
+        s = np.asarray(s, dtype=float)[..., None]
+        rtheta = theta @ self.rotation.T
+        sin_ns = np.sin(n * s)
+        rad = self.scale * sin_ns ** (-1.0 / n)
+        x = rad * np.cos(s) * theta + self.translation.x
+        y = rad * np.sin(s) * rtheta + self.translation.y
+        if not with_ds:
+            return x, y
+        rate = rad / sin_ns
+        return x, y, -rate * np.cos((n - 1) * s) * theta, rate * np.sin((n - 1) * s) * rtheta
 
 
 # ----------------------------------------------------------------------
@@ -186,26 +214,9 @@ def s_of_radius(params: NeckParams, r_target: float) -> float:
 
 def neck_point(params: NeckParams, s: float, angles) -> AmbientPoint:
     """One sample of the (scaled, twisted, translated) neck."""
-    n = params.n
-    if not 0.0 < s < math.pi / n:
+    if not 0.0 < s < math.pi / params.n:
         raise ValueError("s must lie strictly inside (0, pi/n)")
-    theta = sphere_chart(np.asarray(angles, dtype=float))
-    rad = params.scale * np.sin(n * s) ** (-1.0 / n)
-    x = rad * math.cos(s) * theta + params.translation.x
-    y = rad * math.sin(s) * (params.rotation @ theta) + params.translation.y
-    return AmbientPoint(x, y)
-
-
-def _neck_samples(params: NeckParams, s_grid, theta_grid):
-    """Vectorized samples over an (s x angles) grid; theta_grid is (..., n)."""
-    n = params.n
-    s = np.asarray(s_grid, dtype=float).reshape((-1,) + (1,) * theta_grid.ndim)
-    rad = params.scale * np.sin(n * s) ** (-1.0 / n)
-    x = rad * np.cos(s) * theta_grid[None]
-    y = rad * np.sin(s) * (theta_grid @ params.rotation.T)[None]
-    x = x + params.translation.x
-    y = y + params.translation.y
-    return np.concatenate([x, y], axis=-1)
+    return AmbientPoint(*params.evaluate(s, sphere_chart(np.asarray(angles, dtype=float))))
 
 
 def polar_angle_grid(count: int, margin: float):
@@ -248,7 +259,8 @@ def neck_patch(params: NeckParams, s_grid=None, angle_grids=None,
         step = float(s_values[1] - s_values[0])
     angles_mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
     theta = sphere_chart(angles_mesh)
-    samples = _neck_samples(params, s_values, theta)
+    s_col = s_values.reshape((-1,) + (1,) * (theta.ndim - 1))
+    samples = np.concatenate(params.evaluate(s_col, theta), axis=-1)
     spacings = [step] + [float(g[1] - g[0]) for g in angle_grids]
     periodic = (False,) + (False,) * (len(angle_grids) - 1) + (True,)
     return ImmersionPatch(spacings=tuple(spacings), samples=samples, periodic=periodic)
@@ -270,12 +282,9 @@ def asymptote_residual(params: NeckParams, rho_values, angle_grids):
     per_rho = np.empty(rho_values.size)
     n, eps, beta = params.n, params.epsilon, params.beta
     for i, rho in enumerate(rho_values):
-        s = s_of_radius(params, float(rho))
-        rad = params.scale * math.sin(n * s) ** (-1.0 / n)
-        exact_x = rad * math.cos(s) * theta
-        exact_y = rad * math.sin(s) * rtheta
-        graph_x = rho * theta
-        graph_y = eps * beta * rho ** (1 - n) * rtheta
+        exact_x, exact_y = params.evaluate(s_of_radius(params, float(rho)), theta)
+        graph_x = rho * theta + params.translation.x
+        graph_y = eps * beta * rho ** (1 - n) * rtheta + params.translation.y
         gap = np.sqrt(
             np.sum((exact_x - graph_x) ** 2, axis=-1)
             + np.sum((exact_y - graph_y) ** 2, axis=-1)

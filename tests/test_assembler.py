@@ -14,14 +14,16 @@ from neckglue.assembler import (
     export_csv,
     export_ply,
     hausdorff_to_planes,
+    matching_step,
     scales_from,
 )
-from neckglue.assembler import _point_rows
+from neckglue.assembler import _boundary_samples, _point_rows
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.green import GreenData, regular_part
+from neckglue.geometry import sphere_chart
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_to_t
 
-from conftest import flagship_at
+from conftest import flagship_at, random_orthogonal
 
 COARSE = GridSpec(neck_s_nodes=32, neck_angle_nodes=(17, 32), outer_spacing=0.3)
 
@@ -126,9 +128,20 @@ class TestAssemble:
 
 
 class TestBoundaryGap:
-    def test_identical_samples_give_zero(self):
-        gap = np.sqrt(np.sum((np.zeros((5, 3))) ** 2, axis=-1))
-        assert np.max(gap) == 0.0  # trivial comparator identity
+    def test_sampler_sides_share_base_points(self):
+        # both sides of the sampler sit over x_j + rho_* Theta with radial
+        # x-tangent Theta, and the neck side is the neck patch's lower row
+        cfg, _, surf = build_flagship_surface()
+        grids = default_angle_grids(3, COARSE.neck_angle_nodes, margin=0.4)
+        theta = sphere_chart(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
+        for j in range(2):
+            neck, neck_dr, outer, outer_dr = _boundary_samples(surf, j, theta)
+            # s_* solves r(s_*) = rho_* to the bisection's 1e-13 relative
+            assert np.max(np.abs(neck[..., :3] - outer[..., :3])) < 1e-12 * cfg.rho_star
+            assert np.array_equal(outer[..., :3], cfg.points[j] + cfg.rho_star * theta)
+            assert np.array_equal(outer_dr[..., :3], theta)
+            assert np.max(np.abs(neck_dr[..., :3] - theta)) < 1e-14
+            assert np.max(np.abs(neck - surf.necks[j].samples[0])) < 1e-12
 
     def test_monotone_in_epsilon(self):
         sups = []
@@ -142,18 +155,22 @@ class TestBoundaryGap:
         # at matched alpha the Theta-collinear projection of the gap is
         # the neck remainder alone: log-log slope ~ 3 in eps (>= 2); the
         # sup gap keeps the orthogonal linear term and decays like eps
+        # (so does the conormal angle, its radial derivative)
         eps_values = [1e-3, 3e-4, 1e-4]
-        colls, sups = [], []
+        colls, sups, angles = [], [], []
         for eps in eps_values:
             _, _, surf = build_flagship_surface(eps)
             gaps = boundary_gap(surf)
             colls.append(max(g["collinear_gap_abs"] for g in gaps))
             sups.append(max(g["position_gap_sup"] for g in gaps))
+            angles.append(max(g["conormal_angle_sup"] for g in gaps))
         slope_coll = np.polyfit(np.log(eps_values), np.log(colls), 1)[0]
         slope_sup = np.polyfit(np.log(eps_values), np.log(sups), 1)[0]
+        slope_angle = np.polyfit(np.log(eps_values), np.log(angles), 1)[0]
         assert slope_coll >= 2.0
         assert abs(slope_coll - 3.0) < 0.3
         assert abs(slope_sup - 1.0) < 0.2
+        assert abs(slope_angle - 1.0) < 0.2
 
     def test_flagship_regression_values(self):
         # end-to-end run at eps = 1e-4, COARSE grid; frozen measured values
@@ -187,6 +204,55 @@ class TestBoundaryGap:
         # the extra gap contribution matches the linear term within 10%
         extra = g_off - g_bal
         assert np.all(np.abs(extra - predicted) < 0.1 * predicted + 0.2 * g_bal)
+
+
+def rotated_flagship(eps, q):
+    """The flagship under the common rotation q: points q x_j, twists
+    q R_j q^T, A0 -> q A0 q^T (Gamma, Lambda and alpha are unchanged)."""
+    cfg = flagship_at(eps)
+    return Configuration(3, cfg.points @ q.T, [q @ r @ q.T for r in cfg.rotations],
+                         q @ cfg.A0 @ q.T, eps, cfg.rho_star)
+
+
+def measured_matching(cfg, degree=8):
+    system = build_interaction_system(cfg)
+    return matching_step(assemble(cfg, system.alpha, COARSE), system.gamma, degree)
+
+
+class TestMatchingStep:
+    def test_flagship_correction_small(self):
+        # measured in each end's frame, the correction is a small fraction of
+        # the solved scales (~0.046); measured against Theta it read ~3
+        step = measured_matching(flagship_at(1e-4))
+        alpha = np.array([4.0, 12.0])
+        assert np.max(np.abs(step["delta_alpha"]) / alpha) < 0.1
+        assert step["max_relative_delta"] < 0.1
+        assert step["residual_norm"] < 1e-10
+
+    def test_delta_alpha_quadratic_in_epsilon(self):
+        eps_values = [1e-4, 1e-5, 1e-6]
+        sizes = [np.max(np.abs(measured_matching(flagship_at(eps))["delta_alpha"]))
+                 for eps in eps_values]
+        slope = np.polyfit(np.log(eps_values), np.log(sizes), 1)[0]
+        assert 1.8 <= slope <= 2.2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_delta_alpha_invariant_under_common_rotation(self, seed):
+        q = random_orthogonal(3, np.random.default_rng(seed))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        base = measured_matching(flagship_at(1e-4))["delta_alpha"]
+        turned = measured_matching(rotated_flagship(1e-4, q))["delta_alpha"]
+        assert np.max(np.abs(turned - base)) < 1e-3 * np.max(np.abs(base))
+
+    def test_needs_n3(self):
+        cfg = Configuration(2, [[1.0, 0.0], [-1.0, 0.0]], [np.eye(2), np.diag([1.0, -1.0])],
+                            np.diag([3.0, 1.0]), 1e-4, 0.45)
+        system = build_interaction_system(cfg)
+        surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=8, neck_angle_nodes=(8,),
+                                                    outer_spacing=0.3))
+        with pytest.raises(ValueError, match="n = 3"):
+            matching_step(surf, system.gamma, 8)
 
 
 class TestCurvature:

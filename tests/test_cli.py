@@ -265,8 +265,24 @@ class TestGlueCommand:
         assert "boundary_gap" in doc["sections"]
         assert "matching_step" in doc["sections"]
         assert not any("skipped" in c for c in doc["checks"])
+        gate = [c for c in doc["checks"] if c["name"] == "matching max |delta|/alpha"]
+        assert len(gate) == 1 and gate[0]["pass"] and gate[0]["value"] < 0.1
         gap = doc["sections"]["boundary_gap"][0]["position_gap_sup"]
         assert 0 < gap < 1e-2
+
+    def test_matching_gate_trips_outside_asymptotic_range(self, tmp_path, capsys):
+        # at eps = 1e-3, rho_* = 0.45 the measured correction is ~4.7 times
+        # the solved scales: the matching step is no correction there
+        doc = dict(FLAGSHIP, epsilon=1e-3)
+        doc["options"] = {"neck_s_nodes": 17, "neck_angle_nodes": [9, 16],
+                          "outer_spacing": 0.6}
+        report_path = tmp_path / "glue.json"
+        assert main(["--report", str(report_path), "glue", write_config(tmp_path, doc)]) == 1
+        assert "[FAIL] matching max |delta|/alpha" in capsys.readouterr().out
+        checks = {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+        gate = checks["matching max |delta|/alpha"]
+        assert gate["threshold"] == 0.1 and 4.0 < gate["value"] < 5.5
+        assert checks["matching residual"]["pass"]
 
     def test_digest_covers_options(self, tmp_path):
         # runs differing only in outer_spacing must not share a digest; an

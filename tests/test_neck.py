@@ -21,7 +21,7 @@ from neckglue.neck import (
     waist_radius,
 )
 
-from conftest import rot_e1
+from conftest import random_orthogonal, rot_e1
 
 
 def unit_scale_params(n):
@@ -147,6 +147,68 @@ class TestNeckPoint:
     def test_s_range_guard(self):
         with pytest.raises(ValueError):
             neck_point(unit_scale_params(3), 1.2, [1.0, 0.0])
+
+
+def parent_neck_samples(params, s_grid, theta_grid):
+    """The (s x angles) neck samples as neck_patch built them before
+    NeckParams.evaluate existed: an oracle for bit-identical samples."""
+    n = params.n
+    s = np.asarray(s_grid, dtype=float).reshape((-1,) + (1,) * theta_grid.ndim)
+    rad = params.scale * np.sin(n * s) ** (-1.0 / n)
+    x = rad * np.cos(s) * theta_grid[None]
+    y = rad * np.sin(s) * (theta_grid @ params.rotation.T)[None]
+    x = x + params.translation.x
+    y = y + params.translation.y
+    return np.concatenate([x, y], axis=-1)
+
+
+def twisted_neck(n, rng, proper):
+    from neckglue.geometry import AmbientPoint
+
+    R = random_orthogonal(n, rng)
+    if (np.linalg.det(R) > 0) != proper:
+        R[:, 0] = -R[:, 0]
+    shift = AmbientPoint(rng.standard_normal(n), rng.standard_normal(n))
+    return NeckParams(n=n, beta=rng.uniform(0.5, 3.0), epsilon=rng.uniform(1e-4, 1e-1),
+                      rotation=R, translation=shift)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("proper", [True, False])
+    def test_closed_form_ds_matches_fourth_order_fd(self, n, proper):
+        rng = np.random.default_rng(10 * n + proper)
+        params = twisted_neck(n, rng, proper)
+        theta = rng.standard_normal((6, n))
+        theta /= np.linalg.norm(theta, axis=-1, keepdims=True)
+        s = rng.uniform(0.1, 0.9, 6) * math.pi / n
+        x, y, dx, dy = params.evaluate(s, theta, with_ds=True)
+        assert np.array_equal(np.concatenate([x, y], -1),
+                              np.concatenate(params.evaluate(s, theta), -1))
+        h = 2e-4 * math.pi / n
+
+        def at(shift):
+            return np.concatenate(params.evaluate(s + shift, theta), axis=-1)
+
+        fd = (at(-2 * h) - 8 * at(-h) + 8 * at(h) - at(2 * h)) / (12 * h)
+        closed = np.concatenate([dx, dy], axis=-1)
+        assert np.max(np.abs(closed - fd)) < 1e-9 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_neck_patch_samples_bit_identical_to_parent(self, n):
+        rng = np.random.default_rng(n)
+        counts = (5,) * (n - 2) + (8,)
+        grids = default_angle_grids(n, counts, margin=0.4)
+        theta = sphere_chart(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
+        for proper in (True, False):
+            params = twisted_neck(n, rng, proper)
+            t_grid = np.linspace(-1.5, 1.5, 7)
+            patch = neck_patch(params, angle_grids=grids, t_grid=t_grid)
+            assert np.array_equal(patch.samples,
+                                  parent_neck_samples(params, t_to_s(t_grid, n), theta))
+            s_grid = np.linspace(0.1, 0.9, 6) * math.pi / n
+            patch = neck_patch(params, angle_grids=grids, s_grid=s_grid)
+            assert np.array_equal(patch.samples, parent_neck_samples(params, s_grid, theta))
 
 
 class TestAsymptote:
