@@ -223,25 +223,24 @@ def _collinear_gap(surface: GluedSurface, j: int, rule) -> float:
 
 def matching_step(surface: GluedSurface, gamma, degree: int) -> dict:
     """Measure each end's leading-order boundary discrepancies and run one
-    linear matching solve on them (n = 3).
+    linear matching solve on them (n >= 3).
 
     Per end j the height gap y_outer - y_neck and the rho_*-scaled conormal
     gap rho_* d/drho (y_outer - y_neck) are rotated into the end's frame
     (gap @ R_j: the neck is collinear with R_j Theta there, with Theta
-    here) and expanded in real spherical harmonics up to `degree`.
+    here) and expanded in spherical harmonics on S^{n-1} up to `degree`.
     max_relative_delta = max_j max(|delta alpha_j|, |delta beta_j|) / alpha_j
     measures how far the measured surface sits from the solved scales.
     """
     cfg = surface.config
-    if cfg.n != 3:
-        raise ValueError(f"the spherical-harmonic matching basis needs n = 3, got n = {cfg.n}")
-    grid = SphereGrid(degree)
+    n = cfg.n
+    grid = SphereGrid(n, degree)
     rho = cfg.rho_star
     discrepancies = []
     for j, params in enumerate(surface.neck_params):
         neck, neck_dr, outer, outer_dr = _boundary_samples(surface, j, grid.nodes)
-        value_gap = (outer[..., 3:] - neck[..., 3:]) @ params.rotation
-        conormal_gap = rho * (outer_dr[..., 3:] - neck_dr[..., 3:]) @ params.rotation
+        value_gap = (outer[:, n:] - neck[:, n:]) @ params.rotation
+        conormal_gap = rho * (outer_dr[:, n:] - neck_dr[:, n:]) @ params.rotation
         discrepancies.append((sh_analyze(value_gap, grid), sh_analyze(conormal_gap, grid)))
     corr = match_boundaries(cfg, surface.alpha, discrepancies, gamma=gamma)
     relative = np.maximum(np.abs(corr.delta_alpha), np.abs(corr.delta_beta)) / surface.alpha
@@ -249,8 +248,8 @@ def matching_step(surface: GluedSurface, gamma, degree: int) -> dict:
         "delta_alpha": corr.delta_alpha,
         "delta_beta": corr.delta_beta,
         "max_relative_delta": float(np.max(relative)),
-        "phi_sup": [p.norm() for p in corr.phi],
-        "phi_tilde_sup": [p.norm() for p in corr.phi_tilde],
+        "phi_l2": [p.norm() for p in corr.phi],
+        "phi_tilde_l2": [p.norm() for p in corr.phi_tilde],
         "residual_norm": corr.residual_norm,
     }
 

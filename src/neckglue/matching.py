@@ -1,15 +1,25 @@
-"""Spherical-harmonic boundary calculus on S^2 and the leading-order
-matching solve for n = 3.
+"""Harmonic boundary calculus on S^{n-1} and the leading-order matching
+solve, for every n >= 3.
 
-R^3-valued boundary data Phi on the unit sphere are expanded in real
-orthonormal spherical harmonics per Cartesian component.  Harmonic
-extensions multiply degree-k coefficients by r^k inside and r^{2-n-k} =
-r^{-(k+1)} outside; the Dirichlet-to-Neumann maps are therefore diagonal,
+R^n-valued boundary data Phi on the unit sphere S^{n-1} are expanded per
+Cartesian component in one orthonormal basis of H_0 + ... + H_L, where H_k
+holds the spherical harmonics of degree k.  Harmonic extensions multiply
+degree-k coefficients by r^k inside and r^{2-n-k} outside; the
+Dirichlet-to-Neumann maps are therefore diagonal,
 
-    P_int = k,    P_ext = -(k+1),    P_ext - P_int = -(2k+1),
+    P_int = k,    P_ext = -(k+n-2),    P_ext - P_int = -(2k+n-2),
 
-strictly negative for every degree, which witnesses the invertibility of
-the matching operator.
+strictly negative for every degree when n >= 3, which witnesses the
+invertibility of the matching operator.  At n = 2 the difference vanishes
+on the constants, the matching operator is singular and no solve is made.
+
+The basis follows P_k = H_k + |x|^2 P_{k-2} (Axler, Bourdon and Ramey,
+Harmonic Function Theory, ch. 5): on the sphere the degree-k monomials span
+H_k plus the lower harmonics of the same parity, so orthogonalizing them
+against the blocks already built leaves H_k, of dimension
+C(k+n-1, n-1) - C(k+n-3, n-1).  Everything is orthonormal on the product
+Gauss rule with 2L+2 nodes per angle, which integrates the degree-2L
+products exactly.
 
 The leading-order matching couples, per end j0, the value gap and the
 rho_* - scaled conormal gap of the outer piece against the neck piece.
@@ -28,14 +38,15 @@ rho_*) is a single dense solve.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv
 
 from .config import Configuration
-from .quadrature import omega_n
+from .quadrature import omega_n, product_gauss_rule
 
 __all__ = [
     "MatchCorrection",
@@ -51,193 +62,171 @@ __all__ = [
     "split_theta",
 ]
 
-DEFAULT_DEGREE = 8
 
+class SphereGrid:
+    """The product Gauss rule on S^{n-1} resolving degree L, with an
+    orthonormal basis of H_0 + ... + H_L on its nodes.
 
-def _real_sph_basis(L: int, theta, phi) -> np.ndarray:
-    """Real orthonormal spherical harmonics up to degree L at given angles.
-
-    Output shape (..., (L+1)^2), index k^2 + (m + k) for order m in [-k, k].
+    basis (N, dim) holds the basis at the nodes, degrees (dim,) the degree
+    of each slot; basis_at evaluates it at any unit vectors.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    ct = np.cos(theta)
-    out = np.empty(theta.shape + ((L + 1) ** 2,))
-    for k in range(L + 1):
-        for m in range(0, k + 1):
-            norm = math.sqrt(
-                (2 * k + 1) / (4 * math.pi)
-                * math.factorial(k - m) / math.factorial(k + m)
-            )
-            P = lpmv(m, k, ct)
-            if m == 0:
-                out[..., k * k + k] = norm * P
-            else:
-                out[..., k * k + k + m] = math.sqrt(2.0) * norm * P * np.cos(m * phi)
-                out[..., k * k + k - m] = math.sqrt(2.0) * norm * P * np.sin(m * phi)
-    return out
 
+    def __init__(self, n: int, L: int):
+        if n < 3:
+            raise ValueError(f"the DtN difference -(2k+n-2) vanishes on constants at n = {n}, "
+                             "so the matching operator is singular; it needs n >= 3")
+        self.n, self.L = int(n), int(L)
+        rule = product_gauss_rule(self.n, 2 * self.L + 2)
+        self.nodes, self.weights = rule.nodes, rule.weights
+        self._exponents = np.array([e for e in itertools.product(range(self.L + 1), repeat=n)
+                                    if sum(e) <= self.L])
+        order = self._exponents.sum(axis=1)
+        root_w = np.sqrt(self.weights)[:, None]
+        monomials = root_w * self._monomials(self.nodes)
+        # basis = monomials @ coef; q = root_w * basis is orthonormal
+        q = np.empty((len(self.nodes), 0))
+        coef = np.empty((len(order), 0))
+        degrees = []
+        for k in range(self.L + 1):
+            block = order == k
+            m, c = monomials[:, block], np.eye(len(order))[:, block]
+            for _ in range(2):  # twice is enough (Kahan-Parlett)
+                proj = q.T @ m
+                m, c = m - q @ proj, c - coef @ proj
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+            dim = math.comb(k + n - 1, n - 1) - math.comb(k + n - 3, n - 1)
+            q = np.hstack([q, u[:, :dim]])
+            coef = np.hstack([coef, c @ (vt[:dim].T / s[:dim])])
+            degrees += [k] * dim
+        self.basis = q / root_w
+        self._coef = coef
+        self.degrees = np.array(degrees)
 
-def _degrees(L: int) -> np.ndarray:
-    """Degree k of each coefficient slot."""
-    return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    def _monomials(self, points) -> np.ndarray:
+        powers = points[..., None] ** np.arange(self.L + 1)   # (..., n, L+1)
+        out = powers[..., 0, self._exponents[:, 0]]
+        for axis in range(1, self.n):
+            out *= powers[..., axis, self._exponents[:, axis]]
+        return out
+
+    def basis_at(self, points) -> np.ndarray:
+        """The basis at unit vectors points (..., n), shape (..., dim).
+
+        It goes through monomial coefficients that grow with L, so it agrees
+        with `basis` to ~1e-12 up to L = 12 and loses digits beyond (3e-9
+        at n = 3, L = 20); analysis and the DtN maps never use it.
+        """
+        return self._monomials(np.asarray(points, dtype=float)) @ self._coef
+
+    @functools.cached_property
+    def theta(self) -> "SHExpansion":
+        """The identity map Theta, exactly degree 1."""
+        return sh_analyze(self.nodes, self)
 
 
 @dataclass
 class SHExpansion:
-    """Degree-truncated real-SH coefficients of an R^3-valued sphere map."""
+    """Coefficients (n, dim) of an R^n-valued sphere map in grid's basis."""
 
-    max_degree: int
-    coeffs: np.ndarray  # (3, (L+1)^2)
+    grid: SphereGrid
+    coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        want = (3, (self.max_degree + 1) ** 2)
+        want = (self.grid.n, self.grid.degrees.size)
         if self.coeffs.shape != want:
             raise ValueError(f"coefficients must have shape {want}")
 
     @staticmethod
-    def zero(L: int) -> "SHExpansion":
-        return SHExpansion(L, np.zeros((3, (L + 1) ** 2)))
+    def zero(grid: SphereGrid) -> "SHExpansion":
+        return SHExpansion(grid, np.zeros((grid.n, grid.degrees.size)))
 
-    def copy(self) -> "SHExpansion":
-        return SHExpansion(self.max_degree, self.coeffs.copy())
-
-    def scale_degrees(self, factors: np.ndarray) -> "SHExpansion":
-        return SHExpansion(self.max_degree, self.coeffs * factors[None, :])
+    def scaled(self, factors: np.ndarray) -> "SHExpansion":
+        return SHExpansion(self.grid, self.coeffs * factors[None, :])
 
     def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        """L^2 norm on the sphere; unlike a coefficient sup it does not
+        depend on the choice of orthonormal basis inside each degree."""
+        return float(np.sqrt(np.sum(self.coeffs * self.coeffs)))
 
     def __add__(self, other):
-        return SHExpansion(self.max_degree, self.coeffs + other.coeffs)
+        return SHExpansion(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        return SHExpansion(self.max_degree, self.coeffs - other.coeffs)
+        return SHExpansion(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c):
-        return SHExpansion(self.max_degree, self.coeffs * float(c))
+        return SHExpansion(self.grid, self.coeffs * float(c))
 
     __rmul__ = __mul__
 
 
-class SphereGrid:
-    """Gauss-Legendre x uniform product grid on S^2 resolving degree L.
-
-    Nodes satisfy the Nyquist requirement (>= 2L+2 per angle) so that
-    analyze . synthesize is the identity on band-limited data.
-    """
-
-    def __init__(self, L: int = DEFAULT_DEGREE):
-        self.L = int(L)
-        n_theta = 2 * self.L + 2
-        n_phi = 2 * self.L + 2
-        u, wu = np.polynomial.legendre.leggauss(n_theta)
-        theta = np.arccos(u)
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        self.theta, self.phi = np.meshgrid(theta, phi, indexing="ij")
-        self.weights = np.broadcast_to(
-            (wu * 2.0 * math.pi / n_phi)[:, None], self.theta.shape
-        ).copy()
-        self.nodes = np.stack(
-            [
-                np.sin(self.theta) * np.cos(self.phi),
-                np.sin(self.theta) * np.sin(self.phi),
-                np.cos(self.theta),
-            ],
-            axis=-1,
-        )
-        self.basis = _real_sph_basis(self.L, self.theta, self.phi)
-
-    def sample(self, fn) -> np.ndarray:
-        """Evaluate an (N,3)->(N,3) map on the grid nodes."""
-        flat = self.nodes.reshape(-1, 3)
-        vals = np.asarray(fn(flat), dtype=float)
-        return vals.reshape(self.nodes.shape)
-
-
-def sh_analyze(values, grid: SphereGrid = None, L: int = DEFAULT_DEGREE) -> SHExpansion:
-    """Project gridded R^3 samples (or a callable on unit vectors) onto the
-    real-SH basis by quadrature; exact for band-limited inputs."""
-    if grid is None:
-        grid = SphereGrid(L)
+def sh_analyze(values, grid: SphereGrid) -> SHExpansion:
+    """Project R^n samples at the grid nodes (or a callable on unit vectors)
+    onto the basis by quadrature; exact for band-limited inputs."""
     if callable(values):
-        values = grid.sample(values)
+        values = values(grid.nodes)
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("samples must live on the analysis grid (under-resolved input?)")
-    wv = grid.weights[..., None] * values
-    coeffs = np.einsum("tpc,tpb->cb", wv, grid.basis)
-    return SHExpansion(grid.L, coeffs)
+    return SHExpansion(grid, (grid.weights[:, None] * values).T @ grid.basis)
 
 
-def sh_synthesize(expansion: SHExpansion, theta, phi) -> np.ndarray:
-    """Evaluate the expansion at angles (colatitude theta, azimuth phi)."""
-    basis = _real_sph_basis(expansion.max_degree, theta, phi)
-    return np.einsum("...b,cb->...c", basis, expansion.coeffs)
+def sh_synthesize(expansion: SHExpansion, points) -> np.ndarray:
+    """Evaluate the expansion at unit vectors points (..., n)."""
+    return expansion.grid.basis_at(points) @ expansion.coeffs.T
 
 
 def p_int(expansion: SHExpansion) -> SHExpansion:
     """Radial derivative at r = 1 of the interior harmonic extension."""
-    k = _degrees(expansion.max_degree)
-    return expansion.scale_degrees(k.astype(float))
+    return expansion.scaled(expansion.grid.degrees.astype(float))
 
 
 def p_ext(expansion: SHExpansion) -> SHExpansion:
     """Radial derivative at r = 1 of the decaying exterior harmonic extension."""
-    k = _degrees(expansion.max_degree)
-    return expansion.scale_degrees(-(k + 1.0))
+    grid = expansion.grid
+    return expansion.scaled(-(grid.degrees + grid.n - 2.0))
 
 
 def dtn_solve(rhs: SHExpansion) -> SHExpansion:
-    """Solve (P_ext - P_int) Phi = rhs; divide degree-k slots by -(2k+1)."""
-    k = _degrees(rhs.max_degree)
-    return rhs.scale_degrees(1.0 / (-(2.0 * k + 1.0)))
+    """Solve (P_ext - P_int) Phi = rhs; divide degree-k slots by -(2k+n-2)."""
+    grid = rhs.grid
+    return rhs.scaled(-1.0 / (2.0 * grid.degrees + grid.n - 2.0))
 
 
-def harmonic_extension(expansion: SHExpansion, side: str, r, theta, phi) -> np.ndarray:
-    """Evaluate the harmonic extension at radius r and the given angles.
+def harmonic_extension(expansion: SHExpansion, side: str, points) -> np.ndarray:
+    """Evaluate the harmonic extension at points x (..., n) of R^n.
 
-    side "interior" uses r^k (r <= 1); "exterior" uses r^{-(k+1)} (r >= 1),
-    the unique extension decaying at infinity.
+    side "interior" uses |x|^k (|x| <= 1); "exterior" uses |x|^{2-n-k}
+    (|x| >= 1), the unique extension decaying at infinity.
     """
-    r = np.asarray(r, dtype=float)
-    k = _degrees(expansion.max_degree)
+    points = np.asarray(points, dtype=float)
+    r = np.linalg.norm(points, axis=-1, keepdims=True)
+    grid = expansion.grid
     if side == "interior":
         if np.any(r > 1.0 + 1e-12):
-            raise ValueError("interior extension needs r <= 1")
-        radial = r[..., None] ** k
+            raise ValueError("interior extension needs |x| <= 1")
+        radial = r ** grid.degrees
     elif side == "exterior":
         if np.any(r < 1.0 - 1e-12):
-            raise ValueError("exterior extension needs r >= 1")
-        radial = r[..., None] ** (-(k + 1.0))
+            raise ValueError("exterior extension needs |x| >= 1")
+        radial = r ** (2.0 - grid.n - grid.degrees)
     else:
         raise ValueError("side must be 'interior' or 'exterior'")
-    basis = _real_sph_basis(expansion.max_degree, theta, phi)
-    return np.einsum("...b,cb->...c", radial * basis, expansion.coeffs)
-
-
-_THETA_EXPANSIONS = {}
-
-
-def _theta_expansion(L: int) -> SHExpansion:
-    # the identity map Theta is exactly degree 1; cache its coefficients
-    if L not in _THETA_EXPANSIONS:
-        grid = SphereGrid(L)
-        _THETA_EXPANSIONS[L] = sh_analyze(grid.nodes, grid)
-    return _THETA_EXPANSIONS[L]
+    # at the origin only the constant survives r^k; any direction serves
+    direction = points / np.where(r > 0.0, r, 1.0)
+    return (radial * grid.basis_at(direction)) @ expansion.coeffs.T
 
 
 def split_theta(expansion: SHExpansion):
     """Split Phi into its Theta-collinear coefficient and orthogonal rest.
 
-    Returns (c, orthogonal) with c = (1/omega_3) int Phi . Theta dtheta and
+    Returns (c, orthogonal) with c = (1/omega_n) int Phi . Theta dtheta and
     orthogonal = Phi - c Theta, whose Theta-projection vanishes.
     """
-    L = expansion.max_degree
-    theta_exp = _theta_expansion(L)
+    theta_exp = expansion.grid.theta
     # L^2 pairing of orthonormal coefficients equals the sphere integral;
-    # int |Theta|^2 = omega_3 is evaluated through the same coefficients so
+    # int |Theta|^2 = omega_n is evaluated through the same coefficients so
     # the split is an exact projector in floating point
     denom = float(np.sum(theta_exp.coeffs * theta_exp.coeffs))
     c = float(np.sum(expansion.coeffs * theta_exp.coeffs)) / denom

@@ -2,10 +2,12 @@
 
 Two rule families:
 
-* product Gauss-Legendre in hyperspherical angles (n <= 4): each polar
-  angle theta_j in [0, pi] carries the area weight sin^{n-1-j}(theta_j),
-  the azimuth uses the uniform rule (exact for trigonometric polynomials
-  below the node count);
+* product Gauss in hyperspherical angles (n <= 4): each polar angle
+  theta_j is Gauss-Gegenbauer in cos(theta_j) with parameter (n-2-j)/2,
+  whose weight (1 - x^2)^{(n-3-j)/2} is the area factor
+  sin^{n-2-j}(theta_j), so N nodes integrate polynomials of degree 2N-1
+  exactly; the azimuth uses the uniform rule (exact for trigonometric
+  polynomials below the node count);
 * Monte Carlo via normalized Gaussian samples (any n), with the standard
   sigma/sqrt(N) error estimate.
 
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_gegenbauer
 
 from .geometry import sphere_chart
 
@@ -62,16 +65,15 @@ class QuadratureRule:
 
 
 def product_gauss_rule(n: int, nodes_per_angle: int = DEFAULT_NODES_PER_ANGLE) -> QuadratureRule:
-    """Tensor Gauss-Legendre rule in hyperspherical angles (n <= 4)."""
+    """Tensor Gauss rule in hyperspherical angles (n <= 4): Gauss-Gegenbauer
+    in the cosine of each polar angle, uniform in the azimuth."""
     if not 2 <= n <= PRODUCT_RULE_MAX_DIM:
         raise ValueError(f"product rule supports 2 <= n <= {PRODUCT_RULE_MAX_DIM}")
     grids = []
     wgrids = []
-    for j in range(n - 2):  # polar angles with sin-power area weights
-        q, w = np.polynomial.legendre.leggauss(nodes_per_angle)
-        theta = 0.5 * math.pi * (q + 1.0)
-        w = 0.5 * math.pi * w * np.sin(theta) ** (n - 2 - j)
-        grids.append(theta)
+    for j in range(n - 2):
+        x, w = roots_gegenbauer(nodes_per_angle, 0.5 * (n - 2 - j))
+        grids.append(np.arccos(x))
         wgrids.append(w)
     phi = 2.0 * math.pi * np.arange(nodes_per_angle) / nodes_per_angle
     grids.append(phi)

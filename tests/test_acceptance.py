@@ -22,8 +22,7 @@ from neckglue.config import (
 )
 from neckglue.geometry import mean_curvature_field
 from neckglue.green import GreenData, balance_residual, graph_mean_curvature
-from neckglue.matching import SHExpansion, dtn_solve, p_ext, p_int, split_theta
-from neckglue.matching import _degrees
+from neckglue.matching import SHExpansion, SphereGrid, dtn_solve, p_ext, p_int, split_theta
 from neckglue.neck import NeckParams, default_angle_grids, jacobi_field, \
     linearized_apply, neck_patch
 from neckglue.quadrature import monte_carlo_rule, omega_n, product_gauss_rule
@@ -212,20 +211,20 @@ def test_criterion_8_exterior_mode_oracle():
 
 def test_criterion_9_dtn_witness(flagship):
     crit = _Criterion(9, "DtN eigenvalues, round trip, plant-and-recover")
-    L = 8
-    deg = _degrees(L)
+    grid = SphereGrid(3, 8)
+    deg = grid.degrees
     worst_eig = 0.0
-    for slot in range((L + 1) ** 2):
-        e = np.zeros((3, (L + 1) ** 2))
+    for slot in range(deg.size):
+        e = np.zeros((3, deg.size))
         e[0, slot] = 1.0
-        diff = p_ext(SHExpansion(L, e)) - p_int(SHExpansion(L, e))
+        diff = p_ext(SHExpansion(grid, e)) - p_int(SHExpansion(grid, e))
         worst_eig = max(worst_eig, float(np.max(np.abs(diff.coeffs + (2 * deg[slot] + 1) * e))))
     rng = np.random.default_rng(5)
-    rhs = SHExpansion(L, rng.standard_normal((3, (L + 1) ** 2)))
+    rhs = SHExpansion(grid, rng.standard_normal((3, deg.size)))
     phi = dtn_solve(rhs)
     rt = float(np.max(np.abs((p_ext(phi) - p_int(phi)).coeffs - rhs.coeffs)))
 
-    from neckglue.matching import match_boundaries, _theta_expansion
+    from neckglue.matching import match_boundaries
     system = build_interaction_system(flagship)
     scale = flagship.epsilon * flagship.rho_star**2
     worst_rec = 0.0
@@ -237,12 +236,12 @@ def test_criterion_9_dtn_witness(flagship):
         w = (flagship.epsilon / omega_n(3)) * (system.gamma @ dalpha) * flagship.rho_star
         u = flagship.epsilon * (dbeta - dalpha) * flagship.rho_star ** (-2)
         for j in range(2):
-            pj = split_theta(SHExpansion(L, scale * rng.standard_normal((3, 81))))[1]
-            pt = split_theta(SHExpansion(L, scale * rng.standard_normal((3, 81))))[1]
+            pj = split_theta(SHExpansion(grid, scale * rng.standard_normal((3, deg.size))))[1]
+            pt = split_theta(SHExpansion(grid, scale * rng.standard_normal((3, deg.size))))[1]
             phis.append(pj)
             phts.append(pt)
-            g1 = (pj - pt) + (u[j] + w[j]) * _theta_expansion(L)
-            g2 = (p_ext(pj) - p_int(pt)) + (-2 * u[j] + w[j]) * _theta_expansion(L)
+            g1 = (pj - pt) + (u[j] + w[j]) * grid.theta
+            g2 = (p_ext(pj) - p_int(pt)) + (-2 * u[j] + w[j]) * grid.theta
             disc.append((g1, g2))
         corr = match_boundaries(flagship, system.alpha, disc)
         worst_rec = max(

@@ -214,9 +214,31 @@ def rotated_flagship(eps, q):
                          q @ cfg.A0 @ q.T, eps, cfg.rho_star)
 
 
-def measured_matching(cfg, degree=8):
+def measured_matching(cfg, degree=8, grid=COARSE):
     system = build_interaction_system(cfg)
-    return matching_step(assemble(cfg, system.alpha, COARSE), system.gamma, degree)
+    return matching_step(assemble(cfg, system.alpha, grid), system.gamma, degree)
+
+
+# the matching step samples the ends in closed form, so the patch grids
+# only need to exist
+TINY4 = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3), outer_spacing=1.5)
+TWIST4 = np.eye(4)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]  # e2 -> e3
+
+
+def two_ends_n4(eps, q=np.eye(4)):
+    """Two ends at +-e1 of R^4, the second twisted in (e2, e3), A0 = I
+    (alpha = (16, 32)), under the common rotation q."""
+    points = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    return Configuration(4, points @ q.T, [q @ r @ q.T for r in (np.eye(4), TWIST4)],
+                         np.eye(4), eps, 0.45)
+
+
+N4_EPS = (1e-4, 1e-5, 1e-6)
+
+
+@pytest.fixture(scope="module")
+def n4_steps():
+    return {eps: measured_matching(two_ends_n4(eps), grid=TINY4) for eps in N4_EPS}
 
 
 class TestMatchingStep:
@@ -246,13 +268,33 @@ class TestMatchingStep:
         assert np.max(np.abs(turned - base)) < 1e-3 * np.max(np.abs(base))
 
     def test_needs_n3(self):
+        # at n = 2 the DtN difference -(2k+n-2) vanishes on constants
         cfg = Configuration(2, [[1.0, 0.0], [-1.0, 0.0]], [np.eye(2), np.diag([1.0, -1.0])],
                             np.diag([3.0, 1.0]), 1e-4, 0.45)
         system = build_interaction_system(cfg)
         surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=8, neck_angle_nodes=(8,),
                                                     outer_spacing=0.3))
-        with pytest.raises(ValueError, match="n = 3"):
+        with pytest.raises(ValueError, match="vanishes on constants at n = 2"):
             matching_step(surf, system.gamma, 8)
+
+    def test_n4_delta_alpha_quadratic_in_epsilon(self, n4_steps):
+        sizes = [np.max(np.abs(n4_steps[eps]["delta_alpha"])) for eps in N4_EPS]
+        slope = np.polyfit(np.log(N4_EPS), np.log(sizes), 1)[0]
+        assert 1.8 <= slope <= 2.2
+
+    def test_n4_gate_passes_at_small_epsilon(self, n4_steps):
+        # at eps = 1e-4 the neck scale (4 * 16 eps)^{1/4} = 0.28 nearly
+        # reaches rho_* = 0.45 and the step is no correction (~20)
+        step = n4_steps[1e-6]
+        assert step["max_relative_delta"] < 0.1
+        assert step["residual_norm"] < 1e-10
+        assert n4_steps[1e-4]["max_relative_delta"] > 0.1
+
+    def test_n4_delta_alpha_invariant_under_common_rotation(self, n4_steps):
+        q = random_orthogonal(4, np.random.default_rng(1))
+        base = n4_steps[1e-6]["delta_alpha"]
+        turned = measured_matching(two_ends_n4(1e-6, q), grid=TINY4)["delta_alpha"]
+        assert np.max(np.abs(turned - base)) < 1e-3 * np.max(np.abs(base))
 
 
 class TestCurvature:

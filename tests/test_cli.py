@@ -140,6 +140,17 @@ class TestCommands:
         assert main(["glue", write_config(tmp_path, doc)]) == 2
         assert "outer_spacing must be a positive finite number" in capsys.readouterr().err
 
+    def test_outer_spacing_must_stay_inside_the_box(self, tmp_path, capsys):
+        # at 100 the flagship outer patch is one node and its FD sup reads 0
+        from neckglue.green import default_outer_box
+
+        half_width = default_outer_box(parse_config(write_config(tmp_path, FLAGSHIP))[0])
+        for value in (100.0, half_width):
+            doc = dict(FLAGSHIP, options={"outer_spacing": value})
+            assert main(["glue", write_config(tmp_path, doc)]) == 2
+            assert "outer_spacing must be below the outer box half-width 3.23607" \
+                in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, message", [
         ("neck_s_nodes", 1, "neck_s_nodes must be >= 5"),
         ("neck_s_nodes", 4, "neck_s_nodes must be >= 5"),
@@ -284,6 +295,35 @@ class TestGlueCommand:
         assert gate["threshold"] == 0.1 and 4.0 < gate["value"] < 5.5
         assert checks["matching residual"]["pass"]
 
+    def test_neck_floor_gate_trips_on_a_coarse_grid(self, tmp_path, capsys):
+        # 5 x [3, 3] is accepted as input but resolves nothing: sup|H|*scale ~ 4
+        doc = dict(FLAGSHIP, options={"neck_s_nodes": 5, "neck_angle_nodes": [3, 3],
+                                      "outer_spacing": 0.6})
+        report_path = tmp_path / "glue.json"
+        assert main(["--report", str(report_path), "glue", write_config(tmp_path, doc)]) == 1
+        assert "[FAIL] neck[0] FD sup|H|*scale" in capsys.readouterr().out
+        checks = {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+        for j in range(2):
+            gate = checks[f"neck[{j}] FD sup|H|*scale"]
+            assert gate["threshold"] == 0.1 and gate["value"] > 1.0
+        assert checks["matching max |delta|/alpha"]["pass"]
+
+    def test_glue_n4_runs_matching(self, tmp_path):
+        # two ends in R^4, the second twisted in (e2, e3): alpha = (16, 32)
+        twist = np.eye(4)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]
+        doc = {"n": 4, "points": [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]],
+               "rotations": [np.eye(4).tolist(), twist.tolist()], "A0": np.eye(4).tolist(),
+               "epsilon": 1e-6, "rho_star": 0.45,
+               "options": {"neck_s_nodes": 17, "neck_angle_nodes": [9, 9, 16],
+                           "outer_spacing": 0.9}}
+        report_path = tmp_path / "glue.json"
+        assert main(["--report", str(report_path), "glue", write_config(tmp_path, doc)]) == 0
+        report = json.loads(report_path.read_text())
+        assert not any(c.get("skipped") for c in report["checks"])
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["matching max |delta|/alpha"]["value"] < 0.01
+        assert report["sections"]["interaction"]["alpha"] == [16.0, 32.0]
+
     def test_digest_covers_options(self, tmp_path):
         # runs differing only in outer_spacing must not share a digest; an
         # option spelled out at its default resolves to the same digest
@@ -301,8 +341,8 @@ class TestGlueCommand:
         assert digests[0] == digests[2]
 
     def test_matching_skipped_for_n2(self, tmp_path, capsys):
-        # the matching step needs the S^2 basis: at n = 2 it is a named
-        # skipped check, and the verdict says so
+        # at n = 2 the DtN difference vanishes on constants, so the matching
+        # step is a named skipped check, and the verdict says so
         doc = {"n": 2, "points": [[1.0, 0.0], [-1.0, 0.0]],
                "rotations": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
                "A0": [[3.0, 0.0], [0.0, 1.0]], "epsilon": 1e-4, "rho_star": 0.45}
@@ -314,7 +354,8 @@ class TestGlueCommand:
         report = json.loads(report_path.read_text())
         skipped = [c for c in report["checks"] if c.get("skipped")]
         assert [c["name"] for c in skipped] == ["matching step"]
-        assert skipped[0]["pass"] is None and "n = 3" in skipped[0]["detail"]
+        assert skipped[0]["pass"] is None
+        assert "-(2k+n-2) vanishes on constants at n = 2" in skipped[0]["detail"]
         assert "matching_step" not in report["sections"]
 
     def test_skip_does_not_hide_a_failure(self, capsys):

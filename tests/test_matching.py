@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from neckglue.config import Configuration, build_interaction_system
@@ -18,27 +19,73 @@ from neckglue.matching import (
     sh_synthesize,
     split_theta,
 )
-from neckglue.matching import _degrees, _theta_expansion
 from neckglue.quadrature import omega_n
 
 
 L = 8
-GRID = SphereGrid(L)
-DEG = _degrees(L)
+GRID = SphereGrid(3, L)
+DEG = GRID.degrees
 
 
-def random_expansion(rng, scale=1.0, degrees=None):
-    coeffs = scale * rng.standard_normal((3, (L + 1) ** 2))
+@pytest.fixture(scope="module", params=[3, 4])
+def grid(request):
+    return GRID if request.param == 3 else SphereGrid(request.param, L)
+
+
+def random_expansion(rng, scale=1.0, degrees=None, grid=GRID):
+    coeffs = scale * rng.standard_normal((grid.n, grid.degrees.size))
     if degrees is not None:
-        coeffs[:, ~np.isin(DEG, degrees)] = 0.0
-    return SHExpansion(L, coeffs)
+        coeffs[:, ~np.isin(grid.degrees, degrees)] = 0.0
+    return SHExpansion(grid, coeffs)
+
+
+def polar(theta, phi):
+    """The unit vector of S^2 at colatitude theta and azimuth phi."""
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta)])
+
+
+def degree_norms(expansion):
+    """L^2 norm of each degree-k part."""
+    sq = np.sum(expansion.coeffs**2, axis=0)
+    return np.sqrt(np.bincount(expansion.grid.degrees, weights=sq))
+
+
+class TestBasis:
+    def test_orthonormal_on_the_rule(self, grid):
+        gram = (grid.weights[:, None] * grid.basis).T @ grid.basis
+        assert np.max(np.abs(gram - np.eye(grid.degrees.size))) < 1e-13
+
+    def test_slot_count(self, grid):
+        # dim H_k on S^2 is 2k+1, on S^3 (k+1)^2
+        k = np.arange(L + 1)
+        dims = 2 * k + 1 if grid.n == 3 else (k + 1) ** 2
+        assert_allclose(np.bincount(grid.degrees), dims)
+        assert grid.basis.shape == (len(grid.nodes), dims.sum())
+
+    def test_basis_at_nodes(self, grid):
+        assert np.max(np.abs(grid.basis_at(grid.nodes) - grid.basis)) < 1e-11
+
+    @settings(max_examples=10, deadline=None)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_degree_norms_rotation_invariant(self, grid, entries, seed):
+        # each H_k is O(n)-invariant and the rule is exact to degree 2L, so
+        # Phi o Q^T has the same per-degree L^2 norms as Phi
+        n = grid.n
+        m = np.array(entries[:n * n]).reshape(n, n)
+        assume(abs(np.linalg.det(m)) > 1e-3)
+        q, _ = np.linalg.qr(m)
+        exp = random_expansion(np.random.default_rng(seed), grid=grid)
+        turned = sh_analyze(sh_synthesize(exp, grid.nodes @ q), grid)
+        assert_allclose(degree_norms(turned), degree_norms(exp), rtol=1e-10)
 
 
 class TestAnalyzeSynthesize:
     def test_constant_map(self):
         exp = sh_analyze(lambda p: np.tile([1.0, -2.0, 0.5], (len(p), 1)), GRID)
         assert np.max(np.abs(exp.coeffs[:, 1:])) < 1e-13
-        back = sh_synthesize(exp, 0.7, 1.1)
+        back = sh_synthesize(exp, polar(0.7, 1.1))
         assert_allclose(back, [1.0, -2.0, 0.5], atol=1e-13)
 
     def test_identity_map_is_degree_one(self):
@@ -49,13 +96,13 @@ class TestAnalyzeSynthesize:
     def test_band_limited_round_trip(self):
         rng = np.random.default_rng(0)
         exp = random_expansion(rng)
-        vals = sh_synthesize(exp, GRID.theta, GRID.phi)
+        vals = sh_synthesize(exp, GRID.nodes)
         back = sh_analyze(vals, GRID)
         assert np.max(np.abs(back.coeffs - exp.coeffs)) < 1e-10
 
     def test_under_resolved_grid_rejected(self):
         with pytest.raises(ValueError, match="under-resolved|analysis grid"):
-            sh_analyze(np.zeros((4, 4, 3)), GRID)
+            sh_analyze(np.zeros((4, 3)), GRID)
 
 
 class TestDtN:
@@ -82,11 +129,11 @@ class TestDtN:
         for slot in range(0, (L + 1) ** 2, 7):
             e = np.zeros((3, (L + 1) ** 2))
             e[1, slot] = 1.0
-            diff = p_ext(SHExpansion(L, e)) - p_int(SHExpansion(L, e))
+            diff = p_ext(SHExpansion(GRID, e)) - p_int(SHExpansion(GRID, e))
             assert np.max(np.abs(diff.coeffs - eigs[slot] * e)) == 0.0
 
     def test_dtn_solve_zero(self):
-        out = dtn_solve(SHExpansion.zero(L))
+        out = dtn_solve(SHExpansion.zero(GRID))
         assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_dtn_solve_degree_zero(self):
@@ -106,71 +153,67 @@ class TestHarmonicExtension:
     def test_boundary_identity(self):
         rng = np.random.default_rng(6)
         exp = random_expansion(rng)
-        vals = harmonic_extension(exp, "interior", np.array(1.0), 0.9, 2.0)
-        assert_allclose(vals, sh_synthesize(exp, 0.9, 2.0), atol=1e-13)
+        x = polar(0.9, 2.0)
+        assert_allclose(harmonic_extension(exp, "interior", x), sh_synthesize(exp, x),
+                        atol=1e-13)
 
     def test_exterior_degree_one_decay(self):
         rng = np.random.default_rng(7)
         exp = random_expansion(rng, degrees=[1])
-        vals = harmonic_extension(exp, "exterior", np.array(2.0), 1.2, 0.3)
-        assert_allclose(vals, 0.25 * sh_synthesize(exp, 1.2, 0.3), atol=1e-14)
+        x = polar(1.2, 0.3)
+        vals = harmonic_extension(exp, "exterior", 2.0 * x)
+        assert_allclose(vals, 0.25 * sh_synthesize(exp, x), atol=1e-14)
 
     def test_exterior_tends_to_zero(self):
         rng = np.random.default_rng(8)
         exp = random_expansion(rng)
-        far = harmonic_extension(exp, "exterior", np.array(1e4), 1.0, 1.0)
+        far = harmonic_extension(exp, "exterior", 1e4 * polar(1.0, 1.0))
         assert np.max(np.abs(far)) < 1e-3
 
     def test_side_guards(self):
-        exp = SHExpansion.zero(L)
+        exp = SHExpansion.zero(GRID)
         with pytest.raises(ValueError):
-            harmonic_extension(exp, "interior", np.array(1.5), 0.5, 0.5)
+            harmonic_extension(exp, "interior", 1.5 * polar(0.5, 0.5))
         with pytest.raises(ValueError):
-            harmonic_extension(exp, "exterior", np.array(0.5), 0.5, 0.5)
+            harmonic_extension(exp, "exterior", 0.5 * polar(0.5, 0.5))
 
-    def test_radial_derivative_matches_operators(self):
+    def test_radial_derivative_matches_operators(self, grid):
         # one-sided five-point O(h^4) radial derivative at r = 1
         rng = np.random.default_rng(9)
-        exp = random_expansion(rng)
+        exp = random_expansion(rng, grid=grid)
         h = 3e-4  # exterior radial factors have large fifth derivatives at L=8
-        th, ph = 1.1, 2.3
+        x = rng.standard_normal(grid.n)
+        x /= np.linalg.norm(x)
         stencil = np.array([25.0 / 12, -4.0, 3.0, -4.0 / 3, 0.25]) / h
         for side, op, orient in (("interior", p_int, -1.0), ("exterior", p_ext, +1.0)):
             vals = sum(
-                c * harmonic_extension(exp, side, np.array(1.0 + orient * k * h), th, ph)
+                c * harmonic_extension(exp, side, (1.0 + orient * k * h) * x)
                 for k, c in enumerate(stencil)
             )
             # the backward stencil yields +f'; on forward points it flips sign
             fd = -orient * vals
-            target = sh_synthesize(op(exp), th, ph)
+            target = sh_synthesize(op(exp), x)
             assert np.max(np.abs(fd - target)) < 1e-8
 
-    def test_fd_laplacian_vanishes(self):
-        # 7-point Cartesian Laplacian of the interior extension at random
-        # interior points is O(h^2) small
+    def test_fd_laplacian_vanishes(self, grid):
+        # (2n+1)-point Cartesian Laplacian of the interior extension at
+        # random interior points is O(h^2) small
         rng = np.random.default_rng(10)
-        exp = random_expansion(rng)
-
-        def ext(p):
-            r = np.linalg.norm(p)
-            th = math.acos(p[2] / r)
-            ph = math.atan2(p[1], p[0])
-            return harmonic_extension(exp, "interior", np.array(r), th, ph)
-
-        h = 1e-3
+        exp = random_expansion(rng, grid=grid)
+        n = grid.n
+        h = 3e-4  # the O(h^2) truncation reads ~1e-4 at h = 1e-3 on this draw
         for _ in range(5):
-            p = rng.uniform(-0.4, 0.4, 3) + np.array([0.0, 0.0, 0.3])
-            lap = -6.0 * ext(p)
-            for ax in range(3):
-                e = np.zeros(3)
-                e[ax] = h
-                lap = lap + ext(p + e) + ext(p - e)
+            p = rng.uniform(-0.4, 0.4, n)
+            p[-1] += 0.3
+            lap = -2.0 * n * harmonic_extension(exp, "interior", p)
+            for e in h * np.eye(n):
+                lap = lap + harmonic_extension(exp, "interior", np.stack([p + e, p - e])).sum(0)
             assert np.max(np.abs(lap / h**2)) < 1e-4  # ~ h^2 * degree^4 scale
 
 
 class TestSplitTheta:
     def test_pure_collinear(self):
-        c, orth = split_theta(3.7 * _theta_expansion(L))
+        c, orth = split_theta(3.7 * GRID.theta)
         assert abs(c - 3.7) < 1e-13
         assert orth.norm() < 1e-13
 
@@ -185,22 +228,23 @@ class TestSplitTheta:
         rng = np.random.default_rng(12)
         exp = random_expansion(rng)
         c, orth = split_theta(exp)
-        back = orth + c * _theta_expansion(L)
+        back = orth + c * GRID.theta
         assert np.max(np.abs(back.coeffs - exp.coeffs)) < 1e-12
 
-    def test_matches_integral_definition(self):
+    def test_matches_integral_definition(self, grid):
         rng = np.random.default_rng(13)
-        exp = random_expansion(rng)
-        vals = sh_synthesize(exp, GRID.theta, GRID.phi)
-        integral = float(np.sum(GRID.weights * np.sum(vals * GRID.nodes, axis=-1)))
-        c, _ = split_theta(exp)
-        assert abs(c - integral / omega_n(3)) < 1e-12
+        exp = random_expansion(rng, grid=grid)
+        vals = sh_synthesize(exp, grid.nodes)
+        integral = float(np.sum(grid.weights * np.sum(vals * grid.nodes, axis=-1)))
+        c, orth = split_theta(exp)
+        assert abs(c - integral / omega_n(grid.n)) < 1e-12
+        assert abs(split_theta(orth)[0]) < 1e-13
 
 
 def forward_discrepancies(cfg, gamma, dalpha, dbeta, phis, phi_tildes):
     """Build the boundary discrepancies generated by known corrections."""
     eps, rho, n = cfg.epsilon, cfg.rho_star, cfg.n
-    theta_exp = _theta_expansion(L)
+    theta_exp = GRID.theta
     w = (eps / omega_n(n)) * (gamma @ dalpha) * rho
     u = eps * (dbeta - dalpha) * rho ** (1 - n)
     out = []
@@ -214,7 +258,7 @@ def forward_discrepancies(cfg, gamma, dalpha, dbeta, phis, phi_tildes):
 class TestMatchBoundaries:
     def test_zero_discrepancy(self, flagship):
         system = build_interaction_system(flagship)
-        zeros = [(SHExpansion.zero(L), SHExpansion.zero(L)) for _ in range(2)]
+        zeros = [(SHExpansion.zero(GRID), SHExpansion.zero(GRID)) for _ in range(2)]
         corr = match_boundaries(flagship, system.alpha, zeros)
         assert np.max(np.abs(corr.delta_alpha)) < 1e-15
         assert np.max(np.abs(corr.delta_beta)) < 1e-15
@@ -226,11 +270,11 @@ class TestMatchBoundaries:
         # discrepancy collinear with Theta at one end only: Phi corrections
         # vanish and (u, w) comes from the exact 2x2 inversion
         system = build_interaction_system(flagship)
-        theta_exp = _theta_expansion(L)
+        theta_exp = GRID.theta
         c1, c2 = 3e-4, -1e-4
         disc = [
             (c1 * theta_exp, c2 * theta_exp),
-            (SHExpansion.zero(L), SHExpansion.zero(L)),
+            (SHExpansion.zero(GRID), SHExpansion.zero(GRID)),
         ]
         corr = match_boundaries(flagship, system.alpha, disc)
         for p in corr.phi + corr.phi_tilde:
