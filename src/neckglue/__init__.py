@@ -12,14 +12,16 @@ __version__ = "0.1.0"
 
 import os as _os
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS")
+
 
 def _configure_threads() -> None:
     """Cap the BLAS/OpenMP pools at NECKGLUE_THREADS; runs before numpy loads."""
     count = _os.environ.get("NECKGLUE_THREADS")
     if not count:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
+    for var in _BLAS_THREAD_VARS:
         _os.environ.setdefault(var, count)
 
 
@@ -30,7 +32,17 @@ from .geometry import AmbientPoint, ImmersionPatch
 from .green import GreenData
 from .matching import SHExpansion
 from .neck import NeckParams, NormalField
-from .spectrum import IndicialTable, ModeSolution
+
+
+def __getattr__(name):
+    # spectrum imports scipy.integrate (about 0.2 s), which no command but
+    # `spectrum` needs, so its public names load on first access (PEP 562)
+    if name in ("IndicialTable", "ModeSolution"):
+        from . import spectrum
+
+        return getattr(spectrum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AmbientPoint",

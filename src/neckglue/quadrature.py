@@ -6,8 +6,12 @@ Two rule families:
   theta_j is Gauss-Gegenbauer in cos(theta_j) with parameter (n-2-j)/2,
   whose weight (1 - x^2)^{(n-3-j)/2} is the area factor
   sin^{n-2-j}(theta_j), so N nodes integrate polynomials of degree 2N-1
-  exactly; the azimuth uses the uniform rule (exact for trigonometric
-  polynomials below the node count);
+  exactly.  For n <= 4 only two parameters occur, and both rules need
+  numpy alone: Gauss-Legendre (parameter 1/2: numpy's Golub-Welsch
+  ``leggauss``, Newton-polished) and Gauss-Chebyshev of the second kind
+  (parameter 1: x_k = cos(k pi/(N+1)), w_k = pi/(N+1) sin^2(k pi/(N+1))).
+  The azimuth uses the uniform rule (exact for trigonometric polynomials
+  below the node count);
 * Monte Carlo via normalized Gaussian samples (any n), with the standard
   sigma/sqrt(N) error estimate.
 
@@ -23,12 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_gegenbauer
 
 from .geometry import sphere_chart
 
 __all__ = [
     "QuadratureRule",
+    "gegenbauer_rule",
     "integrate",
     "monte_carlo_rule",
     "omega_n",
@@ -64,6 +68,36 @@ class QuadratureRule:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
 
+def _legendre_pair(N: int, x):
+    """(P_{N-1}(x), P_N(x)) by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for k in range(2, N + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return prev, cur
+
+
+def gegenbauer_rule(nodes: int, lam: float):
+    """N-node Gauss rule for the weight (1 - x^2)^{lam - 1/2} on [-1, 1],
+    lam = 1/2 (Legendre) or 1 (Chebyshev, second kind); nodes ascending.
+
+    The Legendre nodes of numpy's Golub-Welsch ``leggauss`` get two Newton
+    steps in extended precision, and the weights 2(1 - x^2)/(N P_{N-1})^2
+    are formed there: in double precision the end weights inherit the
+    rounding of x near +-1 (1.3e-12 relative at N = 64, against 1e-15).
+    """
+    if lam == 0.5:
+        x = np.polynomial.legendre.leggauss(nodes)[0].astype(np.longdouble)
+        for _ in range(2):
+            prev, cur = _legendre_pair(nodes, x)
+            x = x - cur * (x * x - 1) / (nodes * (x * cur - prev))
+        prev, _ = _legendre_pair(nodes, x)
+        return x.astype(float), (2 * (1 - x * x) / (nodes * prev) ** 2).astype(float)
+    if lam == 1.0:
+        angle = np.arange(nodes, 0, -1) * (math.pi / (nodes + 1))
+        return np.cos(angle), math.pi / (nodes + 1) * np.sin(angle) ** 2
+    raise ValueError(f"no Gauss-Gegenbauer rule for parameter {lam}; supported: 0.5, 1")
+
+
 def product_gauss_rule(n: int, nodes_per_angle: int = DEFAULT_NODES_PER_ANGLE) -> QuadratureRule:
     """Tensor Gauss rule in hyperspherical angles (n <= 4): Gauss-Gegenbauer
     in the cosine of each polar angle, uniform in the azimuth."""
@@ -72,7 +106,7 @@ def product_gauss_rule(n: int, nodes_per_angle: int = DEFAULT_NODES_PER_ANGLE) -
     grids = []
     wgrids = []
     for j in range(n - 2):
-        x, w = roots_gegenbauer(nodes_per_angle, 0.5 * (n - 2 - j))
+        x, w = gegenbauer_rule(nodes_per_angle, 0.5 * (n - 2 - j))
         grids.append(np.arccos(x))
         wgrids.append(w)
     phi = 2.0 * math.pi * np.arange(nodes_per_angle) / nodes_per_angle

@@ -5,12 +5,31 @@ from the byte-determinism guarantee."""
 from __future__ import annotations
 
 import json
+import os
+import platform
 import sys
 import time
 
-from . import __version__
+from . import _BLAS_THREAD_VARS, __version__
 
 __all__ = ["RunReport"]
+
+
+def _environment() -> dict:
+    """Python, numpy and scipy versions and the thread variables as
+    neckglue's import resolved them (null: unset).  The scipy version comes
+    from the installed metadata, so scipy itself is not imported."""
+    from importlib import metadata
+
+    import numpy as np
+
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
+    threads = {var: os.environ.get(var) for var in ("NECKGLUE_THREADS",) + _BLAS_THREAD_VARS}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy_version, "threads": threads}
 
 
 class RunReport:
@@ -19,7 +38,7 @@ class RunReport:
             "tool_version": __version__,
             "command": command,
             "config_digest": config_digest,
-            "sections": {},
+            "sections": {"environment": _environment()},
             "checks": [],
         }
         self.timings = {}

@@ -165,6 +165,7 @@ class TestCommands:
         ("mc_samples", -5, "mc_samples must be >= 1"),
         ("mc_samples", 0, "mc_samples must be >= 1"),
         ("sh_degree", 0, "sh_degree must be >= 1"),
+        ("sh_degree", 13, "sh_degree must be <= 12"),
     ])
     def test_option_out_of_range_exit_two(self, tmp_path, capsys, key, value, message):
         doc = dict(FLAGSHIP, options={key: value})
@@ -177,6 +178,8 @@ class TestCommands:
         _, options = parse_config(write_config(tmp_path, doc))
         assert options["neck_angle_nodes"] == [3, 3]
         assert all(isinstance(c, int) for c in options["neck_angle_nodes"])
+        doc = dict(FLAGSHIP, options={"sh_degree": 12})
+        assert parse_config(write_config(tmp_path, doc))[1]["sh_degree"] == 12
         doc = dict(FLAGSHIP, options={"neck_angle_nodes": None})
         assert parse_config(write_config(tmp_path, doc))[1]["neck_angle_nodes"] is None
 
@@ -226,6 +229,20 @@ class TestCommands:
             doc.pop("timings", None)
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
+
+    def test_report_environment(self, tmp_path, monkeypatch):
+        from importlib import metadata
+
+        monkeypatch.setenv("NECKGLUE_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        report = tmp_path / "r.json"
+        assert main(["--report", str(report), "dtn", "--degree", "2"]) == 0
+        env = json.loads(report.read_text())["sections"]["environment"]
+        assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == metadata.version("scipy")
+        assert env["threads"]["NECKGLUE_THREADS"] == "3"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
 
     def test_threads_env_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NECKGLUE_THREADS", "1")
@@ -385,3 +402,57 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _fresh_python(code):
+    """Run code in a fresh interpreter with this checkout's neckglue; returns
+    the last line of its standard output."""
+    import neckglue
+
+    src = str(pathlib.Path(neckglue.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestImportGraph:
+    """Only `spectrum` needs scipy (scipy.integrate); every other command
+    runs on numpy alone, so a fresh process never imports scipy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["glue", "configs/flagship.json"],
+        ["glue", "configs/flagship.json", "--export", "{tmp}/out.ply"],
+        ["validate", "configs/flagship.json"],
+        ["interaction", "configs/flagship.json"],
+        ["neck", "--n", "3", "--grid", "0.4"],
+        ["dtn", "--degree", "4"],
+    ], ids=["glue", "glue-export", "validate", "interaction", "neck", "dtn"])
+    def test_command_loads_no_scipy(self, tmp_path, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--report", str(tmp_path / "r.json")]
+        code = ("import contextlib, io, sys\n"
+                "from neckglue import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = cli.main({argv!r})\n"
+                "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert _fresh_python(code) == "0 []"
+
+    def test_spectrum_names_load_scipy_on_access(self):
+        code = ("import sys\n"
+                "import neckglue\n"
+                "before = 'scipy.integrate' in sys.modules\n"
+                "from neckglue import IndicialTable, ModeSolution\n"
+                "from neckglue.spectrum import ModeSolution as direct\n"
+                "print(before, 'scipy.integrate' in sys.modules, ModeSolution is direct)\n")
+        assert _fresh_python(code) == "False True True"
+
+    def test_unknown_attribute(self):
+        import neckglue
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            neckglue.Nope

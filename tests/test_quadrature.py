@@ -1,10 +1,13 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from neckglue.quadrature import (
+    gegenbauer_rule,
     integrate,
     monte_carlo_rule,
     omega_n,
@@ -57,6 +60,90 @@ class TestProductRule:
         rule = sphere_rule(5, mc_samples=1000, seed=3)
         assert rule.kind == "monte-carlo"
         assert abs(rule.weights.sum() - omega_n(5)) < 1e-10
+
+
+def _gegenbauer_poly(N, lam, x):
+    """C_N^lam(x) by the three-term recurrence, in mpmath arithmetic."""
+    prev, cur = mpmath.mpf(1), 2 * lam * x
+    if N == 0:
+        return prev
+    for k in range(2, N + 1):
+        prev, cur = cur, (2 * x * (k + lam - 1) * cur - (k + 2 * lam - 2) * prev) / k
+    return cur
+
+
+@functools.lru_cache(maxsize=None)
+def mp_gegenbauer_rule(N, lam):
+    """40-digit Gauss-Gegenbauer rule: Newton on C_N^lam (d/dx C_N^lam =
+    2 lam C_{N-1}^{lam+1}) from the guesses cos((k - (1 - lam)/2) pi / (N +
+    lam)), weights 2^{2-2lam} pi Gamma(N+2lam) / (N! Gamma(lam)^2 (1-x^2)
+    C_N'(x)^2)."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        nodes = []
+        for k in range(N, 0, -1):
+            x = mpmath.cos((k - (1 - lam) / 2) * mpmath.pi / (N + lam))
+            for _ in range(100):
+                step = _gegenbauer_poly(N, lam, x) / (2 * lam * _gegenbauer_poly(N - 1, lam + 1, x))
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -36:
+                    break
+            nodes.append(x)
+        const = (mpmath.pi * mpmath.mpf(2) ** (2 - 2 * lam) * mpmath.gamma(N + 2 * lam)
+                 / (mpmath.factorial(N) * mpmath.gamma(lam) ** 2))
+        weights = [const / ((1 - x * x) * (2 * lam * _gegenbauer_poly(N - 1, lam + 1, x)) ** 2)
+                   for x in nodes]
+        total = mpmath.fsum(weights)
+        # the weights integrate the weight function: 2 (Legendre), pi/2 (lam = 1)
+        assert abs(total - mpmath.beta(mpmath.mpf(1) / 2, lam + mpmath.mpf(1) / 2)) < 1e-35
+        return (np.array([float(x) for x in nodes]), np.array([float(w) for w in weights]))
+
+
+def _moment(k, lam):
+    """int_{-1}^1 x^k (1 - x^2)^{lam - 1/2} dx."""
+    if k % 2:
+        return 0.0
+    return math.exp(math.lgamma((k + 1) / 2) + math.lgamma(lam + 0.5) - math.lgamma(k / 2 + lam + 1))
+
+
+RULE_SIZES = [4, 14, 18, 32, 64]
+
+
+class TestGegenbauerRule:
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("N", RULE_SIZES)
+    def test_matches_40_digit_rule(self, N, lam):
+        x, w = gegenbauer_rule(N, lam)
+        x_ref, w_ref = mp_gegenbauer_rule(N, lam)
+        assert np.all(np.diff(x_ref) > 0) and np.all(np.diff(x) > 0)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+        assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("N", RULE_SIZES)
+    def test_exact_to_degree_2n_minus_1(self, N, lam):
+        x, w = gegenbauer_rule(N, lam)
+        for k in range(2 * N):
+            exact = _moment(k, lam)
+            assert abs(np.sum(w * x**k) - exact) <= 1e-13 * max(exact, 1e-2), k
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("N", RULE_SIZES)
+    def test_agrees_with_scipy(self, N, lam):
+        roots_gegenbauer = pytest.importorskip("scipy.special").roots_gegenbauer
+        x, w = gegenbauer_rule(N, lam)
+        xs, ws = roots_gegenbauer(N, lam)
+        assert np.max(np.abs(x - xs)) <= 1e-12
+        # scipy's own weights are 6.3e-13 (N = 32) and 3.9e-12 (N = 64,
+        # lam = 1/2) off the 40-digit rule, so beyond N = 32 the gap to scipy
+        # must be scipy's error, not ours
+        _, w_ref = mp_gegenbauer_rule(N, lam)
+        scipy_error = np.max(np.abs(ws - w_ref) / w_ref) if N > 32 else 0.0
+        assert np.max(np.abs(w - ws) / ws) <= 1e-12 + scipy_error
+
+    def test_unsupported_parameter(self):
+        with pytest.raises(ValueError, match="parameter 1.5"):
+            gegenbauer_rule(8, 1.5)
 
 
 class TestSecondMoment:
