@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 __all__ = ["main", "parse_config"]
@@ -330,6 +331,9 @@ def cmd_glue(args) -> int:
     from .green import GreenData, balance_residual
     from .report import RunReport
 
+    csv_path = os.path.splitext(args.export)[0] + ".csv" if args.export else None
+    if args.export and csv_path == args.export:
+        raise ValueError(f"--export {args.export!r}: the CSV file would overwrite the PLY file")
     config, options = parse_config(args.config)
     report = RunReport("glue", config_digest(config, options))
     system = build_interaction_system(config)
@@ -374,7 +378,6 @@ def cmd_glue(args) -> int:
         report.check("matching max |delta|/alpha", step["max_relative_delta"], 0.1)
 
     if args.export:
-        csv_path = args.export.rsplit(".", 1)[0] + ".csv"
         export_ply(surface, args.export, csv_path=csv_path)
         report.section("export", {"ply": args.export, "csv": csv_path})
     report.time_mark("total")

@@ -23,6 +23,7 @@ The closed forms used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,9 +99,10 @@ def gegenbauer_rule(nodes: int, lam: float):
     raise ValueError(f"no Gauss-Gegenbauer rule for parameter {lam}; supported: 0.5, 1")
 
 
+@functools.cache
 def product_gauss_rule(n: int, nodes_per_angle: int = DEFAULT_NODES_PER_ANGLE) -> QuadratureRule:
-    """Tensor Gauss rule in hyperspherical angles (n <= 4): Gauss-Gegenbauer
-    in the cosine of each polar angle, uniform in the azimuth."""
+    """Tensor Gauss rule in hyperspherical angles (n <= 4): Gauss-Gegenbauer in
+    each polar cosine, uniform in the azimuth; cached, so its arrays are read-only."""
     if not 2 <= n <= PRODUCT_RULE_MAX_DIM:
         raise ValueError(f"product rule supports 2 <= n <= {PRODUCT_RULE_MAX_DIM}")
     grids = []
@@ -117,7 +119,9 @@ def product_gauss_rule(n: int, nodes_per_angle: int = DEFAULT_NODES_PER_ANGLE) -
     angles = np.stack([g.ravel() for g in mesh], axis=-1)
     wmesh = np.meshgrid(*wgrids, indexing="ij")
     weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=-1), axis=-1)
-    return QuadratureRule(n=n, nodes=sphere_chart(angles), weights=weights, kind="product-gauss")
+    rule = QuadratureRule(n=n, nodes=sphere_chart(angles), weights=weights, kind="product-gauss")
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 def monte_carlo_rule(n: int, samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> QuadratureRule:

@@ -20,7 +20,7 @@ from neckglue.assembler import (
 from neckglue.assembler import _boundary_samples, _point_rows
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.green import GreenData, regular_part
-from neckglue.geometry import sphere_chart
+from neckglue.geometry import ImmersionPatch, sphere_chart
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_to_t
 
 from conftest import flagship_at, random_orthogonal
@@ -120,6 +120,19 @@ class TestAssemble:
         # the whole gap is the lower-end expansion remainder <= C eps^3 rho^{1-3n}
         bound = cfg.epsilon**3 * cfg.rho_star ** (1 - 9)
         assert gaps[0]["position_gap_sup"] < bound
+
+    def test_provenance_records_the_resolved_grid(self):
+        cfg, _, surf = build_flagship_surface()
+        assert surf.provenance["grid"] == {"neck_s_nodes": 32, "neck_angle_nodes": (17, 32),
+                                           "outer_spacing": 0.3}
+        finer = GridSpec(neck_s_nodes=48, neck_angle_nodes=(17, 32), outer_spacing=0.3)
+        _, _, other = build_flagship_surface(grid=finer)
+        assert other.provenance["config_digest"] == surf.provenance["config_digest"]
+        assert other.provenance != surf.provenance
+        # an unset outer spacing is recorded as the rho_*/4 it resolves to
+        _, _, default = build_flagship_surface(grid=GridSpec(neck_s_nodes=8,
+                                                             neck_angle_nodes=(5, 8)))
+        assert default.provenance["grid"]["outer_spacing"] == cfg.rho_star / 4
 
     def test_rejects_nonpositive_alpha(self):
         cfg = flagship_at(1e-4)
@@ -462,6 +475,35 @@ def _reference_csv(patches):
         lines.append(",".join([str(pid)] + [f"{v:.17g}" for v in pars]
                               + [f"{v:.17g}" for v in coords]))
     return ("\n".join(lines) + "\n").encode()
+
+
+class TestDistinctValueWriter:
+    """Values the per-column dedup must keep apart or share: +-0.0 (equal as
+    floats, rendered "0" and "-0"), subnormals, +-1e300, the same values in
+    two blocks of _CHUNK_ROWS rows, and two-digit patch ids."""
+
+    def test_bytes_match_per_value_rendering(self, tmp_path):
+        import neckglue.assembler as assembler
+
+        palette = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, -0.0, 1.0 / 3])
+        npatch = 12
+        nodes = assembler._CHUNK_ROWS // 8    # 1.3 blocks in all, a seventh masked
+        patches = []
+        for pid in range(npatch):
+            samples = np.stack([np.roll(palette, pid)[np.arange(nodes) % palette.size],
+                                np.resize(palette[::-1], nodes)], axis=-1)
+            samples = np.concatenate([samples, -samples], axis=-1)
+            mask = np.ones(nodes, dtype=bool)
+            mask[pid::7] = False
+            patches.append(ImmersionPatch(spacings=(0.1 * (pid + 1),), samples=samples,
+                                          mask=mask))
+        rows = sum(int(p.mask.sum()) for p in patches)
+        assert assembler._CHUNK_ROWS < rows < 2 * assembler._CHUNK_ROWS
+        export_ply(patches, str(tmp_path / "s.ply"), csv_path=str(tmp_path / "s.csv"))
+        ply, csv = (tmp_path / "s.ply").read_bytes(), (tmp_path / "s.csv").read_bytes()
+        assert ply == _reference_ply(patches) and csv == _reference_csv(patches)
+        assert b",-0," in csv and b" -0 " in ply and b"\n11,0," in csv
+        assert b"4.9406564584124654e-324" in csv and b"-1.0000000000000001e+300" in csv
 
 
 class TestChunkedWriter:

@@ -298,6 +298,29 @@ class TestGlueCommand:
         gap = doc["sections"]["boundary_gap"][0]["position_gap_sup"]
         assert 0 < gap < 1e-2
 
+    def test_export_csv_lands_next_to_a_dotted_directory_path(self, tmp_path):
+        # the CSV path replaces the file's extension, not the text after the
+        # last dot of the whole path (which would write run.csv beside run.v2/)
+        doc = dict(FLAGSHIP, options={"neck_s_nodes": 24, "neck_angle_nodes": [13, 24],
+                                      "outer_spacing": 0.6})
+        cfg = write_config(tmp_path, doc)
+        (tmp_path / "run.v2").mkdir()
+        report_path = tmp_path / "glue.json"
+        assert main(["--report", str(report_path), "glue", cfg,
+                     "--export", str(tmp_path / "run.v2" / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == ["out", "out.csv"]
+        assert not (tmp_path / "run.csv").exists()
+        export = json.loads(report_path.read_text())["sections"]["export"]
+        assert export == {"ply": str(tmp_path / "run.v2" / "out"),
+                          "csv": str(tmp_path / "run.v2" / "out.csv")}
+
+    def test_export_path_ending_in_csv_exit_two(self, tmp_path, capsys):
+        # x.csv would be opened as both the PLY and the CSV file
+        out = tmp_path / "x.csv"
+        assert main(["glue", write_config(tmp_path, FLAGSHIP), "--export", str(out)]) == 2
+        assert "--export" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_matching_gate_trips_outside_asymptotic_range(self, tmp_path, capsys):
         # at eps = 1e-3, rho_* = 0.45 the measured correction is ~4.7 times
         # the solved scales: the matching step is no correction there

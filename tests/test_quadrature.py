@@ -56,6 +56,15 @@ class TestProductRule:
         with pytest.raises(ValueError):
             product_gauss_rule(5)
 
+    def test_rule_is_cached_and_read_only(self):
+        # one rule object per (n, nodes_per_angle), shared by every caller
+        rule = product_gauss_rule(3, 18)
+        assert product_gauss_rule(3, 18) is rule
+        assert sphere_rule(4) is sphere_rule(4)
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rule.weights[0] = 0.0
+
     def test_high_dimension_falls_back_to_mc(self):
         rule = sphere_rule(5, mc_samples=1000, seed=3)
         assert rule.kind == "monte-carlo"
