@@ -32,16 +32,7 @@ from .geometry import AmbientPoint, ImmersionPatch
 from .green import GreenData
 from .matching import SHExpansion
 from .neck import NeckParams, NormalField
-
-
-def __getattr__(name):
-    # spectrum imports scipy.integrate (about 0.2 s), which no command but
-    # `spectrum` needs, so its public names load on first access (PEP 562)
-    if name in ("IndicialTable", "ModeSolution"):
-        from . import spectrum
-
-        return getattr(spectrum, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .spectrum import IndicialTable, ModeSolution
 
 
 __all__ = [

@@ -41,7 +41,7 @@ from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, \
     green_gradient, regular_part
 from .matching import SphereGrid, match_boundaries, sh_analyze
 from .neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
-from .quadrature import omega_n, sphere_rule
+from .quadrature import QuadratureRule, omega_n, product_gauss_rule
 
 __all__ = [
     "GluedSurface",
@@ -183,7 +183,7 @@ def _boundary_samples(surface: GluedSurface, j: int, theta):
             np.concatenate([theta, outer_dy], axis=-1))
 
 
-def boundary_gap(surface: GluedSurface):
+def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None):
     """Per-end boundary mismatch at the matching circles.
 
     Reports the sup position gap, the sup conormal angle gap, and the
@@ -191,14 +191,16 @@ def boundary_gap(surface: GluedSurface):
     exactly by construction of s_*, so the position gap is the height
     mismatch; its sup is dominated by the part of the outer field's linear
     term orthogonal to R_j Theta and decays like eps, while the collinear
-    projection is killed by balancing and decays like eps^3.  The gaps are
-    sampled on a BOUNDARY_NODES angle grid.
+    projection is killed by balancing and decays like eps^3.  The sups are
+    sampled on a BOUNDARY_NODES angle grid, the projection integrates over
+    `rule` (default: the product rule at its default node count).
     """
     n = surface.config.n
     counts = (BOUNDARY_NODES[0],) * (n - 2) + (BOUNDARY_NODES[1],)
     theta = sphere_chart(np.stack(np.meshgrid(
         *default_angle_grids(n, counts, margin=POLAR_MARGIN), indexing="ij"), axis=-1))
-    rule = sphere_rule(n) if n <= 4 else None
+    if rule is None:
+        rule = product_gauss_rule(n)
     out = []
     for j in range(surface.config.k):
         neck, w_neck, outer, w_out = _boundary_samples(surface, j, theta)
@@ -208,7 +210,7 @@ def boundary_gap(surface: GluedSurface):
         out.append({
             "position_gap_sup": float(np.max(np.linalg.norm(neck - outer, axis=-1))),
             "conormal_angle_sup": float(np.max(np.arccos(np.clip(cosang, -1.0, 1.0)))),
-            "collinear_gap_abs": _collinear_gap(surface, j, rule) if rule is not None else None,
+            "collinear_gap_abs": _collinear_gap(surface, j, rule),
         })
     return out
 

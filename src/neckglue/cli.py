@@ -15,9 +15,10 @@ dtn --degree L           Dirichlet-to-Neumann eigenvalues and matching solve
 Exit codes: 0 all checks pass, 1 a hypothesis/check failed, 2 input error.
 The config file is JSON: n, points (k n-vectors), rotations (k row-major
 n x n matrices, nested or flat), A0 (row-major), epsilon, rho_star, and an
-optional "options" object (quadrature_nodes, mc_samples, seed, sh_degree
-(1..12), outer_spacing, neck_s_nodes, neck_angle_nodes).  NECKGLUE_THREADS
-caps the BLAS/OpenMP thread pools.
+optional "options" object (quadrature_nodes, sh_degree (1..12),
+outer_spacing, neck_s_nodes, neck_angle_nodes).  The sphere rule has
+quadrature_nodes^(n-1) nodes, at most quadrature.MAX_RULE_NODES.
+NECKGLUE_THREADS caps the BLAS/OpenMP thread pools.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ __all__ = ["main", "parse_config"]
 
 # Every options key with its default (None: the library's default).  Keys
 # with an int default must be integers.
-OPTION_DEFAULTS = {"quadrature_nodes": 32, "mc_samples": 200000, "seed": 0, "sh_degree": 8,
-                   "neck_s_nodes": 48, "neck_angle_nodes": None, "outer_spacing": None}
+OPTION_DEFAULTS = {"quadrature_nodes": 32, "sh_degree": 8, "neck_s_nodes": 48,
+                   "neck_angle_nodes": None, "outer_spacing": None}
 # Smallest accepted counts: the neck's nested second differences in s need 5
 # nodes, a central difference along each neck angle 3.
-OPTION_MINIMA = {"quadrature_nodes": 1, "mc_samples": 1, "sh_degree": 1, "neck_s_nodes": 5,
+OPTION_MINIMA = {"quadrature_nodes": 1, "sh_degree": 1, "neck_s_nodes": 5,
                  "neck_angle_nodes": 3}
 # Largest accepted values: off the nodes the harmonic basis agrees with its
 # node values to 1.2e-12 at L = 12, 2.9e-9 at 20 and 1e-3 at 30.
@@ -136,6 +137,12 @@ def parse_config(path: str):
     for key, high in OPTION_MAXIMA.items():
         if options.get(key, 0) > high:
             raise ValueError(f"{path}: {key} must be <= {high}, got {options[key]!r}")
+    from .quadrature import MAX_RULE_NODES
+
+    nodes = options.get("quadrature_nodes", OPTION_DEFAULTS["quadrature_nodes"])
+    if nodes ** (n - 1) > MAX_RULE_NODES:
+        raise ValueError(f"{path}: quadrature_nodes^(n - 1) = {nodes}^{n - 1} exceeds the "
+                         f"sphere rule budget of {MAX_RULE_NODES} nodes")
     spacing = options.get("outer_spacing")
     if "outer_spacing" in options and (isinstance(spacing, bool) or not isinstance(
             spacing, (int, float)) or not 0 < spacing < float("inf")):
@@ -201,35 +208,27 @@ def cmd_interaction(args) -> int:
 
     from .config import build_interaction_system, gamma_entry_quadrature, \
         lambda_entry_quadrature
-    from .quadrature import sphere_rule
+    from .quadrature import product_gauss_rule
     from .report import RunReport
     from .assembler import config_digest
 
     config, options = parse_config(args.config)
-    if args.seed is not None:
-        options["seed"] = args.seed
     report = RunReport("interaction", config_digest(config, options))
     system = build_interaction_system(config)
     _interaction_sections(report, config, system)
 
-    rule = sphere_rule(config.n, options["quadrature_nodes"], options["mc_samples"],
-                       options["seed"])
-    def tolerance(sigma):
-        return max(3.0 * sigma, 1e-12) if rule.kind == "monte-carlo" else 1e-6
-
-    cross = {"rule": rule.kind, "entries": []}
+    rule = product_gauss_rule(config.n, options["quadrature_nodes"])
+    cross = {"entries": []}
     for j in range(config.k):
         for jp in range(j + 1, config.k):
-            est, sigma = gamma_entry_quadrature(config, j, jp, rule)
-            diff = abs(est - system.gamma[j, jp])
+            est = gamma_entry_quadrature(config, j, jp, rule)
             cross["entries"].append(
-                {"pair": [j, jp], "quadrature": est, "closed_form": system.gamma[j, jp],
-                 "sigma": sigma}
+                {"pair": [j, jp], "quadrature": est, "closed_form": system.gamma[j, jp]}
             )
-            report.check(f"gamma[{j},{jp}] quadrature |diff|", diff, tolerance(sigma))
-        est, sigma = lambda_entry_quadrature(config, j, rule)
-        report.check(f"lambda[{j}] quadrature |diff|", abs(est - system.lam[j]),
-                     tolerance(sigma))
+            report.check(f"gamma[{j},{jp}] quadrature |diff|", abs(est - system.gamma[j, jp]),
+                         1e-6)
+        est = lambda_entry_quadrature(config, j, rule)
+        report.check(f"lambda[{j}] quadrature |diff|", abs(est - system.lam[j]), 1e-6)
     report.section("quadrature_cross_check", cross)
     report.time_mark("total")
     return _finish(report, args)
@@ -329,6 +328,7 @@ def cmd_glue(args) -> int:
         curvature_report, export_ply, matching_step
     from .config import build_interaction_system
     from .green import GreenData, balance_residual
+    from .quadrature import product_gauss_rule
     from .report import RunReport
 
     csv_path = os.path.splitext(args.export)[0] + ".csv" if args.export else None
@@ -344,7 +344,8 @@ def cmd_glue(args) -> int:
         return 1
 
     data = GreenData(config, system.alpha)
-    balance = balance_residual(data)
+    rule = product_gauss_rule(config.n, options["quadrature_nodes"])
+    balance = balance_residual(data, rule=rule)
     report.section("balance", {"residual_per_end": balance})
     report.check("balance residual at Gamma^-1 Lambda", float(np.max(balance)), 1e-8)
 
@@ -354,7 +355,7 @@ def cmd_glue(args) -> int:
         outer_spacing=options["outer_spacing"],
     )
     surface = assemble(config, system.alpha, grid)
-    gaps = boundary_gap(surface)
+    gaps = boundary_gap(surface, rule)
     curv = curvature_report(surface)
     report.section("boundary_gap", gaps)
     report.section("curvature", curv)
@@ -395,7 +396,7 @@ def cmd_dtn(args) -> int:
     deg = grid.degrees
     eigs = -(2.0 * deg + 1.0)
     report.section("dtn", {"degrees": deg.tolist(), "eigenvalues": eigs.tolist()})
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     rhs = SHExpansion(grid, rng.standard_normal((3, deg.size)))
     phi = dtn_solve(rhs)
     back = p_ext(phi) - p_int(phi)
@@ -435,10 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted both before and after the subcommand (SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level)
     parser.add_argument("--report", default=None, help="write the JSON report to this path")
-    parser.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--report", default=argparse.SUPPRESS)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[shared], help="check H1-H3 for a configuration")
@@ -470,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dtn", parents=[shared], help="Dirichlet-to-Neumann witness")
     p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random right-hand side")
     p.set_defaults(func=cmd_dtn)
     return parser
 

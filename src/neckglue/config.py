@@ -178,10 +178,7 @@ def gamma_entry(config: Configuration, j: int, jp: int) -> float:
 
 def gamma_entry_quadrature(config: Configuration, j: int, jp: int,
                            rule: QuadratureRule):
-    """Direct sphere quadrature of the gamma_jj' integrand (cross-check route).
-
-    Returns (estimate, sigma); sigma is 0 for deterministic rules.
-    """
+    """Direct sphere quadrature of the gamma_jj' integrand (cross-check route)."""
     if j == jp:
         raise ValueError("gamma_jj is identically zero")
     d = float(np.linalg.norm(config.points[j] - config.points[jp]))
@@ -194,8 +191,7 @@ def gamma_entry_quadrature(config: Configuration, j: int, jp: int,
         b = nodes @ Rjp.T
         return np.sum(a * b, axis=1) - n * (nodes @ (Rj @ xi)) * (nodes @ (Rjp @ xi))
 
-    est, sigma = integrate(rule, integrand, return_sigma=True)
-    return est / d**n, sigma / d**n
+    return integrate(rule, integrand) / d**n
 
 
 def symmetric_pair_gamma(R1: np.ndarray, R2: np.ndarray, n: int,
@@ -256,13 +252,13 @@ def lambda_vector(config: Configuration) -> np.ndarray:
 
 
 def lambda_entry_quadrature(config: Configuration, j: int, rule: QuadratureRule):
-    """Quadrature cross-check of lambda_j; returns (estimate, sigma)."""
+    """Quadrature cross-check of lambda_j."""
     A0, Rj = config.A0, config.rotations[j]
 
     def integrand(nodes):
         return -np.sum((nodes @ A0.T) * (nodes @ Rj.T), axis=1)
 
-    return integrate(rule, integrand, return_sigma=True)
+    return integrate(rule, integrand)
 
 
 def neck_scales(gamma: np.ndarray, lam: np.ndarray):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import Configuration
 from .geometry import ImmersionPatch, _metric_inverse
-from .quadrature import QuadratureRule, omega_n, sphere_rule
+from .quadrature import QuadratureRule, omega_n, product_gauss_rule
 
 __all__ = [
     "GreenData",
@@ -169,7 +169,7 @@ def expansion_probe(data: GreenData, j0: int, radii, rule: QuadratureRule = None
         if np.max(radii) > 0.5 * dmin:
             raise ValueError("probe radii must stay below half the separation")
     if rule is None:
-        rule = sphere_rule(n)
+        rule = product_gauss_rule(n)
     om = omega_n(n)
     nodes, w = rule.nodes, rule.weights
     rtheta = nodes @ cfg.rotations[j0].T

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .neck import t_to_s
 
@@ -157,8 +156,12 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     """Adaptive RK (DOP853, tol 1e-10) solution of the per-mode system.
 
     initial is (a0, da0) for scalar modes and (a0, b0, da0, db0) for the
-    coupled ones.  Raises on blow-up past 1e12 with the location.
+    coupled ones.  Raises on blow-up past 1e12 with the location.  The only
+    user of scipy, imported here so that the rest of the package needs numpy
+    alone.
     """
+    from scipy.integrate import solve_ivp
+
     initial = np.asarray(initial, dtype=float)
     scalar = (family == "coexact") or (k == 0)
     d = 1 if scalar else 2

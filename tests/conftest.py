@@ -40,3 +40,13 @@ def flagship_at(epsilon: float, rho_star: float = 0.45) -> Configuration:
         epsilon=epsilon,
         rho_star=rho_star,
     )
+
+
+def quarter_turn_n5(epsilon: float = 1e-4) -> Configuration:
+    """Ends +-e_1 in R^5, the second turned a quarter in (e_3, e_4), A0 = I:
+    alpha = (48, 80)."""
+    n = 5
+    turn = np.eye(n)[[0, 1, 3, 2, 4]] * np.array([1.0, 1.0, -1.0, 1.0, 1.0])[:, None]
+    return Configuration(n=n, points=[np.eye(n)[0], -np.eye(n)[0]],
+                         rotations=[np.eye(n), turn], A0=np.eye(n),
+                         epsilon=epsilon, rho_star=0.45)

@@ -25,7 +25,7 @@ from neckglue.green import GreenData, balance_residual, graph_mean_curvature
 from neckglue.matching import SHExpansion, SphereGrid, dtn_solve, p_ext, p_int, split_theta
 from neckglue.neck import NeckParams, default_angle_grids, jacobi_field, \
     linearized_apply, neck_patch
-from neckglue.quadrature import monte_carlo_rule, omega_n, product_gauss_rule
+from neckglue.quadrature import omega_n, product_gauss_rule
 from neckglue.spectrum import ModeSolution, decay_rate, explicit_n3_residual, \
     explicit_n3_solution, exterior_mode_solve, frozen_characteristic_roots, \
     indicial_roots, integrate_mode_system, verify_f0
@@ -53,12 +53,10 @@ def test_criterion_1_gamma12_closed_form(flagship):
     err_value = abs(g + math.pi / 3)
     oracle = symmetric_pair_gamma(np.eye(3), rot_e1(math.pi / 2), 3)
     err_oracle = abs(g - oracle)
-    rule = monte_carlo_rule(3, samples=1_000_000, seed=0)
-    est, sigma = gamma_entry_quadrature(flagship, 0, 1, rule)
-    err_mc = abs(est - g)
-    ok = err_value < 1e-12 and err_oracle < 1e-12 and err_mc < 3 * sigma
+    err_quad = abs(gamma_entry_quadrature(flagship, 0, 1, product_gauss_rule(3)) - g)
+    ok = err_value < 1e-12 and err_oracle < 1e-12 and err_quad < 1e-12
     crit.finish(ok, f"-pi/3 err {err_value:.2e}, oracle err {err_oracle:.2e}, "
-                    f"MC err {err_mc:.2e} vs 3sigma {3 * sigma:.2e}")
+                    f"product rule err {err_quad:.2e}")
 
 
 def test_criterion_2_degenerate_gamma():
@@ -78,7 +76,7 @@ def test_criterion_2_degenerate_gamma():
     quad = 0.0
     for j in range(3):
         for jp in range(j + 1, 3):
-            est, _ = gamma_entry_quadrature(cfg, j, jp, rule)
+            est = gamma_entry_quadrature(cfg, j, jp, rule)
             quad = max(quad, abs(est))
     ok = closed_exact == 0.0 and closed < 1e-14 and quad < 1e-6
     crit.finish(ok, f"closed form: exact case {closed_exact:.1e}, generic case "

@@ -17,13 +17,15 @@ from neckglue.assembler import (
     matching_step,
     scales_from,
 )
+from neckglue import assembler
 from neckglue.assembler import _boundary_samples, _point_rows
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.green import GreenData, regular_part
 from neckglue.geometry import ImmersionPatch, sphere_chart
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_to_t
+from neckglue.quadrature import product_gauss_rule
 
-from conftest import flagship_at, random_orthogonal
+from conftest import flagship_at, quarter_turn_n5, random_orthogonal
 
 COARSE = GridSpec(neck_s_nodes=32, neck_angle_nodes=(17, 32), outer_spacing=0.3)
 
@@ -184,6 +186,21 @@ class TestBoundaryGap:
         assert abs(slope_coll - 3.0) < 0.3
         assert abs(slope_sup - 1.0) < 0.2
         assert abs(slope_angle - 1.0) < 0.2
+
+    def test_collinear_gap_n5(self, monkeypatch):
+        # the projection runs on the 12^4-node product rule; the sup grid is
+        # shrunk, since at the default 24^3 x 64 it alone takes 6 s and 1.3 GB
+        monkeypatch.setattr(assembler, "BOUNDARY_NODES", (5, 8))
+        grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), outer_spacing=3.0)
+        colls = []
+        for eps in (1e-5, 1e-6):
+            cfg = quarter_turn_n5(eps)
+            surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
+            colls.append([g["collinear_gap_abs"] for g in
+                          boundary_gap(surf, product_gauss_rule(5, 12))])
+        assert np.all(np.isfinite(colls))
+        slopes = np.log10(np.array(colls[0]) / np.array(colls[1]))
+        assert np.all(np.abs(slopes - 3.0) < 0.1)
 
     def test_flagship_regression_values(self):
         # end-to-end run at eps = 1e-4, COARSE grid; frozen measured values

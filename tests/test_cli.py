@@ -122,12 +122,32 @@ class TestCommands:
         assert main(["validate", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
         assert "unknown options key 'quadrature_node'" in err
-        for key in ("quadrature_nodes", "mc_samples", "seed", "sh_degree",
-                    "neck_s_nodes", "neck_angle_nodes", "outer_spacing"):
+        for key in ("quadrature_nodes", "sh_degree", "neck_s_nodes", "neck_angle_nodes",
+                    "outer_spacing"):
             assert key in err
 
-    @pytest.mark.parametrize("key", ["quadrature_nodes", "mc_samples", "seed", "sh_degree",
-                                     "neck_s_nodes"])
+    @pytest.mark.parametrize("key", ["mc_samples", "seed"])
+    def test_monte_carlo_options_are_unknown(self, tmp_path, capsys, key):
+        doc = dict(FLAGSHIP, options={key: 1})
+        assert main(["interaction", write_config(tmp_path, doc)]) == 2
+        assert f"unknown options key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, nodes, accepted", [(6, None, False), (6, 16, True),
+                                                    (5, 32, True), (5, 33, False)])
+    def test_rule_node_budget(self, tmp_path, capsys, n, nodes, accepted):
+        # quadrature_nodes^(n - 1) <= 2^20: n = 6 needs <= 16 nodes per angle
+        doc = {"n": n, "points": [np.eye(n)[0].tolist(), (-np.eye(n)[0]).tolist()],
+               "rotations": [np.eye(n).tolist()] * 2, "A0": np.eye(n).tolist(),
+               "epsilon": 1e-4, "rho_star": 0.45,
+               "options": {} if nodes is None else {"quadrature_nodes": nodes}}
+        cfg = write_config(tmp_path, doc)
+        if accepted:
+            assert parse_config(cfg)[1]["quadrature_nodes"] == nodes
+        else:
+            assert main(["validate", cfg]) == 2
+            assert "quadrature_nodes^(n - 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["quadrature_nodes", "sh_degree", "neck_s_nodes"])
     @pytest.mark.parametrize("value", [True, 8.7, "many"])
     def test_non_integer_option_exit_two(self, tmp_path, capsys, key, value):
         doc = dict(FLAGSHIP, options={key: value})
@@ -162,8 +182,6 @@ class TestCommands:
         ("neck_angle_nodes", [8, 8.5], "neck_angle_nodes must be an integer"),
         ("neck_angle_nodes", [8, True], "neck_angle_nodes must be an integer"),
         ("quadrature_nodes", 0, "quadrature_nodes must be >= 1"),
-        ("mc_samples", -5, "mc_samples must be >= 1"),
-        ("mc_samples", 0, "mc_samples must be >= 1"),
         ("sh_degree", 0, "sh_degree must be >= 1"),
         ("sh_degree", 13, "sh_degree must be <= 12"),
     ])
@@ -174,7 +192,7 @@ class TestCommands:
 
     def test_option_range_boundaries_accepted(self, tmp_path):
         doc = dict(FLAGSHIP, options={"neck_s_nodes": 5, "neck_angle_nodes": [3, 3.0],
-                                      "quadrature_nodes": 1, "mc_samples": 1, "sh_degree": 1})
+                                      "quadrature_nodes": 1, "sh_degree": 1})
         _, options = parse_config(write_config(tmp_path, doc))
         assert options["neck_angle_nodes"] == [3, 3]
         assert all(isinstance(c, int) for c in options["neck_angle_nodes"])
@@ -205,6 +223,15 @@ class TestCommands:
 
     def test_dtn_command(self, capsys):
         assert main(["dtn", "--degree", "6"]) == 0
+        assert main(["dtn", "--degree", "4", "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("argv", [["interaction", "{cfg}", "--seed", "1"],
+                                      ["--seed", "1", "dtn"]], ids=["interaction", "top-level"])
+    def test_seed_is_a_dtn_option(self, tmp_path, argv):
+        cfg = write_config(tmp_path, FLAGSHIP)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(cfg=cfg) for a in argv])
+        assert exc.value.code == 2
 
     def test_interaction_command(self, tmp_path):
         assert main(["interaction", write_config(tmp_path, FLAGSHIP)]) == 0
@@ -218,12 +245,12 @@ class TestCommands:
         assert out.read_text().startswith("ply")
 
     def test_report_determinism(self, tmp_path):
-        # identical config + seed => byte-identical reports minus timings
+        # identical config => byte-identical reports minus timings
         cfg = write_config(tmp_path, FLAGSHIP)
         docs = []
         for name in ("a.json", "b.json"):
             report = tmp_path / name
-            code = main(["--report", str(report), "--seed", "7", "interaction", cfg])
+            code = main(["--report", str(report), "interaction", cfg])
             assert code == 0
             doc = json.loads(report.read_text())
             doc.pop("timings", None)
@@ -364,6 +391,23 @@ class TestGlueCommand:
         assert checks["matching max |delta|/alpha"]["value"] < 0.01
         assert report["sections"]["interaction"]["alpha"] == [16.0, 32.0]
 
+    def test_quadrature_nodes_set_the_balance_rule(self, tmp_path):
+        # the balance residual and the collinear gap integrate over the
+        # configured rule, so its node count moves them at rounding level
+        sections = []
+        for nodes in (8, 32):
+            doc = dict(FLAGSHIP, options={"quadrature_nodes": nodes, "neck_s_nodes": 17,
+                                          "neck_angle_nodes": [9, 16], "outer_spacing": 0.6})
+            report_path = tmp_path / f"glue{nodes}.json"
+            cfg = write_config(tmp_path, doc, name=f"{nodes}.cfg.json")
+            assert main(["--report", str(report_path), "glue", cfg]) == 0
+            sections.append(json.loads(report_path.read_text())["sections"])
+        coarse, fine = sections
+        assert coarse["balance"] != fine["balance"]
+        assert max(coarse["balance"]["residual_per_end"]) < 1e-8
+        assert [g["collinear_gap_abs"] for g in coarse["boundary_gap"]] != \
+            [g["collinear_gap_abs"] for g in fine["boundary_gap"]]
+
     def test_digest_covers_options(self, tmp_path):
         # runs differing only in outer_spacing must not share a digest; an
         # option spelled out at its default resolves to the same digest
@@ -445,8 +489,8 @@ def _fresh_python(code):
 
 
 class TestImportGraph:
-    """Only `spectrum` needs scipy (scipy.integrate); every other command
-    runs on numpy alone, so a fresh process never imports scipy."""
+    """Only the ODE oracle spectrum.integrate_mode_system needs scipy, and no
+    command calls it, so a fresh process never imports scipy."""
 
     @pytest.mark.parametrize("argv", [
         ["glue", "configs/flagship.json"],
@@ -455,7 +499,8 @@ class TestImportGraph:
         ["interaction", "configs/flagship.json"],
         ["neck", "--n", "3", "--grid", "0.4"],
         ["dtn", "--degree", "4"],
-    ], ids=["glue", "glue-export", "validate", "interaction", "neck", "dtn"])
+        ["spectrum", "--n", "3", "--k", "1"],
+    ], ids=["glue", "glue-export", "validate", "interaction", "neck", "dtn", "spectrum"])
     def test_command_loads_no_scipy(self, tmp_path, argv):
         argv = [a.format(tmp=tmp_path) for a in argv] + ["--report", str(tmp_path / "r.json")]
         code = ("import contextlib, io, sys\n"
@@ -465,14 +510,11 @@ class TestImportGraph:
                 "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert _fresh_python(code) == "0 []"
 
-    def test_spectrum_names_load_scipy_on_access(self):
+    def test_package_names_load_no_scipy(self):
         code = ("import sys\n"
-                "import neckglue\n"
-                "before = 'scipy.integrate' in sys.modules\n"
-                "from neckglue import IndicialTable, ModeSolution\n"
-                "from neckglue.spectrum import ModeSolution as direct\n"
-                "print(before, 'scipy.integrate' in sys.modules, ModeSolution is direct)\n")
-        assert _fresh_python(code) == "False True True"
+                "from neckglue import IndicialTable\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert _fresh_python(code) == "[]"
 
     def test_unknown_attribute(self):
         import neckglue

@@ -16,7 +16,7 @@ from neckglue.config import (
     neck_scales,
     symmetric_pair_gamma,
 )
-from neckglue.quadrature import monte_carlo_rule, omega_n, product_gauss_rule
+from neckglue.quadrature import omega_n, product_gauss_rule
 
 from conftest import random_orthogonal, rot_e1
 
@@ -76,17 +76,16 @@ class TestGammaEntry:
         oracle = symmetric_pair_gamma(np.eye(3), rot_e1(math.pi / 2), 3)
         assert abs(g - oracle) < 1e-12
 
-    def test_monte_carlo_agreement(self, flagship):
-        rule = monte_carlo_rule(3, samples=1_000_000, seed=0)
-        est, sigma = gamma_entry_quadrature(flagship, 0, 1, rule)
-        assert abs(est - gamma_entry(flagship, 0, 1)) < 3 * sigma
+    def test_product_rule_agreement(self, flagship):
+        est = gamma_entry_quadrature(flagship, 0, 1, product_gauss_rule(3))
+        assert abs(est - gamma_entry(flagship, 0, 1)) < 1e-12
 
     def test_equal_rotations_zero(self):
         cfg = Configuration(3, [[1, 0, 0], [-1, 0, 0]], [rot_e1(0.3), rot_e1(0.3)],
                             np.eye(3), 1e-3, 0.2)
         assert gamma_entry(cfg, 0, 1) == pytest.approx(0.0, abs=1e-15)
         rule = product_gauss_rule(3)
-        est, _ = gamma_entry_quadrature(cfg, 0, 1, rule)
+        est = gamma_entry_quadrature(cfg, 0, 1, rule)
         assert abs(est) < 1e-6
 
     def test_random_pair_quadrature_n4(self):
@@ -98,7 +97,7 @@ class TestGammaEntry:
             np.eye(4), 1e-3, 0.2,
         )
         rule = product_gauss_rule(4)
-        est, _ = gamma_entry_quadrature(cfg, 0, 1, rule)
+        est = gamma_entry_quadrature(cfg, 0, 1, rule)
         assert abs(est - gamma_entry(cfg, 0, 1)) < 1e-6
 
     def test_diagonal_entry_rejected(self, flagship):
@@ -144,7 +143,7 @@ class TestLambda:
         rule = product_gauss_rule(3)
         lam = lambda_vector(flagship)
         for j in range(2):
-            est, _ = lambda_entry_quadrature(flagship, j, rule)
+            est = lambda_entry_quadrature(flagship, j, rule)
             assert abs(est - lam[j]) < 1e-6
 
 
@@ -226,9 +225,9 @@ class TestInvariants:
         lam = lambda_vector(cfg)
         for j in range(3):
             for jp in range(j + 1, 3):
-                est, _ = gamma_entry_quadrature(cfg, j, jp, rule)
+                est = gamma_entry_quadrature(cfg, j, jp, rule)
                 assert abs(est - G[j, jp]) < 1e-6
-            est, _ = lambda_entry_quadrature(cfg, j, rule)
+            est = lambda_entry_quadrature(cfg, j, rule)
             assert abs(est - lam[j]) < 1e-6
 
     def test_h3_implies_positive_alpha(self, flagship):
@@ -236,8 +235,8 @@ class TestInvariants:
         assert system.h3
         assert np.min(system.alpha) > 0
 
-    def test_monte_carlo_route_above_product_cap(self):
-        # n = 5 falls back to Monte Carlo; closed form within 3 sigma
+    def test_product_rule_above_n4(self):
+        # n = 5: the polar parameters 3/2, 1, 1/2 on the one rule path
         rng = np.random.default_rng(6)
         cfg = Configuration(
             5,
@@ -245,7 +244,5 @@ class TestInvariants:
             [random_orthogonal(5, rng), random_orthogonal(5, rng)],
             np.eye(5), 1e-3, 0.2,
         )
-        rule = monte_carlo_rule(5, samples=400_000, seed=2)
-        est, sigma = gamma_entry_quadrature(cfg, 0, 1, rule)
-        assert sigma > 0
-        assert abs(est - gamma_entry(cfg, 0, 1)) < 3 * sigma
+        est = gamma_entry_quadrature(cfg, 0, 1, product_gauss_rule(5, 8))
+        assert abs(est - gamma_entry(cfg, 0, 1)) < 1e-12

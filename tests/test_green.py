@@ -21,7 +21,7 @@ from neckglue.green import (
 )
 from neckglue.quadrature import omega_n
 
-from conftest import flagship_at, random_orthogonal
+from conftest import flagship_at, quarter_turn_n5, random_orthogonal
 
 
 def rank3_green_gradient(data, x):
@@ -240,6 +240,13 @@ class TestBalance:
         res = balance_residual(GreenData(flagship, system.alpha + delta))
         expect = np.abs(system.gamma @ delta) / omega_n(3)
         assert np.max(np.abs(res - expect) / expect) < 0.1
+
+    def test_balanced_alpha_n5(self):
+        # on the default product rule (32^4 nodes); 6.7e-3 on Monte Carlo
+        cfg = quarter_turn_n5()
+        system = build_interaction_system(cfg)
+        assert system.alpha.tolist() == [48.0, 80.0]
+        assert np.max(balance_residual(GreenData(cfg, system.alpha))) < 1e-10
 
     def test_single_end_zero(self):
         res = balance_residual(single_point_data())

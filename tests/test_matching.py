@@ -66,6 +66,15 @@ class TestBasis:
     def test_basis_at_nodes(self, grid):
         assert np.max(np.abs(grid.basis_at(grid.nodes) - grid.basis)) < 1e-11
 
+    def test_orthonormal_on_s4(self):
+        # n = 5 takes the polar parameters 3/2, 1, 1/2; dim H_k on S^4 is
+        # (k+1)(k+2)(2k+3)/6
+        grid5 = SphereGrid(5, 4)
+        k = np.arange(5)
+        assert_allclose(np.bincount(grid5.degrees), (k + 1) * (k + 2) * (2 * k + 3) // 6)
+        gram = (grid5.weights[:, None] * grid5.basis).T @ grid5.basis
+        assert np.max(np.abs(gram - np.eye(grid5.degrees.size))) < 1e-14
+
     @settings(max_examples=10, deadline=None)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
            seed=st.integers(0, 2**32 - 1))
