@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import Configuration
-from .geometry import AmbientPoint, ImmersionPatch, mean_curvature_field, sphere_chart
+from .geometry import AmbientPoint, ImmersionPatch, mean_curvature_field
 from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, \
     green_gradient, regular_part
 from .matching import SphereGrid, match_boundaries, sh_analyze
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 POLAR_MARGIN = 0.4         # polar angle grids stay this far from the chart poles
-BOUNDARY_NODES = (24, 64)  # boundary-gap nodes per polar angle, along the azimuth
 HISTOGRAM_BINS = 12        # curvature-report histogram bins
 
 
@@ -184,45 +183,35 @@ def _boundary_samples(surface: GluedSurface, j: int, theta):
 
 
 def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None):
-    """Per-end boundary mismatch at the matching circles.
+    """Per-end boundary mismatch at the matching circles, sampled once per end
+    at the nodes of `rule` (default: the product rule at its default node
+    count), which carry explicit unit vectors, so no chart poles arise.
 
-    Reports the sup position gap, the sup conormal angle gap, and the
-    Theta-collinear L^2 projection of the height gap.  The x-parts agree
-    exactly by construction of s_*, so the position gap is the height
+    Reports the sup position gap and the sup conormal angle gap over the
+    nodes, and the Theta-collinear L^2 projection of the height gap,
+    |(1/omega_n) int (y_outer - y_neck) . R_j Theta dtheta|.  The x-parts
+    agree exactly by construction of s_*, so the position gap is the height
     mismatch; its sup is dominated by the part of the outer field's linear
     term orthogonal to R_j Theta and decays like eps, while the collinear
-    projection is killed by balancing and decays like eps^3.  The sups are
-    sampled on a BOUNDARY_NODES angle grid, the projection integrates over
-    `rule` (default: the product rule at its default node count).
+    projection is killed by balancing and decays like eps^3.
     """
     n = surface.config.n
-    counts = (BOUNDARY_NODES[0],) * (n - 2) + (BOUNDARY_NODES[1],)
-    theta = sphere_chart(np.stack(np.meshgrid(
-        *default_angle_grids(n, counts, margin=POLAR_MARGIN), indexing="ij"), axis=-1))
     if rule is None:
         rule = product_gauss_rule(n)
     out = []
-    for j in range(surface.config.k):
-        neck, w_neck, outer, w_out = _boundary_samples(surface, j, theta)
+    for j, params in enumerate(surface.neck_params):
+        neck, w_neck, outer, w_out = _boundary_samples(surface, j, rule.nodes)
         cosang = np.sum(w_out * w_neck, axis=-1) / (
             np.linalg.norm(w_out, axis=-1) * np.linalg.norm(w_neck, axis=-1)
         )
+        rtheta = rule.nodes @ params.rotation.T
+        proj = rule.weights @ np.sum((outer[:, n:] - neck[:, n:]) * rtheta, axis=1)
         out.append({
             "position_gap_sup": float(np.max(np.linalg.norm(neck - outer, axis=-1))),
             "conormal_angle_sup": float(np.max(np.arccos(np.clip(cosang, -1.0, 1.0)))),
-            "collinear_gap_abs": _collinear_gap(surface, j, rule),
+            "collinear_gap_abs": abs(float(proj)) / omega_n(n),
         })
     return out
-
-
-def _collinear_gap(surface: GluedSurface, j: int, rule) -> float:
-    """|(1/omega_n) int (y_outer - y_neck) . R_j Theta dtheta| at the circle;
-    quadrature nodes carry explicit unit vectors, so no chart poles arise."""
-    n = surface.config.n
-    neck, _, outer, _ = _boundary_samples(surface, j, rule.nodes)
-    rtheta = rule.nodes @ surface.neck_params[j].rotation.T
-    proj = rule.weights @ np.sum((outer[:, n:] - neck[:, n:]) * rtheta, axis=1)
-    return abs(float(proj)) / omega_n(n)
 
 
 def matching_step(surface: GluedSurface, gamma, degree: int) -> dict:

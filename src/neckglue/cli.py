@@ -339,9 +339,8 @@ def cmd_glue(args) -> int:
     system = build_interaction_system(config)
     _interaction_sections(report, config, system)
     if not (system.h1_holds and system.h2 and system.h3):
-        report.print_summary()
-        _write_report(report, args)
-        return 1
+        report.time_mark("total")
+        return _finish(report, args)
 
     data = GreenData(config, system.alpha)
     rule = product_gauss_rule(config.n, options["quadrature_nodes"])
@@ -417,14 +416,10 @@ def cmd_dtn(args) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 
-def _write_report(report, args) -> None:
-    if getattr(args, "report", None):
-        report.write(args.report)
-
-
 def _finish(report, args) -> int:
     report.print_summary()
-    _write_report(report, args)
+    if getattr(args, "report", None):
+        report.write(args.report)
     return 0 if report.all_passed else 1
 
 

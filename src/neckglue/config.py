@@ -105,6 +105,12 @@ class Configuration:
     def k(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def min_separation(self) -> float:
+        """Smallest distance |x_a - x_b| between two marked points (inf if k = 1)."""
+        return min((float(np.linalg.norm(self.points[a] - self.points[b]))
+                    for a in range(self.k) for b in range(a + 1, self.k)), default=np.inf)
+
     def xi(self, j: int, jp: int) -> np.ndarray:
         """Unit separation direction xi_jj' = (x_j - x_j')/|x_j - x_j'|."""
         d = self.points[j] - self.points[jp]

@@ -16,7 +16,8 @@ the cubic nonlinearity alone.
 
 The probe separates the singular term exactly: G minus its j0 summand is
 evaluated term by term (no cancellation), so the linear coefficient is
-resolvable far below the float noise of the full field.
+resolvable far below the float noise of the full field, which is that sum
+plus the j0 summand.
 """
 
 from __future__ import annotations
@@ -62,19 +63,22 @@ class GreenData:
             raise ValueError("alpha must be finite")
 
 
+def _green_term(data: GreenData, j: int, x: np.ndarray) -> np.ndarray:
+    """The Green term alpha_j R_j (x - x_j)/|x - x_j|^n of end j; x is (..., n)."""
+    cfg = data.config
+    u = x - cfg.points[j]
+    r = np.linalg.norm(u, axis=-1, keepdims=True)
+    if np.any(r < SINGULAR_CLEARANCE):
+        raise ValueError(f"evaluation point touches the singular point x_{j}")
+    return data.alpha[j] * (u / r**cfg.n) @ cfg.rotations[j].T
+
+
 def _green_terms(data: GreenData, x: np.ndarray, skip: int = None) -> np.ndarray:
     """Sum of Green terms (optionally omitting one) plus A_0 x; x is (..., n)."""
-    cfg = data.config
-    n = cfg.n
-    out = x @ cfg.A0.T
-    for j in range(cfg.k):
-        if j == skip:
-            continue
-        u = x - cfg.points[j]
-        r = np.linalg.norm(u, axis=-1, keepdims=True)
-        if np.any(r < SINGULAR_CLEARANCE):
-            raise ValueError(f"evaluation point touches the singular point x_{j}")
-        out = out + data.alpha[j] * (u / r**n) @ cfg.rotations[j].T
+    out = x @ data.config.A0.T
+    for j in range(data.config.k):
+        if j != skip:
+            out = out + _green_term(data, j, x)
     return out
 
 
@@ -179,8 +183,8 @@ def expansion_probe(data: GreenData, j0: int, radii, rule: QuadratureRule = None
     mean_reg = np.empty((radii.size, n))
     for i, rho in enumerate(radii):
         pts = cfg.points[j0] + rho * nodes
-        full = _green_terms(data, pts)
         reg = _green_terms(data, pts, skip=j0)
+        full = reg + _green_term(data, j0, pts)
         proj_full[i] = float(w @ np.sum(full * rtheta, axis=1)) / om
         proj_reg[i] = float(w @ np.sum(reg * rtheta, axis=1)) / om
         mean_reg[i] = (w[:, None] * reg).sum(axis=0) / om
@@ -207,14 +211,7 @@ def balance_residual(data: GreenData, base_radius: float = None,
     (to fit accuracy) iff alpha solves Gamma alpha = Lambda."""
     cfg = data.config
     if base_radius is None:
-        if cfg.k > 1:
-            dmin = min(
-                np.linalg.norm(cfg.points[a] - cfg.points[b])
-                for a in range(cfg.k) for b in range(a + 1, cfg.k)
-            )
-            base_radius = min(1e-3, 0.25 * dmin)
-        else:
-            base_radius = 1e-3
+        base_radius = min(1e-3, 0.25 * cfg.min_separation)
     radii = base_radius * 0.5 ** np.arange(4)
     out = np.empty(cfg.k)
     for j0 in range(cfg.k):
@@ -229,13 +226,8 @@ def balance_residual(data: GreenData, base_radius: float = None,
 def default_outer_box(config: Configuration) -> float:
     """Half-width 2/rho_0 of the outer sampling box, with rho_0 the largest
     radius keeping the balls B(x_j, rho_0) disjoint and inside B(0, 1/rho_0)."""
-    pts = config.points
-    k = pts.shape[0]
-    rho0 = np.inf
-    for a in range(k):
-        for b in range(a + 1, k):
-            rho0 = min(rho0, 0.5 * float(np.linalg.norm(pts[a] - pts[b])))
-    M = float(np.max(np.linalg.norm(pts, axis=1)))
+    rho0 = 0.5 * config.min_separation
+    M = float(np.max(np.linalg.norm(config.points, axis=1)))
     rho0 = min(rho0, 0.5 * (math.sqrt(M * M + 4.0) - M))
     return 2.0 / rho0
 

@@ -239,24 +239,16 @@ def default_angle_grids(n: int, counts, margin: float = 0.35):
     return tuple(grids)
 
 
-def neck_patch(params: NeckParams, s_grid=None, angle_grids=None,
-               t_grid=None) -> ImmersionPatch:
-    """ImmersionPatch of the neck over (s or t) x angle_grids.
+def neck_patch(params: NeckParams, angle_grids, t_grid) -> ImmersionPatch:
+    """ImmersionPatch of the neck over t_grid x angle_grids.
 
-    Exactly one of s_grid / t_grid must be given; the grid must be uniform
-    in its own coordinate.  The t-chart is preferable for truncated necks
-    reaching into the ends, where s-derivatives of the immersion blow up
-    while t-derivatives stay uniformly moderate.  The azimuth is periodic.
+    t_grid must be uniform.  The t-chart suits truncated necks reaching into
+    the ends, where s-derivatives of the immersion blow up while
+    t-derivatives stay uniformly moderate.  The azimuth is periodic.
     """
-    if (s_grid is None) == (t_grid is None):
-        raise ValueError("provide exactly one of s_grid or t_grid")
-    if t_grid is not None:
-        t_grid = np.asarray(t_grid, dtype=float)
-        step = float(t_grid[1] - t_grid[0])
-        s_values = t_to_s(t_grid, params.n)
-    else:
-        s_values = np.asarray(s_grid, dtype=float)
-        step = float(s_values[1] - s_values[0])
+    t_grid = np.asarray(t_grid, dtype=float)
+    step = float(t_grid[1] - t_grid[0])
+    s_values = t_to_s(t_grid, params.n)
     angles_mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
     theta = sphere_chart(angles_mesh)
     s_col = s_values.reshape((-1,) + (1,) * (theta.ndim - 1))
@@ -387,7 +379,7 @@ class NormalField:
             self.valid = np.ones(self.f.shape, dtype=bool)
 
 
-def jacobi_field(kind: str, n: int, s_grid, angle_grids, *,
+def jacobi_field(kind: str, n: int, s, angle_grids, *,
                  a=None, alpha: float = 0.0, delta: float = None,
                  A=None) -> NormalField:
     """Sample one of the closed-form Jacobi-field families as an (f, T) pair.
@@ -403,7 +395,7 @@ def jacobi_field(kind: str, n: int, s_grid, angle_grids, *,
       "o2n_rot"      needs antisymmetric A: T = (sin ns)^{-1/n} sin(2s) A Theta
       "o2n_boost"    needs antisymmetric A: T = (sin ns)^{-1/n} cos(2s) A Theta
     """
-    s = np.asarray(s_grid, dtype=float)
+    s = np.asarray(s, dtype=float)
     mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
     theta = sphere_chart(mesh)            # grid + (n,)
     grid_shape = theta.shape[:-1]

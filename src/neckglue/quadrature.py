@@ -36,8 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_NODES_PER_ANGLE = 32
-# 2^20 nodes: at n = 5 and 32 nodes per angle the collinear boundary gap
-# alone peaks at 1.2 GB and takes about 7 s; the count grows like N^{n-1}
+# 2^20 nodes: at n = 5 and 32 nodes per angle one boundary-gap pass (both
+# sups and the collinear gap) takes 5-6.5 s on 2 cores and peaks at 1.5 GB;
+# the count grows like N^{n-1}
 MAX_RULE_NODES = 2**20
 
 

@@ -187,18 +187,17 @@ class TestBoundaryGap:
         assert abs(slope_sup - 1.0) < 0.2
         assert abs(slope_angle - 1.0) < 0.2
 
-    def test_collinear_gap_n5(self, monkeypatch):
-        # the projection runs on the 12^4-node product rule; the sup grid is
-        # shrunk, since at the default 24^3 x 64 it alone takes 6 s and 1.3 GB
-        monkeypatch.setattr(assembler, "BOUNDARY_NODES", (5, 8))
+    def test_collinear_gap_n5(self):
+        # every gap is sampled on the 12^4-node product rule
         grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), outer_spacing=3.0)
-        colls = []
+        colls, sups = [], []
         for eps in (1e-5, 1e-6):
             cfg = quarter_turn_n5(eps)
             surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
-            colls.append([g["collinear_gap_abs"] for g in
-                          boundary_gap(surf, product_gauss_rule(5, 12))])
-        assert np.all(np.isfinite(colls))
+            gaps = boundary_gap(surf, product_gauss_rule(5, 12))
+            colls.append([g["collinear_gap_abs"] for g in gaps])
+            sups.append([g["position_gap_sup"] for g in gaps])
+        assert np.all(np.isfinite(colls)) and np.all(np.isfinite(sups))
         slopes = np.log10(np.array(colls[0]) / np.array(colls[1]))
         assert np.all(np.abs(slopes - 3.0) < 0.1)
 
@@ -208,7 +207,7 @@ class TestBoundaryGap:
         gaps = boundary_gap(surf)
         assert_allclose(
             [g["position_gap_sup"] for g in gaps],
-            [1.542051229232e-04, 6.795375137528e-05], rtol=1e-6,
+            [1.542334348783e-04, 6.795375137528e-05], rtol=1e-6,
         )
         assert_allclose(
             [g["collinear_gap_abs"] for g in gaps],
@@ -218,6 +217,22 @@ class TestBoundaryGap:
             [s["s_star"] for s in surf.scales],
             [4.389574760273287e-03, 1.316872435905128e-02], rtol=1e-10,
         )
+
+    def test_rule_sups_match_a_dense_chart_grid(self):
+        # the sups over the 32^2-node rule sit within 5e-3 relative of the
+        # sups over a 400 x 800 chart grid that reaches the poles
+        _, _, surf = build_flagship_surface(1e-4)
+        gaps = boundary_gap(surf, product_gauss_rule(3, 32))
+        grids = default_angle_grids(3, (400, 800), margin=0.0)
+        theta = sphere_chart(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
+        for j, gap in enumerate(gaps):
+            neck, neck_dr, outer, outer_dr = _boundary_samples(surf, j, theta)
+            cosang = np.sum(neck_dr * outer_dr, axis=-1) / (
+                np.linalg.norm(neck_dr, axis=-1) * np.linalg.norm(outer_dr, axis=-1))
+            dense = {"position_gap_sup": np.max(np.linalg.norm(neck - outer, axis=-1)),
+                     "conormal_angle_sup": np.max(np.arccos(np.clip(cosang, -1.0, 1.0)))}
+            for key, sup in dense.items():
+                assert abs(gap[key] - sup) < 5e-3 * sup, (j, key)
 
     def test_perturbed_alpha_dominates_gap(self):
         # off balance, the gap is dominated by the linear-in-rho mismatch

@@ -401,8 +401,8 @@ class TestGlueCommand:
         assert report["sections"]["interaction"]["alpha"] == [16.0, 32.0]
 
     def test_quadrature_nodes_set_the_balance_rule(self, tmp_path):
-        # the balance residual and the collinear gap integrate over the
-        # configured rule, so its node count moves them at rounding level
+        # the balance residual and the boundary gaps are sampled on the
+        # configured rule, so its node count moves them
         sections = []
         for nodes in (8, 32):
             doc = dict(FLAGSHIP, options={"quadrature_nodes": nodes, "neck_s_nodes": 17,
@@ -414,8 +414,9 @@ class TestGlueCommand:
         coarse, fine = sections
         assert coarse["balance"] != fine["balance"]
         assert max(coarse["balance"]["residual_per_end"]) < 1e-8
-        assert [g["collinear_gap_abs"] for g in coarse["boundary_gap"]] != \
-            [g["collinear_gap_abs"] for g in fine["boundary_gap"]]
+        for key in ("collinear_gap_abs", "position_gap_sup"):
+            assert [g[key] for g in coarse["boundary_gap"]] != \
+                [g[key] for g in fine["boundary_gap"]]
 
     def test_digest_covers_options(self, tmp_path):
         # runs differing only in outer_spacing must not share a digest; an
@@ -464,10 +465,14 @@ class TestGlueCommand:
         assert "=> SOME CHECKS FAILED (1 skipped)" in capsys.readouterr().out
 
     def test_glue_gate_on_failed_hypotheses(self, tmp_path):
-        doc = dict(FLAGSHIP)
-        doc["A0"] = (-np.eye(3)).tolist()  # H3 fails
-        code = main(["glue", write_config(tmp_path, doc)])
-        assert code == 1
+        # the run stops after the interaction stage and still writes a
+        # finished report: a total time and no balance section
+        doc = dict(FLAGSHIP, A0=(-np.eye(3)).tolist())  # H3 fails
+        report_path = tmp_path / "glue.json"
+        assert main(["--report", str(report_path), "glue", write_config(tmp_path, doc)]) == 1
+        report = json.loads(report_path.read_text())
+        assert "total" in report["timings"]
+        assert "balance" not in report["sections"]
 
 
 class TestConsoleEntryPoint:
@@ -530,3 +535,29 @@ class TestImportGraph:
 
         with pytest.raises(AttributeError, match="no attribute 'Nope'"):
             neckglue.Nope
+
+
+class TestPeakMemory:
+    """Peak RSS of a fresh process, read from getrusage.  A process's
+    ru_maxrss starts at its parent's RSS when it was forked, so the workload
+    runs one process below a small fresh interpreter, which reads it as
+    RUSAGE_CHILDREN."""
+
+    def test_boundary_gap_n5_peak_memory(self):
+        # every sphere sample of boundary_gap follows the rule: on the
+        # 12^4-node rule at n = 5 the workload peaks near 80 MB
+        work = ("import sys\n"
+                f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
+                "from conftest import quarter_turn_n5\n"
+                "from neckglue.assembler import GridSpec, assemble, boundary_gap\n"
+                "from neckglue.config import build_interaction_system\n"
+                "from neckglue.quadrature import product_gauss_rule\n"
+                "cfg = quarter_turn_n5(1e-6)\n"
+                "grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), "
+                "outer_spacing=3.0)\n"
+                "surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)\n"
+                "boundary_gap(surf, product_gauss_rule(5, 12))\n")
+        code = ("import resource, subprocess, sys\n"
+                f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        assert int(_fresh_python(code)) < 300 * 1024   # KiB on Linux

@@ -38,6 +38,13 @@ class TestConfigurationValidation:
         with pytest.raises(ValueError):
             Configuration(3, [[1, 0, 0]], [np.eye(3)], np.eye(3), 1e-3, -0.1)
 
+    def test_min_separation(self):
+        points = [[1, 0, 0], [-1, 0, 0], [1, 0.5, 0]]
+        cfg = Configuration(3, points, [np.eye(3)] * 3, np.eye(3), 1e-3, 0.2)
+        assert cfg.min_separation == 0.5
+        assert Configuration(3, points[:1], [np.eye(3)], np.eye(3), 1e-3, 0.2) \
+            .min_separation == math.inf
+
 
 class TestH1:
     def test_equal_rotations_hold(self, flagship):

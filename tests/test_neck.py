@@ -206,9 +206,6 @@ class TestEvaluate:
             patch = neck_patch(params, angle_grids=grids, t_grid=t_grid)
             assert np.array_equal(patch.samples,
                                   parent_neck_samples(params, t_to_s(t_grid, n), theta))
-            s_grid = np.linspace(0.1, 0.9, 6) * math.pi / n
-            patch = neck_patch(params, angle_grids=grids, s_grid=s_grid)
-            assert np.array_equal(patch.samples, parent_neck_samples(params, s_grid, theta))
 
 
 class TestAsymptote:
