@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import green
 from .config import Configuration
 from .geometry import AmbientPoint, ImmersionPatch, mean_curvature_field
 from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, \
@@ -73,7 +74,7 @@ def scales_from(epsilon: float, rho_star: float, beta: float, n: int):
 class GridSpec:
     """Resolution knobs for assembly."""
 
-    neck_s_nodes: int = 48
+    neck_s_nodes: int
     neck_angle_nodes: tuple = None     # per-angle counts; default set by n
     outer_spacing: float = None        # default rho_*/4
 
@@ -116,10 +117,8 @@ def config_digest(config: Configuration, options: dict = None) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def assemble(config: Configuration, alpha, grid: GridSpec = None) -> GluedSurface:
+def assemble(config: Configuration, alpha, grid: GridSpec) -> GluedSurface:
     """Build the outer patch and the k truncated necks (beta_j = alpha_j)."""
-    if grid is None:
-        grid = GridSpec()
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (config.k,) or np.min(alpha) <= 0:
         raise ValueError("assembly requires positive neck scales (H3)")
@@ -185,7 +184,8 @@ def _boundary_samples(surface: GluedSurface, j: int, theta):
 def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None):
     """Per-end boundary mismatch at the matching circles, sampled once per end
     at the nodes of `rule` (default: the product rule at its default node
-    count), which carry explicit unit vectors, so no chart poles arise.
+    count), which carry explicit unit vectors, so no chart poles arise.  The
+    nodes are streamed in blocks of green._CHUNK_POINTS.
 
     Reports the sup position gap and the sup conormal angle gap over the
     nodes, and the Theta-collinear L^2 projection of the height gap,
@@ -198,17 +198,23 @@ def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None):
     n = surface.config.n
     if rule is None:
         rule = product_gauss_rule(n)
+    block = green._CHUNK_POINTS
     out = []
     for j, params in enumerate(surface.neck_params):
-        neck, w_neck, outer, w_out = _boundary_samples(surface, j, rule.nodes)
-        cosang = np.sum(w_out * w_neck, axis=-1) / (
-            np.linalg.norm(w_out, axis=-1) * np.linalg.norm(w_neck, axis=-1)
-        )
-        rtheta = rule.nodes @ params.rotation.T
-        proj = rule.weights @ np.sum((outer[:, n:] - neck[:, n:]) * rtheta, axis=1)
+        position = angle = proj = 0.0
+        for start in range(0, len(rule.nodes), block):
+            nodes = rule.nodes[start:start + block]
+            neck, w_neck, outer, w_out = _boundary_samples(surface, j, nodes)
+            cosang = np.sum(w_out * w_neck, axis=-1) / (
+                np.linalg.norm(w_out, axis=-1) * np.linalg.norm(w_neck, axis=-1)
+            )
+            position = np.maximum(position, np.max(np.linalg.norm(neck - outer, axis=-1)))
+            angle = np.maximum(angle, np.max(np.arccos(np.clip(cosang, -1.0, 1.0))))
+            proj += rule.weights[start:start + block] @ np.sum(
+                (outer[:, n:] - neck[:, n:]) * (nodes @ params.rotation.T), axis=1)
         out.append({
-            "position_gap_sup": float(np.max(np.linalg.norm(neck - outer, axis=-1))),
-            "conormal_angle_sup": float(np.max(np.arccos(np.clip(cosang, -1.0, 1.0)))),
+            "position_gap_sup": float(position),
+            "conormal_angle_sup": float(angle),
             "collinear_gap_abs": abs(float(proj)) / omega_n(n),
         })
     return out

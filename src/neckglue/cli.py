@@ -164,7 +164,7 @@ def parse_config(path: str):
 # Commands
 # ----------------------------------------------------------------------
 
-def _interaction_sections(report, config, system):
+def _interaction_sections(report, system):
     import numpy as np
 
     report.section("interaction", {
@@ -198,14 +198,12 @@ def cmd_validate(args) -> int:
     config, options = parse_config(args.config)
     report = RunReport("validate", config_digest(config, options))
     system = build_interaction_system(config)
-    _interaction_sections(report, config, system)
+    _interaction_sections(report, system)
     report.time_mark("total")
     return _finish(report, args)
 
 
 def cmd_interaction(args) -> int:
-    import numpy as np
-
     from .config import build_interaction_system, gamma_entry_quadrature, \
         lambda_entry_quadrature
     from .quadrature import product_gauss_rule
@@ -215,7 +213,7 @@ def cmd_interaction(args) -> int:
     config, options = parse_config(args.config)
     report = RunReport("interaction", config_digest(config, options))
     system = build_interaction_system(config)
-    _interaction_sections(report, config, system)
+    _interaction_sections(report, system)
 
     rule = product_gauss_rule(config.n, options["quadrature_nodes"])
     cross = {"entries": []}
@@ -337,7 +335,7 @@ def cmd_glue(args) -> int:
     config, options = parse_config(args.config)
     report = RunReport("glue", config_digest(config, options))
     system = build_interaction_system(config)
-    _interaction_sections(report, config, system)
+    _interaction_sections(report, system)
     if not (system.h1_holds and system.h2 and system.h3):
         report.time_mark("total")
         return _finish(report, args)

@@ -25,12 +25,12 @@ Hypotheses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import check_orthogonal
-from .quadrature import QuadratureRule, integrate, omega_n, second_moment
+from .quadrature import QuadratureRule, integrate, omega_n
 
 __all__ = [
     "Configuration",

@@ -15,7 +15,9 @@ The lower-end radius of the neck scaled by (n beta eps)^{1/n} is
 
     r(s) = (n beta eps)^{1/n} cos(s) (sin ns)^{-1/n},
 
-decreasing from +infinity to its waist minimum on the lower branch.
+decreasing on the lower branch (0, pi/(2(n-1))] from +infinity to its waist
+minimum at s = pi/(2(n-1)) for n >= 3.  At n = 2 there is no waist: r falls
+to 0 as s -> pi/2.
 
 Evaluation.  NeckParams.evaluate is the one place the scaled, twisted neck
 
@@ -138,74 +140,43 @@ def t_to_s(t, n: int):
     return 2.0 / n * np.arctan(np.exp(n * t))
 
 
-def radius_profile(s, n: int):
-    """Unscaled lower-end radius cos(s) (sin ns)^{-1/n}."""
-    s = np.asarray(s, dtype=float)
-    return np.cos(s) * np.sin(n * s) ** (-1.0 / n)
-
-
 def radius_of_s(params: NeckParams, s):
     """Scaled lower-end radius r(s) = (n beta eps)^{1/n} cos s (sin ns)^{-1/n}."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0) or np.any(s >= math.pi / params.n):
         raise ValueError("s must lie in (0, pi/n)")
-    return params.scale * radius_profile(s, params.n)
-
-
-def _argmin_radius(n: int) -> float:
-    """Golden-section search for the waist location of cos(s)(sin ns)^{-1/n}."""
-    lo, hi = 1e-12, math.pi / n - 1e-12
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = radius_profile(c, n), radius_profile(d, n)
-    while b - a > 1e-14:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = radius_profile(c, n)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = radius_profile(d, n)
-    return 0.5 * (a + b)
+    return params.scale * np.cos(s) * np.sin(params.n * s) ** (-1.0 / params.n)
 
 
 def waist_radius(params: NeckParams) -> float:
-    """Minimum of r(s): the smallest reachable boundary radius."""
-    return float(radius_of_s(params, _argmin_radius(params.n)))
+    """Infimum of r(s), the smallest reachable boundary radius: r at the waist
+    s = pi/(2(n-1)) for n >= 3; 0 at n = 2, where r falls to 0 as s -> pi/2."""
+    if params.n == 2:
+        return 0.0
+    return float(radius_of_s(params, math.pi / (2 * (params.n - 1))))
 
 
 def s_of_radius(params: NeckParams, r_target: float) -> float:
-    """Invert r(s) on the lower branch (0, s_min] by bisection.
+    """Invert r(s) on the lower branch (0, pi/(2(n-1))] by bisection to the
+    last bit: r is strictly decreasing there and unbounded as s -> 0.
 
-    Raises when r_target is below the waist minimum: the neck is too large
+    Raises when r_target is below the waist radius: the neck is too large
     for the requested boundary radius.
     """
-    n = params.n
-    s_min = _argmin_radius(n)
-    r_min = float(radius_of_s(params, s_min))
+    r_min = waist_radius(params)
     if r_target < r_min * (1.0 - 1e-12):
         raise ValueError(
             f"neck too large for requested radius: r={r_target:.6g} < waist {r_min:.6g}"
         )
-    if r_target <= r_min:
-        return float(s_min)
-    lo = s_min
-    while float(radius_of_s(params, lo)) < r_target:
-        lo *= 0.5
-    hi = s_min
-    # r is strictly decreasing on (0, s_min]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    lo, hi = 0.0, math.pi / (2 * (params.n - 1))
+    mid = 0.5 * hi
+    while lo < mid < hi:
         if float(radius_of_s(params, mid)) > r_target:
             lo = mid
         else:
             hi = mid
-        if abs(float(radius_of_s(params, mid)) - r_target) < 1e-13 * r_target:
-            break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 # ----------------------------------------------------------------------

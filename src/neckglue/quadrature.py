@@ -37,8 +37,8 @@ __all__ = [
 
 DEFAULT_NODES_PER_ANGLE = 32
 # 2^20 nodes: at n = 5 and 32 nodes per angle one boundary-gap pass (both
-# sups and the collinear gap) takes 5-6.5 s on 2 cores and peaks at 1.5 GB;
-# the count grows like N^{n-1}
+# sups and the collinear gap, streamed in blocks) takes ~3.3 s on 2 cores and
+# peaks at ~240 MB, most of it the rule itself; the count grows like N^{n-1}
 MAX_RULE_NODES = 2**20
 
 

@@ -23,7 +23,7 @@ from neckglue.config import Configuration, build_interaction_system
 from neckglue.green import GreenData, regular_part
 from neckglue.geometry import ImmersionPatch, sphere_chart
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_to_t
-from neckglue.quadrature import product_gauss_rule
+from neckglue.quadrature import omega_n, product_gauss_rule
 
 from conftest import flagship_at, quarter_turn_n5, random_orthogonal
 
@@ -201,6 +201,26 @@ class TestBoundaryGap:
         slopes = np.log10(np.array(colls[0]) / np.array(colls[1]))
         assert np.all(np.abs(slopes - 3.0) < 0.1)
 
+    def test_blocks_of_nodes_match_one_block(self, monkeypatch):
+        # the flagship's 32^2 rule fits in one block of green._CHUNK_POINTS;
+        # 7-node blocks leave the sups identical and only re-associate the
+        # collinear sum, whose terms cancel ~1e4-fold at eps = 1e-4: its
+        # rounding is measured against the sum of their magnitudes
+        from neckglue import green
+
+        _, _, surf = build_flagship_surface(1e-4)
+        rule = product_gauss_rule(3, 32)
+        whole = boundary_gap(surf, rule)
+        monkeypatch.setattr(green, "_CHUNK_POINTS", 7)
+        for j, (one, blocks) in enumerate(zip(whole, boundary_gap(surf, rule))):
+            assert blocks["position_gap_sup"] == one["position_gap_sup"]
+            assert blocks["conormal_angle_sup"] == one["conormal_angle_sup"]
+            neck, _, outer, _ = _boundary_samples(surf, j, rule.nodes)
+            terms = np.sum((outer[:, 3:] - neck[:, 3:]) * (rule.nodes @ surf.config.rotations[j].T),
+                           axis=1)
+            scale = rule.weights @ np.abs(terms) / omega_n(3)
+            assert abs(blocks["collinear_gap_abs"] - one["collinear_gap_abs"]) <= 1e-14 * scale
+
     def test_flagship_regression_values(self):
         # end-to-end run at eps = 1e-4, COARSE grid; frozen measured values
         _, _, surf = build_flagship_surface(1e-4)
@@ -243,8 +263,6 @@ class TestBoundaryGap:
         surf_off = assemble(cfg, system.alpha + delta, COARSE)
         g_bal = np.array([g["position_gap_sup"] for g in boundary_gap(surf_bal)])
         g_off = np.array([g["position_gap_sup"] for g in boundary_gap(surf_off)])
-        from neckglue.quadrature import omega_n
-
         predicted = cfg.epsilon / omega_n(3) * np.abs(system.gamma @ delta) * cfg.rho_star
         # the extra gap contribution matches the linear term within 10%
         extra = g_off - g_bal

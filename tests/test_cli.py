@@ -253,6 +253,11 @@ class TestCommands:
         assert out.exists()
         assert out.read_text().startswith("ply")
 
+    def test_neck_command_n2_has_no_waist(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(["--report", str(report), "neck", "--n", "2", "--grid", "0.4"]) == 0
+        assert json.loads(report.read_text())["sections"]["minimality"]["waist_radius"] == 0.0
+
     def test_report_determinism(self, tmp_path):
         # identical config => byte-identical reports minus timings
         cfg = write_config(tmp_path, FLAGSHIP)
@@ -544,20 +549,22 @@ class TestPeakMemory:
     RUSAGE_CHILDREN."""
 
     def test_boundary_gap_n5_peak_memory(self):
-        # every sphere sample of boundary_gap follows the rule: on the
-        # 12^4-node rule at n = 5 the workload peaks near 80 MB
-        work = ("import sys\n"
-                f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
-                "from conftest import quarter_turn_n5\n"
-                "from neckglue.assembler import GridSpec, assemble, boundary_gap\n"
-                "from neckglue.config import build_interaction_system\n"
-                "from neckglue.quadrature import product_gauss_rule\n"
-                "cfg = quarter_turn_n5(1e-6)\n"
-                "grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), "
-                "outer_spacing=3.0)\n"
-                "surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)\n"
-                "boundary_gap(surf, product_gauss_rule(5, 12))\n")
-        code = ("import resource, subprocess, sys\n"
-                f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
-                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-        assert int(_fresh_python(code)) < 300 * 1024   # KiB on Linux
+        # every sphere sample of boundary_gap follows the rule, streamed in
+        # blocks: at n = 5 the workload peaks near 80 MB on the 12^4-node
+        # rule and near 110 MB on the 24^4-node one
+        for nodes in (12, 24):
+            work = ("import sys\n"
+                    f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
+                    "from conftest import quarter_turn_n5\n"
+                    "from neckglue.assembler import GridSpec, assemble, boundary_gap\n"
+                    "from neckglue.config import build_interaction_system\n"
+                    "from neckglue.quadrature import product_gauss_rule\n"
+                    "cfg = quarter_turn_n5(1e-6)\n"
+                    "grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), "
+                    "outer_spacing=3.0)\n"
+                    "surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)\n"
+                    f"boundary_gap(surf, product_gauss_rule(5, {nodes}))\n")
+            code = ("import resource, subprocess, sys\n"
+                    f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
+                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+            assert int(_fresh_python(code)) < 300 * 1024, nodes   # KiB on Linux

@@ -89,10 +89,14 @@ class TestRadius:
         assert_allclose(r, (3 * s) ** (-1 / 3), rtol=1e-5)
 
     def test_round_trip_on_lower_branch(self):
-        params = NeckParams(n=3, beta=2.0, epsilon=1e-3)
-        for s in np.linspace(0.01, math.pi / 4 - 0.01, 30):
-            r = float(radius_of_s(params, s))
-            assert abs(s_of_radius(params, r) - s) < 1e-10
+        # bisection to the last bit: s_* is good to rounding, not to a cutoff;
+        # at n = 2 there is no waist and the branch runs to r -> 0 at s -> pi/2
+        for n in (2, 3, 4, 5):
+            params = NeckParams(n=n, beta=2.0, epsilon=1e-3)
+            top = math.pi / (2 * (n - 1))
+            for s in top - np.geomspace(top - 0.01, 1e-6 if n == 2 else 0.01, 30):
+                r = float(radius_of_s(params, s))
+                assert abs(s_of_radius(params, r) - s) <= 1e-13 * s, (n, s)
 
     def test_unreachable_radius(self):
         params = NeckParams(n=3, beta=12.0, epsilon=1e-3)
@@ -100,11 +104,14 @@ class TestRadius:
             s_of_radius(params, 0.9 * waist_radius(params))
 
     def test_waist_location_closed_form(self):
-        # dr/ds = 0 at cos((n-1)s) = 0, i.e. s = pi/(2(n-1)) for n >= 3
-        for n in (3, 4):
+        # dr/ds = 0 at cos((n-1)s) = 0, i.e. s = pi/(2(n-1)) for n >= 3; none at n = 2
+        assert waist_radius(unit_scale_params(2)) == 0.0
+        for n in (3, 4, 5):
             params = unit_scale_params(n)
+            s_waist = math.pi / (2 * (n - 1))
+            assert waist_radius(params) == float(radius_of_s(params, s_waist))
             s_min = s_of_radius(params, waist_radius(params))
-            assert abs(s_min - math.pi / (2 * (n - 1))) < 1e-6
+            assert abs(s_min - s_waist) < 1e-6
 
 
 class TestNeckPoint:
