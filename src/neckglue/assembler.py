@@ -220,14 +220,14 @@ def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None):
     return out
 
 
-def matching_step(surface: GluedSurface, gamma, degree: int) -> dict:
+def matching_step(surface: GluedSurface, gamma, degree: int, rule: QuadratureRule) -> dict:
     """Measure each end's leading-order boundary discrepancies and run one
     linear matching solve on them (n >= 3).
 
     Per end j the height gap y_outer - y_neck and the rho_*-scaled conormal
     gap rho_* d/drho (y_outer - y_neck) are rotated into the end's frame
     (gap @ R_j: the neck is collinear with R_j Theta there, with Theta
-    here) and expanded in spherical harmonics on S^{n-1} up to `degree`.
+    here) and expanded up to `degree` on `rule`, exact to twice that degree.
     max_relative_delta = max_j max(|delta alpha_j|, |delta beta_j|) / alpha_j
     measures how far the measured surface sits from the solved scales.
     """
@@ -235,15 +235,22 @@ def matching_step(surface: GluedSurface, gamma, degree: int) -> dict:
     n = cfg.n
     grid = SphereGrid(n, degree)
     rho = cfg.rho_star
-    discrepancies = []
-    for j, params in enumerate(surface.neck_params):
-        neck, neck_dr, outer, outer_dr = _boundary_samples(surface, j, grid.nodes)
-        value_gap = (outer[:, n:] - neck[:, n:]) @ params.rotation
-        conormal_gap = rho * (outer_dr[:, n:] - neck_dr[:, n:]) @ params.rotation
-        discrepancies.append((sh_analyze(value_gap, grid), sh_analyze(conormal_gap, grid)))
+
+    def gaps(nodes):   # (B, 2k, n): per end the value gap, then the conormal gap
+        out = []
+        for j, params in enumerate(surface.neck_params):
+            neck, neck_dr, outer, outer_dr = _boundary_samples(surface, j, nodes)
+            out += [(outer[:, n:] - neck[:, n:]) @ params.rotation,
+                    rho * (outer_dr[:, n:] - neck_dr[:, n:]) @ params.rotation]
+        return np.stack(out, axis=1)
+
+    expansions = sh_analyze(gaps, grid, rule)
+    discrepancies = list(zip(expansions[0::2], expansions[1::2]))
     corr = match_boundaries(cfg, surface.alpha, discrepancies, gamma=gamma)
     relative = np.maximum(np.abs(corr.delta_alpha), np.abs(corr.delta_beta)) / surface.alpha
     return {
+        "sh_degree": int(degree),
+        "rule_nodes": len(rule.nodes),
         "delta_alpha": corr.delta_alpha,
         "delta_beta": corr.delta_beta,
         "max_relative_delta": float(np.max(relative)),

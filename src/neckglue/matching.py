@@ -13,13 +13,14 @@ strictly negative for every degree when n >= 3, which witnesses the
 invertibility of the matching operator.  At n = 2 the difference vanishes
 on the constants, the matching operator is singular and no solve is made.
 
-The basis follows P_k = H_k + |x|^2 P_{k-2} (Axler, Bourdon and Ramey,
-Harmonic Function Theory, ch. 5): on the sphere the degree-k monomials span
-H_k plus the lower harmonics of the same parity, so orthogonalizing them
-against the blocks already built leaves H_k, of dimension
-C(k+n-1, n-1) - C(k+n-3, n-1).  Everything is orthonormal on the product
-Gauss rule with 2L+2 nodes per angle, which integrates the degree-2L
-products exactly.
+The basis is the classical separated one (Dai and Xu, Approximation Theory
+and Harmonic Analysis on Spheres and Balls, 2013, sec. 1.5): a chain L >= k_1
+>= ... >= k_{n-2} >= m >= 0 (cos and sin for m > 0) labels the degree-k_1
+solid harmonic Re/Im (x_1 + i x_2)^m prod_j r_j^{d_j} p_{d_j}(x_{n+1-j}/r_j),
+r_j = |(x_1, ..., x_{n+1-j})|, d_j = k_j - k_{j+1} (k_{n-1} = m), with p the
+orthonormal Gegenbauer polynomials of parameter k_{j+1} + (n-1-j)/2 and the
+circle factor over sqrt(pi), or sqrt(2 pi) at m = 0.  The recurrence runs
+homogeneously in (x, r_j^2), so every factor is a polynomial.
 
 The leading-order matching couples, per end j0, the value gap and the
 rho_* - scaled conormal gap of the outer piece against the neck piece.
@@ -39,14 +40,14 @@ rho_*) is a single dense solve.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import green
 from .config import Configuration
-from .quadrature import omega_n, product_gauss_rule
+from .quadrature import QuadratureRule, gegenbauer_recurrence, omega_n
 
 __all__ = [
     "MatchCorrection",
@@ -64,11 +65,10 @@ __all__ = [
 
 
 class SphereGrid:
-    """The product Gauss rule on S^{n-1} resolving degree L, with an
-    orthonormal basis of H_0 + ... + H_L on its nodes.
+    """An orthonormal basis of H_0 + ... + H_L on S^{n-1}, in closed form.
 
-    basis (N, dim) holds the basis at the nodes, degrees (dim,) the degree
-    of each slot; basis_at evaluates it at any unit vectors.
+    degrees (dim,) holds the degree of each slot, ascending; basis_at
+    evaluates the basis at any unit vectors.
     """
 
     def __init__(self, n: int, L: int):
@@ -76,52 +76,51 @@ class SphereGrid:
             raise ValueError(f"the DtN difference -(2k+n-2) vanishes on constants at n = {n}, "
                              "so the matching operator is singular; it needs n >= 3")
         self.n, self.L = int(n), int(L)
-        rule = product_gauss_rule(self.n, 2 * self.L + 2)
-        self.nodes, self.weights = rule.nodes, rule.weights
-        self._exponents = np.array([e for e in itertools.product(range(self.L + 1), repeat=n)
-                                    if sum(e) <= self.L])
-        order = self._exponents.sum(axis=1)
-        root_w = np.sqrt(self.weights)[:, None]
-        monomials = root_w * self._monomials(self.nodes)
-        # basis = monomials @ coef; q = root_w * basis is orthonormal
-        q = np.empty((len(self.nodes), 0))
-        coef = np.empty((len(order), 0))
-        degrees = []
-        for k in range(self.L + 1):
-            block = order == k
-            m, c = monomials[:, block], np.eye(len(order))[:, block]
-            for _ in range(2):  # twice is enough (Kahan-Parlett)
-                proj = q.T @ m
-                m, c = m - q @ proj, c - coef @ proj
-            u, s, vt = np.linalg.svd(m, full_matrices=False)
-            dim = math.comb(k + n - 1, n - 1) - math.comb(k + n - 3, n - 1)
-            q = np.hstack([q, u[:, :dim]])
-            coef = np.hstack([coef, c @ (vt[:dim].T / s[:dim])])
-            degrees += [k] * dim
-        self.basis = q / root_w
-        self._coef = coef
-        self.degrees = np.array(degrees)
-
-    def _monomials(self, points) -> np.ndarray:
-        powers = points[..., None] ** np.arange(self.L + 1)   # (..., n, L+1)
-        out = powers[..., 0, self._exponents[:, 0]]
-        for axis in range(1, self.n):
-            out *= powers[..., axis, self._exponents[:, axis]]
-        return out
+        # dims[q - 2][k] = dim H_k on S^{q-1}: cos and sin on the circle,
+        # then a Gegenbauer factor times each degree k' <= k in q - 1 variables
+        dims = [np.array([1] + [2] * self.L)]
+        for _ in range(3, self.n + 1):
+            dims.append(np.cumsum(dims[-1]))
+        self._starts = [np.concatenate([[0], np.cumsum(d)]) for d in dims]
+        self.degrees = np.repeat(np.arange(self.L + 1), dims[-1])
 
     def basis_at(self, points) -> np.ndarray:
-        """The basis at unit vectors points (..., n), shape (..., dim).
-
-        It goes through monomial coefficients that grow with L, so it agrees
-        with `basis` to ~1e-12 up to L = 12 and loses digits beyond (3e-9
-        at n = 3, L = 20); analysis and the DtN maps never use it.
-        """
-        return self._monomials(np.asarray(points, dtype=float)) @ self._coef
+        """The basis at unit vectors points (..., n), shape (..., dim); its
+        transpose is C-contiguous for (N, n) points."""
+        points = np.asarray(points, dtype=float)
+        x = points.reshape(-1, self.n)
+        L = self.L
+        table = np.empty((2 * L + 1, len(x)))    # one row per slot
+        table[0] = 1.0 / math.sqrt(2.0 * math.pi)
+        power = np.full(len(x), 1.0 / math.sqrt(math.pi), dtype=complex)
+        for m in range(1, L + 1):
+            power = power * (x[:, 0] + 1j * x[:, 1])
+            table[2 * m - 1], table[2 * m] = power.real, power.imag
+        r2 = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
+        for q in range(3, self.n + 1):
+            t = x[:, q - 1]
+            r2 = r2 + t * t
+            below, here = self._starts[q - 3], self._starts[q - 2]
+            level = np.empty((here[-1], len(x)))
+            for kp in range(L + 1):   # Gegenbauer factor over each degree-k' harmonic below
+                b, mass = gegenbauer_recurrence(kp + 0.5 * (q - 2), L - kp + 1)
+                lower = table[below[kp]:below[kp + 1]]
+                prev, p = 0.0, np.full(len(x), 1.0 / math.sqrt(mass))
+                for d in range(L - kp + 1):
+                    row = here[kp + d] + below[kp]
+                    np.multiply(p, lower, out=level[row:row + len(lower)])
+                    # x p_d = b_{d+1} p_{d+1} + b_d p_{d-1}, times r^{d+1}
+                    prev, p = p, (t * p - (b[d - 1] * r2 * prev if d else 0.0)) / b[d]
+            table = level
+        return table.T.reshape(points.shape[:-1] + (len(table),))
 
     @functools.cached_property
     def theta(self) -> "SHExpansion":
-        """The identity map Theta, exactly degree 1."""
-        return sh_analyze(self.nodes, self)
+        """The identity map Theta, exactly degree 1: its coefficient on a
+        degree-1 slot Y is int Theta Y dtheta = (omega_n / n) grad Y."""
+        coeffs = omega_n(self.n) / self.n * self.basis_at(np.eye(self.n))
+        coeffs[:, self.degrees != 1] = 0.0
+        return SHExpansion(self, coeffs)
 
 
 @dataclass
@@ -161,15 +160,29 @@ class SHExpansion:
     __rmul__ = __mul__
 
 
-def sh_analyze(values, grid: SphereGrid) -> SHExpansion:
-    """Project R^n samples at the grid nodes (or a callable on unit vectors)
-    onto the basis by quadrature; exact for band-limited inputs."""
-    if callable(values):
-        values = values(grid.nodes)
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.nodes.shape:
-        raise ValueError("samples must live on the analysis grid (under-resolved input?)")
-    return SHExpansion(grid, (grid.weights[:, None] * values).T @ grid.basis)
+def sh_analyze(values, grid: SphereGrid, rule: QuadratureRule):
+    """Project samples at the rule's nodes, (N, n) for one R^n-valued map or
+    (N, m, n) for m maps, onto grid's basis; values may also be a callable
+    taking a block of nodes (B, n) to such samples.  The nodes are streamed
+    in blocks (of at most green._CHUNK_POINTS), with one basis evaluation per
+    block.  Returns an SHExpansion, or a list of m of them."""
+    nodes, weights, dim = rule.nodes, rule.weights, grid.degrees.size
+    if not callable(values):
+        samples = np.asarray(values, dtype=float)
+        if samples.shape[:1] + samples.shape[-1:] != (len(nodes), grid.n):
+            raise ValueError("samples must live on the nodes of the analysis rule "
+                             "(under-resolved input?)")
+    # at most 1024 basis rows of _CHUNK_POINTS values (64 MB) per block
+    block = max(1, min(green._CHUNK_POINTS, green._CHUNK_POINTS * 1024 // dim))
+    coeffs = 0.0
+    for start in range(0, len(nodes), block):
+        rows = slice(start, start + block)
+        part = np.asarray(values(nodes[rows]) if callable(values) else samples[rows], dtype=float)
+        coeffs = coeffs + grid.basis_at(nodes[rows]).T @ (
+            weights[rows, None] * part.reshape(len(part), -1))
+    coeffs = np.moveaxis(coeffs.reshape((dim,) + part.shape[1:]), 0, -1)
+    return SHExpansion(grid, coeffs) if coeffs.ndim == 2 else \
+        [SHExpansion(grid, c) for c in coeffs]
 
 
 def sh_synthesize(expansion: SHExpansion, points) -> np.ndarray:
@@ -184,14 +197,12 @@ def p_int(expansion: SHExpansion) -> SHExpansion:
 
 def p_ext(expansion: SHExpansion) -> SHExpansion:
     """Radial derivative at r = 1 of the decaying exterior harmonic extension."""
-    grid = expansion.grid
-    return expansion.scaled(-(grid.degrees + grid.n - 2.0))
+    return expansion.scaled(-(expansion.grid.degrees + expansion.grid.n - 2.0))
 
 
 def dtn_solve(rhs: SHExpansion) -> SHExpansion:
     """Solve (P_ext - P_int) Phi = rhs; divide degree-k slots by -(2k+n-2)."""
-    grid = rhs.grid
-    return rhs.scaled(-1.0 / (2.0 * grid.degrees + grid.n - 2.0))
+    return rhs.scaled(-1.0 / (2.0 * rhs.grid.degrees + rhs.grid.n - 2.0))
 
 
 def harmonic_extension(expansion: SHExpansion, side: str, points) -> np.ndarray:
@@ -268,17 +279,12 @@ def match_boundaries(config: Configuration, alpha_star: np.ndarray,
         raise ValueError("one discrepancy pair per end required")
     if gamma is None:
         gamma = gamma_matrix(config)
-    eps = config.epsilon
-    rho = config.rho_star
-    n = config.n
+    eps, rho, n = config.epsilon, config.rho_star, config.n
     om = omega_n(n)
 
-    phi = []
-    phi_tilde = []
-    u = np.empty(k)
-    w = np.empty(k)
-    c1o = []
-    c2o = []
+    phi, phi_tilde = [], []
+    u, w = np.empty(k), np.empty(k)
+    resid = 0.0   # post-solve residual of all four equation blocks
     for j, (value_gap, conormal_gap) in enumerate(discrepancies):
         c1, g1o = split_theta(value_gap)
         c2, g2o = split_theta(conormal_gap)
@@ -286,26 +292,18 @@ def match_boundaries(config: Configuration, alpha_star: np.ndarray,
         u[j] = (c1 - c2) / n
         w[j] = c1 - u[j]
         # orthogonal elimination
-        rhs = g2o - p_int(g1o)
-        pj = dtn_solve(rhs)
+        pj = dtn_solve(g2o - p_int(g1o))
         phi.append(pj)
         phi_tilde.append(pj - g1o)
-        c1o.append(g1o)
-        c2o.append(g2o)
+        resid = max(resid, (pj - phi_tilde[j] - g1o).norm(),
+                    (p_ext(pj) - p_int(phi_tilde[j]) - g2o).norm())
 
     delta_alpha = np.linalg.solve(gamma, om * w / (eps * rho))
     delta_beta = delta_alpha + u * rho ** (n - 1) / eps
-
-    # post-solve residual of all four equation blocks
-    resid = 0.0
     w_back = (eps / om) * (gamma @ delta_alpha) * rho
     u_back = eps * (delta_beta - delta_alpha) * rho ** (1 - n)
-    for j in range(k):
-        r1 = (phi[j] - phi_tilde[j] - c1o[j]).norm()
-        r2 = (p_ext(phi[j]) - p_int(phi_tilde[j]) - c2o[j]).norm()
-        r3 = abs(u_back[j] + w_back[j] - (u[j] + w[j]))
-        r4 = abs((1 - n) * u_back[j] + w_back[j] - ((1 - n) * u[j] + w[j]))
-        resid = max(resid, r1, r2, r3, r4)
+    resid = max(resid, np.max(np.abs(u_back + w_back - (u + w))),
+                np.max(np.abs((1 - n) * u_back + w_back - ((1 - n) * u + w))))
 
     return MatchCorrection(
         phi=phi, phi_tilde=phi_tilde, delta_alpha=delta_alpha,

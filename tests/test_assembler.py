@@ -277,9 +277,10 @@ def rotated_flagship(eps, q):
                          q @ cfg.A0 @ q.T, eps, cfg.rho_star)
 
 
-def measured_matching(cfg, degree=8, grid=COARSE):
+def measured_matching(cfg, degree=8, grid=COARSE, nodes=32):
     system = build_interaction_system(cfg)
-    return matching_step(assemble(cfg, system.alpha, grid), system.gamma, degree)
+    return matching_step(assemble(cfg, system.alpha, grid), system.gamma, degree,
+                         product_gauss_rule(cfg.n, nodes))
 
 
 # the matching step samples the ends in closed form, so the patch grids
@@ -314,6 +315,17 @@ class TestMatchingStep:
         assert step["max_relative_delta"] < 0.1
         assert step["residual_norm"] < 1e-10
 
+    def test_flagship_analysis_converged_on_the_glue_rule(self):
+        # on the 32-node rule the gaps' degree > 8 content no longer aliases
+        # into the analysis: the orthogonal correction Phi is zero (it read
+        # 9e-11 on an 18-node rule) and a 48-node rule moves delta_alpha by
+        # less than 1e-10 relative
+        step = measured_matching(flagship_at(1e-4))
+        finer = measured_matching(flagship_at(1e-4), nodes=48)
+        assert_allclose(step["delta_alpha"], finer["delta_alpha"], rtol=1e-10)
+        assert max(step["phi_l2"]) < 1e-15
+        assert (step["sh_degree"], step["rule_nodes"]) == (8, 32 ** 2)
+
     def test_delta_alpha_quadratic_in_epsilon(self):
         eps_values = [1e-4, 1e-5, 1e-6]
         sizes = [np.max(np.abs(measured_matching(flagship_at(eps))["delta_alpha"]))
@@ -338,7 +350,7 @@ class TestMatchingStep:
         surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=8, neck_angle_nodes=(8,),
                                                     outer_spacing=0.3))
         with pytest.raises(ValueError, match="vanishes on constants at n = 2"):
-            matching_step(surf, system.gamma, 8)
+            matching_step(surf, system.gamma, 8, product_gauss_rule(2))
 
     def test_n4_delta_alpha_quadratic_in_epsilon(self, n4_steps):
         sizes = [np.max(np.abs(n4_steps[eps]["delta_alpha"])) for eps in N4_EPS]

@@ -167,6 +167,14 @@ class TestCommands:
         assert main(["glue", write_config(tmp_path, doc)]) == 2
         assert "outer_spacing must be a positive finite number" in capsys.readouterr().err
 
+    def test_glue_needs_a_rule_resolving_sh_degree(self, tmp_path, capsys):
+        # the matching gaps are analyzed on the sphere rule, whose azimuth
+        # integrates degree-2 sh_degree products on 2 sh_degree + 1 nodes
+        doc = dict(FLAGSHIP, options={"sh_degree": 16, "quadrature_nodes": 32})
+        assert main(["glue", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "sh_degree 16 needs quadrature_nodes >= 2 sh_degree + 1 = 33, got 32" in err
+
     def test_outer_spacing_must_stay_inside_the_box(self, tmp_path, capsys):
         # at 100 the flagship outer patch is one node and its FD sup reads 0
         from neckglue.green import default_outer_box
@@ -192,7 +200,6 @@ class TestCommands:
         ("mc_samples", -5, "mc_samples must be >= 1"),
         ("mc_samples", 0, "mc_samples must be >= 1"),
         ("sh_degree", 0, "sh_degree must be >= 1"),
-        ("sh_degree", 13, "sh_degree must be <= 12"),
     ])
     def test_option_out_of_range_exit_two(self, tmp_path, capsys, key, value, message):
         doc = dict(FLAGSHIP, options={key: value})
@@ -209,6 +216,11 @@ class TestCommands:
         assert parse_config(write_config(tmp_path, doc))[1]["sh_degree"] == 12
         doc = dict(FLAGSHIP, options={"neck_angle_nodes": None})
         assert parse_config(write_config(tmp_path, doc))[1]["neck_angle_nodes"] is None
+
+    def test_validate_accepts_sh_degree_above_12(self, tmp_path):
+        # the closed-form basis needs no cap on the degree: validate accepts 13
+        doc = dict(FLAGSHIP, options={"sh_degree": 13})
+        assert main(["validate", write_config(tmp_path, doc)]) == 0
 
     def test_options_resolved_with_defaults(self, tmp_path):
         doc = dict(FLAGSHIP, options={"quadrature_nodes": 16.0})
@@ -333,6 +345,9 @@ class TestGlueCommand:
         doc = json.loads(report_path.read_text())
         assert "boundary_gap" in doc["sections"]
         assert "matching_step" in doc["sections"]
+        # the report names the degree and the rule the matching gaps were analyzed on
+        step = doc["sections"]["matching_step"]
+        assert (step["sh_degree"], step["rule_nodes"]) == (6, 32 ** 2)
         assert not any("skipped" in c for c in doc["checks"])
         gate = [c for c in doc["checks"] if c["name"] == "matching max |delta|/alpha"]
         assert len(gate) == 1 and gate[0]["pass"] and gate[0]["value"] < 0.1
@@ -409,7 +424,8 @@ class TestGlueCommand:
         # the balance residual and the boundary gaps are sampled on the
         # configured rule, so its node count moves them
         sections = []
-        for nodes in (8, 32):
+        # 17 nodes is the smallest rule that serves the default sh_degree 8
+        for nodes in (17, 32):
             doc = dict(FLAGSHIP, options={"quadrature_nodes": nodes, "neck_s_nodes": 17,
                                           "neck_angle_nodes": [9, 16], "outer_spacing": 0.6})
             report_path = tmp_path / f"glue{nodes}.json"
@@ -568,3 +584,25 @@ class TestPeakMemory:
                     f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
                     "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
             assert int(_fresh_python(code)) < 300 * 1024, nodes   # KiB on Linux
+
+    def test_matching_step_n5_peak_memory(self):
+        # the closed-form basis is evaluated once per block of rule nodes:
+        # at n = 5 and sh_degree 8 the workload peaks near 135 MB on the
+        # 17^4-node rule (a basis held on all nodes of its own 18^4-node
+        # rule took 3.4 GB)
+        work = ("import sys\n"
+                f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
+                "from conftest import quarter_turn_n5\n"
+                "from neckglue.assembler import GridSpec, assemble, matching_step\n"
+                "from neckglue.config import build_interaction_system\n"
+                "from neckglue.quadrature import product_gauss_rule\n"
+                "cfg = quarter_turn_n5(1e-6)\n"
+                "system = build_interaction_system(cfg)\n"
+                "grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), "
+                "outer_spacing=3.0)\n"
+                "surf = assemble(cfg, system.alpha, grid)\n"
+                "matching_step(surf, system.gamma, 8, product_gauss_rule(5, 17))\n")
+        code = ("import resource, subprocess, sys\n"
+                f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        assert int(_fresh_python(code)) < 300 * 1024   # KiB on Linux

@@ -19,12 +19,20 @@ from neckglue.matching import (
     sh_synthesize,
     split_theta,
 )
-from neckglue.quadrature import omega_n
+from neckglue.quadrature import omega_n, product_gauss_rule
 
 
 L = 8
 GRID = SphereGrid(3, L)
 DEG = GRID.degrees
+
+
+def exact_rule(grid):
+    """The product Gauss rule integrating degree-2L products exactly."""
+    return product_gauss_rule(grid.n, 2 * grid.L + 2)
+
+
+RULE = exact_rule(GRID)
 
 
 @pytest.fixture(scope="module", params=[3, 4])
@@ -53,7 +61,9 @@ def degree_norms(expansion):
 
 class TestBasis:
     def test_orthonormal_on_the_rule(self, grid):
-        gram = (grid.weights[:, None] * grid.basis).T @ grid.basis
+        rule = exact_rule(grid)
+        basis = grid.basis_at(rule.nodes)
+        gram = (rule.weights[:, None] * basis).T @ basis
         assert np.max(np.abs(gram - np.eye(grid.degrees.size))) < 1e-13
 
     def test_slot_count(self, grid):
@@ -61,10 +71,14 @@ class TestBasis:
         k = np.arange(L + 1)
         dims = 2 * k + 1 if grid.n == 3 else (k + 1) ** 2
         assert_allclose(np.bincount(grid.degrees), dims)
-        assert grid.basis.shape == (len(grid.nodes), dims.sum())
+        rule = exact_rule(grid)
+        assert grid.basis_at(rule.nodes).shape == (len(rule.nodes), dims.sum())
 
     def test_basis_at_nodes(self, grid):
-        assert np.max(np.abs(grid.basis_at(grid.nodes) - grid.basis)) < 1e-11
+        # leading axes of the points are kept, values are per point
+        points = exact_rule(grid).nodes[:12]
+        assert np.array_equal(grid.basis_at(points.reshape(3, 4, grid.n)),
+                              grid.basis_at(points).reshape(3, 4, -1))
 
     def test_orthonormal_on_s4(self):
         # n = 5 takes the polar parameters 3/2, 1, 1/2; dim H_k on S^4 is
@@ -72,8 +86,20 @@ class TestBasis:
         grid5 = SphereGrid(5, 4)
         k = np.arange(5)
         assert_allclose(np.bincount(grid5.degrees), (k + 1) * (k + 2) * (2 * k + 3) // 6)
-        gram = (grid5.weights[:, None] * grid5.basis).T @ grid5.basis
+        rule = exact_rule(grid5)
+        basis = grid5.basis_at(rule.nodes)
+        gram = (rule.weights[:, None] * basis).T @ basis
         assert np.max(np.abs(gram - np.eye(grid5.degrees.size))) < 1e-14
+
+    @pytest.mark.parametrize("degree", [20, 30])
+    def test_orthonormal_at_high_degree(self, degree):
+        # the closed form holds its digits off any rule; through monomial
+        # coefficients the basis lost 3e-9 at L = 20 and 1e-3 at L = 30
+        grid3 = SphereGrid(3, degree)
+        rule = exact_rule(grid3)
+        basis = grid3.basis_at(rule.nodes)
+        gram = (rule.weights[:, None] * basis).T @ basis
+        assert np.max(np.abs(gram - np.eye(grid3.degrees.size))) < 1e-13
 
     @settings(max_examples=10, deadline=None)
     @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
@@ -86,32 +112,46 @@ class TestBasis:
         assume(abs(np.linalg.det(m)) > 1e-3)
         q, _ = np.linalg.qr(m)
         exp = random_expansion(np.random.default_rng(seed), grid=grid)
-        turned = sh_analyze(sh_synthesize(exp, grid.nodes @ q), grid)
+        rule = exact_rule(grid)
+        turned = sh_analyze(sh_synthesize(exp, rule.nodes @ q), grid, rule)
         assert_allclose(degree_norms(turned), degree_norms(exp), rtol=1e-10)
 
 
 class TestAnalyzeSynthesize:
     def test_constant_map(self):
-        exp = sh_analyze(lambda p: np.tile([1.0, -2.0, 0.5], (len(p), 1)), GRID)
+        exp = sh_analyze(lambda p: np.tile([1.0, -2.0, 0.5], (len(p), 1)), GRID, RULE)
         assert np.max(np.abs(exp.coeffs[:, 1:])) < 1e-13
         back = sh_synthesize(exp, polar(0.7, 1.1))
         assert_allclose(back, [1.0, -2.0, 0.5], atol=1e-13)
 
     def test_identity_map_is_degree_one(self):
-        exp = sh_analyze(lambda p: p, GRID)
+        exp = sh_analyze(lambda p: p, GRID, RULE)
         assert np.max(np.abs(exp.coeffs[:, DEG != 1])) < 1e-13
         assert np.max(np.abs(exp.coeffs[:, DEG == 1])) > 1.0
+
+    def test_theta_closed_form_matches_analysis(self, grid):
+        # (omega_n / n) basis_at(e_i) on the degree-1 slots, zero elsewhere
+        exp = sh_analyze(lambda p: p, grid, exact_rule(grid))
+        assert np.max(np.abs(grid.theta.coeffs - exp.coeffs)) < 1e-13
+        assert np.all(grid.theta.coeffs[:, grid.degrees != 1] == 0.0)
+
+    def test_stacked_maps_analyze_together(self):
+        rng = np.random.default_rng(15)
+        exps = [random_expansion(rng) for _ in range(3)]
+        vals = np.stack([sh_synthesize(e, RULE.nodes) for e in exps], axis=1)
+        for one, e in zip(sh_analyze(vals, GRID, RULE), exps):
+            assert np.max(np.abs(one.coeffs - e.coeffs)) < 1e-10
 
     def test_band_limited_round_trip(self):
         rng = np.random.default_rng(0)
         exp = random_expansion(rng)
-        vals = sh_synthesize(exp, GRID.nodes)
-        back = sh_analyze(vals, GRID)
+        vals = sh_synthesize(exp, RULE.nodes)
+        back = sh_analyze(vals, GRID, RULE)
         assert np.max(np.abs(back.coeffs - exp.coeffs)) < 1e-10
 
     def test_under_resolved_grid_rejected(self):
         with pytest.raises(ValueError, match="under-resolved|analysis grid"):
-            sh_analyze(np.zeros((4, 3)), GRID)
+            sh_analyze(np.zeros((4, 3)), GRID, RULE)
 
 
 class TestDtN:
@@ -243,8 +283,9 @@ class TestSplitTheta:
     def test_matches_integral_definition(self, grid):
         rng = np.random.default_rng(13)
         exp = random_expansion(rng, grid=grid)
-        vals = sh_synthesize(exp, grid.nodes)
-        integral = float(np.sum(grid.weights * np.sum(vals * grid.nodes, axis=-1)))
+        rule = exact_rule(grid)
+        vals = sh_synthesize(exp, rule.nodes)
+        integral = float(np.sum(rule.weights * np.sum(vals * rule.nodes, axis=-1)))
         c, orth = split_theta(exp)
         assert abs(c - integral / omega_n(grid.n)) < 1e-12
         assert abs(split_theta(orth)[0]) < 1e-13

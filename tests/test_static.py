@@ -64,3 +64,41 @@ def test_no_unused_imports():
              for path in sorted(SRC.glob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def unbound_exports(source: str):
+    """Names in __all__ that no module-level def, class, assignment or
+    import binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)}
+    return sorted(_exported(tree) - bound)
+
+
+def test_checker_sees_unbound_exports():
+    source = ("import os\n"
+              "from json import dumps as d\n"
+              "__all__ = ['f', 'C', 'K', 'a', 'b', 'd', 'os', 'gone', 'inner']\n"
+              "K: int = 1\n"
+              "a, b = 1, 2\n"
+              "def f():\n"
+              "    inner = 1\n"
+              "    return inner\n"
+              "class C:\n"
+              "    pass\n")
+    assert unbound_exports(source) == ["gone", "inner"]
+
+
+def test_every_export_is_bound():
+    found = [f"{path.name}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in unbound_exports(path.read_text())]
+    assert found == []
