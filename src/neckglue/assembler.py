@@ -16,13 +16,14 @@ rotation, so its boundary is a rho_* circle in the rotated frame.
 Everything measured on the rho_* spheres goes through one sampler: at unit
 vectors Theta it returns the neck and outer-graph points and their radial
 tangents d/drho, the neck's from the closed-form d/ds of NeckParams.evaluate.
-Boundary gaps compare the two sides at the same nodes; the matching step
-analyzes the value and rho_*-scaled conormal gaps in each end's frame (gap @
-R_j, where the neck is collinear with Theta) and runs one linear matching
-solve.  Curvature reports use the FD engine on neck patches and the
-exact-derivative route on the outer graph (whose FD truncation, proportional
-to eps h^2, would bury the eps^3 nonlinear residual at small eps; the two
-routes are cross-checked at moderate eps in the test suite).
+boundary_gap calls it once per end and block of rule nodes, in one pass that
+compares the two sides and analyzes the value and rho_*-scaled conormal gaps
+in each end's frame (gap @ R_j, where the neck is collinear with Theta); the
+matching step runs one linear matching solve on that analysis.  Curvature
+reports use the FD engine on neck patches and the exact-derivative route on
+the outer graph (whose FD truncation, proportional to eps h^2, would bury the
+eps^3 nonlinear residual at small eps; the two routes are cross-checked at
+moderate eps in the test suite).
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import green
 from .config import Configuration
 from .geometry import AmbientPoint, ImmersionPatch, mean_curvature_field
 from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, \
     green_gradient, regular_part
-from .matching import SphereGrid, match_boundaries, sh_analyze
+from .matching import SphereGrid, match_boundaries, sh_analyze, split_theta
 from .neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
-from .quadrature import QuadratureRule, omega_n, product_gauss_rule
+from .quadrature import QuadratureRule, product_gauss_rule
 
 __all__ = [
     "GluedSurface",
@@ -181,75 +181,58 @@ def _boundary_samples(surface: GluedSurface, j: int, theta):
             np.concatenate([theta, outer_dy], axis=-1))
 
 
-def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None):
-    """Per-end boundary mismatch at the matching circles, sampled once per end
-    at the nodes of `rule` (default: the product rule at its default node
-    count), which carry explicit unit vectors, so no chart poles arise.  The
-    nodes are streamed in blocks of green._CHUNK_POINTS.
+def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None, degree: int = 1):
+    """One pass over the rho_* spheres at the nodes of `rule` (default: the
+    product rule at its default node count), streamed in sh_analyze's blocks
+    and sampling each end once per block.  Returns (rows, discrepancies).
 
-    Reports the sup position gap and the sup conormal angle gap over the
-    nodes, and the Theta-collinear L^2 projection of the height gap,
-    |(1/omega_n) int (y_outer - y_neck) . R_j Theta dtheta|.  The x-parts
-    agree exactly by construction of s_*, so the position gap is the height
-    mismatch; its sup is dominated by the part of the outer field's linear
-    term orthogonal to R_j Theta and decays like eps, while the collinear
-    projection is killed by balancing and decays like eps^3.
-    """
-    n = surface.config.n
-    if rule is None:
-        rule = product_gauss_rule(n)
-    block = green._CHUNK_POINTS
-    out = []
-    for j, params in enumerate(surface.neck_params):
-        position = angle = proj = 0.0
-        for start in range(0, len(rule.nodes), block):
-            nodes = rule.nodes[start:start + block]
-            neck, w_neck, outer, w_out = _boundary_samples(surface, j, nodes)
-            cosang = np.sum(w_out * w_neck, axis=-1) / (
-                np.linalg.norm(w_out, axis=-1) * np.linalg.norm(w_neck, axis=-1)
-            )
-            position = np.maximum(position, np.max(np.linalg.norm(neck - outer, axis=-1)))
-            angle = np.maximum(angle, np.max(np.arccos(np.clip(cosang, -1.0, 1.0))))
-            proj += rule.weights[start:start + block] @ np.sum(
-                (outer[:, n:] - neck[:, n:]) * (nodes @ params.rotation.T), axis=1)
-        out.append({
-            "position_gap_sup": float(position),
-            "conormal_angle_sup": float(angle),
-            "collinear_gap_abs": abs(float(proj)) / omega_n(n),
-        })
-    return out
-
-
-def matching_step(surface: GluedSurface, gamma, degree: int, rule: QuadratureRule) -> dict:
-    """Measure each end's leading-order boundary discrepancies and run one
-    linear matching solve on them (n >= 3).
-
-    Per end j the height gap y_outer - y_neck and the rho_*-scaled conormal
-    gap rho_* d/drho (y_outer - y_neck) are rotated into the end's frame
-    (gap @ R_j: the neck is collinear with R_j Theta there, with Theta
-    here) and expanded up to `degree` on `rule`, exact to twice that degree.
-    max_relative_delta = max_j max(|delta alpha_j|, |delta beta_j|) / alpha_j
-    measures how far the measured surface sits from the solved scales.
+    rows[j] holds the sup position gap and the sup conormal angle gap over
+    the nodes, and |c1|, the Theta-collinear projection (1/omega_n) int
+    (y_outer - y_neck) . R_j Theta dtheta that the matching solve uses (Theta
+    is exactly degree 1, so c1 is the rule's weighted sum at any degree).
+    The x-parts agree by construction of s_*, so the position gap is the
+    height mismatch; its sup decays like eps, while the collinear projection
+    is killed by balancing and decays like eps^3.  discrepancies[j] pairs
+    the height gap and the rho_*-scaled conormal gap rho_* d/drho (y_outer -
+    y_neck), in the end's frame (gap @ R_j: the neck is collinear with R_j
+    Theta there) and expanded up to `degree`.
     """
     cfg = surface.config
-    n = cfg.n
-    grid = SphereGrid(n, degree)
-    rho = cfg.rho_star
+    n, rho = cfg.n, cfg.rho_star
+    if rule is None:
+        rule = product_gauss_rule(n)
+    position, angle = np.zeros(cfg.k), np.zeros(cfg.k)
 
     def gaps(nodes):   # (B, 2k, n): per end the value gap, then the conormal gap
         out = []
         for j, params in enumerate(surface.neck_params):
             neck, neck_dr, outer, outer_dr = _boundary_samples(surface, j, nodes)
+            cosang = np.sum(outer_dr * neck_dr, axis=-1) / (
+                np.linalg.norm(outer_dr, axis=-1) * np.linalg.norm(neck_dr, axis=-1))
+            position[j] = np.maximum(position[j], np.max(np.linalg.norm(neck - outer, axis=-1)))
+            angle[j] = np.maximum(angle[j], np.max(np.arccos(np.clip(cosang, -1.0, 1.0))))
             out += [(outer[:, n:] - neck[:, n:]) @ params.rotation,
                     rho * (outer_dr[:, n:] - neck_dr[:, n:]) @ params.rotation]
         return np.stack(out, axis=1)
 
-    expansions = sh_analyze(gaps, grid, rule)
+    expansions = sh_analyze(gaps, SphereGrid(n, degree), rule)
     discrepancies = list(zip(expansions[0::2], expansions[1::2]))
-    corr = match_boundaries(cfg, surface.alpha, discrepancies, gamma=gamma)
+    rows = [{"position_gap_sup": float(p), "conormal_angle_sup": float(a),
+             "collinear_gap_abs": abs(split_theta(value)[0])}
+            for p, a, (value, _) in zip(position, angle, discrepancies)]
+    return rows, discrepancies
+
+
+def matching_step(surface: GluedSurface, gamma, discrepancies, rule: QuadratureRule) -> dict:
+    """Run one linear matching solve (n >= 3) on the per-end discrepancies
+    of boundary_gap, analyzed on `rule` (recorded by its node count).
+    max_relative_delta = max_j max(|delta alpha_j|, |delta beta_j|) / alpha_j
+    measures how far the measured surface sits from the solved scales.
+    """
+    corr = match_boundaries(surface.config, surface.alpha, discrepancies, gamma=gamma)
     relative = np.maximum(np.abs(corr.delta_alpha), np.abs(corr.delta_beta)) / surface.alpha
     return {
-        "sh_degree": int(degree),
+        "sh_degree": discrepancies[0][0].grid.L,
         "rule_nodes": len(rule.nodes),
         "delta_alpha": corr.delta_alpha,
         "delta_beta": corr.delta_beta,

@@ -17,9 +17,10 @@ The config file is JSON: n, points (k n-vectors), rotations (k row-major
 n x n matrices, nested or flat), A0 (row-major), epsilon, rho_star, and an
 optional "options" object (quadrature_nodes, sh_degree, outer_spacing,
 neck_s_nodes, neck_angle_nodes).  The sphere rule has quadrature_nodes^(n-1)
-nodes, at most quadrature.MAX_RULE_NODES; glue analyzes the matching gaps
-on it (n >= 3), whose degree-2 sh_degree products need quadrature_nodes >=
-2 sh_degree + 1 (the azimuth's exactness).
+nodes, at most quadrature.MAX_RULE_NODES.  glue samples each rho_* sphere
+once on it and expands the gaps there up to sh_degree; at n >= 3 the
+matching solve reads that expansion, whose degree-2 sh_degree products need
+quadrature_nodes >= 2 sh_degree + 1 (the azimuth's exactness).
 NECKGLUE_THREADS caps the BLAS/OpenMP thread pools.
 """
 
@@ -352,7 +353,7 @@ def cmd_glue(args) -> int:
         outer_spacing=options["outer_spacing"],
     )
     surface = assemble(config, system.alpha, grid)
-    gaps = boundary_gap(surface, rule)
+    gaps, discrepancies = boundary_gap(surface, rule, degree)
     curv = curvature_report(surface)
     report.section("boundary_gap", gaps)
     report.section("curvature", curv)
@@ -367,7 +368,7 @@ def cmd_glue(args) -> int:
         report.skip("matching step", "the DtN difference -(2k+n-2) vanishes on constants at "
                                      "n = 2, so the matching operator is singular")
     else:
-        step = matching_step(surface, system.gamma, degree, rule)
+        step = matching_step(surface, system.gamma, discrepancies, rule)
         report.section("matching_step", step)
         report.check("matching residual", step["residual_norm"], 1e-10)
         # the correction falls like eps^2 in the asymptotic range (0.046 on

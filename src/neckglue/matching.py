@@ -1,5 +1,5 @@
-"""Harmonic boundary calculus on S^{n-1} and the leading-order matching
-solve, for every n >= 3.
+"""Harmonic boundary calculus on S^{n-1}, for every n >= 2, and the
+leading-order matching solve, for every n >= 3.
 
 R^n-valued boundary data Phi on the unit sphere S^{n-1} are expanded per
 Cartesian component in one orthonormal basis of H_0 + ... + H_L, where H_k
@@ -11,7 +11,8 @@ Dirichlet-to-Neumann maps are therefore diagonal,
 
 strictly negative for every degree when n >= 3, which witnesses the
 invertibility of the matching operator.  At n = 2 the difference vanishes
-on the constants, the matching operator is singular and no solve is made.
+on the constants, the matching operator is singular and match_boundaries
+refuses to solve.
 
 The basis is the classical separated one (Dai and Xu, Approximation Theory
 and Harmonic Analysis on Spheres and Balls, 2013, sec. 1.5): a chain L >= k_1
@@ -19,8 +20,9 @@ and Harmonic Analysis on Spheres and Balls, 2013, sec. 1.5): a chain L >= k_1
 solid harmonic Re/Im (x_1 + i x_2)^m prod_j r_j^{d_j} p_{d_j}(x_{n+1-j}/r_j),
 r_j = |(x_1, ..., x_{n+1-j})|, d_j = k_j - k_{j+1} (k_{n-1} = m), with p the
 orthonormal Gegenbauer polynomials of parameter k_{j+1} + (n-1-j)/2 and the
-circle factor over sqrt(pi), or sqrt(2 pi) at m = 0.  The recurrence runs
-homogeneously in (x, r_j^2), so every factor is a polynomial.
+circle factor over sqrt(pi), or sqrt(2 pi) at m = 0 (at n = 2 the circle
+factor is the whole basis).  The recurrence runs homogeneously in
+(x, r_j^2), so every factor is a polynomial.
 
 The leading-order matching couples, per end j0, the value gap and the
 rho_* - scaled conormal gap of the outer piece against the neck piece.
@@ -72,9 +74,8 @@ class SphereGrid:
     """
 
     def __init__(self, n: int, L: int):
-        if n < 3:
-            raise ValueError(f"the DtN difference -(2k+n-2) vanishes on constants at n = {n}, "
-                             "so the matching operator is singular; it needs n >= 3")
+        if n < 2:
+            raise ValueError(f"the harmonic basis on S^{{n-1}} needs n >= 2, got n = {n}")
         self.n, self.L = int(n), int(L)
         # dims[q - 2][k] = dim H_k on S^{q-1}: cos and sin on the circle,
         # then a Gegenbauer factor times each degree k' <= k in q - 1 variables
@@ -271,6 +272,9 @@ def match_boundaries(config: Configuration, alpha_star: np.ndarray,
     """
     from .config import gamma_matrix
 
+    if config.n < 3:
+        raise ValueError(f"the DtN difference -(2k+n-2) vanishes on constants at "
+                         f"n = {config.n}, so the matching operator is singular; it needs n >= 3")
     alpha_star = np.asarray(alpha_star, dtype=float)
     k = config.k
     if alpha_star.shape != (k,):

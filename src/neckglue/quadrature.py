@@ -31,9 +31,10 @@ __all__ = [
 ]
 
 DEFAULT_NODES_PER_ANGLE = 32
-# 2^20 nodes: at n = 5 and 32 nodes per angle one boundary-gap pass (both
-# sups and the collinear gap, streamed in blocks) takes ~3.3 s on 2 cores and
-# peaks at ~240 MB, most of it the rule itself; the count grows like N^{n-1}
+# 2^20 nodes: at n = 5 and 32 nodes per angle the one boundary-gap pass (both
+# sups and the gap expansion, streamed in blocks) takes ~2.8 s at degree 1 and,
+# with the matching solve, ~8.2 s at sh_degree 8 on 2 cores; either peaks at
+# ~240 MB, most of it the rule itself; the count grows like N^{n-1}
 MAX_RULE_NODES = 2**20
 
 
@@ -66,7 +67,14 @@ def gegenbauer_recurrence(lam: float, count: int, dtype=float):
         raise ValueError(f"no Gegenbauer recurrence for parameter {lam}; it must be positive")
     k = np.arange(1, count + 1, dtype=dtype)
     b = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
-    return b, math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1)
+    try:
+        return b, math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1)
+    except OverflowError:
+        # lam + 1 > 171.6: the Stirling series of log Gamma(lam + 1/2) -
+        # log Gamma(lam + 1), whose next term is below 1e-22 there
+        z = 1.0 / (lam * lam)
+        return b, math.sqrt(math.pi / lam) * math.exp(
+            (-1 / 8 + z * (1 / 192 + z * (-1 / 640 + z * 17 / 14336))) / lam)
 
 
 def gegenbauer_rule(nodes: int, lam: float):

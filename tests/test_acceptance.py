@@ -278,7 +278,7 @@ def test_criterion_11_glue_end_to_end(tmp_path):
         system = build_interaction_system(cfg)
         surf = assemble(cfg, system.alpha, grid)
         surfaces.append(surf)
-        gaps = boundary_gap(surf)
+        gaps, _ = boundary_gap(surf)
         gap_sups.append(max(g["position_gap_sup"] for g in gaps))
         data = GreenData(cfg, system.alpha)
         base = surf.outer.samples[..., :3][surf.outer.mask]

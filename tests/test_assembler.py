@@ -118,7 +118,7 @@ class TestAssemble:
     def test_single_end_flat_background(self):
         cfg = Configuration(3, [np.zeros(3)], [np.eye(3)], np.zeros((3, 3)), 1e-4, 0.2)
         surf = assemble(cfg, np.array([1.0]), COARSE)
-        gaps = boundary_gap(surf)
+        gaps, _ = boundary_gap(surf)
         # the whole gap is the lower-end expansion remainder <= C eps^3 rho^{1-3n}
         bound = cfg.epsilon**3 * cfg.rho_star ** (1 - 9)
         assert gaps[0]["position_gap_sup"] < bound
@@ -162,7 +162,7 @@ class TestBoundaryGap:
         sups = []
         for eps in (1e-3, 3e-4, 1e-4, 3e-5):
             _, _, surf = build_flagship_surface(eps)
-            gaps = boundary_gap(surf)
+            gaps, _ = boundary_gap(surf)
             sups.append(max(g["position_gap_sup"] for g in gaps))
         assert all(a > b for a, b in zip(sups, sups[1:]))
 
@@ -175,7 +175,7 @@ class TestBoundaryGap:
         colls, sups, angles = [], [], []
         for eps in eps_values:
             _, _, surf = build_flagship_surface(eps)
-            gaps = boundary_gap(surf)
+            gaps, _ = boundary_gap(surf)
             colls.append(max(g["collinear_gap_abs"] for g in gaps))
             sups.append(max(g["position_gap_sup"] for g in gaps))
             angles.append(max(g["conormal_angle_sup"] for g in gaps))
@@ -194,7 +194,7 @@ class TestBoundaryGap:
         for eps in (1e-5, 1e-6):
             cfg = quarter_turn_n5(eps)
             surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
-            gaps = boundary_gap(surf, product_gauss_rule(5, 12))
+            gaps, _ = boundary_gap(surf, product_gauss_rule(5, 12))
             colls.append([g["collinear_gap_abs"] for g in gaps])
             sups.append([g["position_gap_sup"] for g in gaps])
         assert np.all(np.isfinite(colls)) and np.all(np.isfinite(sups))
@@ -202,29 +202,40 @@ class TestBoundaryGap:
         assert np.all(np.abs(slopes - 3.0) < 0.1)
 
     def test_blocks_of_nodes_match_one_block(self, monkeypatch):
-        # the flagship's 32^2 rule fits in one block of green._CHUNK_POINTS;
-        # 7-node blocks leave the sups identical and only re-associate the
-        # collinear sum, whose terms cancel ~1e4-fold at eps = 1e-4: its
-        # rounding is measured against the sum of their magnitudes
+        # one block of degree-8 expansions and 7-node blocks of degree-1 ones
+        # give identical sups at n = 2, 3, 4; the collinear gap is the
+        # coefficient c1 of the value gap's expansion, which equals its
+        # definition, the weighted sum (1/omega_n) sum w (y_out - y_neck) .
+        # R_j Theta written out here, on any rule and at any degree.  Its
+        # terms cancel ~1e4-fold, so its rounding is measured against the
+        # sum of their magnitudes
         from neckglue import green
 
-        _, _, surf = build_flagship_surface(1e-4)
-        rule = product_gauss_rule(3, 32)
-        whole = boundary_gap(surf, rule)
-        monkeypatch.setattr(green, "_CHUNK_POINTS", 7)
-        for j, (one, blocks) in enumerate(zip(whole, boundary_gap(surf, rule))):
-            assert blocks["position_gap_sup"] == one["position_gap_sup"]
-            assert blocks["conormal_angle_sup"] == one["conormal_angle_sup"]
-            neck, _, outer, _ = _boundary_samples(surf, j, rule.nodes)
-            terms = np.sum((outer[:, 3:] - neck[:, 3:]) * (rule.nodes @ surf.config.rotations[j].T),
-                           axis=1)
-            scale = rule.weights @ np.abs(terms) / omega_n(3)
-            assert abs(blocks["collinear_gap_abs"] - one["collinear_gap_abs"]) <= 1e-14 * scale
+        for cfg, grid, nodes in ((N2_CONFIG, N2_GRID, 32), (flagship_at(1e-4), COARSE, 32),
+                                 (two_ends_n4(1e-5), TINY4, 12)):
+            n = cfg.n
+            surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
+            rule = product_gauss_rule(n, nodes)
+            whole, _ = boundary_gap(surf, rule, 8)
+            with monkeypatch.context() as patch:
+                patch.setattr(green, "_CHUNK_POINTS", 7)
+                blocked, _ = boundary_gap(surf, rule)
+            for j, (one, blocks) in enumerate(zip(whole, blocked)):
+                assert blocks["position_gap_sup"] == one["position_gap_sup"]
+                assert blocks["conormal_angle_sup"] == one["conormal_angle_sup"]
+                neck, _, outer, _ = _boundary_samples(surf, j, rule.nodes)
+                terms = np.sum((outer[:, n:] - neck[:, n:]) * (rule.nodes @ cfg.rotations[j].T),
+                               axis=1)
+                direct = abs(rule.weights @ terms) / omega_n(n)
+                scale = rule.weights @ np.abs(terms) / omega_n(n)
+                for gaps in (one, blocks):
+                    assert abs(gaps["collinear_gap_abs"] - direct) <= 1e-14 * scale, (n, j)
+                assert abs(blocks["collinear_gap_abs"] - one["collinear_gap_abs"]) <= 1e-14 * scale
 
     def test_flagship_regression_values(self):
         # end-to-end run at eps = 1e-4, COARSE grid; frozen measured values
         _, _, surf = build_flagship_surface(1e-4)
-        gaps = boundary_gap(surf)
+        gaps, _ = boundary_gap(surf)
         assert_allclose(
             [g["position_gap_sup"] for g in gaps],
             [1.542334348783e-04, 6.795375137528e-05], rtol=1e-6,
@@ -242,7 +253,7 @@ class TestBoundaryGap:
         # the sups over the 32^2-node rule sit within 5e-3 relative of the
         # sups over a 400 x 800 chart grid that reaches the poles
         _, _, surf = build_flagship_surface(1e-4)
-        gaps = boundary_gap(surf, product_gauss_rule(3, 32))
+        gaps, _ = boundary_gap(surf, product_gauss_rule(3, 32))
         grids = default_angle_grids(3, (400, 800), margin=0.0)
         theta = sphere_chart(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
         for j, gap in enumerate(gaps):
@@ -261,8 +272,8 @@ class TestBoundaryGap:
         delta = 0.1 * system.alpha
         surf_bal = assemble(cfg, system.alpha, COARSE)
         surf_off = assemble(cfg, system.alpha + delta, COARSE)
-        g_bal = np.array([g["position_gap_sup"] for g in boundary_gap(surf_bal)])
-        g_off = np.array([g["position_gap_sup"] for g in boundary_gap(surf_off)])
+        g_bal = np.array([g["position_gap_sup"] for g in boundary_gap(surf_bal)[0]])
+        g_off = np.array([g["position_gap_sup"] for g in boundary_gap(surf_off)[0]])
         predicted = cfg.epsilon / omega_n(3) * np.abs(system.gamma @ delta) * cfg.rho_star
         # the extra gap contribution matches the linear term within 10%
         extra = g_off - g_bal
@@ -279,11 +290,12 @@ def rotated_flagship(eps, q):
 
 def measured_matching(cfg, degree=8, grid=COARSE, nodes=32):
     system = build_interaction_system(cfg)
-    return matching_step(assemble(cfg, system.alpha, grid), system.gamma, degree,
-                         product_gauss_rule(cfg.n, nodes))
+    surf = assemble(cfg, system.alpha, grid)
+    rule = product_gauss_rule(cfg.n, nodes)
+    return matching_step(surf, system.gamma, boundary_gap(surf, rule, degree)[1], rule)
 
 
-# the matching step samples the ends in closed form, so the patch grids
+# the boundary gaps sample the ends in closed form, so the patch grids
 # only need to exist
 TINY4 = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3), outer_spacing=1.5)
 TWIST4 = np.eye(4)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]  # e2 -> e3
@@ -298,6 +310,9 @@ def two_ends_n4(eps, q=np.eye(4)):
 
 
 N4_EPS = (1e-4, 1e-5, 1e-6)
+N2_CONFIG = Configuration(2, [[1.0, 0.0], [-1.0, 0.0]], [np.eye(2), np.diag([1.0, -1.0])],
+                          np.diag([3.0, 1.0]), 1e-4, 0.45)
+N2_GRID = GridSpec(neck_s_nodes=8, neck_angle_nodes=(8,), outer_spacing=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -343,14 +358,14 @@ class TestMatchingStep:
         assert np.max(np.abs(turned - base)) < 1e-3 * np.max(np.abs(base))
 
     def test_needs_n3(self):
-        # at n = 2 the DtN difference -(2k+n-2) vanishes on constants
-        cfg = Configuration(2, [[1.0, 0.0], [-1.0, 0.0]], [np.eye(2), np.diag([1.0, -1.0])],
-                            np.diag([3.0, 1.0]), 1e-4, 0.45)
-        system = build_interaction_system(cfg)
-        surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=8, neck_angle_nodes=(8,),
-                                                    outer_spacing=0.3))
+        # at n = 2 the gaps expand on the circle, but the DtN difference
+        # -(2k+n-2) vanishes on constants and match_boundaries refuses
+        system = build_interaction_system(N2_CONFIG)
+        surf = assemble(N2_CONFIG, system.alpha, N2_GRID)
+        rule = product_gauss_rule(2)
+        _, discrepancies = boundary_gap(surf, rule, 8)
         with pytest.raises(ValueError, match="vanishes on constants at n = 2"):
-            matching_step(surf, system.gamma, 8, product_gauss_rule(2))
+            matching_step(surf, system.gamma, discrepancies, rule)
 
     def test_n4_delta_alpha_quadratic_in_epsilon(self, n4_steps):
         sizes = [np.max(np.abs(n4_steps[eps]["delta_alpha"])) for eps in N4_EPS]

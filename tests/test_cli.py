@@ -354,6 +354,26 @@ class TestGlueCommand:
         gap = doc["sections"]["boundary_gap"][0]["position_gap_sup"]
         assert 0 < gap < 1e-2
 
+    def test_glue_samples_each_sphere_once(self, tmp_path, monkeypatch):
+        # one pass over the rho_* spheres feeds the gaps and the matching
+        # step: each end is sampled once per block of the 32^2-node rule
+        from neckglue import assembler, green
+
+        calls = []
+        sampler = assembler._boundary_samples
+
+        def counted(surface, j, theta):
+            calls.append(len(theta))
+            return sampler(surface, j, theta)
+
+        monkeypatch.setattr(assembler, "_boundary_samples", counted)
+        monkeypatch.setattr(green, "_CHUNK_POINTS", 256)
+        doc = dict(FLAGSHIP, options={"neck_s_nodes": 24, "neck_angle_nodes": [13, 24],
+                                      "outer_spacing": 0.3})
+        assert main(["glue", write_config(tmp_path, doc)]) == 0
+        assert len(calls) == 2 * math.ceil(32 ** 2 / 256)
+        assert sum(calls) == 2 * 32 ** 2
+
     def test_export_csv_lands_next_to_a_dotted_directory_path(self, tmp_path):
         # the CSV path replaces the file's extension, not the text after the
         # last dot of the whole path (which would write run.csv beside run.v2/)
@@ -564,36 +584,18 @@ class TestPeakMemory:
     runs one process below a small fresh interpreter, which reads it as
     RUSAGE_CHILDREN."""
 
-    def test_boundary_gap_n5_peak_memory(self):
-        # every sphere sample of boundary_gap follows the rule, streamed in
-        # blocks: at n = 5 the workload peaks near 80 MB on the 12^4-node
-        # rule and near 110 MB on the 24^4-node one
-        for nodes in (12, 24):
-            work = ("import sys\n"
-                    f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
-                    "from conftest import quarter_turn_n5\n"
-                    "from neckglue.assembler import GridSpec, assemble, boundary_gap\n"
-                    "from neckglue.config import build_interaction_system\n"
-                    "from neckglue.quadrature import product_gauss_rule\n"
-                    "cfg = quarter_turn_n5(1e-6)\n"
-                    "grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), "
-                    "outer_spacing=3.0)\n"
-                    "surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)\n"
-                    f"boundary_gap(surf, product_gauss_rule(5, {nodes}))\n")
-            code = ("import resource, subprocess, sys\n"
-                    f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
-                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-            assert int(_fresh_python(code)) < 300 * 1024, nodes   # KiB on Linux
-
-    def test_matching_step_n5_peak_memory(self):
-        # the closed-form basis is evaluated once per block of rule nodes:
-        # at n = 5 and sh_degree 8 the workload peaks near 135 MB on the
-        # 17^4-node rule (a basis held on all nodes of its own 18^4-node
-        # rule took 3.4 GB)
+    @pytest.mark.parametrize("nodes, degree", [(12, 1), (24, 1), (17, 8)])
+    def test_gap_pass_n5_peak_memory(self, nodes, degree):
+        # one pass over the rho_* spheres, streamed in blocks of rule nodes
+        # with one basis evaluation per block, then the matching solve: at
+        # n = 5 the workload peaks near 80 MB on the 12^4-node rule, near
+        # 110 MB on the 24^4-node one and near 135 MB at sh_degree 8 on the
+        # 17^4-node one (a basis held on all nodes of an 18^4-node rule
+        # took 3.4 GB)
         work = ("import sys\n"
                 f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
                 "from conftest import quarter_turn_n5\n"
-                "from neckglue.assembler import GridSpec, assemble, matching_step\n"
+                "from neckglue.assembler import GridSpec, assemble, boundary_gap, matching_step\n"
                 "from neckglue.config import build_interaction_system\n"
                 "from neckglue.quadrature import product_gauss_rule\n"
                 "cfg = quarter_turn_n5(1e-6)\n"
@@ -601,7 +603,9 @@ class TestPeakMemory:
                 "grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), "
                 "outer_spacing=3.0)\n"
                 "surf = assemble(cfg, system.alpha, grid)\n"
-                "matching_step(surf, system.gamma, 8, product_gauss_rule(5, 17))\n")
+                f"rule = product_gauss_rule(5, {nodes})\n"
+                f"_, discrepancies = boundary_gap(surf, rule, {degree})\n"
+                "matching_step(surf, system.gamma, discrepancies, rule)\n")
         code = ("import resource, subprocess, sys\n"
                 f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")

@@ -66,6 +66,15 @@ class TestBasis:
         gram = (rule.weights[:, None] * basis).T @ basis
         assert np.max(np.abs(gram - np.eye(grid.degrees.size))) < 1e-13
 
+    def test_orthonormal_on_the_circle(self):
+        # at n = 2 the basis is 1/sqrt(2 pi), cos m phi/sqrt(pi), sin m phi/sqrt(pi)
+        circle = SphereGrid(2, L)
+        assert_allclose(np.bincount(circle.degrees), [1] + [2] * L)
+        rule = exact_rule(circle)
+        basis = circle.basis_at(rule.nodes)
+        gram = (rule.weights[:, None] * basis).T @ basis
+        assert np.max(np.abs(gram - np.eye(circle.degrees.size))) < 1e-13
+
     def test_slot_count(self, grid):
         # dim H_k on S^2 is 2k+1, on S^3 (k+1)^2
         k = np.arange(L + 1)

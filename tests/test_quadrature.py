@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from neckglue.quadrature import (
+    gegenbauer_recurrence,
     gegenbauer_rule,
     integrate,
     omega_n,
@@ -148,6 +150,28 @@ class TestGegenbauerRule:
     def test_unsupported_parameter(self):
         with pytest.raises(ValueError, match="parameter 0.0"):
             gegenbauer_rule(8, 0.0)
+
+
+def exact_half_integer_mass(m):
+    """sqrt(pi) Gamma(m + 1) / Gamma(m + 3/2), the mass at lam = m + 1/2, as
+    the exact rational 4^(m+1) m! (m+1)! / (2m+2)!."""
+    return Fraction(4 ** (m + 1) * math.factorial(m) * math.factorial(m + 1),
+                    math.factorial(2 * m + 2))
+
+
+class TestGegenbauerMass:
+    @pytest.mark.parametrize("m", [0, 10, 170, 171, 200, 500])
+    def test_matches_exact_factorials(self, m):
+        # m = 170 still takes math.gamma; from lam + 1 > 171.6 on, where
+        # math.gamma overflows, the Stirling series of the log ratio does
+        _, mass = gegenbauer_recurrence(m + 0.5, 1)
+        exact = exact_half_integer_mass(m)
+        assert abs(Fraction(mass) - exact) <= Fraction(1, 10 ** 13) * exact
+
+    def test_degree_171_basis_is_finite(self):
+        from neckglue.matching import SphereGrid
+
+        assert np.all(np.isfinite(SphereGrid(3, 171).basis_at(np.eye(3))))
 
 
 def second_moment(u, v):

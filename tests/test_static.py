@@ -66,10 +66,8 @@ def test_no_unused_imports():
     assert found == []
 
 
-def unbound_exports(source: str):
-    """Names in __all__ that no module-level def, class, assignment or
-    import binds."""
-    tree = ast.parse(source)
+def module_bindings(tree):
+    """Names that a module-level def, class, assignment or import binds."""
     bound = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -80,7 +78,14 @@ def unbound_exports(source: str):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound |= {name.id for target in targets for name in ast.walk(target)
                       if isinstance(name, ast.Name)}
-    return sorted(_exported(tree) - bound)
+    return bound
+
+
+def unbound_exports(source: str):
+    """Names in __all__ that no module-level def, class, assignment or
+    import binds."""
+    tree = ast.parse(source)
+    return sorted(_exported(tree) - module_bindings(tree))
 
 
 def test_checker_sees_unbound_exports():
@@ -102,3 +107,44 @@ def test_every_export_is_bound():
              for path in sorted(SRC.glob("*.py"))
              for name in unbound_exports(path.read_text())]
     assert found == []
+
+
+TRACED_TUPLES = ("SPANS", "COUNTED", "KERNELS")
+
+
+def untraceable(tracing_source: str, module_source):
+    """The "module.attr" entries of the tracer's SPANS, COUNTED and KERNELS
+    tuples that the named package module does not bind at module level;
+    module_source maps a module name to its source, or None if it has no
+    file.  The tracer's install() fails on such a name."""
+    names = []
+    for node in ast.parse(tracing_source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in TRACED_TUPLES for t in node.targets):
+            names += ast.literal_eval(node.value)
+    missing = []
+    for qual in names:
+        module, attr = qual.split(".")
+        source = module_source(module)
+        if source is None or attr not in module_bindings(ast.parse(source)):
+            missing.append(qual)
+    return missing
+
+
+def test_checker_sees_untraceable_names():
+    tracing = ("SPANS = ('a.f', 'a.gone', 'b.g')\n"
+               "COUNTED = ('a.K',)\n"
+               "KERNELS = ('c.h',)\n"
+               "OTHER = ('a.other',)\n")
+    modules = {"a": "K = 1\ndef f():\n    gone = 1\n", "b": "from x import g\n"}
+    assert untraceable(tracing, modules.get) == ["a.gone", "c.h"]
+
+
+def test_traced_names_are_bound():
+    tracing = (SRC.parents[1] / "bench" / "tracing.py").read_text()
+
+    def module_source(module):
+        path = SRC / f"{module}.py"
+        return path.read_text() if path.exists() else None
+
+    assert untraceable(tracing, module_source) == []
