@@ -49,6 +49,8 @@ __all__ = [
     "verify_f0",
 ]
 
+# DOP853 tolerance and step cap of the interior mode solves; the frozen
+# (asymptotic) system is solved by its exact flow and uses neither
 RK_TOLERANCE = 1e-10
 RK_MAX_STEP = 1e-2
 BLOWUP_LIMIT = 1e12
@@ -119,6 +121,15 @@ def mode_system_matrix(n: int, k: int, t: float, kind: str = "interior",
     )
 
 
+def _companion(M: np.ndarray) -> np.ndarray:
+    """First-order companion [[0, I], [M, 0]] of z'' = M z."""
+    d = M.shape[0]
+    comp = np.zeros((2 * d, 2 * d))
+    comp[:d, d:] = np.eye(d)
+    comp[d:, :d] = M
+    return comp
+
+
 def frozen_characteristic_roots(n: int, k: int, side: int = -1,
                                 family: str = "exact") -> np.ndarray:
     """Sorted characteristic exponents of the system frozen at t -> side*inf.
@@ -130,11 +141,7 @@ def frozen_characteristic_roots(n: int, k: int, side: int = -1,
     if side not in (-1, 1):
         raise ValueError("side must be -1 or +1")
     M = mode_system_matrix(n, k, side * 20.0, kind="interior", family=family)
-    d = M.shape[0]
-    comp = np.zeros((2 * d, 2 * d))
-    comp[:d, d:] = np.eye(d)
-    comp[d:, :d] = M
-    roots = np.linalg.eigvals(comp)
+    roots = np.linalg.eigvals(_companion(M))
     return np.sort_complex(roots).real if np.allclose(roots.imag, 0, atol=1e-10) \
         else np.sort_complex(roots)
 
@@ -153,39 +160,81 @@ class ModeSolution:
 
 def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
                           num: int = 801, family: str = "exact") -> ModeSolution:
-    """Adaptive RK (DOP853, tol 1e-10) solution of the per-mode system.
+    """Solution of the per-mode system z'' = M z sampled at num points of t_span.
+
+    kind "asymptotic" has constant M, so z(t) = expm((t - t0) C) z(t0) with
+    the first-order companion C = [[0, I], [M, 0]] is evaluated exactly at
+    every sample (scipy.linalg.expm, one stacked call); kind "interior" is
+    integrated by adaptive RK (DOP853, tol RK_TOLERANCE, step at most
+    RK_MAX_STEP).
 
     initial is (a0, da0) for scalar modes and (a0, b0, da0, db0) for the
-    coupled ones.  Raises on blow-up past 1e12 with the location.  The only
-    user of scipy, imported here so that the rest of the package needs numpy
-    alone.
+    coupled ones; it and t_span must be finite.  Raises on blow-up of
+    |a| + |b| past 1e12 with the location.  The only user of scipy, imported
+    here so that the rest of the package needs numpy alone.
     """
-    from scipy.integrate import solve_ivp
-
     initial = np.asarray(initial, dtype=float)
     scalar = (family == "coexact") or (k == 0)
     d = 1 if scalar else 2
     if initial.shape != (2 * d,):
         raise ValueError(f"initial data must have length {2 * d}")
+    if not np.all(np.isfinite(initial)):
+        raise ValueError(f"initial data must be finite, got {initial.tolist()}")
+    t_span = np.asarray(t_span, dtype=float)
+    if t_span.shape != (2,) or not np.all(np.isfinite(t_span)):
+        raise ValueError(f"t_span must be two finite times, got {t_span.tolist()}")
+    t_eval = np.linspace(t_span[0], t_span[1], num)
 
-    # validates kind and family once; the asymptotic M is constant
+    # validates kind and family once
     M0 = mode_system_matrix(n, k, 0.0, kind=kind, family=family)
 
+    def magnitude(z):
+        return np.sum(np.abs(z[..., :d]), axis=-1)
+
+    def blowup(t):
+        return ValueError(f"mode solution blew up past {BLOWUP_LIMIT:g} at t = {t:.4f}")
+
+    if kind == "asymptotic":
+        from scipy.linalg import expm
+
+        C = _companion(M0)
+
+        def flow(t):
+            return expm(np.multiply.outer(t - t_span[0], C)) @ initial
+
+        z = flow(t_eval)
+        over = np.flatnonzero(magnitude(z) > BLOWUP_LIMIT)
+        if over.size:
+            # bisect the first sample interval that crosses, to the last bit
+            i = over[0]
+            lo, hi = t_eval[max(i - 1, 0)], t_eval[i]
+            mid = 0.5 * (lo + hi)
+            while min(lo, hi) < mid < max(lo, hi):
+                if magnitude(flow(mid)) > BLOWUP_LIMIT:
+                    hi = mid
+                else:
+                    lo = mid
+                mid = 0.5 * (lo + hi)
+            raise blowup(hi)
+        return ModeSolution(n=n, k=k, kind=kind, t=t_eval, a=z[:, 0],
+                            b=None if scalar else z[:, 1])
+
+    from scipy.integrate import solve_ivp
+
     def rhs(t, z):
-        M = M0 if kind == "asymptotic" else mode_system_matrix(n, k, t, kind=kind, family=family)
+        M = mode_system_matrix(n, k, t, kind=kind, family=family)
         return np.concatenate([z[d:], M @ z[:d]])
 
     def blown(t, z):
-        return np.sum(np.abs(z[:d])) - BLOWUP_LIMIT
+        return magnitude(z) - BLOWUP_LIMIT
 
     blown.terminal = True
-    t_eval = np.linspace(t_span[0], t_span[1], num)
     sol = solve_ivp(
         rhs, t_span, initial, method="DOP853", t_eval=t_eval,
         rtol=RK_TOLERANCE, atol=RK_TOLERANCE, max_step=RK_MAX_STEP, events=blown,
     )
     if sol.status == 1:
-        raise ValueError(f"mode solution blew up past {BLOWUP_LIMIT:g} at t = {sol.t_events[0][0]:.4f}")
+        raise blowup(sol.t_events[0][0])
     if not sol.success:
         raise RuntimeError(f"mode integration failed: {sol.message}")
     a = sol.y[0]

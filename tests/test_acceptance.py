@@ -203,8 +203,8 @@ def test_criterion_8_exterior_mode_oracle():
         aa, bb = ev(sol.t)
         worst = max(worst, float(np.max(np.abs(sol.a - aa))),
                     float(np.max(np.abs(sol.b - bb))))
-    ok = worst < 1e-8
-    crit.finish(ok, f"worst closed-form vs RK deviation {worst:.2e}")
+    ok = worst < 1e-9
+    crit.finish(ok, f"worst deviation of the exact frozen flow from the closed form {worst:.2e}")
 
 
 def test_criterion_9_dtn_witness(flagship):
