@@ -255,31 +255,21 @@ def curvature_report(surface: GluedSurface):
     exact-derivative route (the eps^3 nonlinear residual) plus the FD sup
     for reference.
     """
-    report = {"necks": [], "outer": {}}
-    for j, patch in enumerate(surface.necks):
-        H, valid = mean_curvature_field(patch)
-        mags = np.linalg.norm(H, axis=-1)[valid]
+    def stats(mags, sup="sup"):
         hist, edges = np.histogram(mags, bins=HISTOGRAM_BINS)
-        report["necks"].append({
-            "sup": float(mags.max()) if mags.size else 0.0,
-            "histogram_counts": hist.tolist(),
-            "histogram_edges": edges.tolist(),
-        })
-    data = surface.green
+        return {sup: float(mags.max()) if mags.size else 0.0,
+                "histogram_counts": hist.tolist(), "histogram_edges": edges.tolist()}
+
+    report = {"necks": []}
+    for patch in surface.necks:
+        H, valid = mean_curvature_field(patch)
+        report["necks"].append(stats(np.linalg.norm(H, axis=-1)[valid]))
     outer = surface.outer
-    n = surface.config.n
-    base = outer.samples[..., :n][outer.mask]
-    Ha = graph_mean_curvature(data, base)
-    mags_a = np.linalg.norm(Ha, axis=-1)
+    Ha = graph_mean_curvature(surface.green, outer.samples[..., :surface.config.n][outer.mask])
     Hfd, valid = mean_curvature_field(outer)
     mags_fd = np.linalg.norm(Hfd, axis=-1)[valid]
-    hist, edges = np.histogram(mags_a, bins=HISTOGRAM_BINS)
-    report["outer"] = {
-        "sup_analytic": float(mags_a.max()) if mags_a.size else 0.0,
-        "sup_fd": float(mags_fd.max()) if mags_fd.size else 0.0,
-        "histogram_counts": hist.tolist(),
-        "histogram_edges": edges.tolist(),
-    }
+    report["outer"] = dict(stats(np.linalg.norm(Ha, axis=-1), "sup_analytic"),
+                           sup_fd=float(mags_fd.max()) if mags_fd.size else 0.0)
     return report
 
 
@@ -288,13 +278,7 @@ def hausdorff_to_planes(surface: GluedSurface, exclusion: float) -> float:
     around the marked points) to the union of the k+1 limit planes."""
     cfg = surface.config
     n = cfg.n
-    eps = cfg.epsilon
-    pts = []
-    outer_pts = surface.outer.samples[surface.outer.mask]
-    pts.append(outer_pts)
-    for patch in surface.necks:
-        pts.append(patch.samples[patch.mask])
-    pts = np.concatenate(pts, axis=0)
+    pts = np.concatenate([p.samples[p.mask] for p in [surface.outer, *surface.necks]])
     x_part = pts[..., :n]
     keep = np.ones(len(pts), dtype=bool)
     for j in range(cfg.k):

@@ -83,25 +83,18 @@ def parse_config(path: str):
         return doc[key]
 
     n = _integer(path, "n", need("n"))
+
+    def square(name, value):
+        arr = np.asarray(value, dtype=float)
+        if arr.ndim == 1 and arr.size != n * n:
+            raise ValueError(f"{path}: {name} has {arr.size} entries, expected {n * n}")
+        return arr.reshape(n, n) if arr.ndim == 1 else arr  # flat lists are row-major
+
     try:
         points = np.asarray(need("points"), dtype=float)
-        rotations_raw = need("rotations")
-        rotations = []
-        for j, rot in enumerate(rotations_raw):
-            arr = np.asarray(rot, dtype=float)
-            if arr.ndim == 1:
-                if arr.size != n * n:
-                    raise ValueError(
-                        f"{path}: rotations[{j}] has {arr.size} entries, expected {n * n}"
-                    )
-                arr = arr.reshape(n, n)  # row-major
-            rotations.append(arr)
-        rotations = np.stack(rotations)
-        A0 = np.asarray(need("A0"), dtype=float)
-        if A0.ndim == 1:
-            if A0.size != n * n:
-                raise ValueError(f"{path}: A0 has {A0.size} entries, expected {n * n}")
-            A0 = A0.reshape(n, n)
+        rotations = np.stack([square(f"rotations[{j}]", rot)
+                              for j, rot in enumerate(need("rotations"))])
+        A0 = square("A0", need("A0"))
         epsilon = float(need("epsilon"))
         rho_star = float(need("rho_star"))
     except (TypeError, ValueError) as exc:
@@ -256,9 +249,10 @@ def cmd_neck(args) -> int:
                           t_grid=np.linspace(-1.2, 1.2, t_nodes))
 
     h0 = args.grid if args.grid else 0.2
+    coarse = build(h0)
     sups = []
-    for h in (h0, h0 / 2):
-        H, valid = mean_curvature_field(build(h))
+    for patch in (coarse, build(h0 / 2)):
+        H, valid = mean_curvature_field(patch)
         sups.append(float(np.max(np.linalg.norm(H, axis=-1)[valid])))
     order = float(np.log2(sups[0] / sups[1]))
     report.section("minimality", {"waist_radius": waist_radius(params),
@@ -267,7 +261,7 @@ def cmd_neck(args) -> int:
     if args.export:
         from .assembler import export
 
-        export([build(h0)], "csv" if args.export.endswith(".csv") else "ply", args.export)
+        export([coarse], "csv" if args.export.endswith(".csv") else "ply", args.export)
         report.section("export", {"path": args.export})
     report.time_mark("total")
     return _finish(report, args)
@@ -301,16 +295,13 @@ def cmd_spectrum(args) -> int:
     report.check("f0 residual", verify_f0(args.n, np.linspace(-5.0, 5.0, 2001)), 1e-12)
     if args.n == 3 and args.k == 1:
         report.check("explicit (a1,b1) residual", explicit_n3_residual(np.linspace(-3, 3, 241)), 1e-8)
-        tneg = np.linspace(-12.0, -2.0, 400)
-        a, b = explicit_n3_solution(tneg)
-        rate, r2 = decay_rate(ModeSolution(3, 1, "interior", tneg, a, b), end=-1)
-        sec["rate_minus_inf"] = rate
-        report.check("decay rate at -inf vs 5/2", abs(rate - 2.5), 1e-2)
-        tpos = np.linspace(2.0, 12.0, 400)
-        a, b = explicit_n3_solution(tpos)
-        rate2, _ = decay_rate(ModeSolution(3, 1, "interior", tpos, a, b), end=+1)
-        sec["rate_plus_inf"] = rate2
-        report.check("growth rate at +inf vs 1/2", abs(rate2 - 0.5), 1e-2)
+        for end, lo, want, key, name in (
+                (-1, -12.0, 2.5, "rate_minus_inf", "decay rate at -inf vs 5/2"),
+                (+1, 2.0, 0.5, "rate_plus_inf", "growth rate at +inf vs 1/2")):
+            t = np.linspace(lo, lo + 10.0, 400)
+            sol = ModeSolution(3, 1, "interior", t, *explicit_n3_solution(t))
+            sec[key] = decay_rate(sol, end=end)[0]
+            report.check(name, abs(sec[key] - want), 1e-2)
     report.section("spectrum", sec)
     report.time_mark("total")
     return _finish(report, args)
@@ -475,6 +466,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory ({exc}); raise outer_spacing or lower "
+              "neck_angle_nodes and neck_s_nodes (neck: raise --grid)", file=sys.stderr)
         return 2
 
 

@@ -181,6 +181,19 @@ def _wrapped_rows(a, out, axis):
         yield dst[i : i + 1], src[j : j + 1], src[i : i + 1], src[k : k + 1]
 
 
+def _three_point(plus, centre, minus, h, order, out):
+    """3-point stencil into out: (plus - minus) / 2h or (plus - 2 centre + minus) / h^2."""
+    if order == 1:
+        np.subtract(plus, minus, out=out)
+        out /= 2 * h
+    else:
+        np.multiply(centre, 2, out=out)
+        np.subtract(plus, out, out=out)
+        out += minus
+        out /= h**2
+    return out
+
+
 def central_difference(a: np.ndarray, axis: int, h: float, order: int = 1) -> np.ndarray:
     """Second-order central difference of a along axis, from slices.
 
@@ -191,13 +204,7 @@ def central_difference(a: np.ndarray, axis: int, h: float, order: int = 1) -> np
     """
     out = np.empty_like(a)
     for d, plus, centre, minus in _wrapped_rows(a, out, axis):
-        if order == 1:
-            np.subtract(plus, minus, out=d)
-        else:
-            np.multiply(centre, 2, out=d)
-            np.subtract(plus, d, out=d)
-            d += minus
-    out /= 2 * h if order == 1 else h**2
+        _three_point(plus, centre, minus, h, order, d)
     return out
 
 
@@ -252,22 +259,36 @@ def _metric_inverse(J):
     return ginv, ok
 
 
-def _mean_curvature_block(samples, spacings):
-    """Mean-curvature vectors for every node of a block (boundary wraps are
-    garbage; validity is the caller's job).  Returns (H, ok) with ok False
-    at nodes whose FD metric is not positive definite or non-finite."""
-    m = samples.ndim - 1
-    J = [central_difference(samples, a, spacings[a]) for a in range(m)]
+# Bytes of samples per row block of mean_curvature_field (at least one row).
+# Sweep, best of 5 (2 cores, numpy 2.4.6, one BLAS thread), the flagship's
+# three patches | the neck_modes n = 4 patches (a row is 1.8 MB at h = 0.1),
+# with the tracemalloc peak: 0.25 MiB 0.161 s 12 MB | 0.712 s 68 MB;
+# 0.5 MiB .137/15 | .627/68; 1 MiB .149/20 | .626/68; 2 MiB .152/30 | .635/68;
+# 4 MiB .170/51 | .699/88; 8 MiB .204/91 | .863/126.  The old 16-row blocks
+# with halo rows: .174/39 | .960/362.
+_BLOCK_BYTES = 1 << 20
+
+
+def _mean_curvature_block(rows, spacings):
+    """(H, ok) on the middle rows of rows (its first and last rows are axis-0
+    neighbours only); wraps along other axes are garbage, validity is the
+    caller's job.  ok is False where the FD metric is not positive definite."""
+    m = rows.ndim - 1
+    plus, centre, minus = rows[2:], rows[1:-1], rows[:-2]
+
+    def diff(a, order=1):
+        # only the axis-0 terms J_0 and d_0^2 X read the neighbour rows
+        if a == 0:
+            return _three_point(plus, centre, minus, spacings[0], order, np.empty_like(centre))
+        return central_difference(centre, a, spacings[a], order)
+
+    J = [diff(a) for a in range(m)]
     ginv, ok = _metric_inverse(J)
     # W = g^{ab} d_a d_b X, one mixed difference d_b(d_a X) per pair a < b
-    W = None
     for a in range(m):
-        d2 = central_difference(samples, a, spacings[a], order=2)
+        d2 = diff(a, 2)
         d2 *= ginv[a][a][..., None]
-        if W is None:
-            W = d2
-        else:
-            W += d2
+        W = d2 if a == 0 else np.add(W, d2, out=W)
         for b in range(a + 1, m):
             dab = central_difference(J[a], b, spacings[b])
             dab *= 2 * ginv[a][b][..., None]
@@ -280,27 +301,26 @@ def _mean_curvature_block(samples, spacings):
     return W, ok
 
 
-def mean_curvature_field(patch: ImmersionPatch, chunk: int = 16):
+def mean_curvature_field(patch: ImmersionPatch, chunk: int | None = None):
     """Mean-curvature vector at every evaluable node.
 
     Returns (H, valid): H has the shape of samples (zero where invalid) and
     valid flags nodes with a complete, in-mask second-order stencil and a
-    positive definite FD metric.  A non-periodic axis 0 is processed in
-    blocks of `chunk` rows, which bounds the working set on 4-d grids
-    without changing the result.
+    positive definite FD metric.  Axis 0 runs in blocks of about
+    _BLOCK_BYTES of samples (or `chunk` rows), which bounds the working set
+    on 4-d grids.  A block computes its own rows only: its two neighbour
+    rows, taken with wrap-around, feed just J_0 and d_0^2 X.
     """
     valid = _stencil_valid(patch.mask, patch.periodic)
     H = np.zeros_like(patch.samples)
     n0 = patch.samples.shape[0]
-    if patch.m == 1 or patch.periodic[0] or n0 <= chunk + 2:
-        H[...], ok = _mean_curvature_block(patch.samples, patch.spacings)
-        valid &= ok
-    else:
-        for lo in range(1, n0 - 1, chunk):
-            hi = min(lo + chunk, n0 - 1)
-            block = patch.samples[lo - 1 : hi + 1]
-            Hb, ok = _mean_curvature_block(block, patch.spacings)
-            H[lo:hi] = Hb[1:-1]
-            valid[lo:hi] &= ok[1:-1]
+    if chunk is None:
+        chunk = max(1, _BLOCK_BYTES // patch.samples[0].nbytes)
+    first, stop = (0, n0) if patch.periodic[0] else (1, n0 - 1)
+    for lo in range(first, stop, chunk):
+        hi = min(lo + chunk, stop)
+        rows = patch.samples.take(np.arange(lo - 1, hi + 1), axis=0, mode="wrap")
+        H[lo:hi], ok = _mean_curvature_block(rows, patch.spacings)
+        valid[lo:hi] &= ok
     H[~valid] = 0.0
     return H, valid

@@ -374,6 +374,26 @@ class TestGlueCommand:
         assert len(calls) == 2 * math.ceil(32 ** 2 / 256)
         assert sum(calls) == 2 * 32 ** 2
 
+    @pytest.mark.parametrize("command", ["glue", "neck"])
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, command):
+        # a grid too large for memory exits 2 and names the grid options
+        from neckglue import assembler, geometry
+
+        def exhausted(patch, chunk=None):
+            raise MemoryError((18, 59, 59, 59))
+
+        monkeypatch.setattr(assembler, "mean_curvature_field", exhausted)
+        monkeypatch.setattr(geometry, "mean_curvature_field", exhausted)
+        doc = dict(FLAGSHIP, options={"neck_s_nodes": 24, "neck_angle_nodes": [13, 24],
+                                      "outer_spacing": 0.3})
+        argv = {"glue": ["glue", write_config(tmp_path, doc)],
+                "neck": ["neck", "--n", "3", "--grid", "0.4"]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}: out of memory")
+        for key in ("outer_spacing", "neck_angle_nodes", "neck_s_nodes", "--grid"):
+            assert key in err
+
     def test_export_csv_lands_next_to_a_dotted_directory_path(self, tmp_path):
         # the CSV path replaces the file's extension, not the text after the
         # last dot of the whole path (which would write run.csv beside run.v2/)

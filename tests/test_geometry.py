@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from neckglue import neck
+from neckglue import geometry, neck
 from neckglue.geometry import (
     AmbientPoint,
     ImmersionPatch,
@@ -310,19 +310,10 @@ def _roll_block(samples, spacings):
     return W - np.einsum("...ca,...a->...c", J, coeffs), ok
 
 
-def roll_mean_curvature_field(patch, chunk):
+def roll_mean_curvature_field(patch):
     valid = _roll_stencil_valid(patch.mask, patch.periodic)
-    H = np.zeros_like(patch.samples)
-    n0 = patch.samples.shape[0]
-    if patch.m == 1 or patch.periodic[0] or n0 <= chunk + 2:
-        H[...], ok = _roll_block(patch.samples, patch.spacings)
-        valid &= ok
-    else:
-        for lo in range(1, n0 - 1, chunk):
-            hi = min(lo + chunk, n0 - 1)
-            Hb, ok = _roll_block(patch.samples[lo - 1 : hi + 1], patch.spacings)
-            H[lo:hi] = Hb[1:-1]
-            valid[lo:hi] &= ok[1:-1]
+    H, ok = _roll_block(patch.samples, patch.spacings)
+    valid &= ok
     H[~valid] = 0.0
     return H, valid
 
@@ -358,7 +349,7 @@ class TestSliceEngineAgreement:
         patch = holed_neck_patch(n)
         assert patch.periodic[-1] and not patch.periodic[0]
         chunk = 4  # 15 rows along the non-periodic axis 0: several blocks
-        H_old, valid_old = roll_mean_curvature_field(patch, chunk)
+        H_old, valid_old = roll_mean_curvature_field(patch)
         H, valid = mean_curvature_field(patch, chunk=chunk)
         assert np.array_equal(valid, valid_old)
         assert not valid[6:8].all() and valid.any()
@@ -385,28 +376,84 @@ class TestSliceEngineAgreement:
             assert np.abs(got - want).max() <= 1e-15 * scale
 
 
-class TestChunking:
-    """mean_curvature_field's chunk: rows of axis 0 per block."""
+def bits(a):
+    return a.view(np.uint64)
 
-    def test_chunk_leaves_field_unchanged(self):
-        patch = holed_neck_patch(4, t_nodes=20)
+
+def curve_patch(nodes=50):
+    """A closed curve in R^4 (m = 1, periodic axis 0)."""
+    u = np.linspace(0.0, 2 * np.pi, nodes, endpoint=False)
+    samples = np.stack([np.cos(u), np.sin(u), 0.3 * np.cos(2 * u), 0.1 * np.sin(3 * u)], axis=-1)
+    return ImmersionPatch(spacings=(u[1] - u[0],), samples=samples, periodic=(True,))
+
+
+def periodic_axis0_patch():
+    """holed_neck_patch(3) with its periodic azimuth moved to axis 0."""
+    patch = holed_neck_patch(3)
+    order = (2, 0, 1)
+    return ImmersionPatch(spacings=[patch.spacings[i] for i in order],
+                          samples=np.moveaxis(patch.samples, 2, 0),
+                          mask=np.moveaxis(patch.mask, 2, 0),
+                          periodic=[patch.periodic[i] for i in order])
+
+
+class TestChunking:
+    """mean_curvature_field's row blocks along axis 0."""
+
+    @staticmethod
+    def assert_chunk_invariant(patch):
+        # every block height gives the bits of one whole-axis block
         n0 = patch.param_dims[0]
         H_ref, valid_ref = mean_curvature_field(patch, chunk=n0)
-        sup = np.linalg.norm(H_ref, axis=-1)[valid_ref].max()
-        for chunk in (1, 3, 16):
+        assert valid_ref.any()
+        for chunk in (1, 3, 16, n0, None):
             H, valid = mean_curvature_field(patch, chunk=chunk)
             assert np.array_equal(valid, valid_ref), chunk
-            assert np.abs(H - H_ref).max() <= 1e-14 * sup, chunk
+            assert np.array_equal(bits(H), bits(H_ref)), chunk
+
+    def test_chunk_leaves_field_unchanged(self):
+        self.assert_chunk_invariant(holed_neck_patch(4, t_nodes=20))
+
+    def test_chunk_leaves_periodic_axis0_unchanged(self):
+        self.assert_chunk_invariant(periodic_axis0_patch())
+
+    def test_chunk_leaves_curve_unchanged(self):
+        self.assert_chunk_invariant(curve_patch())
+
+    def test_periodic_axis0_matches_roll_oracle(self):
+        patch = periodic_axis0_patch()
+        assert patch.periodic[0]
+        H_old, valid_old = roll_mean_curvature_field(patch)
+        H, valid = mean_curvature_field(patch, chunk=4)
+        assert np.array_equal(valid, valid_old)
+        assert valid[0].any() and valid[-1].any()
+        sup = np.linalg.norm(H_old, axis=-1)[valid_old].max()
+        assert np.abs(H - H_old).max() <= 1e-12 * sup
+
+    def test_curve_is_its_curvature_vector(self):
+        # a unit circle in the (x1, x2) plane: H = -X to O(h^2)
+        u = np.linspace(0.0, 2 * np.pi, 200, endpoint=False)
+        samples = np.stack([np.cos(u), np.sin(u), 0 * u, 0 * u], axis=-1)
+        patch = ImmersionPatch(spacings=(u[1] - u[0],), samples=samples, periodic=(True,))
+        H, valid = mean_curvature_field(patch, chunk=7)
+        assert valid.all()
+        assert_allclose(H, -samples, atol=1e-3)
 
     def test_chunk_bounds_working_set(self):
         patch = holed_neck_patch(4, t_nodes=40)
+        n0 = patch.param_dims[0]
         peaks = {}
-        for chunk in (2, patch.param_dims[0]):
+        for chunk in (2, n0, None):
             tracemalloc.start()
             mean_curvature_field(patch, chunk=chunk)
             peaks[chunk] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert peaks[2] < peaks[patch.param_dims[0]]
+        assert peaks[2] < peaks[n0]
+        # the output H plus at most 16 blocks' worth of samples (about 11
+        # are live at once: the block with its two neighbour rows, J_0..J_3,
+        # W, a difference temporary and the metric entries)
+        assert patch.samples.nbytes >= 2 * geometry._BLOCK_BYTES  # several default blocks
+        assert peaks[None] <= patch.samples.nbytes + 16 * geometry._BLOCK_BYTES
 
 
 def test_degenerate_metric_row_stays_finite():
