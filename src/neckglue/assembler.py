@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,10 +49,8 @@ __all__ = [
     "assemble",
     "boundary_gap",
     "curvature_report",
-    "export",
     "export_csv",
     "export_ply",
-    "hausdorff_to_planes",
     "matching_step",
     "scales_from",
 ]
@@ -273,31 +270,6 @@ def curvature_report(surface: GluedSurface):
     return report
 
 
-def hausdorff_to_planes(surface: GluedSurface, exclusion: float) -> float:
-    """Sampled one-sided Hausdorff distance from the surface (outside balls
-    around the marked points) to the union of the k+1 limit planes."""
-    cfg = surface.config
-    n = cfg.n
-    pts = np.concatenate([p.samples[p.mask] for p in [surface.outer, *surface.necks]])
-    x_part = pts[..., :n]
-    keep = np.ones(len(pts), dtype=bool)
-    for j in range(cfg.k):
-        keep &= np.linalg.norm(x_part - cfg.points[j], axis=-1) > exclusion
-    pts = pts[keep]
-
-    # plane Pi_0 = {y = 0}; plane Pi_j spanned by (cos(pi/n) u, sin(pi/n) R_j u)
-    dists = [np.linalg.norm(pts[:, n:], axis=1)]
-    c, s = math.cos(math.pi / n), math.sin(math.pi / n)
-    for j in range(cfg.k):
-        base = np.concatenate([cfg.points[j], np.zeros(n)])
-        rel = pts - base
-        # orthonormal basis of the plane: rows (c e_i, s R_j e_i)
-        B = np.concatenate([c * np.eye(n), s * cfg.rotations[j].T], axis=1)  # (n, 2n)
-        proj = rel @ B.T  # coordinates in the plane basis (orthonormal rows)
-        dists.append(np.linalg.norm(rel - proj @ B, axis=1))
-    return float(np.max(np.min(np.stack(dists), axis=0)))
-
-
 # ----------------------------------------------------------------------
 # Export
 # ----------------------------------------------------------------------
@@ -368,13 +340,6 @@ def export_ply(surface_or_patches, path: str, csv_path: str = None) -> None:
     parameter coordinates as extra properties.  With csv_path, the CSV file
     of export_csv is written in the same pass."""
     _write_point_cloud(surface_or_patches, ply_path=path, csv_path=csv_path)
-
-
-def export(surface_or_patches, format: str, path: str) -> None:
-    """Write the point cloud in the requested format ('ply' or 'csv')."""
-    if format not in ("ply", "csv"):
-        raise ValueError(f"unknown export format {format!r} (use 'ply' or 'csv')")
-    _write_point_cloud(surface_or_patches, **{f"{format}_path": path})
 
 
 def export_csv(surface_or_patches, path: str) -> None:

@@ -5,12 +5,12 @@ Commands
 validate <cfg>           hypothesis verdicts H1/H2/H3 and the neck scales
 interaction <cfg>        Gamma/Lambda closed forms cross-checked by quadrature
 neck --n N --beta B --eps E [--grid H] [--export P]
-                         model-neck identities and FD minimality floor
+                         model-neck identities, FD minimality floor and the
+                         lower end's approach to its plane graph
 spectrum --n N --k K     indicial roots, frozen-coefficient check, explicit
                          solutions (n=3, k=1)
 glue <cfg> [--export P]  assemble the surface, boundary gaps, curvature,
                          one matching step
-dtn --degree L           Dirichlet-to-Neumann eigenvalues and matching solve
 
 Exit codes: 0 all checks pass, 1 a hypothesis/check failed, 2 input error.
 The config file is JSON: n, points (k n-vectors), rotations (k row-major
@@ -84,21 +84,36 @@ def parse_config(path: str):
 
     n = _integer(path, "n", need("n"))
 
-    def square(name, value):
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 1 and arr.size != n * n:
-            raise ValueError(f"{path}: {name} has {arr.size} entries, expected {n * n}")
-        return arr.reshape(n, n) if arr.ndim == 1 else arr  # flat lists are row-major
+    def numeric(key, value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {key} must be numeric: {exc}") from exc
 
-    try:
-        points = np.asarray(need("points"), dtype=float)
-        rotations = np.stack([square(f"rotations[{j}]", rot)
-                              for j, rot in enumerate(need("rotations"))])
-        A0 = square("A0", need("A0"))
-        epsilon = float(need("epsilon"))
-        rho_star = float(need("rho_star"))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    def square(key, value):
+        arr = numeric(key, value)
+        if arr.ndim == 1 and arr.size == n * n:
+            arr = arr.reshape(n, n)  # flat lists are row-major
+        if arr.shape != (n, n):
+            raise ValueError(f"{path}: {key} must be a matrix of shape ({n}, {n}), nested "
+                             f"or flat, got shape {arr.shape}")
+        return arr
+
+    def scalar(key):
+        value = need(key)
+        arr = numeric(key, value)
+        if arr.ndim:
+            raise ValueError(f"{path}: {key} must be a number, got {value!r}")
+        return float(arr)
+
+    rotations = need("rotations")
+    if not isinstance(rotations, list) or not rotations:
+        raise ValueError(f"{path}: rotations must be a non-empty list of {n} x {n} "
+                         f"matrices, got {rotations!r}")
+    points = numeric("points", need("points"))
+    rotations = np.stack([square(f"rotations[{j}]", rot) for j, rot in enumerate(rotations)])
+    A0 = square("A0", need("A0"))
+    epsilon, rho_star = scalar("epsilon"), scalar("rho_star")
 
     try:
         config = Configuration(
@@ -226,8 +241,8 @@ def cmd_neck(args) -> int:
     import numpy as np
 
     from .geometry import mean_curvature_field
-    from .neck import NeckParams, default_angle_grids, neck_patch, s_to_t, t_to_s, \
-        waist_radius
+    from .neck import NeckParams, asymptote_residual, default_angle_grids, neck_patch, \
+        s_to_t, t_to_s, waist_radius
     from .report import RunReport
 
     report = RunReport("neck")
@@ -258,10 +273,27 @@ def cmd_neck(args) -> int:
     report.section("minimality", {"waist_radius": waist_radius(params),
                                   "fd_sup_by_level": sups, "observed_order": order})
     report.check("minimality FD order - 2", abs(order - 2.0), 0.4)
-    if args.export:
-        from .assembler import export
 
-        export([coarse], "csv" if args.export.endswith(".csv") else "ply", args.export)
+    # the lower end leaves its graph rho Theta + i eps beta rho^(1-n) R Theta
+    # at the rate rho^(1-3n) (n >= 3; at n = 2 it is the graph).  The gap is
+    # radial, the same in every direction, so a coarse angle grid serves.
+    n = args.n
+    rho = params.scale * np.array([2.0, 4.0, 8.0])
+    _, gaps = asymptote_residual(params, rho, default_angle_grids(
+        n, (9,) * (n - 2) + (16,), margin=0.5))
+    asymptote = {"rho": rho.tolist(), "sup_by_rho": gaps.tolist()}
+    if n == 2:
+        asymptote["relative_gap"] = float(np.max(
+            gaps / (params.epsilon * params.beta * rho ** (1 - n))))
+        report.check("asymptote gap / (eps beta rho^(1-n))", asymptote["relative_gap"], 1e-12)
+    else:
+        asymptote["slope"] = float(np.polyfit(np.log(rho), np.log(gaps), 1)[0])
+        report.check("asymptote slope - (1-3n)", abs(asymptote["slope"] - (1 - 3 * n)), 0.05)
+    report.section("asymptote", asymptote)
+    if args.export:
+        from .assembler import export_csv, export_ply
+
+        (export_csv if args.export.endswith(".csv") else export_ply)([coarse], args.export)
         report.section("export", {"path": args.export})
     report.time_mark("total")
     return _finish(report, args)
@@ -374,34 +406,6 @@ def cmd_glue(args) -> int:
     return _finish(report, args)
 
 
-def cmd_dtn(args) -> int:
-    import numpy as np
-
-    from .matching import SHExpansion, SphereGrid, dtn_solve, p_ext, p_int
-    from .report import RunReport
-
-    report = RunReport("dtn")
-    grid = SphereGrid(3, args.degree)
-    deg = grid.degrees
-    eigs = -(2.0 * deg + 1.0)
-    report.section("dtn", {"degrees": deg.tolist(), "eigenvalues": eigs.tolist()})
-    rng = np.random.default_rng(args.seed)
-    rhs = SHExpansion(grid, rng.standard_normal((3, deg.size)))
-    phi = dtn_solve(rhs)
-    back = p_ext(phi) - p_int(phi)
-    report.check("dtn round trip", float(np.max(np.abs(back.coeffs - rhs.coeffs))), 1e-12)
-    # eigenvalue table is exact by construction; verify through a basis sweep
-    worst = 0.0
-    for slot in range(deg.size):
-        e = np.zeros((3, deg.size))
-        e[0, slot] = 1.0
-        diff = p_ext(SHExpansion(grid, e)) - p_int(SHExpansion(grid, e))
-        worst = max(worst, float(np.max(np.abs(diff.coeffs - eigs[slot] * e))))
-    report.check("dtn eigenvalues -(2k+1)", worst, 1e-15)
-    report.time_mark("total")
-    return _finish(report, args)
-
-
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
@@ -451,11 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--export", default=None)
     p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("dtn", parents=[shared], help="Dirichlet-to-Neumann witness")
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0, help="seed of the random right-hand side")
-    p.set_defaults(func=cmd_dtn)
     return parser
 
 

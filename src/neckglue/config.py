@@ -42,7 +42,6 @@ __all__ = [
     "gamma_matrix",
     "lambda_vector",
     "neck_scales",
-    "symmetric_pair_gamma",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -198,43 +197,6 @@ def gamma_entry_quadrature(config: Configuration, j: int, jp: int,
         return np.sum(a * b, axis=1) - n * (nodes @ (Rj @ xi)) * (nodes @ (Rjp @ xi))
 
     return integrate(rule, integrand) / d**n
-
-
-def symmetric_pair_gamma(R1: np.ndarray, R2: np.ndarray, n: int,
-                         axis_tol: float = 1e-10) -> float:
-    """Eigenstructure oracle for gamma_12 of the symmetric two-point family
-    x_1 = -x_2 = e with R_1 e = R_2 e = e and |x_1 - x_2| = 2:
-
-        gamma_12 = -(omega_n / 2^n) ( (2/n) dim E_-  +  (2/n) sum_i (1 - cos theta_i) ),
-
-    where E_- is the -1 eigenspace of R_2^{-1} R_1 and theta_i in (0, pi) are
-    its rotation angles.  Requires a common fixed unit vector (checked).
-    """
-    R1 = np.asarray(R1, dtype=float)
-    R2 = np.asarray(R2, dtype=float)
-    Q = R2.T @ R1
-    # a common fixed vector exists iff Q has eigenvalue 1 with R1 e = e
-    w, V = np.linalg.eig(Q)
-    fixed = np.where(np.abs(w - 1.0) < 1e-8)[0]
-    ok = False
-    for idx in fixed:
-        e = np.real(V[:, idx])
-        nrm = np.linalg.norm(e)
-        if nrm < 1e-12:
-            continue
-        e = e / nrm
-        if np.linalg.norm(R1 @ e - e) < axis_tol and np.linalg.norm(R2 @ e - e) < axis_tol:
-            ok = True
-            break
-    if not ok:
-        raise ValueError("rotations do not fix a common unit vector")
-
-    dim_minus = int(np.sum(np.abs(w + 1.0) < 1e-10))
-    # complex pairs e^{+-i theta}: keep the positive-imaginary representative
-    angles = [float(np.arccos(np.clip(np.real(lam), -1.0, 1.0)))
-              for lam in w if np.imag(lam) > 1e-10]
-    bracket = (2.0 / n) * dim_minus + (2.0 / n) * sum(1.0 - np.cos(t) for t in angles)
-    return -omega_n(n) / 2**n * bracket
 
 
 def gamma_matrix(config: Configuration) -> np.ndarray:

@@ -301,21 +301,20 @@ def _mean_curvature_block(rows, spacings):
     return W, ok
 
 
-def mean_curvature_field(patch: ImmersionPatch, chunk: int | None = None):
+def mean_curvature_field(patch: ImmersionPatch):
     """Mean-curvature vector at every evaluable node.
 
     Returns (H, valid): H has the shape of samples (zero where invalid) and
     valid flags nodes with a complete, in-mask second-order stencil and a
     positive definite FD metric.  Axis 0 runs in blocks of about
-    _BLOCK_BYTES of samples (or `chunk` rows), which bounds the working set
-    on 4-d grids.  A block computes its own rows only: its two neighbour
-    rows, taken with wrap-around, feed just J_0 and d_0^2 X.
+    _BLOCK_BYTES of samples, which bounds the working set on 4-d grids.  A
+    block computes its own rows only: its two neighbour rows, taken with
+    wrap-around, feed just J_0 and d_0^2 X.
     """
     valid = _stencil_valid(patch.mask, patch.periodic)
     H = np.zeros_like(patch.samples)
     n0 = patch.samples.shape[0]
-    if chunk is None:
-        chunk = max(1, _BLOCK_BYTES // patch.samples[0].nbytes)
+    chunk = max(1, _BLOCK_BYTES // patch.samples[0].nbytes)
     first, stop = (0, n0) if patch.periodic[0] else (1, n0 - 1)
     for lo in range(first, stop, chunk):
         hi = min(lo + chunk, stop)

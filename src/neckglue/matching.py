@@ -31,8 +31,11 @@ Orthogonal-to-Theta parts solve
     Phi_j - tilde Phi_j = g1,    P_ext Phi_j - P_int tilde Phi_j = g2
 
 via (P_ext - P_int) Phi_j = g2 - P_int g1.  Theta-collinear parts carry the
-scale unknowns: with u_j = eps (beta_j - alpha_j) rho_*^{1-n} and
-w_j = (eps/omega_n) sum_{j'!=j} gamma_jj' (alpha_j' - alpha*_j') rho_*,
+scale unknowns.  The gap is outer minus neck, whose singular terms
+eps alpha_j rho^{1-n} and eps beta_j rho^{1-n} enter it with opposite signs;
+with the corrections delta = current - solved,
+u_j = eps (delta_alpha_j - delta_beta_j) rho_*^{1-n} and
+w_j = (eps/omega_n) sum_{j'!=j} gamma_jj' delta_alpha_j' rho_*,
 the two projections give u_j + w_j = c1 and (1-n) u_j + w_j = c2 (the
 conormal weights are the radial derivatives of rho^{1-n} and rho), a 2x2
 system of determinant n, after which Gamma delta_alpha = (omega_n w)/(eps
@@ -56,12 +59,10 @@ __all__ = [
     "SHExpansion",
     "SphereGrid",
     "dtn_solve",
-    "harmonic_extension",
     "match_boundaries",
     "p_ext",
     "p_int",
     "sh_analyze",
-    "sh_synthesize",
     "split_theta",
 ]
 
@@ -137,10 +138,6 @@ class SHExpansion:
         if self.coeffs.shape != want:
             raise ValueError(f"coefficients must have shape {want}")
 
-    @staticmethod
-    def zero(grid: SphereGrid) -> "SHExpansion":
-        return SHExpansion(grid, np.zeros((grid.n, grid.degrees.size)))
-
     def scaled(self, factors: np.ndarray) -> "SHExpansion":
         return SHExpansion(self.grid, self.coeffs * factors[None, :])
 
@@ -186,11 +183,6 @@ def sh_analyze(values, grid: SphereGrid, rule: QuadratureRule):
         [SHExpansion(grid, c) for c in coeffs]
 
 
-def sh_synthesize(expansion: SHExpansion, points) -> np.ndarray:
-    """Evaluate the expansion at unit vectors points (..., n)."""
-    return expansion.grid.basis_at(points) @ expansion.coeffs.T
-
-
 def p_int(expansion: SHExpansion) -> SHExpansion:
     """Radial derivative at r = 1 of the interior harmonic extension."""
     return expansion.scaled(expansion.grid.degrees.astype(float))
@@ -204,30 +196,6 @@ def p_ext(expansion: SHExpansion) -> SHExpansion:
 def dtn_solve(rhs: SHExpansion) -> SHExpansion:
     """Solve (P_ext - P_int) Phi = rhs; divide degree-k slots by -(2k+n-2)."""
     return rhs.scaled(-1.0 / (2.0 * rhs.grid.degrees + rhs.grid.n - 2.0))
-
-
-def harmonic_extension(expansion: SHExpansion, side: str, points) -> np.ndarray:
-    """Evaluate the harmonic extension at points x (..., n) of R^n.
-
-    side "interior" uses |x|^k (|x| <= 1); "exterior" uses |x|^{2-n-k}
-    (|x| >= 1), the unique extension decaying at infinity.
-    """
-    points = np.asarray(points, dtype=float)
-    r = np.linalg.norm(points, axis=-1, keepdims=True)
-    grid = expansion.grid
-    if side == "interior":
-        if np.any(r > 1.0 + 1e-12):
-            raise ValueError("interior extension needs |x| <= 1")
-        radial = r ** grid.degrees
-    elif side == "exterior":
-        if np.any(r < 1.0 - 1e-12):
-            raise ValueError("exterior extension needs |x| >= 1")
-        radial = r ** (2.0 - grid.n - grid.degrees)
-    else:
-        raise ValueError("side must be 'interior' or 'exterior'")
-    # at the origin only the constant survives r^k; any direction serves
-    direction = points / np.where(r > 0.0, r, 1.0)
-    return (radial * grid.basis_at(direction)) @ expansion.coeffs.T
 
 
 def split_theta(expansion: SHExpansion):
@@ -249,7 +217,8 @@ def split_theta(expansion: SHExpansion):
 class MatchCorrection:
     """Solution of the leading-order matching: per-end boundary corrections
     (outer side Phi, neck side tilde Phi, both Theta-orthogonal) plus the
-    scale updates delta_alpha = alpha - alpha* and delta_beta = beta - beta*."""
+    scale updates delta_alpha and delta_beta, each current - solved: the
+    solved scales are alpha_star - delta_alpha and alpha_star - delta_beta."""
 
     phi: list
     phi_tilde: list
@@ -267,8 +236,9 @@ def match_boundaries(config: Configuration, alpha_star: np.ndarray,
     orthogonal parts are eliminated per end through the diagonal DtN
     difference; the collinear parts yield the per-end 2x2 systems and one
     global Gamma solve (Gamma must be invertible, i.e. H2 holds; it is
-    recomputed from the configuration unless supplied).  The returned
-    delta_alpha/delta_beta are corrections relative to alpha_star.
+    recomputed from the configuration unless supplied).  The surface is the
+    one built at alpha = beta = alpha_star; the returned delta_alpha and
+    delta_beta are current - solved, relative to it.
     """
     from .config import gamma_matrix
 
@@ -303,9 +273,9 @@ def match_boundaries(config: Configuration, alpha_star: np.ndarray,
                     (p_ext(pj) - p_int(phi_tilde[j]) - g2o).norm())
 
     delta_alpha = np.linalg.solve(gamma, om * w / (eps * rho))
-    delta_beta = delta_alpha + u * rho ** (n - 1) / eps
+    delta_beta = delta_alpha - u * rho ** (n - 1) / eps
     w_back = (eps / om) * (gamma @ delta_alpha) * rho
-    u_back = eps * (delta_beta - delta_alpha) * rho ** (1 - n)
+    u_back = eps * (delta_alpha - delta_beta) * rho ** (1 - n)
     resid = max(resid, np.max(np.abs(u_back + w_back - (u + w))),
                 np.max(np.abs((1 - n) * u_back + w_back - ((1 - n) * u + w))))
 

@@ -66,7 +66,6 @@ __all__ = [
     "jacobi_field",
     "linearized_apply",
     "neck_patch",
-    "neck_point",
     "radius_of_s",
     "s_of_radius",
     "s_to_t",
@@ -182,13 +181,6 @@ def s_of_radius(params: NeckParams, r_target: float) -> float:
 # ----------------------------------------------------------------------
 # Parametrization
 # ----------------------------------------------------------------------
-
-def neck_point(params: NeckParams, s: float, angles) -> AmbientPoint:
-    """One sample of the (scaled, twisted, translated) neck."""
-    if not 0.0 < s < math.pi / params.n:
-        raise ValueError("s must lie strictly inside (0, pi/n)")
-    return AmbientPoint(*params.evaluate(s, sphere_chart(np.asarray(angles, dtype=float))))
-
 
 def polar_angle_grid(count: int, margin: float):
     """Uniform open grid of a polar angle on [margin, pi - margin]."""

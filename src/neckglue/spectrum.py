@@ -33,7 +33,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .neck import t_to_s
 
 __all__ = [
     "IndicialTable",
@@ -276,11 +275,15 @@ def explicit_n3_solution(t):
 
     Evaluated through sin(3s) = sech(3t), cos(3s) = -tanh(3t); the direct
     route through s loses all relative precision in sin(3s) once 3s is
-    within float epsilon of pi.
+    within float epsilon of pi.  A floating t keeps its dtype (long double
+    for explicit_n3_residual); anything else is taken as float64.
     """
-    t = np.asarray(t, dtype=float)
-    s = t_to_s(t, 3)
-    w = np.cosh(3 * t) ** (1.0 / 6.0)
+    t = np.asarray(t)
+    if t.dtype.kind != "f":
+        t = t.astype(float)
+    one = t.dtype.type(1)
+    s = 2 * one / 3 * np.arctan(np.exp(3 * t))    # t_to_s, in t's dtype
+    w = np.cosh(3 * t) ** (one / 6)
     a = w * (np.cos(s) / np.cosh(3 * t) + np.tanh(3 * t) * np.sin(s))
     b = -w * np.sin(s)
     return a, b
@@ -297,14 +300,7 @@ def explicit_n3_residual(t_grid, h: float = 1e-3) -> float:
     ld = np.longdouble
     t = np.asarray(t_grid, dtype=ld)
     hh = ld(h)
-
-    def pair(tt):
-        s = ld(2) / ld(3) * np.arctan(np.exp(3 * tt))
-        w = np.cosh(3 * tt) ** (ld(1) / ld(6))
-        return (w * (np.cos(s) / np.cosh(3 * tt) + np.tanh(3 * tt) * np.sin(s)),
-                -w * np.sin(s))
-
-    vals = [pair(t + k * hh) for k in (-2, -1, 0, 1, 2)]
+    vals = [explicit_n3_solution(t + k * hh) for k in (-2, -1, 0, 1, 2)]
     stencil = np.array([-1, 16, -30, 16, -1], dtype=ld) / (12 * hh * hh)
     app = sum(c * v[0] for c, v in zip(stencil, vals))
     bpp = sum(c * v[1] for c, v in zip(stencil, vals))

@@ -18,7 +18,6 @@ from neckglue.config import (
     gamma_entry_quadrature,
     gamma_matrix,
     neck_scales,
-    symmetric_pair_gamma,
 )
 from neckglue.geometry import mean_curvature_field
 from neckglue.green import GreenData, balance_residual, graph_mean_curvature
@@ -31,6 +30,7 @@ from neckglue.spectrum import ModeSolution, decay_rate, explicit_n3_residual, \
     indicial_roots, integrate_mode_system, verify_f0
 
 from conftest import flagship_at, rot_e1
+from oracles import symmetric_pair_gamma
 
 
 class _Criterion:
@@ -232,7 +232,7 @@ def test_criterion_9_dtn_witness(flagship):
         dbeta = rng.standard_normal(2)
         phis, phts, disc = [], [], []
         w = (flagship.epsilon / omega_n(3)) * (system.gamma @ dalpha) * flagship.rho_star
-        u = flagship.epsilon * (dbeta - dalpha) * flagship.rho_star ** (-2)
+        u = flagship.epsilon * (dalpha - dbeta) * flagship.rho_star ** (-2)
         for j in range(2):
             pj = split_theta(SHExpansion(grid, scale * rng.standard_normal((3, deg.size))))[1]
             pt = split_theta(SHExpansion(grid, scale * rng.standard_normal((3, deg.size))))[1]

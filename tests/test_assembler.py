@@ -13,7 +13,6 @@ from neckglue.assembler import (
     curvature_report,
     export_csv,
     export_ply,
-    hausdorff_to_planes,
     matching_step,
     scales_from,
 )
@@ -21,11 +20,13 @@ from neckglue import assembler
 from neckglue.assembler import _boundary_samples, _point_rows
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.green import GreenData, regular_part
-from neckglue.geometry import ImmersionPatch, sphere_chart
+from neckglue.geometry import AmbientPoint, ImmersionPatch, sphere_chart
+from neckglue.matching import split_theta
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_to_t
 from neckglue.quadrature import omega_n, product_gauss_rule
 
 from conftest import flagship_at, quarter_turn_n5, random_orthogonal
+from oracles import hausdorff_to_planes
 
 COARSE = GridSpec(neck_s_nodes=32, neck_angle_nodes=(17, 32), outer_spacing=0.3)
 
@@ -387,6 +388,74 @@ class TestMatchingStep:
         assert np.max(np.abs(turned - base)) < 1e-3 * np.max(np.abs(base))
 
 
+def hand_built_surface(cfg, alpha, beta):
+    """The boundary data of a glued surface whose neck j has its own scale
+    beta_j (assemble ties beta_j = alpha_j): the outer graph at alpha and,
+    per end, NeckParams and scales_from at beta_j.  No patch is built."""
+    data = GreenData(cfg, alpha)
+    cjs = np.stack([regular_part(data, j) for j in range(cfg.k)])
+    params, scales = [], []
+    for j in range(cfg.k):
+        params.append(NeckParams(n=cfg.n, beta=float(beta[j]), epsilon=cfg.epsilon,
+                                 rotation=cfg.rotations[j],
+                                 translation=AmbientPoint(cfg.points[j], cfg.epsilon * cjs[j])))
+        s_star, t_star = scales_from(cfg.epsilon, cfg.rho_star, float(beta[j]), cfg.n)
+        scales.append({"s_star": s_star, "t_star": t_star, "rho_star": cfg.rho_star})
+    return GluedSurface(config=cfg, alpha=np.asarray(alpha, dtype=float), outer=None, necks=[],
+                        neck_params=params, scales=scales, regular_parts=cjs, provenance={})
+
+
+def collinear_gaps(cfg, alpha, beta, rule):
+    """(c1_j, c2_j): the Theta coefficients of each end's value and conormal gap."""
+    _, discrepancies = boundary_gap(hand_built_surface(cfg, alpha, beta), rule, 8)
+    return np.array([[split_theta(value)[0], split_theta(conormal)[0]]
+                     for value, conormal in discrepancies])
+
+
+class TestMatchingOrientation:
+    """The reported step against the surface it corrects: delta_alpha and
+    delta_beta are current - solved, so the solved scales are alpha -
+    delta_alpha (outer graph) and alpha - delta_beta (necks)."""
+
+    RULE = product_gauss_rule(3, 32)
+
+    def reported_step(self, eps):
+        cfg = flagship_at(eps)
+        system = build_interaction_system(cfg)
+        surf = assemble(cfg, system.alpha, COARSE)
+        _, discrepancies = boundary_gap(surf, self.RULE, 8)
+        step = matching_step(surf, system.gamma, discrepancies, self.RULE)
+        return cfg, system.alpha, step
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
+    def test_fed_back_step_contracts_the_collinear_gaps(self, eps):
+        # measured: sup|c1, c2| falls 188x at eps = 1e-4 and 2.0e4x at
+        # 1e-5; with delta_beta - delta_alpha of the other sign it grows 1.5x
+        cfg, alpha, step = self.reported_step(eps)
+        before = collinear_gaps(cfg, alpha, alpha, self.RULE)
+        after = collinear_gaps(cfg, alpha - step["delta_alpha"], alpha - step["delta_beta"],
+                               self.RULE)
+        assert np.abs(after).max() * 100 <= np.abs(before).max()
+
+    def test_step_is_minus_the_newton_step_of_the_measured_gaps(self):
+        # central differences of (c1, c2) in (alpha, beta) at eps = 1e-5;
+        # the components agree to 2e-3 relative
+        cfg, alpha, step = self.reported_step(1e-5)
+        x0 = np.concatenate([alpha, alpha])
+
+        def gaps(x):
+            return collinear_gaps(cfg, x[:2], x[2:], self.RULE).ravel()
+
+        jac = np.empty((4, 4))
+        for i in range(4):
+            dx = np.zeros(4)
+            dx[i] = 1e-4 * x0[i]
+            jac[:, i] = (gaps(x0 + dx) - gaps(x0 - dx)) / (2 * dx[i])
+        newton = np.linalg.solve(jac, -gaps(x0))
+        reported = -np.concatenate([step["delta_alpha"], step["delta_beta"]])
+        assert_allclose(reported, newton, rtol=1e-2)
+
+
 class TestCurvature:
     def test_neck_floor_refines_second_order(self):
         cfg, system, surf1 = build_flagship_surface(1e-4, COARSE)
@@ -496,15 +565,13 @@ class TestExport:
         with pytest.raises(OSError, match="no/such/dir"):
             export_csv(surf, "/no/such/dir/out.csv")
 
-    def test_format_dispatcher(self, tmp_path):
-        from neckglue.assembler import export
-
+    def test_each_format_alone(self, tmp_path):
         _, _, surf = build_flagship_surface()
-        export(surf, "ply", str(tmp_path / "s.ply"))
-        export(surf, "csv", str(tmp_path / "s.csv"))
-        assert (tmp_path / "s.ply").exists() and (tmp_path / "s.csv").exists()
-        with pytest.raises(ValueError, match="unknown export format"):
-            export(surf, "obj", str(tmp_path / "s.obj"))
+        export_ply(surf, str(tmp_path / "s.ply"))
+        export_csv(surf, str(tmp_path / "s.csv"))
+        assert (tmp_path / "s.ply").read_text().startswith("ply\n")
+        assert (tmp_path / "s.csv").read_text().startswith("patch_id,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.ply"]
 
 
 def _neck_pair(n):

@@ -108,6 +108,26 @@ class TestCommands:
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rotations", 5, "rotations must be a non-empty list of 3 x 3 matrices, got 5"),
+        ("rotations", [], "rotations must be a non-empty list of 3 x 3 matrices, got []"),
+        ("points", "abc", "points must be numeric: could not convert string to float"),
+        ("rotations", None, "missing required key 'rotations'"),
+        ("A0", [1, 2, 3], "A0 must be a matrix of shape (3, 3), nested or flat, got shape (3,)"),
+    ], ids=["rotations-int", "rotations-empty", "points-string", "rotations-missing",
+            "A0-three-entries"])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, key, value, message):
+        doc = dict(FLAGSHIP)
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validate: {cfg}: {message}")
+        assert err.count(cfg) == 1
+
     @pytest.mark.parametrize("key, value", [
         ("A0", [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         ("epsilon", math.inf),
@@ -242,16 +262,11 @@ class TestCommands:
         assert sec["exact_nu"] == ["1/2", "-1/2"]
         assert sec["coexact"] == ["3/2", "-3/2"]
 
-    def test_dtn_command(self, capsys):
-        assert main(["dtn", "--degree", "6"]) == 0
-        assert main(["dtn", "--degree", "4", "--seed", "3"]) == 0
-
-    @pytest.mark.parametrize("argv", [["interaction", "{cfg}", "--seed", "1"],
-                                      ["--seed", "1", "dtn"]], ids=["interaction", "top-level"])
-    def test_seed_is_a_dtn_option(self, tmp_path, argv):
-        cfg = write_config(tmp_path, FLAGSHIP)
+    def test_dtn_command_removed(self):
+        # it compared p_ext - p_int with the diagonal the two define; the DtN
+        # identity itself is checked by FD radial derivatives in test_matching
         with pytest.raises(SystemExit) as exc:
-            main([a.format(cfg=cfg) for a in argv])
+            main(["dtn"])
         assert exc.value.code == 2
 
     def test_interaction_command(self, tmp_path):
@@ -269,6 +284,44 @@ class TestCommands:
         report = tmp_path / "r.json"
         assert main(["--report", str(report), "neck", "--n", "2", "--grid", "0.4"]) == 0
         assert json.loads(report.read_text())["sections"]["minimality"]["waist_radius"] == 0.0
+
+    @pytest.mark.parametrize("n, name", [
+        (2, "asymptote gap / (eps beta rho^(1-n))"),
+        (3, "asymptote slope - (1-3n)"),
+        (4, "asymptote slope - (1-3n)"),
+    ])
+    def test_neck_asymptote_gate_passes(self, tmp_path, n, name):
+        # measured slopes -8.0013 (n = 3) and -11.0005 (n = 4); at n = 2 the
+        # neck is its own graph, a relative gap of 1.8e-15
+        report = tmp_path / "r.json"
+        assert main(["--report", str(report), "neck", "--n", str(n), "--grid", "0.4"]) == 0
+        doc = json.loads(report.read_text())
+        check, = [c for c in doc["checks"] if c["name"] == name]
+        assert check["pass"]
+        section = doc["sections"]["asymptote"]
+        scale = (n * 1.0 * 1e-3) ** (1.0 / n)
+        assert section["rho"] == pytest.approx([2 * scale, 4 * scale, 8 * scale], rel=1e-15)
+        assert len(section["sup_by_rho"]) == 3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_neck_asymptote_gate_trips_on_a_wrong_rate(self, capsys, monkeypatch, n):
+        # a gap one power of rho too slow (n = 3), or at n = 2 a gap of 1e-9
+        # of the graph's height, fails the check and the command
+        from neckglue import neck
+
+        exact = neck.asymptote_residual
+
+        def wrong_rate(params, rho_values, angle_grids):
+            rho = np.asarray(rho_values)
+            _, per_rho = exact(params, rho, angle_grids)
+            per_rho = per_rho * rho / rho[0] if n > 2 else \
+                per_rho + 1e-9 * params.epsilon * params.beta / rho
+            return float(np.max(per_rho)), per_rho
+
+        monkeypatch.setattr(neck, "asymptote_residual", wrong_rate)
+        assert main(["neck", "--n", str(n), "--grid", "0.4"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] asymptote" in out
 
     def test_report_determinism(self, tmp_path):
         # identical config => byte-identical reports minus timings
@@ -289,7 +342,7 @@ class TestCommands:
         monkeypatch.setenv("NECKGLUE_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         report = tmp_path / "r.json"
-        assert main(["--report", str(report), "dtn", "--degree", "2"]) == 0
+        assert main(["--report", str(report), "spectrum", "--n", "3", "--k", "1"]) == 0
         env = json.loads(report.read_text())["sections"]["environment"]
         assert env["python"] == ".".join(map(str, sys.version_info[:3]))
         assert env["numpy"] == np.__version__
@@ -379,7 +432,7 @@ class TestGlueCommand:
         # a grid too large for memory exits 2 and names the grid options
         from neckglue import assembler, geometry
 
-        def exhausted(patch, chunk=None):
+        def exhausted(patch):
             raise MemoryError((18, 59, 59, 59))
 
         monkeypatch.setattr(assembler, "mean_curvature_field", exhausted)
@@ -539,7 +592,7 @@ class TestGlueCommand:
 class TestConsoleEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "neckglue.cli", "dtn", "--degree", "4"],
+            [sys.executable, "-m", "neckglue.cli", "spectrum", "--n", "3", "--k", "1"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
@@ -573,9 +626,8 @@ class TestImportGraph:
         ["validate", "configs/flagship.json"],
         ["interaction", "configs/flagship.json"],
         ["neck", "--n", "3", "--grid", "0.4"],
-        ["dtn", "--degree", "4"],
         ["spectrum", "--n", "3", "--k", "1"],
-    ], ids=["glue", "glue-export", "validate", "interaction", "neck", "dtn", "spectrum"])
+    ], ids=["glue", "glue-export", "validate", "interaction", "neck", "spectrum"])
     def test_command_loads_no_scipy(self, tmp_path, argv):
         argv = [a.format(tmp=tmp_path) for a in argv] + ["--report", str(tmp_path / "r.json")]
         code = ("import contextlib, io, sys\n"

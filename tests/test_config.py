@@ -14,11 +14,11 @@ from neckglue.config import (
     lambda_entry_quadrature,
     lambda_vector,
     neck_scales,
-    symmetric_pair_gamma,
 )
 from neckglue.quadrature import omega_n, product_gauss_rule
 
 from conftest import random_orthogonal, rot_e1
+from oracles import symmetric_pair_gamma
 
 
 class TestConfigurationValidation:

@@ -19,6 +19,16 @@ from neckglue.neck import NeckParams, default_angle_grids, neck_patch
 
 from conftest import rot_e1
 
+DEFAULT_BLOCK_BYTES = geometry._BLOCK_BYTES
+
+
+def field_in_blocks(monkeypatch, patch, rows):
+    """mean_curvature_field on axis-0 blocks of `rows` rows (None: the
+    default block size), set through geometry._BLOCK_BYTES."""
+    block = DEFAULT_BLOCK_BYTES if rows is None else rows * patch.samples[0].nbytes
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", block)
+    return mean_curvature_field(patch)
+
 
 def sphere_patch(theta1, theta2):
     """Unit S^2 embedded in the x-part of R^6 (y = 0)."""
@@ -345,12 +355,12 @@ class TestSliceEngineAgreement:
     """The slice engine against the np.roll oracle."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_field_matches_roll_oracle(self, n):
+    def test_field_matches_roll_oracle(self, n, monkeypatch):
         patch = holed_neck_patch(n)
         assert patch.periodic[-1] and not patch.periodic[0]
-        chunk = 4  # 15 rows along the non-periodic axis 0: several blocks
         H_old, valid_old = roll_mean_curvature_field(patch)
-        H, valid = mean_curvature_field(patch, chunk=chunk)
+        # 15 rows along the non-periodic axis 0: several blocks of 4
+        H, valid = field_in_blocks(monkeypatch, patch, 4)
         assert np.array_equal(valid, valid_old)
         assert not valid[6:8].all() and valid.any()
         sup = np.linalg.norm(H_old, axis=-1)[valid_old].max()
@@ -401,62 +411,62 @@ class TestChunking:
     """mean_curvature_field's row blocks along axis 0."""
 
     @staticmethod
-    def assert_chunk_invariant(patch):
+    def assert_chunk_invariant(monkeypatch, patch):
         # every block height gives the bits of one whole-axis block
         n0 = patch.param_dims[0]
-        H_ref, valid_ref = mean_curvature_field(patch, chunk=n0)
+        H_ref, valid_ref = field_in_blocks(monkeypatch, patch, n0)
         assert valid_ref.any()
-        for chunk in (1, 3, 16, n0, None):
-            H, valid = mean_curvature_field(patch, chunk=chunk)
-            assert np.array_equal(valid, valid_ref), chunk
-            assert np.array_equal(bits(H), bits(H_ref)), chunk
+        for rows in (1, 3, 16, n0, None):
+            H, valid = field_in_blocks(monkeypatch, patch, rows)
+            assert np.array_equal(valid, valid_ref), rows
+            assert np.array_equal(bits(H), bits(H_ref)), rows
 
-    def test_chunk_leaves_field_unchanged(self):
-        self.assert_chunk_invariant(holed_neck_patch(4, t_nodes=20))
+    def test_chunk_leaves_field_unchanged(self, monkeypatch):
+        self.assert_chunk_invariant(monkeypatch, holed_neck_patch(4, t_nodes=20))
 
-    def test_chunk_leaves_periodic_axis0_unchanged(self):
-        self.assert_chunk_invariant(periodic_axis0_patch())
+    def test_chunk_leaves_periodic_axis0_unchanged(self, monkeypatch):
+        self.assert_chunk_invariant(monkeypatch, periodic_axis0_patch())
 
-    def test_chunk_leaves_curve_unchanged(self):
-        self.assert_chunk_invariant(curve_patch())
+    def test_chunk_leaves_curve_unchanged(self, monkeypatch):
+        self.assert_chunk_invariant(monkeypatch, curve_patch())
 
-    def test_periodic_axis0_matches_roll_oracle(self):
+    def test_periodic_axis0_matches_roll_oracle(self, monkeypatch):
         patch = periodic_axis0_patch()
         assert patch.periodic[0]
         H_old, valid_old = roll_mean_curvature_field(patch)
-        H, valid = mean_curvature_field(patch, chunk=4)
+        H, valid = field_in_blocks(monkeypatch, patch, 4)
         assert np.array_equal(valid, valid_old)
         assert valid[0].any() and valid[-1].any()
         sup = np.linalg.norm(H_old, axis=-1)[valid_old].max()
         assert np.abs(H - H_old).max() <= 1e-12 * sup
 
-    def test_curve_is_its_curvature_vector(self):
+    def test_curve_is_its_curvature_vector(self, monkeypatch):
         # a unit circle in the (x1, x2) plane: H = -X to O(h^2)
         u = np.linspace(0.0, 2 * np.pi, 200, endpoint=False)
         samples = np.stack([np.cos(u), np.sin(u), 0 * u, 0 * u], axis=-1)
         patch = ImmersionPatch(spacings=(u[1] - u[0],), samples=samples, periodic=(True,))
-        H, valid = mean_curvature_field(patch, chunk=7)
+        H, valid = field_in_blocks(monkeypatch, patch, 7)
         assert valid.all()
         assert_allclose(H, -samples, atol=1e-3)
 
-    def test_chunk_bounds_working_set(self):
+    def test_chunk_bounds_working_set(self, monkeypatch):
         patch = holed_neck_patch(4, t_nodes=40)
         n0 = patch.param_dims[0]
         peaks = {}
-        for chunk in (2, n0, None):
+        for rows in (2, n0, None):
             tracemalloc.start()
-            mean_curvature_field(patch, chunk=chunk)
-            peaks[chunk] = tracemalloc.get_traced_memory()[1]
+            field_in_blocks(monkeypatch, patch, rows)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peaks[2] < peaks[n0]
         # the output H plus at most 16 blocks' worth of samples (about 11
         # are live at once: the block with its two neighbour rows, J_0..J_3,
         # W, a difference temporary and the metric entries)
-        assert patch.samples.nbytes >= 2 * geometry._BLOCK_BYTES  # several default blocks
-        assert peaks[None] <= patch.samples.nbytes + 16 * geometry._BLOCK_BYTES
+        assert patch.samples.nbytes >= 2 * DEFAULT_BLOCK_BYTES  # several default blocks
+        assert peaks[None] <= patch.samples.nbytes + 16 * DEFAULT_BLOCK_BYTES
 
 
-def test_degenerate_metric_row_stays_finite():
+def test_degenerate_metric_row_stays_finite(monkeypatch):
     # X(u, v, w) = (u, c(u) v, w) with c = 0 on the row u = u[5]: the v-axis
     # collapses there, so g is singular with a zero middle LDL^T pivot.
     u = 0.1 * np.arange(11)
@@ -470,7 +480,7 @@ def test_degenerate_metric_row_stays_finite():
     patch = ImmersionPatch(spacings=(0.1,) * 3, samples=samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        H, valid = mean_curvature_field(patch, chunk=3)
+        H, valid = field_in_blocks(monkeypatch, patch, 3)
     assert np.isfinite(H).all()
     assert not valid[5].any()
     assert np.all(H[5] == 0.0)

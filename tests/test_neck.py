@@ -13,7 +13,6 @@ from neckglue.neck import (
     jacobi_field,
     linearized_apply,
     neck_patch,
-    neck_point,
     radius_of_s,
     s_of_radius,
     s_to_t,
@@ -22,6 +21,7 @@ from neckglue.neck import (
 )
 
 from conftest import random_orthogonal, rot_e1
+from oracles import neck_point
 
 
 def unit_scale_params(n):

@@ -148,3 +148,78 @@ def test_traced_names_are_bound():
         return path.read_text() if path.exists() else None
 
     assert untraceable(tracing, module_source) == []
+
+
+def _reads(node, package_init=False):
+    """Names that node reads: loaded Name ids, attribute names, imported
+    names (not in the package __init__, whose imports only re-export) and
+    "module.attr" strings, as the pair (module, attr)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and not package_init:
+            found |= {alias.name for alias in sub.names}
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.count(".") == 1:
+            found.add(tuple(sub.value.split(".")))
+    return found
+
+
+def unreferenced_exports(package, bench):
+    """"module.name" for every __all__ name of a package module that no
+    package module or bench file reads outside the name's own definition
+    and the __all__ lists.  package maps module names ("__init__" for the
+    package's own) to sources, bench maps bench file names to sources; a
+    bench file may also name the export as the string "module.name", the
+    form the tracer takes."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = []   # (module or None for bench, top-level node, names read)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                reads.append((module, node, _reads(node, module == "__init__")))
+    for source in bench.values():
+        reads.append((None, None, _reads(ast.parse(source))))
+    missing = []
+    for module, tree in trees.items():
+        for name in sorted(_exported(tree)):
+            own = {id(node) for node in tree.body if getattr(node, "name", None) == name}
+            if not any((name in names and id(node) not in own)
+                       or (where is None and (module, name) in names)
+                       for where, node, names in reads):
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_checker_sees_exports_only_tests_use():
+    package = {
+        "__init__": "from .a import reexported\n__all__ = ['reexported']\n",
+        "a": ("__all__ = ['used', 'only_tested', 'recursive', 'reexported', 'traced',\n"
+              "           'local', 'K']\n"
+              "K = 1\n"
+              "def used(): pass\n"
+              "def only_tested(): pass\n"
+              "def recursive(): return recursive()\n"
+              "def reexported(): pass\n"
+              "def traced(): pass\n"
+              "def local(): pass\n"
+              "LOCAL = local\n"),
+        "b": "from .a import used\n__all__ = []\n",
+    }
+    bench = {"tracing": "SPANS = ('a.traced', 'b.gone')\n"}
+    # only_tested stands for a name whose callers are all tests, which the
+    # checker does not read; reexported is read by no module but __init__
+    assert unreferenced_exports(package, bench) == ["__init__.reexported", "a.K",
+                                                    "a.only_tested", "a.recursive",
+                                                    "a.reexported"]
+
+
+def test_every_export_has_a_caller_in_src_or_bench():
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = {path.stem: path.read_text()
+             for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
+    assert unreferenced_exports(package, bench) == []
