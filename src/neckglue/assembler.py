@@ -2,7 +2,9 @@
 graph with the end balls removed, plus one truncated, rescaled, twisted neck
 per marked point, glued along circles of radius rho_*.
 
-Per neck j the truncation parameters solve
+The glued surface is closed-form data: the Green data of the outer scales
+alpha and, per end j, a neck of its own scale beta_j (default alpha_j)
+truncated where
 
     rho_* = (n beta_j eps)^{1/n} cos(s_*) (sin n s_*)^{-1/n}       (lower branch)
     e^{-n t_*} = sin(n s_*) / (1 - cos(n s_*)),
@@ -11,7 +13,8 @@ so the lower boundary circle sits at radius rho_* exactly; the neck is
 translated by x_j + i eps c_j with c_j the regular part of G at x_j.  The
 upper half of the neck is the image of the lower half under the exact
 symmetry s -> pi/n - s composed with y-conjugation and the e^{i pi/n}
-rotation, so its boundary is a rho_* circle in the rotated frame.
+rotation, so its boundary is a rho_* circle in the rotated frame.  Its
+gridded patches are built on first use (curvature report, export) and kept.
 
 Everything measured on the rho_* spheres goes through one sampler: at unit
 vectors Theta it returns the neck and outer-graph points and their radial
@@ -19,19 +22,20 @@ tangents d/drho, the neck's from the closed-form d/ds of NeckParams.evaluate.
 boundary_gap calls it once per end and block of rule nodes, in one pass that
 compares the two sides and analyzes the value and rho_*-scaled conormal gaps
 in each end's frame (gap @ R_j, where the neck is collinear with Theta); the
-matching step runs one linear matching solve on that analysis.  Curvature
-reports use the FD engine on neck patches and the exact-derivative route on
-the outer graph (whose FD truncation, proportional to eps h^2, would bury the
-eps^3 nonlinear residual at small eps; the two routes are cross-checked at
-moderate eps in the test suite).
+matching step runs one linear matching solve on that analysis; neither
+builds a patch.  Curvature reports use the FD engine on neck patches and the
+exact-derivative route on the outer graph (whose FD truncation, proportional
+to eps h^2, would bury the eps^3 nonlinear residual at small eps; the two
+routes are cross-checked at moderate eps in the test suite).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,24 +56,16 @@ __all__ = [
     "export_csv",
     "export_ply",
     "matching_step",
-    "scales_from",
 ]
 
 POLAR_MARGIN = 0.4         # polar angle grids stay this far from the chart poles
 HISTOGRAM_BINS = 12        # curvature-report histogram bins
 
 
-def scales_from(epsilon: float, rho_star: float, beta: float, n: int):
-    """Solve for the truncation parameters (s_*, t_*) of one neck."""
-    params = NeckParams(n=n, beta=beta, epsilon=epsilon)
-    s_star = s_of_radius(params, rho_star)  # raises when rho_* is unreachable
-    t_star = float(s_to_t(s_star, n))
-    return s_star, t_star
-
-
 @dataclass
 class GridSpec:
-    """Resolution knobs for assembly."""
+    """Resolution of the patches a GluedSurface builds on first use: t and
+    angle node counts per neck, and the outer box spacing."""
 
     neck_s_nodes: int
     neck_angle_nodes: tuple = None     # per-angle counts; default set by n
@@ -83,20 +79,38 @@ class GridSpec:
 
 @dataclass
 class GluedSurface:
-    """The assembled approximate solution plus its construction data."""
+    """The approximate solution as closed-form data: the Green data of the
+    outer scales alpha, and per end its NeckParams (scale beta_j, twist and
+    translation) and truncation scales.  The patches on `grid` are built on
+    first use and then kept."""
 
-    config: Configuration
-    alpha: np.ndarray
-    outer: ImmersionPatch
-    necks: list              # per end: ImmersionPatch
+    green: GreenData
+    grid: GridSpec
     neck_params: list        # per end: NeckParams
     scales: list             # per end: dict(s_star, t_star, rho_star)
-    regular_parts: np.ndarray  # (k, n) translation constants c_j
-    provenance: dict
 
     @property
-    def green(self) -> GreenData:
-        return GreenData(self.config, self.alpha)
+    def config(self) -> Configuration:
+        return self.green.config
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.green.alpha
+
+    @functools.cached_property
+    def necks(self) -> list:
+        """Per end, the neck on the t grid from t_* to -t_* and the angle grids."""
+        n = self.config.n
+        angle_grids = default_angle_grids(n, self.grid.neck_angles(n), margin=POLAR_MARGIN)
+        return [neck_patch(params, angle_grids=angle_grids, t_grid=np.linspace(
+                    scales["t_star"], -scales["t_star"], self.grid.neck_s_nodes))
+                for params, scales in zip(self.neck_params, self.scales)]
+
+    @functools.cached_property
+    def outer(self) -> ImmersionPatch:
+        """The outer graph on its box grid, minus the rho_* balls."""
+        return graph_patch(self.green, spacing=self.grid.outer_spacing,
+                           exclusion=self.config.rho_star)
 
 
 def config_digest(config: Configuration, options: dict = None) -> str:
@@ -114,42 +128,27 @@ def config_digest(config: Configuration, options: dict = None) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def assemble(config: Configuration, alpha, grid: GridSpec) -> GluedSurface:
-    """Build the outer patch and the k truncated necks (beta_j = alpha_j)."""
+def assemble(config: Configuration, alpha, grid: GridSpec, beta=None) -> GluedSurface:
+    """The glued surface with outer scales alpha and neck scales beta
+    (default: beta_j = alpha_j), as closed-form data; no patch is built."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (config.k,) or np.min(alpha) <= 0:
-        raise ValueError("assembly requires positive neck scales (H3)")
-    data = GreenData(config, alpha)
-    n = config.n
-    eps = config.epsilon
-    rho_star = config.rho_star
-
-    cjs = np.stack([regular_part(data, j) for j in range(config.k)])
-    necks = []
-    params_list = []
-    scales = []
+    beta = alpha if beta is None else np.asarray(beta, dtype=float)
+    for given in (alpha, beta):
+        if given.shape != (config.k,) or np.min(given) <= 0:
+            raise ValueError("assembly requires positive neck scales (H3)")
+    green = GreenData(config, alpha)
+    eps, rho_star = config.epsilon, config.rho_star
+    params_list, scales = [], []
     for j in range(config.k):
         params = NeckParams(
-            n=n, beta=float(alpha[j]), epsilon=eps,
-            rotation=config.rotations[j],
-            translation=AmbientPoint(config.points[j], eps * cjs[j]),
+            n=config.n, beta=float(beta[j]), epsilon=eps, rotation=config.rotations[j],
+            translation=AmbientPoint(config.points[j], eps * regular_part(green, j)),
         )
-        s_star, t_star = scales_from(eps, rho_star, float(alpha[j]), n)
-        t_grid = np.linspace(t_star, -t_star, grid.neck_s_nodes)
-        angle_grids = default_angle_grids(n, grid.neck_angles(n), margin=POLAR_MARGIN)
-        necks.append(neck_patch(params, angle_grids=angle_grids, t_grid=t_grid))
+        s_star = s_of_radius(params, rho_star)  # raises when rho_* is unreachable
         params_list.append(params)
-        scales.append({"s_star": s_star, "t_star": t_star, "rho_star": rho_star})
-
-    outer = graph_patch(data, spacing=grid.outer_spacing, exclusion=rho_star)
-    resolved = GridSpec(grid.neck_s_nodes, grid.neck_angles(n), outer.spacings[0])
-    provenance = {"config_digest": config_digest(config), "grid": asdict(resolved),
-                  "alpha": alpha.tolist()}
-    return GluedSurface(
-        config=config, alpha=alpha, outer=outer, necks=necks,
-        neck_params=params_list, scales=scales, regular_parts=cjs,
-        provenance=provenance,
-    )
+        scales.append({"s_star": s_star, "t_star": float(s_to_t(s_star, config.n)),
+                       "rho_star": rho_star})
+    return GluedSurface(green=green, grid=grid, neck_params=params_list, scales=scales)
 
 
 # ----------------------------------------------------------------------

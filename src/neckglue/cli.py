@@ -85,6 +85,11 @@ def parse_config(path: str):
     n = _integer(path, "n", need("n"))
 
     def numeric(key, value):
+        entries = [value]
+        for entry in entries:   # numpy would read "1e-4" and true as numbers
+            if isinstance(entry, (str, bool)):
+                raise ValueError(f"{path}: {key} must be numeric: got {entry!r}")
+            entries += entry if isinstance(entry, list) else []
         try:
             return np.asarray(value, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -345,7 +350,7 @@ def cmd_glue(args) -> int:
     from .assembler import GridSpec, assemble, boundary_gap, config_digest, \
         curvature_report, export_ply, matching_step
     from .config import build_interaction_system
-    from .green import GreenData, balance_residual
+    from .green import balance_residual
     from .quadrature import product_gauss_rule
     from .report import RunReport
 
@@ -364,18 +369,13 @@ def cmd_glue(args) -> int:
         report.time_mark("total")
         return _finish(report, args)
 
-    data = GreenData(config, system.alpha)
+    grid = GridSpec(options["neck_s_nodes"], options["neck_angle_nodes"], options["outer_spacing"])
+    surface = assemble(config, system.alpha, grid)
     rule = product_gauss_rule(config.n, nodes)
-    balance = balance_residual(data, rule=rule)
+    balance = balance_residual(surface.green, rule=rule)
     report.section("balance", {"residual_per_end": balance})
     report.check("balance residual at Gamma^-1 Lambda", float(np.max(balance)), 1e-8)
 
-    grid = GridSpec(
-        neck_s_nodes=options["neck_s_nodes"],
-        neck_angle_nodes=options["neck_angle_nodes"],
-        outer_spacing=options["outer_spacing"],
-    )
-    surface = assemble(config, system.alpha, grid)
     gaps, discrepancies = boundary_gap(surface, rule, degree)
     curv = curvature_report(surface)
     report.section("boundary_gap", gaps)

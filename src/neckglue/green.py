@@ -243,17 +243,15 @@ def graph_patch(data: GreenData, half_width: float = None, spacing: float = None
         spacing = cfg.rho_star / 4.0
     if exclusion is None:
         exclusion = cfg.rho_star
-    axes = [np.arange(-half_width, half_width + spacing / 2, spacing)] * n
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    mask = np.ones(mesh.shape[:-1], dtype=bool)
+    axis = np.arange(-half_width, half_width + spacing / 2, spacing)
+    samples = np.zeros((len(axis),) * n + (2 * n,))
+    for i, coordinate in enumerate(np.meshgrid(*[axis] * n, indexing="ij", sparse=True)):
+        samples[..., i] = coordinate
+    base = samples[..., :n]
+    mask = np.ones(samples.shape[:-1], dtype=bool)
     for j in range(cfg.k):
-        mask &= np.linalg.norm(mesh - cfg.points[j], axis=-1) > exclusion
-    samples = np.empty(mesh.shape[:-1] + (2 * n,))
-    samples[..., :n] = mesh
-    flat = mesh[mask]
-    heights = np.zeros(mesh.shape[:-1] + (n,))
-    heights[mask] = cfg.epsilon * green_eval(data, flat)
-    samples[..., n:] = heights
+        mask &= np.linalg.norm(base - cfg.points[j], axis=-1) > exclusion
+    samples[..., n:][mask] = cfg.epsilon * green_eval(data, base[mask])
     return ImmersionPatch(spacings=(spacing,) * n, samples=samples, mask=mask)
 
 

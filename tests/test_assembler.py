@@ -5,30 +5,30 @@ import pytest
 from numpy.testing import assert_allclose
 
 from neckglue.assembler import (
-    GluedSurface,
     GridSpec,
     assemble,
     boundary_gap,
-    config_digest,
     curvature_report,
     export_csv,
     export_ply,
     matching_step,
-    scales_from,
 )
 from neckglue import assembler
 from neckglue.assembler import _boundary_samples, _point_rows
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.green import GreenData, regular_part
-from neckglue.geometry import AmbientPoint, ImmersionPatch, sphere_chart
+from neckglue.geometry import ImmersionPatch, sphere_chart
 from neckglue.matching import split_theta
-from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_to_t
+from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
 from neckglue.quadrature import omega_n, product_gauss_rule
 
 from conftest import flagship_at, quarter_turn_n5, random_orthogonal
 from oracles import hausdorff_to_planes
 
 COARSE = GridSpec(neck_s_nodes=32, neck_angle_nodes=(17, 32), outer_spacing=0.3)
+# the default grid at any n: the gap pass and the matching step build no
+# patch, so the tests that stop there never grid it
+DEFAULT_GRID = GridSpec(neck_s_nodes=48)
 
 
 def build_flagship_surface(eps=1e-4, grid=COARSE):
@@ -37,9 +37,15 @@ def build_flagship_surface(eps=1e-4, grid=COARSE):
     return cfg, system, assemble(cfg, system.alpha, grid)
 
 
+def truncation(eps, rho, beta, n=3):
+    """(s_*, t_*) of a neck of scale beta whose lower circle has radius rho."""
+    s_star = s_of_radius(NeckParams(n=n, beta=beta, epsilon=eps), rho)
+    return s_star, float(s_to_t(s_star, n))
+
+
 class TestScales:
     def test_defining_identities(self):
-        s_star, t_star = scales_from(1e-4, 0.2, 1.0, 3)
+        s_star, t_star = truncation(1e-4, 0.2, 1.0)
         lhs = (3 * 1.0 * 1e-4) ** (1 / 3) * math.cos(s_star) * math.sin(3 * s_star) ** (-1 / 3)
         assert abs(lhs - 0.2) < 1e-12 * 0.2
         assert abs(math.exp(-3 * t_star) - math.sin(3 * s_star) / (1 - math.cos(3 * s_star))) < 1e-10
@@ -47,32 +53,41 @@ class TestScales:
 
     def test_regression_value(self):
         # frozen from the bisection oracle: sin(3 s) = 3e-4 cos^3(s)/0.008
-        s_star, _ = scales_from(1e-4, 0.2, 1.0, 3)
+        s_star, _ = truncation(1e-4, 0.2, 1.0)
         assert abs(s_star - 0.012500000061046504) < 1e-12
 
     def test_epsilon_limit(self):
         prev_s, prev_t = math.inf, math.inf
         for eps in (1e-3, 1e-5, 1e-7):
-            s_star, t_star = scales_from(eps, 0.2, 1.0, 3)
+            s_star, t_star = truncation(eps, 0.2, 1.0)
             assert s_star < prev_s and t_star < prev_t
             prev_s, prev_t = s_star, t_star
         assert s_star < 2e-5 and t_star < -3
 
     def test_consistency_with_coordinate_change(self):
-        s_star, t_star = scales_from(1e-3, 0.3, 2.0, 3)
-        assert abs(t_star - float(s_to_t(s_star, 3))) < 1e-14
+        # assemble truncates each neck at its own scale: s_* from its
+        # NeckParams, t_* the same point in the t chart
+        surf = assemble(flagship_at(1e-3, 0.3), [4.0, 12.0], COARSE, beta=[2.0, 1.0])
+        for beta, scales in zip((2.0, 1.0), surf.scales):
+            assert scales["s_star"] == truncation(1e-3, 0.3, beta)[0]
+            assert abs(scales["t_star"] - float(s_to_t(scales["s_star"], 3))) < 1e-14
 
     def test_unreachable_rho(self):
         with pytest.raises(ValueError, match="neck too large"):
-            scales_from(1e-3, 0.05, 12.0, 3)
+            truncation(1e-3, 0.05, 12.0)
+        with pytest.raises(ValueError, match="neck too large"):
+            assemble(flagship_at(1e-3, 0.05), [4.0, 12.0], COARSE)
 
 
 class TestAssemble:
     def test_flagship_structure(self):
         cfg, system, surf = build_flagship_surface()
-        assert len(surf.necks) == 2
-        assert surf.provenance["config_digest"] == config_digest(cfg)
+        assert surf.config is cfg
         assert_allclose(surf.alpha, [4.0, 12.0], atol=1e-12)
+        # the patches are built on first use and then kept
+        assert "necks" not in vars(surf) and "outer" not in vars(surf)
+        assert len(surf.necks) == 2 and surf.necks is surf.necks
+        assert surf.outer is surf.outer
 
     def test_boundary_radius_invariant(self):
         cfg, system, surf = build_flagship_surface()
@@ -84,7 +99,7 @@ class TestAssemble:
             s_star = surf.scales[j]["s_star"]
             rel = patch.samples[-1].copy()
             rel[..., :3] -= cfg.points[j]
-            rel[..., 3:] -= cfg.epsilon * surf.regular_parts[j]
+            rel[..., 3:] -= surf.neck_params[j].translation.y
             r_up = np.linalg.norm(rel, axis=-1) * math.cos(s_star)
             assert np.max(np.abs(r_up - cfg.rho_star)) < 1e-10
 
@@ -92,7 +107,6 @@ class TestAssemble:
         cfg, system, surf = build_flagship_surface()
         data = GreenData(cfg, system.alpha)
         for j in range(2):
-            assert_allclose(surf.regular_parts[j], regular_part(data, j), atol=1e-14)
             assert_allclose(surf.neck_params[j].translation.y,
                             cfg.epsilon * regular_part(data, j), atol=1e-16)
 
@@ -102,7 +116,7 @@ class TestAssemble:
         for j in range(2):
             rel = surf.necks[j].samples.copy()
             rel[..., :3] -= cfg.points[j]
-            rel[..., 3:] -= eps * surf.regular_parts[j]
+            rel[..., 3:] -= surf.neck_params[j].translation.y
             rel *= eps ** (-1.0 / 3.0)
             ref_params = NeckParams(
                 n=3, beta=float(system.alpha[j]), epsilon=1.0,
@@ -124,23 +138,32 @@ class TestAssemble:
         bound = cfg.epsilon**3 * cfg.rho_star ** (1 - 9)
         assert gaps[0]["position_gap_sup"] < bound
 
-    def test_provenance_records_the_resolved_grid(self):
-        cfg, _, surf = build_flagship_surface()
-        assert surf.provenance["grid"] == {"neck_s_nodes": 32, "neck_angle_nodes": (17, 32),
-                                           "outer_spacing": 0.3}
-        finer = GridSpec(neck_s_nodes=48, neck_angle_nodes=(17, 32), outer_spacing=0.3)
-        _, _, other = build_flagship_surface(grid=finer)
-        assert other.provenance["config_digest"] == surf.provenance["config_digest"]
-        assert other.provenance != surf.provenance
-        # an unset outer spacing is recorded as the rho_*/4 it resolves to
-        _, _, default = build_flagship_surface(grid=GridSpec(neck_s_nodes=8,
-                                                             neck_angle_nodes=(5, 8)))
-        assert default.provenance["grid"]["outer_spacing"] == cfg.rho_star / 4
+    def test_unset_outer_spacing_resolves_to_a_quarter_rho_star(self):
+        cfg, _, surf = build_flagship_surface(grid=GridSpec(neck_s_nodes=8,
+                                                            neck_angle_nodes=(5, 8)))
+        assert surf.outer.spacings == (cfg.rho_star / 4,) * 3
+
+    def test_gap_pass_and_matching_build_no_patch(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a patch was built")
+
+        monkeypatch.setattr(assembler, "neck_patch", refused)
+        monkeypatch.setattr(assembler, "graph_patch", refused)
+        cfg = flagship_at(1e-4)
+        system = build_interaction_system(cfg)
+        surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=48))
+        rule = product_gauss_rule(3, 32)
+        step = matching_step(surf, system.gamma, boundary_gap(surf, rule, 8)[1], rule)
+        assert step["residual_norm"] < 1e-10 and step["max_relative_delta"] < 0.1
+        with pytest.raises(AssertionError, match="a patch was built"):
+            surf.necks
 
     def test_rejects_nonpositive_alpha(self):
         cfg = flagship_at(1e-4)
         with pytest.raises(ValueError):
             assemble(cfg, np.array([4.0, -1.0]), COARSE)
+        with pytest.raises(ValueError, match="positive neck scales"):
+            assemble(cfg, np.array([4.0, 12.0]), COARSE, beta=[4.0, 0.0])
 
 
 class TestBoundaryGap:
@@ -190,11 +213,10 @@ class TestBoundaryGap:
 
     def test_collinear_gap_n5(self):
         # every gap is sampled on the 12^4-node product rule
-        grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), outer_spacing=3.0)
         colls, sups = [], []
         for eps in (1e-5, 1e-6):
             cfg = quarter_turn_n5(eps)
-            surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
+            surf = assemble(cfg, build_interaction_system(cfg).alpha, DEFAULT_GRID)
             gaps, _ = boundary_gap(surf, product_gauss_rule(5, 12))
             colls.append([g["collinear_gap_abs"] for g in gaps])
             sups.append([g["position_gap_sup"] for g in gaps])
@@ -213,7 +235,7 @@ class TestBoundaryGap:
         from neckglue import green
 
         for cfg, grid, nodes in ((N2_CONFIG, N2_GRID, 32), (flagship_at(1e-4), COARSE, 32),
-                                 (two_ends_n4(1e-5), TINY4, 12)):
+                                 (two_ends_n4(1e-5), DEFAULT_GRID, 12)):
             n = cfg.n
             surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
             rule = product_gauss_rule(n, nodes)
@@ -296,9 +318,6 @@ def measured_matching(cfg, degree=8, grid=COARSE, nodes=32):
     return matching_step(surf, system.gamma, boundary_gap(surf, rule, degree)[1], rule)
 
 
-# the boundary gaps sample the ends in closed form, so the patch grids
-# only need to exist
-TINY4 = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3), outer_spacing=1.5)
 TWIST4 = np.eye(4)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]  # e2 -> e3
 
 
@@ -318,7 +337,7 @@ N2_GRID = GridSpec(neck_s_nodes=8, neck_angle_nodes=(8,), outer_spacing=0.3)
 
 @pytest.fixture(scope="module")
 def n4_steps():
-    return {eps: measured_matching(two_ends_n4(eps), grid=TINY4) for eps in N4_EPS}
+    return {eps: measured_matching(two_ends_n4(eps), grid=DEFAULT_GRID) for eps in N4_EPS}
 
 
 class TestMatchingStep:
@@ -384,30 +403,14 @@ class TestMatchingStep:
     def test_n4_delta_alpha_invariant_under_common_rotation(self, n4_steps):
         q = random_orthogonal(4, np.random.default_rng(1))
         base = n4_steps[1e-6]["delta_alpha"]
-        turned = measured_matching(two_ends_n4(1e-6, q), grid=TINY4)["delta_alpha"]
+        turned = measured_matching(two_ends_n4(1e-6, q), grid=DEFAULT_GRID)["delta_alpha"]
         assert np.max(np.abs(turned - base)) < 1e-3 * np.max(np.abs(base))
 
 
-def hand_built_surface(cfg, alpha, beta):
-    """The boundary data of a glued surface whose neck j has its own scale
-    beta_j (assemble ties beta_j = alpha_j): the outer graph at alpha and,
-    per end, NeckParams and scales_from at beta_j.  No patch is built."""
-    data = GreenData(cfg, alpha)
-    cjs = np.stack([regular_part(data, j) for j in range(cfg.k)])
-    params, scales = [], []
-    for j in range(cfg.k):
-        params.append(NeckParams(n=cfg.n, beta=float(beta[j]), epsilon=cfg.epsilon,
-                                 rotation=cfg.rotations[j],
-                                 translation=AmbientPoint(cfg.points[j], cfg.epsilon * cjs[j])))
-        s_star, t_star = scales_from(cfg.epsilon, cfg.rho_star, float(beta[j]), cfg.n)
-        scales.append({"s_star": s_star, "t_star": t_star, "rho_star": cfg.rho_star})
-    return GluedSurface(config=cfg, alpha=np.asarray(alpha, dtype=float), outer=None, necks=[],
-                        neck_params=params, scales=scales, regular_parts=cjs, provenance={})
-
-
 def collinear_gaps(cfg, alpha, beta, rule):
-    """(c1_j, c2_j): the Theta coefficients of each end's value and conormal gap."""
-    _, discrepancies = boundary_gap(hand_built_surface(cfg, alpha, beta), rule, 8)
+    """(c1_j, c2_j): the Theta coefficients of each end's value and conormal
+    gap on the surface with outer scales alpha and neck scales beta."""
+    _, discrepancies = boundary_gap(assemble(cfg, alpha, DEFAULT_GRID, beta=beta), rule, 8)
     return np.array([[split_theta(value)[0], split_theta(conormal)[0]]
                      for value, conormal in discrepancies])
 
@@ -418,41 +421,64 @@ class TestMatchingOrientation:
     delta_alpha (outer graph) and alpha - delta_beta (necks)."""
 
     RULE = product_gauss_rule(3, 32)
+    RULE4 = product_gauss_rule(4, 17)
 
-    def reported_step(self, eps):
-        cfg = flagship_at(eps)
+    def reported_step(self, cfg, rule):
         system = build_interaction_system(cfg)
-        surf = assemble(cfg, system.alpha, COARSE)
-        _, discrepancies = boundary_gap(surf, self.RULE, 8)
-        step = matching_step(surf, system.gamma, discrepancies, self.RULE)
-        return cfg, system.alpha, step
+        surf = assemble(cfg, system.alpha, DEFAULT_GRID)
+        _, discrepancies = boundary_gap(surf, rule, 8)
+        return system.alpha, matching_step(surf, system.gamma, discrepancies, rule)
+
+    def fed_back_gaps(self, cfg, rule):
+        """sup|c1, c2| before the step, after it, and after it with delta_beta
+        - delta_alpha of the other sign."""
+        alpha, step = self.reported_step(cfg, rule)
+        da, db = step["delta_alpha"], step["delta_beta"]
+        return [np.abs(collinear_gaps(cfg, alpha - outer, alpha - neck, rule)).max()
+                for outer, neck in ((0.0, 0.0), (da, db), (da, 2 * da - db))]
+
+    def newton_discrepancy(self, cfg, rule):
+        """The reported step and minus the Newton step of (c1, c2) in (alpha,
+        beta), from central differences."""
+        alpha, step = self.reported_step(cfg, rule)
+        x0 = np.concatenate([alpha, alpha])
+        k = len(alpha)
+
+        def gaps(x):
+            return collinear_gaps(cfg, x[:k], x[k:], rule).ravel()
+
+        jac = np.empty((2 * k, 2 * k))
+        for i in range(2 * k):
+            dx = np.zeros(2 * k)
+            dx[i] = 1e-4 * x0[i]
+            jac[:, i] = (gaps(x0 + dx) - gaps(x0 - dx)) / (2 * dx[i])
+        newton = np.linalg.solve(jac, -gaps(x0))
+        return -np.concatenate([step["delta_alpha"], step["delta_beta"]]), newton
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5])
     def test_fed_back_step_contracts_the_collinear_gaps(self, eps):
         # measured: sup|c1, c2| falls 188x at eps = 1e-4 and 2.0e4x at
         # 1e-5; with delta_beta - delta_alpha of the other sign it grows 1.5x
-        cfg, alpha, step = self.reported_step(eps)
-        before = collinear_gaps(cfg, alpha, alpha, self.RULE)
-        after = collinear_gaps(cfg, alpha - step["delta_alpha"], alpha - step["delta_beta"],
-                               self.RULE)
-        assert np.abs(after).max() * 100 <= np.abs(before).max()
+        before, after, flipped = self.fed_back_gaps(flagship_at(eps), self.RULE)
+        assert after * 100 <= before
+        assert flipped > before
 
     def test_step_is_minus_the_newton_step_of_the_measured_gaps(self):
-        # central differences of (c1, c2) in (alpha, beta) at eps = 1e-5;
-        # the components agree to 2e-3 relative
-        cfg, alpha, step = self.reported_step(1e-5)
-        x0 = np.concatenate([alpha, alpha])
+        # central differences at eps = 1e-5; the components agree to 2e-3
+        # relative
+        reported, newton = self.newton_discrepancy(flagship_at(1e-5), self.RULE)
+        assert_allclose(reported, newton, rtol=1e-2)
 
-        def gaps(x):
-            return collinear_gaps(cfg, x[:2], x[2:], self.RULE).ravel()
+    def test_n4_fed_back_step_contracts_the_collinear_gaps(self):
+        # measured at eps = 1e-6 on the 17^3-node rule: 2.35e-9 -> 1.68e-12
+        # (1,400x); with delta_beta - delta_alpha flipped, 3.85e-9
+        before, after, flipped = self.fed_back_gaps(two_ends_n4(1e-6), self.RULE4)
+        assert after * 100 <= before
+        assert flipped > before
 
-        jac = np.empty((4, 4))
-        for i in range(4):
-            dx = np.zeros(4)
-            dx[i] = 1e-4 * x0[i]
-            jac[:, i] = (gaps(x0 + dx) - gaps(x0 - dx)) / (2 * dx[i])
-        newton = np.linalg.solve(jac, -gaps(x0))
-        reported = -np.concatenate([step["delta_alpha"], step["delta_beta"]])
+    def test_n4_step_is_minus_the_newton_step_of_the_measured_gaps(self):
+        # the components agree to 5.8e-3 relative
+        reported, newton = self.newton_discrepancy(two_ends_n4(1e-6), self.RULE4)
         assert_allclose(reported, newton, rtol=1e-2)
 
 

@@ -111,11 +111,22 @@ class TestCommands:
     @pytest.mark.parametrize("key, value, message", [
         ("rotations", 5, "rotations must be a non-empty list of 3 x 3 matrices, got 5"),
         ("rotations", [], "rotations must be a non-empty list of 3 x 3 matrices, got []"),
-        ("points", "abc", "points must be numeric: could not convert string to float"),
+        ("points", "abc", "points must be numeric: got 'abc'"),
         ("rotations", None, "missing required key 'rotations'"),
         ("A0", [1, 2, 3], "A0 must be a matrix of shape (3, 3), nested or flat, got shape (3,)"),
+        # numpy would read these as numbers
+        ("epsilon", "1e-4", "epsilon must be numeric: got '1e-4'"),
+        ("epsilon", True, "epsilon must be numeric: got True"),
+        ("rho_star", "0.45", "rho_star must be numeric: got '0.45'"),
+        ("points", [[1.0, 0.0, "0"], [-1.0, 0.0, 0.0]], "points must be numeric: got '0'"),
+        ("rotations", [np.eye(3).tolist(), [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, True, 0.0]]],
+         "rotations[1] must be numeric: got True"),
+        ("A0", [[1.0, 0.0, 0.0], ["0", 1.0, 0.0], [0.0, 0.0, 1.0]],
+         "A0 must be numeric: got '0'"),
+        ("A0", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, False], "A0 must be numeric: got False"),
     ], ids=["rotations-int", "rotations-empty", "points-string", "rotations-missing",
-            "A0-three-entries"])
+            "A0-three-entries", "epsilon-string", "epsilon-bool", "rho_star-string",
+            "points-entry-string", "rotations-entry-bool", "A0-entry-string", "A0-flat-bool"])
     def test_malformed_value_names_its_key(self, tmp_path, capsys, key, value, message):
         doc = dict(FLAGSHIP)
         if value is None:
@@ -658,12 +669,13 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("nodes, degree", [(12, 1), (24, 1), (17, 8)])
     def test_gap_pass_n5_peak_memory(self, nodes, degree):
-        # one pass over the rho_* spheres, streamed in blocks of rule nodes
-        # with one basis evaluation per block, then the matching solve: at
-        # n = 5 the workload peaks near 80 MB on the 12^4-node rule, near
-        # 110 MB on the 24^4-node one and near 135 MB at sh_degree 8 on the
-        # 17^4-node one (a basis held on all nodes of an 18^4-node rule
-        # took 3.4 GB)
+        # assemble at the default grid, whose n = 5 neck patch alone would
+        # take 1.19 GiB, builds no patch; one pass over the rho_* spheres,
+        # streamed in blocks of rule nodes with one basis evaluation per
+        # block, then the matching solve: at n = 5 the workload peaks near
+        # 80 MB on the 12^4-node rule, near 110 MB on the 24^4-node one and
+        # near 135 MB at sh_degree 8 on the 17^4-node one (a basis held on
+        # all nodes of an 18^4-node rule took 3.4 GB)
         work = ("import sys\n"
                 f"sys.path.insert(0, {str(REPO / 'tests')!r})\n"
                 "from conftest import quarter_turn_n5\n"
@@ -672,9 +684,7 @@ class TestPeakMemory:
                 "from neckglue.quadrature import product_gauss_rule\n"
                 "cfg = quarter_turn_n5(1e-6)\n"
                 "system = build_interaction_system(cfg)\n"
-                "grid = GridSpec(neck_s_nodes=5, neck_angle_nodes=(3, 3, 3, 3), "
-                "outer_spacing=3.0)\n"
-                "surf = assemble(cfg, system.alpha, grid)\n"
+                "surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=48))\n"
                 f"rule = product_gauss_rule(5, {nodes})\n"
                 f"_, discrepancies = boundary_gap(surf, rule, {degree})\n"
                 "matching_step(surf, system.gamma, discrepancies, rule)\n")
