@@ -113,7 +113,7 @@ class GluedSurface:
                            exclusion=self.config.rho_star)
 
 
-def config_digest(config: Configuration, options: dict = None) -> str:
+def config_digest(config: Configuration, options: dict) -> str:
     """Short sha256 of the geometry and the resolved options."""
     payload = {
         "n": config.n,

@@ -31,11 +31,27 @@ import json
 import os
 import sys
 
+import numpy as np
+
+from .assembler import GridSpec, assemble, boundary_gap, config_digest, curvature_report, \
+    export_csv, export_ply, matching_step
+from .config import H1_RESIDUAL_CUT, H2_RCOND_CUT, Configuration, build_interaction_system, \
+    gamma_entry_quadrature, lambda_entry_quadrature
+from .geometry import mean_curvature_field
+from .green import balance_residual, default_outer_box
+from .neck import NeckParams, asymptote_residual, default_angle_grids, neck_patch, s_to_t, \
+    t_to_s, waist_radius
+from .quadrature import DEFAULT_NODES_PER_ANGLE, MAX_RULE_NODES, product_gauss_rule
+from .report import RunReport
+from .spectrum import ModeSolution, decay_rate, explicit_n3_residual, explicit_n3_solution, \
+    frozen_characteristic_roots, indicial_roots, verify_f0
+
 __all__ = ["main", "parse_config"]
 
 # Every options key with its default (None: the library's default).  Keys
 # with an int default must be integers.
-OPTION_DEFAULTS = {"quadrature_nodes": 32, "sh_degree": 8, "neck_s_nodes": 48,
+OPTION_DEFAULTS = {"quadrature_nodes": DEFAULT_NODES_PER_ANGLE, "sh_degree": 8,
+                   "neck_s_nodes": 48,
                    "neck_angle_nodes": None, "outer_spacing": None}
 # Smallest accepted counts: the neck's nested second differences in s need 5
 # nodes, a central difference along each neck angle 3.
@@ -59,10 +75,6 @@ def parse_config(path: str):
     is reported with line/column anchors; semantic violations name the
     offending key.
     """
-    import numpy as np
-
-    from .config import Configuration
-
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -147,8 +159,6 @@ def parse_config(path: str):
         value = options.get(key)
         if value is not None and min(value if isinstance(value, list) else [value]) < low:
             raise ValueError(f"{path}: {key} must be >= {low}, got {value!r}")
-    from .quadrature import MAX_RULE_NODES
-
     nodes = options.get("quadrature_nodes", OPTION_DEFAULTS["quadrature_nodes"])
     if nodes ** (n - 1) > MAX_RULE_NODES:
         raise ValueError(f"{path}: quadrature_nodes^(n - 1) = {nodes}^{n - 1} exceeds the "
@@ -161,8 +171,6 @@ def parse_config(path: str):
     if spacing is not None:
         # a step as wide as the box leaves no outer patch to measure: at 100
         # the flagship grid is one node and its FD sup reads 0
-        from .green import default_outer_box
-
         half_width = default_outer_box(config)
         if spacing >= half_width:
             raise ValueError(f"{path}: outer_spacing must be below the outer box half-width "
@@ -171,16 +179,14 @@ def parse_config(path: str):
 
 
 # ----------------------------------------------------------------------
-# Commands
+# Commands: each fills the report that main makes, times and writes
 # ----------------------------------------------------------------------
 
 def _interaction_sections(report, system):
-    import numpy as np
-
     report.section("interaction", {
         "gamma": system.gamma,
         "lambda": system.lam,
-        "alpha": None if system.alpha is None else system.alpha,
+        "alpha": system.alpha,
         "rcond": system.rcond,
         "h1": [
             {"pair": [r.j, r.jp], "residual": r.residual, "holds": r.holds}
@@ -188,8 +194,8 @@ def _interaction_sections(report, system):
         ],
     })
     for r in system.h1:
-        report.check(f"h1[{r.j},{r.jp}] residual", r.residual, 1e-8, op=">")
-    report.check("h2 rcond", system.rcond, 1e-10, op=">")
+        report.check(f"h1[{r.j},{r.jp}] residual", r.residual, H1_RESIDUAL_CUT, op=">")
+    report.check("h2 rcond", system.rcond, H2_RCOND_CUT, op=">")
     if system.alpha is not None:
         resid = float(np.linalg.norm(system.gamma @ system.alpha - system.lam))
         scale = max(1.0, float(np.linalg.norm(system.lam)))
@@ -200,28 +206,11 @@ def _interaction_sections(report, system):
         report.flag("h3 positivity", False, "Gamma numerically singular")
 
 
-def cmd_validate(args) -> int:
-    from .config import build_interaction_system
-    from .report import RunReport
-    from .assembler import config_digest
-
-    config, options = parse_config(args.config)
-    report = RunReport("validate", config_digest(config, options))
-    system = build_interaction_system(config)
-    _interaction_sections(report, system)
-    report.time_mark("total")
-    return _finish(report, args)
+def cmd_validate(args, report, config, options) -> None:
+    _interaction_sections(report, build_interaction_system(config))
 
 
-def cmd_interaction(args) -> int:
-    from .config import build_interaction_system, gamma_entry_quadrature, \
-        lambda_entry_quadrature
-    from .quadrature import product_gauss_rule
-    from .report import RunReport
-    from .assembler import config_digest
-
-    config, options = parse_config(args.config)
-    report = RunReport("interaction", config_digest(config, options))
+def cmd_interaction(args, report, config, options) -> None:
     system = build_interaction_system(config)
     _interaction_sections(report, system)
 
@@ -238,19 +227,9 @@ def cmd_interaction(args) -> int:
         est = lambda_entry_quadrature(config, j, rule)
         report.check(f"lambda[{j}] quadrature |diff|", abs(est - system.lam[j]), 1e-6)
     report.section("quadrature_cross_check", cross)
-    report.time_mark("total")
-    return _finish(report, args)
 
 
-def cmd_neck(args) -> int:
-    import numpy as np
-
-    from .geometry import mean_curvature_field
-    from .neck import NeckParams, asymptote_residual, default_angle_grids, neck_patch, \
-        s_to_t, t_to_s, waist_radius
-    from .report import RunReport
-
-    report = RunReport("neck")
+def cmd_neck(args, report) -> None:
     params = NeckParams(n=args.n, beta=args.beta, epsilon=args.eps)
 
     s = np.linspace(1e-3, np.pi / args.n - 1e-3, 20001)
@@ -296,22 +275,11 @@ def cmd_neck(args) -> int:
         report.check("asymptote slope - (1-3n)", abs(asymptote["slope"] - (1 - 3 * n)), 0.05)
     report.section("asymptote", asymptote)
     if args.export:
-        from .assembler import export_csv, export_ply
-
         (export_csv if args.export.endswith(".csv") else export_ply)([coarse], args.export)
         report.section("export", {"path": args.export})
-    report.time_mark("total")
-    return _finish(report, args)
 
 
-def cmd_spectrum(args) -> int:
-    import numpy as np
-
-    from .report import RunReport
-    from .spectrum import ModeSolution, decay_rate, explicit_n3_residual, \
-        explicit_n3_solution, frozen_characteristic_roots, indicial_roots, verify_f0
-
-    report = RunReport("spectrum")
+def cmd_spectrum(args, report) -> None:
     table = indicial_roots(args.n, args.k)
     sec = {
         "exact_mu": [str(v) for v in table.exact_mu],
@@ -340,34 +308,20 @@ def cmd_spectrum(args) -> int:
             sec[key] = decay_rate(sol, end=end)[0]
             report.check(name, abs(sec[key] - want), 1e-2)
     report.section("spectrum", sec)
-    report.time_mark("total")
-    return _finish(report, args)
 
 
-def cmd_glue(args) -> int:
-    import numpy as np
-
-    from .assembler import GridSpec, assemble, boundary_gap, config_digest, \
-        curvature_report, export_ply, matching_step
-    from .config import build_interaction_system
-    from .green import balance_residual
-    from .quadrature import product_gauss_rule
-    from .report import RunReport
-
+def cmd_glue(args, report, config, options) -> None:
     csv_path = os.path.splitext(args.export)[0] + ".csv" if args.export else None
     if args.export and csv_path == args.export:
         raise ValueError(f"--export {args.export!r}: the CSV file would overwrite the PLY file")
-    config, options = parse_config(args.config)
     degree, nodes = options["sh_degree"], options["quadrature_nodes"]
     if config.n >= 3 and 2 * degree + 1 > nodes:
         raise ValueError(f"{args.config}: sh_degree {degree} needs quadrature_nodes >= "
                          f"2 sh_degree + 1 = {2 * degree + 1}, got {nodes}")
-    report = RunReport("glue", config_digest(config, options))
     system = build_interaction_system(config)
     _interaction_sections(report, system)
     if not (system.h1_holds and system.h2 and system.h3):
-        report.time_mark("total")
-        return _finish(report, args)
+        return
 
     grid = GridSpec(options["neck_s_nodes"], options["neck_angle_nodes"], options["outer_spacing"])
     surface = assemble(config, system.alpha, grid)
@@ -402,20 +356,11 @@ def cmd_glue(args) -> int:
     if args.export:
         export_ply(surface, args.export, csv_path=csv_path)
         report.section("export", {"ply": args.export, "csv": csv_path})
-    report.time_mark("total")
-    return _finish(report, args)
 
 
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-
-def _finish(report, args) -> int:
-    report.print_summary()
-    if getattr(args, "report", None):
-        report.write(args.report)
-    return 0 if report.all_passed else 1
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -429,40 +374,52 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--report", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[shared], help="check H1-H3 for a configuration")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help, config=False):
+        # a command with a config positional gets (config, options) from main
+        p = sub.add_parser(name, parents=[shared], help=help)
+        if config:
+            p.add_argument("config")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("interaction", parents=[shared], help="Gamma/Lambda with quadrature cross-check")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_interaction)
+    command("validate", cmd_validate, "check H1-H3 for a configuration", config=True)
+    command("interaction", cmd_interaction, "Gamma/Lambda with quadrature cross-check",
+            config=True)
 
-    p = sub.add_parser("neck", parents=[shared], help="model neck identities and minimality")
+    p = command("neck", cmd_neck, "model neck identities and minimality")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--grid", type=float, default=None,
                    help="FD grid spacing in the cylindrical chart (default 0.2)")
     p.add_argument("--export", default=None)
-    p.set_defaults(func=cmd_neck)
 
-    p = sub.add_parser("spectrum", parents=[shared], help="indicial roots and explicit solutions")
+    p = command("spectrum", cmd_spectrum, "indicial roots and explicit solutions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("glue", parents=[shared], help="assemble and verify the glued surface")
-    p.add_argument("config")
+    p = command("glue", cmd_glue, "assemble and verify the glued surface", config=True)
     p.add_argument("--export", default=None)
-    p.set_defaults(func=cmd_glue)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: make its report, let the command fill it, then time,
+    print and (with --report) write it."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "config" in args:
+            config, options = parse_config(args.config)
+            report = RunReport(args.command, config_digest(config, options))
+            args.func(args, report, config, options)
+        else:
+            report = RunReport(args.command)
+            args.func(args, report)
+        report.time_mark("total")
+        report.print_summary()
+        if args.report:
+            report.write(args.report)
+        return 0 if report.all_passed else 1
     except (ValueError, OSError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2

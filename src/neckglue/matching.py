@@ -228,20 +228,17 @@ class MatchCorrection:
 
 
 def match_boundaries(config: Configuration, alpha_star: np.ndarray,
-                     discrepancies, gamma: np.ndarray = None) -> MatchCorrection:
+                     discrepancies, gamma: np.ndarray) -> MatchCorrection:
     """Solve the linear skeleton of the matching equations.
 
     discrepancies: per end j, a pair (value_gap, conormal_gap) of
     SHExpansions; the conormal entry is already scaled by rho_*.  The
     orthogonal parts are eliminated per end through the diagonal DtN
     difference; the collinear parts yield the per-end 2x2 systems and one
-    global Gamma solve (Gamma must be invertible, i.e. H2 holds; it is
-    recomputed from the configuration unless supplied).  The surface is the
-    one built at alpha = beta = alpha_star; the returned delta_alpha and
-    delta_beta are current - solved, relative to it.
+    global solve with the configuration's Gamma (invertible: H2 holds).
+    The surface is the one built at alpha = beta = alpha_star; the returned
+    delta_alpha and delta_beta are current - solved, relative to it.
     """
-    from .config import gamma_matrix
-
     if config.n < 3:
         raise ValueError(f"the DtN difference -(2k+n-2) vanishes on constants at "
                          f"n = {config.n}, so the matching operator is singular; it needs n >= 3")
@@ -251,8 +248,6 @@ def match_boundaries(config: Configuration, alpha_star: np.ndarray,
         raise ValueError("alpha_star must have one entry per end")
     if len(discrepancies) != k:
         raise ValueError("one discrepancy pair per end required")
-    if gamma is None:
-        gamma = gamma_matrix(config)
     eps, rho, n = config.epsilon, config.rho_star, config.n
     om = omega_n(n)
 

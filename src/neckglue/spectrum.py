@@ -66,12 +66,10 @@ class IndicialTable:
     exact_nu: tuple     # (nu_k^+, nu_k^-); None for k = 0
 
 
-def indicial_roots(n: int, k: int, family: str = "all") -> IndicialTable:
+def indicial_roots(n: int, k: int) -> IndicialTable:
     """Closed-form indicial roots; the coexact family starts at k = 1."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    if family == "coexact" and k == 0:
-        raise ValueError("coexact spectrum starts at k = 1; no k = 0 coexact roots")
     mu = Fraction(n, 2) + k
     if k == 0:
         return IndicialTable(n=n, k=0, coexact=None, exact_mu=(mu, -mu), exact_nu=None)

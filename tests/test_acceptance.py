@@ -241,7 +241,7 @@ def test_criterion_9_dtn_witness(flagship):
             g1 = (pj - pt) + (u[j] + w[j]) * grid.theta
             g2 = (p_ext(pj) - p_int(pt)) + (-2 * u[j] + w[j]) * grid.theta
             disc.append((g1, g2))
-        corr = match_boundaries(flagship, system.alpha, disc)
+        corr = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
         worst_rec = max(
             worst_rec,
             float(np.max(np.abs(corr.delta_alpha - dalpha))),

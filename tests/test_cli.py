@@ -318,9 +318,9 @@ class TestCommands:
     def test_neck_asymptote_gate_trips_on_a_wrong_rate(self, capsys, monkeypatch, n):
         # a gap one power of rho too slow (n = 3), or at n = 2 a gap of 1e-9
         # of the graph's height, fails the check and the command
-        from neckglue import neck
+        from neckglue import cli
 
-        exact = neck.asymptote_residual
+        exact = cli.asymptote_residual
 
         def wrong_rate(params, rho_values, angle_grids):
             rho = np.asarray(rho_values)
@@ -329,10 +329,30 @@ class TestCommands:
                 per_rho + 1e-9 * params.epsilon * params.beta / rho
             return float(np.max(per_rho)), per_rho
 
-        monkeypatch.setattr(neck, "asymptote_residual", wrong_rate)
+        monkeypatch.setattr(cli, "asymptote_residual", wrong_rate)
         assert main(["neck", "--n", str(n), "--grid", "0.4"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] asymptote" in out
+
+    @pytest.mark.parametrize("report_first", [True, False], ids=["report-first", "report-last"])
+    @pytest.mark.parametrize("command", ["validate", "interaction", "neck", "spectrum", "glue"])
+    def test_main_finishes_every_report(self, tmp_path, capsys, command, report_first):
+        # main times, prints and writes the report each command fills; the
+        # exit code is the verdict of its non-skipped checks
+        doc = dict(FLAGSHIP, options={"neck_s_nodes": 24, "neck_angle_nodes": [13, 24],
+                                      "outer_spacing": 0.3}) if command == "glue" else FLAGSHIP
+        argv = {"neck": ["neck", "--n", "2", "--grid", "0.4"],
+                "spectrum": ["spectrum", "--n", "3", "--k", "1"]}.get(
+                    command, [command, write_config(tmp_path, doc)])
+        report_path = tmp_path / "r.json"
+        flag = ["--report", str(report_path)]
+        code = main(flag + argv if report_first else argv + flag)
+        report = json.loads(report_path.read_text())
+        assert report["command"] == command
+        assert "total" in report["timings"]
+        passed = all(c["pass"] for c in report["checks"] if not c.get("skipped"))
+        assert code == (0 if passed else 1)
+        assert f"neckglue {report['tool_version']} :: {command}" in capsys.readouterr().out
 
     def test_report_determinism(self, tmp_path):
         # identical config => byte-identical reports minus timings
@@ -441,13 +461,13 @@ class TestGlueCommand:
     @pytest.mark.parametrize("command", ["glue", "neck"])
     def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, command):
         # a grid too large for memory exits 2 and names the grid options
-        from neckglue import assembler, geometry
+        from neckglue import assembler, cli
 
         def exhausted(patch):
             raise MemoryError((18, 59, 59, 59))
 
         monkeypatch.setattr(assembler, "mean_curvature_field", exhausted)
-        monkeypatch.setattr(geometry, "mean_curvature_field", exhausted)
+        monkeypatch.setattr(cli, "mean_curvature_field", exhausted)
         doc = dict(FLAGSHIP, options={"neck_s_nodes": 24, "neck_angle_nodes": [13, 24],
                                       "outer_spacing": 0.3})
         argv = {"glue": ["glue", write_config(tmp_path, doc)],
@@ -589,15 +609,17 @@ class TestGlueCommand:
         report.print_summary()
         assert "=> SOME CHECKS FAILED (1 skipped)" in capsys.readouterr().out
 
-    def test_glue_gate_on_failed_hypotheses(self, tmp_path):
-        # the run stops after the interaction stage and still writes a
-        # finished report: a total time and no balance section
+    def test_glue_gate_on_failed_hypotheses(self, tmp_path, capsys):
+        # the run stops after the interaction stage and still writes and
+        # prints a finished report: a total time and no balance section
         doc = dict(FLAGSHIP, A0=(-np.eye(3)).tolist())  # H3 fails
         report_path = tmp_path / "glue.json"
         assert main(["--report", str(report_path), "glue", write_config(tmp_path, doc)]) == 1
         report = json.loads(report_path.read_text())
         assert "total" in report["timings"]
         assert "balance" not in report["sections"]
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["h3 positivity"]
+        assert "=> SOME CHECKS FAILED" in capsys.readouterr().out
 
 
 class TestConsoleEntryPoint:

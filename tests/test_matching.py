@@ -318,7 +318,7 @@ class TestMatchBoundaries:
     def test_zero_discrepancy(self, flagship):
         system = build_interaction_system(flagship)
         zeros = [(zero_expansion(GRID), zero_expansion(GRID)) for _ in range(2)]
-        corr = match_boundaries(flagship, system.alpha, zeros)
+        corr = match_boundaries(flagship, system.alpha, zeros, gamma=system.gamma)
         assert np.max(np.abs(corr.delta_alpha)) < 1e-15
         assert np.max(np.abs(corr.delta_beta)) < 1e-15
         for p in corr.phi + corr.phi_tilde:
@@ -335,7 +335,7 @@ class TestMatchBoundaries:
             (c1 * theta_exp, c2 * theta_exp),
             (zero_expansion(GRID), zero_expansion(GRID)),
         ]
-        corr = match_boundaries(flagship, system.alpha, disc)
+        corr = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
         for p in corr.phi + corr.phi_tilde:
             assert p.norm() < 1e-18
         u0 = (c1 - c2) / 3.0
@@ -359,7 +359,7 @@ class TestMatchBoundaries:
             phis = [split_theta(random_expansion(rng, scale))[1] for _ in range(2)]
             phts = [split_theta(random_expansion(rng, scale))[1] for _ in range(2)]
             disc = forward_discrepancies(flagship, system.gamma, dalpha, dbeta, phis, phts)
-            corr = match_boundaries(flagship, system.alpha, disc)
+            corr = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
             err = max(
                 np.max(np.abs(corr.delta_alpha - dalpha)),
                 np.max(np.abs(corr.delta_beta - dbeta)),
@@ -377,9 +377,9 @@ class TestMatchBoundaries:
         disc = forward_discrepancies(
             flagship, system.gamma, np.array([0.3, -0.2]), np.array([0.1, 0.5]), phis, phts
         )
-        corr1 = match_boundaries(flagship, system.alpha, disc)
+        corr1 = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
         disc3 = [(3.0 * a, 3.0 * b) for a, b in disc]
-        corr3 = match_boundaries(flagship, system.alpha, disc3)
+        corr3 = match_boundaries(flagship, system.alpha, disc3, gamma=system.gamma)
         assert_allclose(corr3.delta_alpha, 3.0 * corr1.delta_alpha, rtol=1e-12)
         assert_allclose(corr3.delta_beta, 3.0 * corr1.delta_beta, rtol=1e-12)
         for j in range(2):
@@ -394,5 +394,5 @@ class TestMatchBoundaries:
         disc = forward_discrepancies(
             flagship, system.gamma, np.array([1.0, 2.0]), np.array([0.5, -1.0]), phis, phts
         )
-        corr = match_boundaries(flagship, system.alpha, disc)
+        corr = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
         assert corr.residual_norm < 1e-12

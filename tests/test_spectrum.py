@@ -43,10 +43,6 @@ class TestIndicialRoots:
         assert t.exact_mu == (Fraction(3), Fraction(-3))
         assert t.exact_nu == (Fraction(1), Fraction(-1))
 
-    def test_coexact_k0_rejected(self):
-        with pytest.raises(ValueError):
-            indicial_roots(3, 0, family="coexact")
-
 
 class TestFrozenRoots:
     @pytest.mark.parametrize("n", [3, 4, 5])

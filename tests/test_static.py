@@ -66,6 +66,23 @@ def test_no_unused_imports():
     assert found == []
 
 
+def function_scope_imports(source: str):
+    """(line, function name) of every import made inside a function."""
+    tree = ast.parse(source)
+    return [(node.lineno, scope.name) for scope, node in _imports_by_scope(tree, tree, [])
+            if scope is not tree]
+
+
+def test_checker_sees_function_scope_imports():
+    assert function_scope_imports("import os\ndef f():\n    import math\n") == [(3, "f")]
+
+
+def test_cli_imports_at_module_level():
+    # the package __init__ loads numpy and the library before any command
+    # runs, so a call-time import in cli.py would delay nothing
+    assert function_scope_imports((SRC / "cli.py").read_text()) == []
+
+
 def module_bindings(tree):
     """Names that a module-level def, class, assignment or import binds."""
     bound = set()
