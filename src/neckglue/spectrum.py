@@ -159,16 +159,16 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
                           num: int = 801, family: str = "exact") -> ModeSolution:
     """Solution of the per-mode system z'' = M z sampled at num points of t_span.
 
-    kind "asymptotic" has constant M, so z(t) = expm((t - t0) C) z(t0) with
-    the first-order companion C = [[0, I], [M, 0]] is evaluated exactly at
-    every sample (scipy.linalg.expm, one stacked call); kind "interior" is
-    integrated by adaptive RK (DOP853, tol RK_TOLERANCE, step at most
-    RK_MAX_STEP).
+    kind "asymptotic" has constant M, whose eigenvalues are the squared
+    indicial roots, so its exact flow is evaluated in closed form at every
+    sample, on numpy alone; kind "interior" is integrated by adaptive RK
+    (DOP853, tol RK_TOLERANCE, step at most RK_MAX_STEP).
 
     initial is (a0, da0) for scalar modes and (a0, b0, da0, db0) for the
     coupled ones; it and t_span must be finite.  Raises on blow-up of
-    |a| + |b| past 1e12 with the location.  The only user of scipy, imported
-    here so that the rest of the package needs numpy alone.
+    |a| + |b| past 1e12 with the location.  The interior kind is the only
+    user of scipy, imported here so that the rest of the package needs
+    numpy alone.
     """
     initial = np.asarray(initial, dtype=float)
     scalar = (family == "coexact") or (k == 0)
@@ -192,12 +192,26 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
         return ValueError(f"mode solution blew up past {BLOWUP_LIMIT:g} at t = {t:.4f}")
 
     if kind == "asymptotic":
-        from scipy.linalg import expm
-
-        C = _companion(M0)
+        # M0 = P diag(s^2) P^-1 with s the indicial roots and P's columns the
+        # null vectors (-w01, w00) of W = M0 - s^2 I, both exact; eigenmode u
+        # is c+ e^{s tau} + c- e^{-s tau}, c+- = (u0 +- u0'/s)/2, or u0 + u0' tau
+        # where s = 0 (n = 2, k = 1, nu = 0)
+        roots = indicial_roots(n, k)
+        first = roots.coexact if family == "coexact" else roots.exact_mu
+        s = np.array([float(first[0])] + ([] if scalar else [float(roots.exact_nu[0])]))
+        P = np.ones((1, 1)) if scalar else np.stack([np.full(2, -M0[0, 1]), M0[0, 0] - s**2])
+        u0, du0 = np.linalg.solve(P, initial.reshape(2, d).T).T
+        nonzero = s > 0
+        s_or_1 = np.where(nonzero, s, 1.0)
+        cp, cm = 0.5 * (u0 + du0 / s_or_1), 0.5 * (u0 - du0 / s_or_1)
 
         def flow(t):
-            return expm(np.multiply.outer(t - t_span[0], C)) @ initial
+            # e^{+-s tau} saturates below the float limit, so that a vanishing
+            # c+- keeps its term 0 rather than 0 * inf = nan
+            tau = np.expand_dims(t - t_span[0], -1)
+            grow, fall = (np.exp(np.minimum(x, 709.0)) for x in (s * tau, -s * tau))
+            u = np.where(nonzero, cp * grow + cm * fall, u0 + du0 * tau)
+            return u @ P.T
 
         z = flow(t_eval)
         over = np.flatnonzero(magnitude(z) > BLOWUP_LIMIT)

@@ -203,7 +203,7 @@ def test_criterion_8_exterior_mode_oracle():
         aa, bb = ev(sol.t)
         worst = max(worst, float(np.max(np.abs(sol.a - aa))),
                     float(np.max(np.abs(sol.b - bb))))
-    ok = worst < 1e-9
+    ok = worst < 1e-10
     crit.finish(ok, f"worst deviation of the exact frozen flow from the closed form {worst:.2e}")
 
 

@@ -650,8 +650,9 @@ def _fresh_python(code):
 
 
 class TestImportGraph:
-    """Only the ODE oracle spectrum.integrate_mode_system needs scipy, and no
-    command calls it, so a fresh process never imports scipy."""
+    """Only the interior kind of spectrum.integrate_mode_system needs scipy
+    (DOP853); the frozen kind is closed-form numpy and no command calls
+    either, so a fresh process never imports scipy."""
 
     @pytest.mark.parametrize("argv", [
         ["glue", "configs/flagship.json"],
@@ -675,6 +676,25 @@ class TestImportGraph:
                 "from neckglue import IndicialTable\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert _fresh_python(code) == "[]"
+
+    def test_frozen_mode_flow_loads_no_scipy(self):
+        code = ("import sys\n"
+                "from neckglue.spectrum import integrate_mode_system\n"
+                "integrate_mode_system(3, 1, 'asymptotic', [0.7, -0.3, 0.2, 0.5], (0.0, 5.0))\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert _fresh_python(code) == "[]"
+
+    def test_interior_mode_solve_loads_scipy_integrate_alone(self):
+        # scipy.integrate imports scipy.linalg itself; the interior kind
+        # loads nothing from scipy beyond what that one import brings
+        listing = "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        solve = _fresh_python(
+            "import sys\n"
+            "from neckglue.spectrum import integrate_mode_system\n"
+            "integrate_mode_system(3, 1, 'interior', [0.7, -0.3, 0.2, 0.5], (0.0, 1.0))\n"
+            + listing)
+        assert "'scipy.integrate'" in solve
+        assert solve == _fresh_python("import sys\nimport numpy, scipy.integrate\n" + listing)
 
     def test_unknown_attribute(self):
         import neckglue

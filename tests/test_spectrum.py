@@ -204,7 +204,7 @@ class TestModeIntegration:
 # The DOP853 route with mode_system_matrix called on every right-hand-side
 # evaluation, for both kinds.  Kept as the oracle of integrate_mode_system:
 # its interior route must reproduce it bit for bit, and its exact frozen
-# flow (expm) must agree with it to within the oracle's own RK error.
+# flow (closed form) must agree with it to within the oracle's own RK error.
 # ----------------------------------------------------------------------
 
 def per_step_integrate(n, k, kind, initial, t_span, num, family):
@@ -278,6 +278,37 @@ class TestHoistedModeMatrix:
     def test_non_finite_input_rejected(self, kind, z0, span, match):
         with pytest.raises(ValueError, match=match):
             integrate_mode_system(3, 1, kind, z0, span)
+
+
+class TestFrozenFlowExact:
+    """The closed-form frozen flow against exact solutions, far inside the
+    oracle's RK error."""
+
+    def test_null_direction_stays_linear(self):
+        # n = 2, k = 1: the frozen M has the null vector (1, 1) (nu = 0), on
+        # which z'' = 0
+        sol = integrate_mode_system(2, 1, "asymptotic", [0.7, 0.7, -0.4, -0.4], (0.0, 3.0))
+        line = 0.7 - 0.4 * sol.t
+        assert np.max(np.abs(sol.a - line)) <= 1e-12
+        assert np.max(np.abs(sol.b - line)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_decaying_data_follows_the_closed_form(self, n):
+        A, B, rates, _, ev = exterior_mode_solve(n, 1.0, 0.0)
+        da0 = rates[0] * (n - 1) * A + rates[1] * B
+        db0 = -rates[0] * A + rates[1] * B
+        sol = integrate_mode_system(n, 1, "asymptotic", [1.0, 0.0, da0, db0], (0.0, 2.0))
+        aa, bb = ev(sol.t)
+        assert max(np.max(np.abs(sol.a - aa)), np.max(np.abs(sol.b - bb))) <= 1e-12
+
+    def test_decaying_mode_stays_finite_past_exp_overflow(self):
+        # data on the fast decaying direction (2, -1) of n = 3 has c+ = 0
+        # exactly; e^{5 tau / 2} overflows past tau = 284, and 0 * inf must
+        # not turn the decayed solution into nan
+        sol = integrate_mode_system(3, 1, "asymptotic", [2.0, -1.0, -5.0, 2.5], (0.0, 400.0),
+                                    num=9)
+        assert_allclose(sol.a, 2.0 * np.exp(-2.5 * sol.t), rtol=1e-12, atol=0)
+        assert_allclose(sol.b, -np.exp(-2.5 * sol.t), rtol=1e-12, atol=0)
 
 
 class TestExteriorMode:

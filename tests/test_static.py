@@ -83,6 +83,30 @@ def test_cli_imports_at_module_level():
     assert function_scope_imports((SRC / "cli.py").read_text()) == []
 
 
+def scipy_imports(source: str):
+    """(function name, or None at module level, module) of every scipy import."""
+    tree = ast.parse(source)
+    found = []
+    for scope, node in _imports_by_scope(tree, tree, []):
+        modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+        found += [(None if scope is tree else scope.name, module) for module in modules
+                  if module and module.split(".")[0] == "scipy"]
+    return found
+
+
+def test_checker_sees_scipy_imports():
+    assert scipy_imports("import scipy.linalg, os\ndef f():\n    from scipy import integrate\n"
+                         "    from . import spectrum\n") == [(None, "scipy.linalg"), ("f", "scipy")]
+
+
+def test_scipy_only_in_the_interior_mode_solve():
+    # the frozen mode flow is closed-form numpy; only the interior DOP853
+    # route needs scipy, and it imports it at call time
+    found = [(path.name, scope, module) for path in sorted(SRC.glob("*.py"))
+             for scope, module in scipy_imports(path.read_text())]
+    assert found == [("spectrum.py", "integrate_mode_system", "scipy.integrate")]
+
+
 def module_bindings(tree):
     """Names that a module-level def, class, assignment or import binds."""
     bound = set()
