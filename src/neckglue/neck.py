@@ -406,8 +406,10 @@ def linearized_apply(field: NormalField) -> NormalField:
     """Apply the (s, theta)-chart linearized mean-curvature operator.
 
     Returns the (f, T) components of (sin ns)^{-2/n} L_H V sampled on the
-    grid; valid nodes lose two layers along s and each polar angle.  Closed-
-    form Jacobi fields are annihilated to O(h^2).
+    grid; valid nodes lose two layers along s and each polar angle.  Only
+    the s-rows 2 .. Ns-3 that keep valid nodes are computed: F and T are
+    exactly 0 on the two rows at either end.  Closed-form Jacobi fields are
+    annihilated to O(h^2).
     """
     n = field.n
     ops = SphereGridOps(field.angle_grids)
@@ -419,26 +421,31 @@ def linearized_apply(field: NormalField) -> NormalField:
         raise ValueError("s grid must be uniform")
     s_col = s.reshape((s.size,) + (1,) * ops.m)
     sin_ns = np.sin(n * s_col)
-    cos_ns = np.cos(n * s_col)
+    cos_ns = np.cos(n * s_col)[2:-2]
 
     def sturm(arr, sin_col):
-        # (sin ns)^{2-2/n} d_s( (sin ns)^{2/n} d_s arr ), sin_col broadcasting over arr
-        inner = sin_col ** (2.0 / n) * central_difference(arr, 0, hs)
-        return sin_col ** (2.0 - 2.0 / n) * central_difference(inner, 0, hs)
+        # (sin ns)^{2-2/n} d_s( (sin ns)^{2/n} d_s arr ) on rows 2 .. Ns-3, each
+        # difference taken only where the next one reads it
+        inner = sin_col[1:-1] ** (2.0 / n) * ((arr[2:] - arr[:-2]) / (2 * hs))
+        return sin_col[2:-2] ** (2.0 - 2.0 / n) * ((inner[2:] - inner[:-2]) / (2 * hs))
 
-    lap_f, div_T, grad_f, lap_T = ops.sphere_terms(field.f, field.T)
-    F = (
+    # each sphere term reads only its own s-row
+    f, T = field.f[2:-2], field.T[2:-2]
+    lap_f, div_T, grad_f, lap_T = ops.sphere_terms(f, T)
+    F = np.zeros_like(field.f)
+    F[2:-2] = (
         sturm(field.f, sin_ns)
         + lap_f
-        - (n - 1) * field.f
-        + (n * n - 1) * sin_ns**2 * field.f
+        - (n - 1) * f
+        + (n * n - 1) * sin_ns[2:-2] ** 2 * f
         - 2.0 * cos_ns * div_T
     )
-    TT = (
+    TT = np.zeros_like(field.T)
+    TT[2:-2] = (
         sturm(field.T, sin_ns[..., None])
         + lap_T
-        - field.T
-        + 3.0 * sin_ns[..., None] ** 2 * field.T
+        - T
+        + 3.0 * sin_ns[2:-2, ..., None] ** 2 * T
         + 2.0 * cos_ns[..., None] * grad_f
     )
 

@@ -1,9 +1,25 @@
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from neckglue.config import Configuration
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """bench/workloads.py, run from its source so that nothing is written
+    under bench/."""
+    path = BENCH / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def rot_e1(angle: float) -> np.ndarray:

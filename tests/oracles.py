@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from neckglue.assembler import GluedSurface
-from neckglue.geometry import AmbientPoint, sphere_chart
+from neckglue.geometry import AmbientPoint, _stencil_valid, central_difference, sphere_chart
 from neckglue.matching import SHExpansion, SphereGrid
-from neckglue.neck import NeckParams
+from neckglue.neck import NeckParams, NormalField, SphereGridOps
 from neckglue.quadrature import omega_n
 
 
@@ -60,6 +60,47 @@ def neck_point(params: NeckParams, s: float, angles) -> AmbientPoint:
     if not 0.0 < s < math.pi / params.n:
         raise ValueError("s must lie strictly inside (0, pi/n)")
     return AmbientPoint(*params.evaluate(s, sphere_chart(np.asarray(angles, dtype=float))))
+
+
+def full_grid_linearized_apply(field: NormalField) -> NormalField:
+    """linearized_apply evaluated on every s-row: the sphere, Sturm and
+    zero-order terms run on all Ns rows, and the two rows at either end hold
+    wrapped values that only the valid mask discards."""
+    n = field.n
+    ops = SphereGridOps(field.angle_grids)
+    s = field.s
+    if s.size < 5:
+        raise ValueError("s grid too coarse for nested second differences")
+    hs = float(s[1] - s[0])
+    if not np.allclose(np.diff(s), hs, rtol=0, atol=1e-12):
+        raise ValueError("s grid must be uniform")
+    s_col = s.reshape((s.size,) + (1,) * ops.m)
+    sin_ns = np.sin(n * s_col)
+    cos_ns = np.cos(n * s_col)
+
+    def sturm(arr, sin_col):
+        inner = sin_col ** (2.0 / n) * central_difference(arr, 0, hs)
+        return sin_col ** (2.0 - 2.0 / n) * central_difference(inner, 0, hs)
+
+    lap_f, div_T, grad_f, lap_T = ops.sphere_terms(field.f, field.T)
+    F = (
+        sturm(field.f, sin_ns)
+        + lap_f
+        - (n - 1) * field.f
+        + (n * n - 1) * sin_ns**2 * field.f
+        - 2.0 * cos_ns * div_T
+    )
+    TT = (
+        sturm(field.T, sin_ns[..., None])
+        + lap_T
+        - field.T
+        + 3.0 * sin_ns[..., None] ** 2 * field.T
+        + 2.0 * cos_ns[..., None] * grad_f
+    )
+    periodic = (False,) * ops.m + (True,)
+    valid = _stencil_valid(np.ones(field.f.shape, dtype=bool), periodic)
+    valid = _stencil_valid(valid, periodic) & field.valid
+    return NormalField(n=n, s=s, angle_grids=field.angle_grids, f=F, T=TT, valid=valid)
 
 
 def zero_expansion(grid: SphereGrid) -> SHExpansion:

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from neckglue import neck
 from neckglue.geometry import central_difference, mean_curvature_field, sphere_chart
 from neckglue.neck import (
     NeckParams,
     NormalField,
+    SphereGridOps,
     asymptote_residual,
     default_angle_grids,
     jacobi_field,
@@ -20,8 +23,8 @@ from neckglue.neck import (
     waist_radius,
 )
 
-from conftest import random_orthogonal, rot_e1
-from oracles import neck_point
+from conftest import BENCH, random_orthogonal, rot_e1
+from oracles import full_grid_linearized_apply, neck_point
 
 
 def unit_scale_params(n):
@@ -535,6 +538,71 @@ class TestFusedSphereOperators:
         want = sup(F, T)
         assert want > 0
         assert abs(sup(out.f, out.T) - want) <= 1e-9 * want
+
+
+def oracle_case(n, rows, kind):
+    """A field on rows s-rows: a seeded Jacobi family or smooth_field."""
+    if kind == "smooth":
+        fld = smooth_field(n, ORACLE_GRIDS[n], np.random.default_rng(n))
+        cut = slice((7 - rows) // 2, (7 + rows) // 2)
+        return NormalField(n=n, s=fld.s[cut], angle_grids=fld.angle_grids,
+                           f=fld.f[cut], T=fld.T[cut])
+    s = math.pi / (2 * n) + 2e-3 * (np.arange(rows) - rows // 2)
+    grids = default_angle_grids(n, ORACLE_GRIDS[n], margin=0.6)
+    return jacobi_field(kind, n, s, grids,
+                        **random_family_params(kind, n, np.random.default_rng(7)))
+
+
+class TestComputedRows:
+    """linearized_apply computes only the s-rows 2 .. Ns-3 its valid mask keeps."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("rows", [5, 7])
+    @pytest.mark.parametrize("kind", ["translation", "dilation", "su", "o2n_rot",
+                                      "o2n_boost", "smooth"])
+    def test_bit_identical_to_full_grid(self, n, rows, kind):
+        fld = oracle_case(n, rows, kind)
+        out = linearized_apply(fld)
+        want = full_grid_linearized_apply(fld)
+        assert np.array_equal(out.valid, want.valid) and out.valid.any()
+        for got, ref in ((out.f, want.f), (out.T, want.T)):
+            mask = out.valid if got.ndim == out.valid.ndim else out.valid[..., None]
+            mask = np.broadcast_to(mask, got.shape)
+            assert np.array_equal(got[mask].view(np.uint64), ref[mask].view(np.uint64))
+            outside = np.ones(got.shape[0], dtype=bool)
+            outside[2:-2] = False
+            assert not np.any(got[outside])
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_sphere_terms_see_only_kept_rows(self, rows, monkeypatch):
+        seen = []
+        sphere_terms = SphereGridOps.sphere_terms
+
+        def spy(self, f, T):
+            seen.append((f.shape[0], T.shape[0]))
+            return sphere_terms(self, f, T)
+
+        monkeypatch.setattr(SphereGridOps, "sphere_terms", spy)
+        linearized_apply(oracle_case(3, rows, "su"))
+        assert seen == [(rows - 4, rows - 4)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_benchmark_jacobi_gate(workloads, seed, tmp_path):
+    """The neck_modes Jacobi check of the benchmark, bound for bound: each
+    family's residual against the seeded combination of the basis
+    residuals, capped at seed 0 by the measured seed-0 residual."""
+    ref = json.loads((BENCH / "reference.json").read_text())["jacobi_modes"]
+    inputs = workloads.make_inputs("neck_modes", seed, str(tmp_path), str(tmp_path))
+    families = workloads.jacobi_coefficients(inputs)
+    s, grids, keep = workloads.jacobi_grids(neck)
+    for kind in workloads.FAMILIES:
+        params, coef = families[kind]
+        resid = workloads.jacobi_residual(neck, kind, s, grids, keep, **params)
+        bound = float(np.abs(coef) @ np.asarray(ref["basis_residual"][kind]))
+        if seed == 0:
+            bound = min(bound, ref["seed0_residual"][kind])
+        assert resid <= bound * (1 + workloads.JACOBI_SLACK), kind
 
 
 class TestNeckMinimality:

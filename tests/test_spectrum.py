@@ -1,8 +1,6 @@
 import json
 import math
-import types
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +21,8 @@ from neckglue.spectrum import (
     mode_system_matrix,
     verify_f0,
 )
+
+from conftest import BENCH
 
 
 class TestIndicialRoots:
@@ -336,20 +336,6 @@ class TestExteriorMode:
             for rate, v in zip(rates, dirs):
                 assert np.linalg.norm(M @ v - rate**2 * v) < 1e-12
 
-    def test_numeric_oracle_agreement(self):
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(20):
-            a0, b0 = rng.uniform(-2, 2, 2)
-            A, B, rates, _, ev = exterior_mode_solve(3, a0, b0)
-            da0 = rates[0] * 2 * A + rates[1] * B
-            db0 = -rates[0] * A + rates[1] * B
-            sol = integrate_mode_system(3, 1, "asymptotic", [a0, b0, da0, db0], (0.0, 5.0))
-            aa, bb = ev(sol.t)
-            worst = max(worst, float(np.max(np.abs(sol.a - aa))),
-                        float(np.max(np.abs(sol.b - bb))))
-        assert worst < 1e-9
-
     def test_requires_n_at_least_three(self):
         with pytest.raises(ValueError):
             exterior_mode_solve(2, 1.0, 0.0)
@@ -375,20 +361,6 @@ class TestDecayRate:
         sol = ModeSolution(3, 1, "interior", t, np.zeros_like(t))
         with pytest.raises(ValueError):
             decay_rate(sol, end=+1)
-
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    """bench/workloads.py, run from its source so that nothing is written
-    under bench/."""
-    path = BENCH / "workloads.py"
-    module = types.ModuleType("bench_workloads")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
 
 
 @pytest.mark.parametrize("seed", range(10))
