@@ -230,6 +230,8 @@ def cmd_interaction(args, report, config, options) -> None:
 
 
 def cmd_neck(args, report) -> None:
+    if not 0 < args.grid < np.inf:
+        raise ValueError(f"--grid must be positive and finite, got {args.grid}")
     params = NeckParams(n=args.n, beta=args.beta, epsilon=args.eps)
 
     s = np.linspace(1e-3, np.pi / args.n - 1e-3, 20001)
@@ -247,10 +249,9 @@ def cmd_neck(args, report) -> None:
         return neck_patch(params, angle_grids=grids,
                           t_grid=np.linspace(-1.2, 1.2, t_nodes))
 
-    h0 = args.grid if args.grid else 0.2
-    coarse = build(h0)
+    coarse = build(args.grid)
     sups = []
-    for patch in (coarse, build(h0 / 2)):
+    for patch in (coarse, build(args.grid / 2)):
         H, valid = mean_curvature_field(patch)
         sups.append(float(np.max(np.linalg.norm(H, axis=-1)[valid])))
     order = float(np.log2(sups[0] / sups[1]))
@@ -304,7 +305,7 @@ def cmd_spectrum(args, report) -> None:
                 (-1, -12.0, 2.5, "rate_minus_inf", "decay rate at -inf vs 5/2"),
                 (+1, 2.0, 0.5, "rate_plus_inf", "growth rate at +inf vs 1/2")):
             t = np.linspace(lo, lo + 10.0, 400)
-            sol = ModeSolution(3, 1, "interior", t, *explicit_n3_solution(t))
+            sol = ModeSolution(3, 1, t, *explicit_n3_solution(t))
             sec[key] = decay_rate(sol, end=end)[0]
             report.check(name, abs(sec[key] - want), 1e-2)
     report.section("spectrum", sec)
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--grid", type=float, default=None,
+    p.add_argument("--grid", type=float, default=0.2,
                    help="FD grid spacing in the cylindrical chart (default 0.2)")
     p.add_argument("--export", default=None)
 

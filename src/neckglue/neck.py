@@ -88,8 +88,9 @@ class NeckParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("neck dimension n must be >= 2")
-        if not (self.beta > 0 and self.epsilon > 0):
-            raise ValueError("beta and epsilon must be positive")
+        if not (0 < self.beta < math.inf and 0 < self.epsilon < math.inf):
+            raise ValueError(f"beta and epsilon must be positive and finite, got beta = "
+                             f"{self.beta}, epsilon = {self.epsilon}")
         R = np.eye(self.n) if self.rotation is None else np.asarray(self.rotation, float)
         if check_orthogonal(R) > 1e-10:
             raise ValueError("neck rotation is not orthogonal")

@@ -19,8 +19,9 @@ coefficients whose characteristic exponents are the indicial roots
     mu_k    = +-(n/2 + k),  nu_k = +-((n-4)/2 + k)   (exact, k >= 1),
     mu_0    = +-n/2.
 
-The t -> -infinity frozen system restricted to the first exact eigenspace
-is constant-coefficient and solves in closed form with decay rates
+The frozen systems are mode_system_matrix at t = -+inf, where tanh and sech
+take these limits exactly.  The t -> -infinity one restricted to the first
+exact eigenspace solves in closed form with decay rates
 (n+2)/2 along the direction (n-1, -1) and (n-2)/2 along (1, 1); the
 boundary-value coefficients are n A = a0 - b0, n B = a0 + (n-1) b0.
 """
@@ -48,11 +49,10 @@ __all__ = [
     "verify_f0",
 ]
 
-# DOP853 tolerance and step cap of the interior mode solves; the frozen
-# (asymptotic) system is solved by its exact flow and uses neither
-RK_TOLERANCE = 1e-10
-RK_MAX_STEP = 1e-2
 BLOWUP_LIMIT = 1e12
+# decay_rate fits the outer third of the samples, and at least 50 of them
+FIT_WINDOW_FRAC = 1.0 / 3.0
+FIT_MIN_POINTS = 50
 
 
 @dataclass(frozen=True)
@@ -84,23 +84,16 @@ def indicial_roots(n: int, k: int) -> IndicialTable:
 # Per-mode systems
 # ----------------------------------------------------------------------
 
-def mode_system_matrix(n: int, k: int, t: float, kind: str = "interior",
-                       family: str = "exact") -> np.ndarray:
+def mode_system_matrix(n: int, k: int, t: float, family: str = "exact") -> np.ndarray:
     """Coefficient matrix M(t) of the second-order system z'' = M(t) z.
 
-    kind "interior" uses the tanh/sech coefficients of the conjugated
-    operator; "asymptotic" freezes them at t -> -infinity (tanh -> -1,
-    sech -> 0), the constant-coefficient comparison operator.
+    At t = -inf or +inf, tanh(nt) is exactly -1 or +1 and sech^2(nt) exactly
+    0: the constant-coefficient system frozen at that end of the cylinder.
     """
-    if kind not in ("interior", "asymptotic"):
-        raise ValueError("kind must be 'interior' or 'asymptotic'")
     if family not in ("exact", "coexact"):
         raise ValueError("family must be 'exact' or 'coexact'")
-    if kind == "interior":
-        th = math.tanh(n * t)
-        sech2 = 1.0 / math.cosh(n * t) ** 2
-    else:
-        th, sech2 = -1.0, 0.0
+    th = math.tanh(n * t)
+    sech2 = 1.0 / math.cosh(n * t) ** 2
 
     if family == "coexact":
         if k < 1:
@@ -129,15 +122,13 @@ def _companion(M: np.ndarray) -> np.ndarray:
 
 def frozen_characteristic_roots(n: int, k: int, side: int = -1,
                                 family: str = "exact") -> np.ndarray:
-    """Sorted characteristic exponents of the system frozen at t -> side*inf.
-
-    Built from the same coefficient routine the integrator uses, evaluated
-    at |t| = 20 where tanh is exactly +-1 and sech^2 underflows; the
-    eigenvalues of the first-order companion matrix are the indicial roots.
+    """Sorted characteristic exponents of the system frozen at t -> side*inf:
+    the eigenvalues of the first-order companion of mode_system_matrix at
+    t = side * inf, which are the indicial roots.
     """
     if side not in (-1, 1):
         raise ValueError("side must be -1 or +1")
-    M = mode_system_matrix(n, k, side * 20.0, kind="interior", family=family)
+    M = mode_system_matrix(n, k, side * math.inf, family=family)
     roots = np.linalg.eigvals(_companion(M))
     return np.sort_complex(roots).real if np.allclose(roots.imag, 0, atol=1e-10) \
         else np.sort_complex(roots)
@@ -149,7 +140,6 @@ class ModeSolution:
 
     n: int
     k: int
-    kind: str
     t: np.ndarray
     a: np.ndarray
     b: np.ndarray = None  # absent for scalar modes
@@ -157,18 +147,16 @@ class ModeSolution:
 
 def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
                           num: int = 801, family: str = "exact") -> ModeSolution:
-    """Solution of the per-mode system z'' = M z sampled at num points of t_span.
+    """Solution of the frozen mode system z'' = M z, M = mode_system_matrix at
+    t = -inf, sampled at num points of t_span.
 
-    kind "asymptotic" has constant M, whose eigenvalues are the squared
-    indicial roots, so its exact flow is evaluated in closed form at every
-    sample, on numpy alone; kind "interior" is integrated by adaptive RK
-    (DOP853, tol RK_TOLERANCE, step at most RK_MAX_STEP).
+    kind names that system and must be "asymptotic".  M is constant and its
+    eigenvalues are the squared indicial roots, so the exact flow is
+    evaluated in closed form at every sample, on numpy alone.
 
     initial is (a0, da0) for scalar modes and (a0, b0, da0, db0) for the
     coupled ones; it and t_span must be finite.  Raises on blow-up of
-    |a| + |b| past 1e12 with the location.  The interior kind is the only
-    user of scipy, imported here so that the rest of the package needs
-    numpy alone.
+    |a| + |b| past 1e12 with the location.
     """
     initial = np.asarray(initial, dtype=float)
     scalar = (family == "coexact") or (k == 0)
@@ -182,75 +170,49 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
         raise ValueError(f"t_span must be two finite times, got {t_span.tolist()}")
     t_eval = np.linspace(t_span[0], t_span[1], num)
 
-    # validates kind and family once
-    M0 = mode_system_matrix(n, k, 0.0, kind=kind, family=family)
+    M0 = mode_system_matrix(n, k, -math.inf, family=family)
+    if kind != "asymptotic":
+        raise ValueError(f"kind must be 'asymptotic' (the frozen system), got {kind!r}")
 
     def magnitude(z):
         return np.sum(np.abs(z[..., :d]), axis=-1)
 
-    def blowup(t):
-        return ValueError(f"mode solution blew up past {BLOWUP_LIMIT:g} at t = {t:.4f}")
+    # M0 = P diag(s^2) P^-1 with s the indicial roots and P's columns the
+    # null vectors (-w01, w00) of W = M0 - s^2 I, both exact; eigenmode u
+    # is c+ e^{s tau} + c- e^{-s tau}, c+- = (u0 +- u0'/s)/2, or u0 + u0' tau
+    # where s = 0 (n = 2, k = 1, nu = 0)
+    roots = indicial_roots(n, k)
+    first = roots.coexact if family == "coexact" else roots.exact_mu
+    s = np.array([float(first[0])] + ([] if scalar else [float(roots.exact_nu[0])]))
+    P = np.ones((1, 1)) if scalar else np.stack([np.full(2, -M0[0, 1]), M0[0, 0] - s**2])
+    u0, du0 = np.linalg.solve(P, initial.reshape(2, d).T).T
+    nonzero = s > 0
+    s_or_1 = np.where(nonzero, s, 1.0)
+    cp, cm = 0.5 * (u0 + du0 / s_or_1), 0.5 * (u0 - du0 / s_or_1)
 
-    if kind == "asymptotic":
-        # M0 = P diag(s^2) P^-1 with s the indicial roots and P's columns the
-        # null vectors (-w01, w00) of W = M0 - s^2 I, both exact; eigenmode u
-        # is c+ e^{s tau} + c- e^{-s tau}, c+- = (u0 +- u0'/s)/2, or u0 + u0' tau
-        # where s = 0 (n = 2, k = 1, nu = 0)
-        roots = indicial_roots(n, k)
-        first = roots.coexact if family == "coexact" else roots.exact_mu
-        s = np.array([float(first[0])] + ([] if scalar else [float(roots.exact_nu[0])]))
-        P = np.ones((1, 1)) if scalar else np.stack([np.full(2, -M0[0, 1]), M0[0, 0] - s**2])
-        u0, du0 = np.linalg.solve(P, initial.reshape(2, d).T).T
-        nonzero = s > 0
-        s_or_1 = np.where(nonzero, s, 1.0)
-        cp, cm = 0.5 * (u0 + du0 / s_or_1), 0.5 * (u0 - du0 / s_or_1)
+    def flow(t):
+        # e^{+-s tau} saturates below the float limit, so that a vanishing
+        # c+- keeps its term 0 rather than 0 * inf = nan
+        tau = np.expand_dims(t - t_span[0], -1)
+        grow, fall = (np.exp(np.minimum(x, 709.0)) for x in (s * tau, -s * tau))
+        u = np.where(nonzero, cp * grow + cm * fall, u0 + du0 * tau)
+        return u @ P.T
 
-        def flow(t):
-            # e^{+-s tau} saturates below the float limit, so that a vanishing
-            # c+- keeps its term 0 rather than 0 * inf = nan
-            tau = np.expand_dims(t - t_span[0], -1)
-            grow, fall = (np.exp(np.minimum(x, 709.0)) for x in (s * tau, -s * tau))
-            u = np.where(nonzero, cp * grow + cm * fall, u0 + du0 * tau)
-            return u @ P.T
-
-        z = flow(t_eval)
-        over = np.flatnonzero(magnitude(z) > BLOWUP_LIMIT)
-        if over.size:
-            # bisect the first sample interval that crosses, to the last bit
-            i = over[0]
-            lo, hi = t_eval[max(i - 1, 0)], t_eval[i]
+    z = flow(t_eval)
+    over = np.flatnonzero(magnitude(z) > BLOWUP_LIMIT)
+    if over.size:
+        # bisect the first sample interval that crosses, to the last bit
+        i = over[0]
+        lo, hi = t_eval[max(i - 1, 0)], t_eval[i]
+        mid = 0.5 * (lo + hi)
+        while min(lo, hi) < mid < max(lo, hi):
+            if magnitude(flow(mid)) > BLOWUP_LIMIT:
+                hi = mid
+            else:
+                lo = mid
             mid = 0.5 * (lo + hi)
-            while min(lo, hi) < mid < max(lo, hi):
-                if magnitude(flow(mid)) > BLOWUP_LIMIT:
-                    hi = mid
-                else:
-                    lo = mid
-                mid = 0.5 * (lo + hi)
-            raise blowup(hi)
-        return ModeSolution(n=n, k=k, kind=kind, t=t_eval, a=z[:, 0],
-                            b=None if scalar else z[:, 1])
-
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, z):
-        M = mode_system_matrix(n, k, t, kind=kind, family=family)
-        return np.concatenate([z[d:], M @ z[:d]])
-
-    def blown(t, z):
-        return magnitude(z) - BLOWUP_LIMIT
-
-    blown.terminal = True
-    sol = solve_ivp(
-        rhs, t_span, initial, method="DOP853", t_eval=t_eval,
-        rtol=RK_TOLERANCE, atol=RK_TOLERANCE, max_step=RK_MAX_STEP, events=blown,
-    )
-    if sol.status == 1:
-        raise blowup(sol.t_events[0][0])
-    if not sol.success:
-        raise RuntimeError(f"mode integration failed: {sol.message}")
-    a = sol.y[0]
-    b = None if scalar else sol.y[1]
-    return ModeSolution(n=n, k=k, kind=kind, t=sol.t, a=a, b=b)
+        raise ValueError(f"mode solution blew up past {BLOWUP_LIMIT:g} at t = {hi:.4f}")
+    return ModeSolution(n=n, k=k, t=t_eval, a=z[:, 0], b=None if scalar else z[:, 1])
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +315,7 @@ def exterior_mode_solve(n: int, a0: float, b0: float):
 # Decay-rate fitting
 # ----------------------------------------------------------------------
 
-def decay_rate(solution: ModeSolution, end: int, window_frac: float = 1.0 / 3.0,
-               min_points: int = 50):
+def decay_rate(solution: ModeSolution, end: int):
     """Least-squares slope of log(|a|+|b|) against t over the outer window.
 
     end = -1 fits toward the left end of the grid, +1 toward the right.
@@ -366,7 +327,7 @@ def decay_rate(solution: ModeSolution, end: int, window_frac: float = 1.0 / 3.0,
     mag = np.abs(solution.a)
     if solution.b is not None:
         mag = mag + np.abs(solution.b)
-    npts = max(min_points, int(round(window_frac * solution.t.size)))
+    npts = max(FIT_MIN_POINTS, int(round(FIT_WINDOW_FRAC * solution.t.size)))
     npts = min(npts, solution.t.size)
     sl = slice(0, npts) if end == -1 else slice(-npts, None)
     t = solution.t[sl]

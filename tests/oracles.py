@@ -10,12 +10,18 @@ never imports this module; tests import it like conftest, as
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from neckglue.assembler import GluedSurface
 from neckglue.geometry import AmbientPoint, _stencil_valid, central_difference, sphere_chart
 from neckglue.matching import SHExpansion, SphereGrid
 from neckglue.neck import NeckParams, NormalField, SphereGridOps
 from neckglue.quadrature import omega_n
+from neckglue.spectrum import ModeSolution, mode_system_matrix
+
+# DOP853 tolerance and step cap of dop853_mode_solve
+RK_TOLERANCE = 1e-10
+RK_MAX_STEP = 1e-2
 
 
 def symmetric_pair_gamma(R1: np.ndarray, R2: np.ndarray, n: int,
@@ -160,3 +166,25 @@ def hausdorff_to_planes(surface: GluedSurface, exclusion: float) -> float:
         proj = rel @ B.T  # coordinates in the plane basis (orthonormal rows)
         dists.append(np.linalg.norm(rel - proj @ B, axis=1))
     return float(np.max(np.min(np.stack(dists), axis=0)))
+
+
+def dop853_mode_solve(n, k, initial, t_span, num=801, family="exact",
+                      frozen=False) -> ModeSolution:
+    """The per-mode system z'' = M z by adaptive RK (DOP853, tol RK_TOLERANCE,
+    step at most RK_MAX_STEP), sampled at num points of t_span.  M is
+    mode_system_matrix, rebuilt on every right-hand side: at t itself (the
+    interior system), or with frozen at t = -inf, the system that
+    spectrum.integrate_mode_system solves in closed form."""
+    initial = np.asarray(initial, dtype=float)
+    d = 1 if (family == "coexact" or k == 0) else 2
+
+    def rhs(t, z):
+        M = mode_system_matrix(n, k, -math.inf if frozen else t, family=family)
+        return np.concatenate([z[d:], M @ z[:d]])
+
+    sol = solve_ivp(rhs, t_span, initial, method="DOP853",
+                    t_eval=np.linspace(t_span[0], t_span[1], num),
+                    rtol=RK_TOLERANCE, atol=RK_TOLERANCE, max_step=RK_MAX_STEP)
+    if not sol.success:
+        raise RuntimeError(f"mode integration failed: {sol.message}")
+    return ModeSolution(n=n, k=k, t=sol.t, a=sol.y[0], b=None if d == 1 else sol.y[1])

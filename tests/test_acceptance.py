@@ -178,10 +178,10 @@ def test_criterion_7_explicit_solutions():
     sys_res = explicit_n3_residual(np.linspace(-3, 3, 241), h=1e-3)
     tneg = np.linspace(-12.0, -2.0, 400)
     a, b = explicit_n3_solution(tneg)
-    rate_neg, _ = decay_rate(ModeSolution(3, 1, "interior", tneg, a, b), end=-1)
+    rate_neg, _ = decay_rate(ModeSolution(3, 1, tneg, a, b), end=-1)
     tpos = np.linspace(2.0, 12.0, 400)
     a, b = explicit_n3_solution(tpos)
-    rate_pos, _ = decay_rate(ModeSolution(3, 1, "interior", tpos, a, b), end=+1)
+    rate_pos, _ = decay_rate(ModeSolution(3, 1, tpos, a, b), end=+1)
     ok = (
         f0_res < 1e-12 and sys_res < 1e-8
         and abs(rate_neg - 2.5) < 1e-2 and abs(rate_pos - 0.5) < 1e-2

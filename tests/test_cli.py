@@ -291,6 +291,18 @@ class TestCommands:
         assert out.exists()
         assert out.read_text().startswith("ply")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", "0"], "--grid must be positive and finite, got 0.0"),
+        (["--grid", "-1"], "--grid must be positive and finite, got -1.0"),
+        (["--grid", "nan"], "--grid must be positive and finite, got nan"),
+        (["--beta", "inf"], "beta and epsilon must be positive and finite, got beta = inf"),
+        (["--eps", "inf"], "beta and epsilon must be positive and finite, got beta = 1.0, "
+                           "epsilon = inf"),
+    ], ids=["grid-0", "grid-negative", "grid-nan", "beta-inf", "eps-inf"])
+    def test_neck_bad_input_exit_two(self, capsys, argv, message):
+        assert main(["neck", "--n", "3"] + argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_neck_command_n2_has_no_waist(self, tmp_path):
         report = tmp_path / "r.json"
         assert main(["--report", str(report), "neck", "--n", "2", "--grid", "0.4"]) == 0
@@ -650,9 +662,9 @@ def _fresh_python(code):
 
 
 class TestImportGraph:
-    """Only the interior kind of spectrum.integrate_mode_system needs scipy
-    (DOP853); the frozen kind is closed-form numpy and no command calls
-    either, so a fresh process never imports scipy."""
+    """No module of the package imports scipy: the frozen mode flow of
+    spectrum.integrate_mode_system is closed-form numpy, so a fresh process
+    never imports scipy."""
 
     @pytest.mark.parametrize("argv", [
         ["glue", "configs/flagship.json"],
@@ -661,7 +673,11 @@ class TestImportGraph:
         ["interaction", "configs/flagship.json"],
         ["neck", "--n", "3", "--grid", "0.4"],
         ["spectrum", "--n", "3", "--k", "1"],
-    ], ids=["glue", "glue-export", "validate", "interaction", "neck", "spectrum"])
+        # at n >= 18, cosh(nt)^2 overflows for every finite |t| >= 20
+        ["spectrum", "--n", "18", "--k", "1"],
+        ["spectrum", "--n", "40", "--k", "2"],
+    ], ids=["glue", "glue-export", "validate", "interaction", "neck", "spectrum",
+            "spectrum-n18", "spectrum-n40"])
     def test_command_loads_no_scipy(self, tmp_path, argv):
         argv = [a.format(tmp=tmp_path) for a in argv] + ["--report", str(tmp_path / "r.json")]
         code = ("import contextlib, io, sys\n"
@@ -683,18 +699,6 @@ class TestImportGraph:
                 "integrate_mode_system(3, 1, 'asymptotic', [0.7, -0.3, 0.2, 0.5], (0.0, 5.0))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert _fresh_python(code) == "[]"
-
-    def test_interior_mode_solve_loads_scipy_integrate_alone(self):
-        # scipy.integrate imports scipy.linalg itself; the interior kind
-        # loads nothing from scipy beyond what that one import brings
-        listing = "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-        solve = _fresh_python(
-            "import sys\n"
-            "from neckglue.spectrum import integrate_mode_system\n"
-            "integrate_mode_system(3, 1, 'interior', [0.7, -0.3, 0.2, 0.5], (0.0, 1.0))\n"
-            + listing)
-        assert "'scipy.integrate'" in solve
-        assert solve == _fresh_python("import sys\nimport numpy, scipy.integrate\n" + listing)
 
     def test_unknown_attribute(self):
         import neckglue

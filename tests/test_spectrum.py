@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import sympy
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
 
 from neckglue import spectrum
 from neckglue.spectrum import (
@@ -23,6 +22,7 @@ from neckglue.spectrum import (
 )
 
 from conftest import BENCH
+from oracles import dop853_mode_solve
 
 
 class TestIndicialRoots:
@@ -67,6 +67,23 @@ class TestFrozenRoots:
     def test_k0(self):
         roots = np.sort(frozen_characteristic_roots(3, 0))
         assert_allclose(roots, [-1.5, 1.5], atol=1e-12)
+
+    def test_matrix_at_infinity_is_the_frozen_system(self):
+        # tanh(-+inf) = -+1 and sech^2(inf) = 0 exactly, so the entries are
+        # the frozen ones to the last bit (they are quarter-integers)
+        for n in range(2, 9):
+            for k in range(5):
+                K = k * (n - 2 + k)
+                for side in (-1, 1):
+                    M = mode_system_matrix(n, k, side * math.inf)
+                    if k == 0:
+                        want = [[Fraction(n * n, 4)]]
+                    else:
+                        want = [[K + Fraction(n * n, 4), 2 * K * side],
+                                [2 * side, K + Fraction((n - 4) ** 2, 4)]]
+                        coexact = mode_system_matrix(n, k, side * math.inf, family="coexact")
+                        assert np.array_equal(coexact, [[float((Fraction(n - 2, 2) + k) ** 2)]])
+                    assert np.array_equal(M, np.array(want, dtype=float))
 
 
 class TestF0:
@@ -127,11 +144,11 @@ class TestExplicitSolution:
     def test_asymptotic_rates(self):
         tneg = np.linspace(-12.0, -2.0, 400)
         a, b = explicit_n3_solution(tneg)
-        rate, r2 = decay_rate(ModeSolution(3, 1, "interior", tneg, a, b), end=-1)
+        rate, r2 = decay_rate(ModeSolution(3, 1, tneg, a, b), end=-1)
         assert abs(rate - 2.5) < 1e-2 and r2 > 0.999
         tpos = np.linspace(2.0, 12.0, 400)
         a, b = explicit_n3_solution(tpos)
-        rate, _ = decay_rate(ModeSolution(3, 1, "interior", tpos, a, b), end=+1)
+        rate, _ = decay_rate(ModeSolution(3, 1, tpos, a, b), end=+1)
         assert abs(rate - 0.5) < 1e-2
 
     def test_eigendirection_ratio_at_minus_infinity(self):
@@ -148,6 +165,9 @@ class TestExplicitSolution:
 
 
 class TestModeIntegration:
+    """The interior system, on the DOP853 oracle, against its exact
+    solutions; and the blow-up report of the frozen flow."""
+
     def test_matches_explicit_solution(self):
         h = 1e-3
         t0 = 0.0
@@ -162,13 +182,13 @@ class TestModeIntegration:
         a0, b0 = explicit_n3_solution(t0)
         da0, db0 = d1(explicit_n3_solution)
         for t_end in (3.0, -3.0):
-            sol = integrate_mode_system(3, 1, "interior", [a0, b0, da0, db0], (t0, t_end))
+            sol = dop853_mode_solve(3, 1, [a0, b0, da0, db0], (t0, t_end))
             ae, be = explicit_n3_solution(sol.t)
             assert np.max(np.abs(sol.a - ae)) < 1e-8
             assert np.max(np.abs(sol.b - be)) < 1e-8
 
     def test_zero_initial_data(self):
-        sol = integrate_mode_system(3, 1, "interior", [0, 0, 0, 0], (0.0, 2.0))
+        sol = dop853_mode_solve(3, 1, [0, 0, 0, 0], (0.0, 2.0))
         assert np.max(np.abs(sol.a)) == 0.0
         assert np.max(np.abs(sol.b)) == 0.0
 
@@ -178,7 +198,7 @@ class TestModeIntegration:
         t0 = -2.0
         f = f0_profile(3, t0)
         df = -1.5 * np.tanh(3 * t0) * f
-        sol = integrate_mode_system(3, 0, "interior", [f, df], (t0, 2.0))
+        sol = dop853_mode_solve(3, 0, [f, df], (t0, 2.0))
         assert sol.b is None
         assert np.max(np.abs(sol.a - f0_profile(3, sol.t))) < 1e-8
 
@@ -187,7 +207,7 @@ class TestModeIntegration:
         # slope matches mu_1 = 5/2 and nu_1 = 1/2
         for direction, ic_rate in [(np.array([2.0, -1.0]), 2.5), (np.array([1.0, 1.0]), 0.5)]:
             z0 = np.concatenate([direction, ic_rate * direction])
-            sol = integrate_mode_system(3, 1, "interior", z0, (-8.0, -4.0), num=401)
+            sol = dop853_mode_solve(3, 1, z0, (-8.0, -4.0), num=401)
             rate, r2 = decay_rate(sol, end=-1)
             assert abs(rate - ic_rate) < 1e-2
             assert r2 > 0.999
@@ -200,61 +220,29 @@ class TestModeIntegration:
         assert str(err.value) == "mode solution blew up past 1e+12 at t = 10.8902"
 
 
-# ----------------------------------------------------------------------
-# The DOP853 route with mode_system_matrix called on every right-hand-side
-# evaluation, for both kinds.  Kept as the oracle of integrate_mode_system:
-# its interior route must reproduce it bit for bit, and its exact frozen
-# flow (closed form) must agree with it to within the oracle's own RK error.
-# ----------------------------------------------------------------------
-
-def per_step_integrate(n, k, kind, initial, t_span, num, family):
-    initial = np.asarray(initial, dtype=float)
-    d = 1 if (family == "coexact" or k == 0) else 2
-
-    def rhs(t, z):
-        M = mode_system_matrix(n, k, t, kind=kind, family=family)
-        return np.concatenate([z[d:], M @ z[:d]])
-
-    def blown(t, z):
-        return np.sum(np.abs(z[:d])) - spectrum.BLOWUP_LIMIT
-
-    blown.terminal = True
-    sol = solve_ivp(rhs, t_span, initial, method="DOP853",
-                    t_eval=np.linspace(t_span[0], t_span[1], num),
-                    rtol=spectrum.RK_TOLERANCE, atol=spectrum.RK_TOLERANCE,
-                    max_step=spectrum.RK_MAX_STEP, events=blown)
-    if sol.status == 1:
-        raise ValueError(f"mode solution blew up past {spectrum.BLOWUP_LIMIT:g} "
-                         f"at t = {sol.t_events[0][0]:.4f}")
-    return sol.t, sol.y[0], (None if d == 1 else sol.y[1])
-
-
 MODE_CASES = [("exact", 1, [0.7, -0.3, 0.2, 0.5]), ("exact", 0, [0.7, -0.4]),
               ("coexact", 2, [0.7, -0.4])]
 
 
 def assert_matches_oracle(n, k, kind, z0, span, family):
+    # the exact frozen flow differs from the frozen DOP853 oracle by the
+    # oracle's RK error
     sol = integrate_mode_system(n, k, kind, z0, span, num=151, family=family)
-    t, a, b = per_step_integrate(n, k, kind, z0, span, 151, family)
-    assert np.array_equal(sol.t, t)
-    assert (sol.b is None) == (b is None)
-    pairs = [(sol.a, a)] + ([] if b is None else [(sol.b, b)])
-    for got, want in pairs:
-        if kind == "interior":
-            assert np.array_equal(got, want)
-        else:
-            # the exact flow differs from the oracle by the oracle's RK error
-            assert_allclose(got, want, rtol=0, atol=1e-9)
+    want = dop853_mode_solve(n, k, z0, span, 151, family, frozen=True)
+    assert np.array_equal(sol.t, want.t)
+    assert (sol.b is None) == (want.b is None)
+    pairs = [(sol.a, want.a)] + ([] if want.b is None else [(sol.b, want.b)])
+    for got, oracle in pairs:
+        assert_allclose(got, oracle, rtol=0, atol=1e-9)
 
 
 class TestHoistedModeMatrix:
-    """integrate_mode_system against the per-step DOP853 oracle."""
+    """integrate_mode_system against the frozen DOP853 oracle."""
 
-    @pytest.mark.parametrize("kind", ["interior", "asymptotic"])
+    @pytest.mark.parametrize("kind", ["asymptotic"])
     @pytest.mark.parametrize("family,k,z0", MODE_CASES)
     def test_solution_bit_identical(self, kind, family, k, z0):
-        span = (-1.5, 1.0) if kind == "interior" else (0.0, 1.5)
-        assert_matches_oracle(3, k, kind, z0, span, family)
+        assert_matches_oracle(3, k, kind, z0, (0.0, 1.5), family)
 
     # n = 2, k = 1 has a defective double eigenvalue 0 in its frozen
     # companion; (0, -1.5) runs the flow backwards
@@ -263,7 +251,8 @@ class TestHoistedModeMatrix:
         assert_matches_oracle(n, 1, "asymptotic", [0.7, -0.3, 0.2, 0.5], span, "exact")
 
     @pytest.mark.parametrize("k,kind,family,match", [
-        (1, "frozen", "exact", "kind must be"), (1, "interior", "closed", "family must be"),
+        (1, "frozen", "exact", "kind must be"), (1, "interior", "exact", "kind must be"),
+        (1, "interior", "closed", "family must be"),
         (0, "asymptotic", "coexact", "coexact modes require")])
     def test_bad_arguments_rejected(self, k, kind, family, match):
         d = 1 if family == "coexact" or k == 0 else 2
@@ -331,7 +320,7 @@ class TestExteriorMode:
 
     def test_mode_directions_are_frozen_eigenvectors(self):
         for n in (3, 4, 5):
-            M = mode_system_matrix(n, 1, 0.0, kind="asymptotic")
+            M = mode_system_matrix(n, 1, -math.inf)
             _, _, rates, dirs, _ = exterior_mode_solve(n, 1.0, 0.5)
             for rate, v in zip(rates, dirs):
                 assert np.linalg.norm(M @ v - rate**2 * v) < 1e-12
@@ -344,7 +333,7 @@ class TestExteriorMode:
 class TestDecayRate:
     def test_synthetic_exponential(self):
         t = np.linspace(0, 6, 300)
-        sol = ModeSolution(3, 1, "interior", t, np.exp(-2.5 * t))
+        sol = ModeSolution(3, 1, t, np.exp(-2.5 * t))
         rate, r2 = decay_rate(sol, end=+1)
         assert abs(rate + 2.5) < 1e-6 and r2 > 1 - 1e-12
 
@@ -352,13 +341,13 @@ class TestDecayRate:
         from neckglue.spectrum import f0_profile
 
         t = np.linspace(0, 8, 400)
-        sol = ModeSolution(3, 0, "interior", t, f0_profile(3, t))
+        sol = ModeSolution(3, 0, t, f0_profile(3, t))
         rate, _ = decay_rate(sol, end=+1)
         assert abs(rate + 1.5) < 1e-2  # f0 ~ e^{-nt/2}
 
     def test_vanishing_window_rejected(self):
         t = np.linspace(0, 1, 100)
-        sol = ModeSolution(3, 1, "interior", t, np.zeros_like(t))
+        sol = ModeSolution(3, 1, t, np.zeros_like(t))
         with pytest.raises(ValueError):
             decay_rate(sol, end=+1)
 

@@ -2,6 +2,10 @@
 
 import ast
 import pathlib
+import re
+import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "neckglue"
 
@@ -83,28 +87,39 @@ def test_cli_imports_at_module_level():
     assert function_scope_imports((SRC / "cli.py").read_text()) == []
 
 
-def scipy_imports(source: str):
-    """(function name, or None at module level, module) of every scipy import."""
+def third_party_imports(source: str):
+    """Top-level module of every absolute import, at module or function
+    scope, of a module outside the standard library."""
     tree = ast.parse(source)
     found = []
-    for scope, node in _imports_by_scope(tree, tree, []):
-        modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
-        found += [(None if scope is tree else scope.name, module) for module in modules
-                  if module and module.split(".")[0] == "scipy"]
+    for _, node in _imports_by_scope(tree, tree, []):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.level == 0 else []
+        else:
+            modules = [alias.name for alias in node.names]
+        found += [top for top in (module.split(".")[0] for module in modules)
+                  if top not in sys.stdlib_module_names]
     return found
 
 
 def test_checker_sees_scipy_imports():
-    assert scipy_imports("import scipy.linalg, os\ndef f():\n    from scipy import integrate\n"
-                         "    from . import spectrum\n") == [(None, "scipy.linalg"), ("f", "scipy")]
+    assert third_party_imports("from __future__ import annotations\n"
+                               "import scipy.linalg, os\ndef f():\n"
+                               "    from scipy import integrate\n"
+                               "    from . import spectrum\n"
+                               "    from .neck import t_to_s\n") == ["scipy", "scipy"]
 
 
-def test_scipy_only_in_the_interior_mode_solve():
-    # the frozen mode flow is closed-form numpy; only the interior DOP853
-    # route needs scipy, and it imports it at call time
-    found = [(path.name, scope, module) for path in sorted(SRC.glob("*.py"))
-             for scope, module in scipy_imports(path.read_text())]
-    assert found == [("spectrum.py", "integrate_mode_system", "scipy.integrate")]
+def test_src_imports_only_declared_dependencies():
+    # every third-party module that src/ imports, at any scope, is one that
+    # installing the package brings; the test extra (scipy, sympy) is not
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]} | {project["name"]}
+    found = [f"{path.name}: {module}" for path in sorted(SRC.glob("*.py"))
+             for module in third_party_imports(path.read_text()) if module not in declared]
+    assert found == []
 
 
 def module_bindings(tree):
