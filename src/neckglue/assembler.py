@@ -45,7 +45,7 @@ from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, \
     green_gradient, regular_part
 from .matching import SphereGrid, match_boundaries, sh_analyze, split_theta
 from .neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
-from .quadrature import QuadratureRule, product_gauss_rule
+from .quadrature import QuadratureRule
 
 __all__ = [
     "GluedSurface",
@@ -65,16 +65,11 @@ HISTOGRAM_BINS = 12        # curvature-report histogram bins
 @dataclass
 class GridSpec:
     """Resolution of the patches a GluedSurface builds on first use: t and
-    angle node counts per neck, and the outer box spacing."""
+    per-angle node counts per neck, and the outer box spacing."""
 
     neck_s_nodes: int
-    neck_angle_nodes: tuple = None     # per-angle counts; default set by n
-    outer_spacing: float = None        # default rho_*/4
-
-    def neck_angles(self, n: int) -> tuple:
-        if self.neck_angle_nodes is not None:
-            return tuple(self.neck_angle_nodes)
-        return (24,) * (n - 2) + (48,)
+    neck_angle_nodes: tuple
+    outer_spacing: float
 
 
 @dataclass
@@ -100,8 +95,8 @@ class GluedSurface:
     @functools.cached_property
     def necks(self) -> list:
         """Per end, the neck on the t grid from t_* to -t_* and the angle grids."""
-        n = self.config.n
-        angle_grids = default_angle_grids(n, self.grid.neck_angles(n), margin=POLAR_MARGIN)
+        angle_grids = default_angle_grids(self.config.n, self.grid.neck_angle_nodes,
+                                          margin=POLAR_MARGIN)
         return [neck_patch(params, angle_grids=angle_grids, t_grid=np.linspace(
                     scales["t_star"], -scales["t_star"], self.grid.neck_s_nodes))
                 for params, scales in zip(self.neck_params, self.scales)]
@@ -109,8 +104,7 @@ class GluedSurface:
     @functools.cached_property
     def outer(self) -> ImmersionPatch:
         """The outer graph on its box grid, minus the rho_* balls."""
-        return graph_patch(self.green, spacing=self.grid.outer_spacing,
-                           exclusion=self.config.rho_star)
+        return graph_patch(self.green, self.grid.outer_spacing)
 
 
 def config_digest(config: Configuration, options: dict) -> str:
@@ -177,10 +171,10 @@ def _boundary_samples(surface: GluedSurface, j: int, theta):
             np.concatenate([theta, outer_dy], axis=-1))
 
 
-def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None, degree: int = 1):
-    """One pass over the rho_* spheres at the nodes of `rule` (default: the
-    product rule at its default node count), streamed in sh_analyze's blocks
-    and sampling each end once per block.  Returns (rows, discrepancies).
+def boundary_gap(surface: GluedSurface, rule: QuadratureRule, degree: int):
+    """One pass over the rho_* spheres at the nodes of `rule`, streamed in
+    sh_analyze's blocks and sampling each end once per block.  Returns
+    (rows, discrepancies).
 
     rows[j] holds the sup position gap and the sup conormal angle gap over
     the nodes, and |c1|, the Theta-collinear projection (1/omega_n) int
@@ -195,8 +189,6 @@ def boundary_gap(surface: GluedSurface, rule: QuadratureRule = None, degree: int
     """
     cfg = surface.config
     n, rho = cfg.n, cfg.rho_star
-    if rule is None:
-        rule = product_gauss_rule(n)
     position, angle = np.zeros(cfg.k), np.zeros(cfg.k)
 
     def gaps(nodes):   # (B, 2k, n): per end the value gap, then the conormal gap

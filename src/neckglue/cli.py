@@ -41,17 +41,16 @@ from .geometry import mean_curvature_field
 from .green import balance_residual, default_outer_box
 from .neck import NeckParams, asymptote_residual, default_angle_grids, neck_patch, s_to_t, \
     t_to_s, waist_radius
-from .quadrature import DEFAULT_NODES_PER_ANGLE, MAX_RULE_NODES, product_gauss_rule
+from .quadrature import MAX_RULE_NODES, product_gauss_rule
 from .report import RunReport
 from .spectrum import ModeSolution, decay_rate, explicit_n3_residual, explicit_n3_solution, \
     frozen_characteristic_roots, indicial_roots, verify_f0
 
 __all__ = ["main", "parse_config"]
 
-# Every options key with its default (None: the library's default).  Keys
-# with an int default must be integers.
-OPTION_DEFAULTS = {"quadrature_nodes": DEFAULT_NODES_PER_ANGLE, "sh_degree": 8,
-                   "neck_s_nodes": 48,
+# Every options key with its default (None: set by the configuration, in
+# parse_config).  Keys with an int default must be integers.
+OPTION_DEFAULTS = {"quadrature_nodes": 32, "sh_degree": 8, "neck_s_nodes": 48,
                    "neck_angle_nodes": None, "outer_spacing": None}
 # Smallest accepted counts: the neck's nested second differences in s need 5
 # nodes, a central difference along each neck angle 3.
@@ -71,7 +70,8 @@ def parse_config(path: str):
     """Parse and validate a configuration file.
 
     Returns (Configuration, options dict).  The options dict holds every key
-    of OPTION_DEFAULTS, validated, with defaults filled in.  Malformed JSON
+    of OPTION_DEFAULTS, validated, with defaults filled in: neck_angle_nodes
+    [24] * (n - 2) + [48] and outer_spacing rho_* / 4.  Malformed JSON
     is reported with line/column anchors; semantic violations name the
     offending key.
     """
@@ -175,7 +175,13 @@ def parse_config(path: str):
         if spacing >= half_width:
             raise ValueError(f"{path}: outer_spacing must be below the outer box half-width "
                              f"{half_width:.6g}, got {spacing!r}")
-    return config, dict(OPTION_DEFAULTS, **options)
+        options["outer_spacing"] = float(spacing)
+    options = dict(OPTION_DEFAULTS, **options)
+    if options["neck_angle_nodes"] is None:
+        options["neck_angle_nodes"] = [24] * (n - 2) + [48]
+    if options["outer_spacing"] is None:
+        options["outer_spacing"] = config.rho_star / 4.0
+    return config, options
 
 
 # ----------------------------------------------------------------------

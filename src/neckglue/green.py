@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import Configuration
 from .geometry import ImmersionPatch, _metric_inverse
-from .quadrature import QuadratureRule, omega_n, product_gauss_rule
+from .quadrature import QuadratureRule, omega_n
 
 __all__ = [
     "GreenData",
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 SINGULAR_CLEARANCE = 1e-12
+FIT_COND_LIMIT = 1e8       # largest accepted condition number of an equilibrated probe fit
+BALANCE_RADIUS = 1e-3      # largest probe radius of balance_residual (halved three times)
 _CHUNK_POINTS = 8192  # points per block of graph_mean_curvature; bounds its working set
 
 
@@ -136,14 +138,14 @@ def regular_part(data: GreenData, j0: int) -> np.ndarray:
 # Expansion probe and balancing
 # ----------------------------------------------------------------------
 
-def _fit(design: np.ndarray, values: np.ndarray, cond_limit: float = 1e8):
+def _fit(design: np.ndarray, values: np.ndarray):
     """Least squares with column equilibration and a conditioning gate."""
     scales = np.linalg.norm(design, axis=0)
     if np.any(scales == 0):
         raise ValueError("degenerate fit basis")
     A = design / scales
     cond = np.linalg.cond(A)
-    if cond > cond_limit:
+    if cond > FIT_COND_LIMIT:
         raise ValueError(
             f"radii not separated enough for a stable fit (cond {cond:.3e})"
         )
@@ -151,7 +153,7 @@ def _fit(design: np.ndarray, values: np.ndarray, cond_limit: float = 1e8):
     return sol / scales
 
 
-def expansion_probe(data: GreenData, j0: int, radii, rule: QuadratureRule = None):
+def expansion_probe(data: GreenData, j0: int, radii, rule: QuadratureRule):
     """Measure the expansion of G at the end j0 over decreasing radii.
 
     Fits the collinear projection p(rho) = (1/omega_n) int G(x_j0+rho Theta)
@@ -172,8 +174,6 @@ def expansion_probe(data: GreenData, j0: int, radii, rule: QuadratureRule = None
         dmin = min(np.linalg.norm(cfg.points[j0] - cfg.points[j]) for j in others)
         if np.max(radii) > 0.5 * dmin:
             raise ValueError("probe radii must stay below half the separation")
-    if rule is None:
-        rule = product_gauss_rule(n)
     om = omega_n(n)
     nodes, w = rule.nodes, rule.weights
     rtheta = nodes @ cfg.rotations[j0].T
@@ -205,17 +205,15 @@ def expansion_probe(data: GreenData, j0: int, radii, rule: QuadratureRule = None
     }
 
 
-def balance_residual(data: GreenData, base_radius: float = None,
-                     rule: QuadratureRule = None) -> np.ndarray:
-    """|linear coefficient| of the expansion at every end; all entries vanish
-    (to fit accuracy) iff alpha solves Gamma alpha = Lambda."""
+def balance_residual(data: GreenData, rule: QuadratureRule) -> np.ndarray:
+    """|linear coefficient| of the expansion at every end, probed on `rule`
+    at four radii halving from min(BALANCE_RADIUS, d_min / 4); all entries
+    vanish (to fit accuracy) iff alpha solves Gamma alpha = Lambda."""
     cfg = data.config
-    if base_radius is None:
-        base_radius = min(1e-3, 0.25 * cfg.min_separation)
-    radii = base_radius * 0.5 ** np.arange(4)
+    radii = min(BALANCE_RADIUS, 0.25 * cfg.min_separation) * 0.5 ** np.arange(4)
     out = np.empty(cfg.k)
     for j0 in range(cfg.k):
-        out[j0] = abs(expansion_probe(data, j0, radii, rule=rule)["linear_coeff"])
+        out[j0] = abs(expansion_probe(data, j0, radii, rule)["linear_coeff"])
     return out
 
 
@@ -232,17 +230,13 @@ def default_outer_box(config: Configuration) -> float:
     return 2.0 / rho0
 
 
-def graph_patch(data: GreenData, half_width: float = None, spacing: float = None,
-                exclusion: float = None) -> ImmersionPatch:
-    """Sample x + i eps G(x) on a uniform box grid minus the end balls."""
+def graph_patch(data: GreenData, spacing: float, half_width: float = None) -> ImmersionPatch:
+    """Sample x + i eps G(x) on a uniform box grid of step `spacing` (half-width
+    default_outer_box) minus the balls of radius rho_* about the ends."""
     cfg = data.config
     n = cfg.n
     if half_width is None:
         half_width = default_outer_box(cfg)
-    if spacing is None:
-        spacing = cfg.rho_star / 4.0
-    if exclusion is None:
-        exclusion = cfg.rho_star
     axis = np.arange(-half_width, half_width + spacing / 2, spacing)
     samples = np.zeros((len(axis),) * n + (2 * n,))
     for i, coordinate in enumerate(np.meshgrid(*[axis] * n, indexing="ij", sparse=True)):
@@ -250,7 +244,7 @@ def graph_patch(data: GreenData, half_width: float = None, spacing: float = None
     base = samples[..., :n]
     mask = np.ones(samples.shape[:-1], dtype=bool)
     for j in range(cfg.k):
-        mask &= np.linalg.norm(base - cfg.points[j], axis=-1) > exclusion
+        mask &= np.linalg.norm(base - cfg.points[j], axis=-1) > cfg.rho_star
     samples[..., n:][mask] = cfg.epsilon * green_eval(data, base[mask])
     return ImmersionPatch(spacings=(spacing,) * n, samples=samples, mask=mask)
 

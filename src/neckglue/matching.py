@@ -158,29 +158,22 @@ class SHExpansion:
     __rmul__ = __mul__
 
 
-def sh_analyze(values, grid: SphereGrid, rule: QuadratureRule):
-    """Project samples at the rule's nodes, (N, n) for one R^n-valued map or
-    (N, m, n) for m maps, onto grid's basis; values may also be a callable
-    taking a block of nodes (B, n) to such samples.  The nodes are streamed
+def sh_analyze(sample, grid: SphereGrid, rule: QuadratureRule) -> list:
+    """Project m R^n-valued maps onto grid's basis.  `sample` takes a block of
+    the rule's nodes (B, n) to their values (B, m, n); the nodes are streamed
     in blocks (of at most green._CHUNK_POINTS), with one basis evaluation per
-    block.  Returns an SHExpansion, or a list of m of them."""
+    block.  Returns a list of m SHExpansions."""
     nodes, weights, dim = rule.nodes, rule.weights, grid.degrees.size
-    if not callable(values):
-        samples = np.asarray(values, dtype=float)
-        if samples.shape[:1] + samples.shape[-1:] != (len(nodes), grid.n):
-            raise ValueError("samples must live on the nodes of the analysis rule "
-                             "(under-resolved input?)")
     # at most 1024 basis rows of _CHUNK_POINTS values (64 MB) per block
     block = max(1, min(green._CHUNK_POINTS, green._CHUNK_POINTS * 1024 // dim))
     coeffs = 0.0
     for start in range(0, len(nodes), block):
         rows = slice(start, start + block)
-        part = np.asarray(values(nodes[rows]) if callable(values) else samples[rows], dtype=float)
+        part = np.asarray(sample(nodes[rows]), dtype=float)
         coeffs = coeffs + grid.basis_at(nodes[rows]).T @ (
             weights[rows, None] * part.reshape(len(part), -1))
     coeffs = np.moveaxis(coeffs.reshape((dim,) + part.shape[1:]), 0, -1)
-    return SHExpansion(grid, coeffs) if coeffs.ndim == 2 else \
-        [SHExpansion(grid, c) for c in coeffs]
+    return [SHExpansion(grid, c) for c in coeffs]
 
 
 def p_int(expansion: SHExpansion) -> SHExpansion:

@@ -30,7 +30,6 @@ __all__ = [
     "product_gauss_rule",
 ]
 
-DEFAULT_NODES_PER_ANGLE = 32
 # 2^20 nodes: at n = 5 and 32 nodes per angle the one boundary-gap pass (both
 # sups and the gap expansion, streamed in blocks) takes ~2.8 s at degree 1 and,
 # with the matching solve, ~8.2 s at sh_degree 8 on 2 cores; either peaks at
@@ -111,7 +110,7 @@ def gegenbauer_rule(nodes: int, lam: float):
 
 
 @functools.cache
-def product_gauss_rule(n: int, nodes_per_angle: int = DEFAULT_NODES_PER_ANGLE) -> QuadratureRule:
+def product_gauss_rule(n: int, nodes_per_angle: int) -> QuadratureRule:
     """Tensor Gauss rule in hyperspherical angles: Gauss-Gegenbauer in each
     polar cosine, uniform in the azimuth; cached, so its arrays are read-only."""
     if n < 2:

@@ -219,25 +219,28 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
 # Explicit objects
 # ----------------------------------------------------------------------
 
+def _sech(n: int, t) -> np.ndarray:
+    """sech(nt) = 2 e / (1 + e^2) with e = exp(-|nt|): no overflow at any nt."""
+    e = np.exp(-np.abs(n * np.asarray(t, dtype=float)))
+    return 2.0 * e / (1.0 + e * e)
+
+
 def f0_profile(n: int, t):
     """The exact k = 0 kernel element f_0(t) = (cosh nt)^{-1/2}."""
-    t = np.asarray(t, dtype=float)
-    return np.cosh(n * t) ** (-0.5)
+    return np.sqrt(_sech(n, t))
 
 
 def f0_second_derivative(n: int, t):
     """Closed-form f_0'' = (n^2/4) (cosh nt)^{-1/2} - (3n^2/4) (cosh nt)^{-5/2}."""
-    t = np.asarray(t, dtype=float)
-    c = np.cosh(n * t)
-    return n * n / 4.0 * c ** (-0.5) - 3.0 * n * n / 4.0 * c ** (-2.5)
+    sech = _sech(n, t)
+    return n * n / 4.0 * np.sqrt(sech) - 3.0 * n * n / 4.0 * sech ** 2.5
 
 
 def verify_f0(n: int, t_grid) -> float:
     """Sup residual of f_0 in the k = 0 equation with analytic derivatives."""
-    t = np.asarray(t_grid, dtype=float)
-    f = f0_profile(n, t)
-    resid = f0_second_derivative(n, t) - n * n / 4.0 * f \
-        + 3.0 * n * n / 4.0 * f / np.cosh(n * t) ** 2
+    f = f0_profile(n, t_grid)
+    resid = f0_second_derivative(n, t_grid) - n * n / 4.0 * f \
+        + 3.0 * n * n / 4.0 * f * _sech(n, t_grid) ** 2
     return float(np.max(np.abs(resid)))
 
 

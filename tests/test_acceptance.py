@@ -53,7 +53,7 @@ def test_criterion_1_gamma12_closed_form(flagship):
     err_value = abs(g + math.pi / 3)
     oracle = symmetric_pair_gamma(np.eye(3), rot_e1(math.pi / 2), 3)
     err_oracle = abs(g - oracle)
-    err_quad = abs(gamma_entry_quadrature(flagship, 0, 1, product_gauss_rule(3)) - g)
+    err_quad = abs(gamma_entry_quadrature(flagship, 0, 1, product_gauss_rule(3, 32)) - g)
     ok = err_value < 1e-12 and err_oracle < 1e-12 and err_quad < 1e-12
     crit.finish(ok, f"-pi/3 err {err_value:.2e}, oracle err {err_oracle:.2e}, "
                     f"product rule err {err_quad:.2e}")
@@ -72,7 +72,7 @@ def test_criterion_2_degenerate_gamma():
     cfg = Configuration(3, [[1, 0, 0], [-1, 0, 0], [0, 2, 0]], [R, R, R],
                         np.eye(3), 1e-4, 0.1)
     closed = float(np.max(np.abs(gamma_matrix(cfg))))
-    rule = product_gauss_rule(3)
+    rule = product_gauss_rule(3, 32)
     quad = 0.0
     for j in range(3):
         for jp in range(j + 1, 3):
@@ -257,9 +257,10 @@ def test_criterion_9_dtn_witness(flagship):
 def test_criterion_10_balancing(flagship):
     crit = _Criterion(10, "balancing at the solved neck scales")
     system = build_interaction_system(flagship)
-    res_balanced = balance_residual(GreenData(flagship, system.alpha))
+    rule = product_gauss_rule(3, 32)
+    res_balanced = balance_residual(GreenData(flagship, system.alpha), rule)
     delta = 0.1 * system.alpha
-    res_off = balance_residual(GreenData(flagship, system.alpha + delta))
+    res_off = balance_residual(GreenData(flagship, system.alpha + delta), rule)
     predicted = np.abs(system.gamma @ delta) / omega_n(3)
     rel = np.max(np.abs(res_off - predicted) / predicted)
     ok = float(np.max(res_balanced)) < 1e-8 and np.all(res_off > 1e-4) and rel < 0.1
@@ -278,7 +279,7 @@ def test_criterion_11_glue_end_to_end(tmp_path):
         system = build_interaction_system(cfg)
         surf = assemble(cfg, system.alpha, grid)
         surfaces.append(surf)
-        gaps, _ = boundary_gap(surf)
+        gaps, _ = boundary_gap(surf, product_gauss_rule(3, 32), 1)
         gap_sups.append(max(g["position_gap_sup"] for g in gaps))
         data = GreenData(cfg, system.alpha)
         base = surf.outer.samples[..., :3][surf.outer.mask]

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,16 @@ from conftest import flagship_at, quarter_turn_n5, random_orthogonal
 from oracles import hausdorff_to_planes
 
 COARSE = GridSpec(neck_s_nodes=32, neck_angle_nodes=(17, 32), outer_spacing=0.3)
-# the default grid at any n: the gap pass and the matching step build no
-# patch, so the tests that stop there never grid it
-DEFAULT_GRID = GridSpec(neck_s_nodes=48)
+# the gap rows are sampled on the default 32-node rule; they do not depend
+# on the expansion degree
+RULE3 = product_gauss_rule(3, 32)
+
+
+def default_grid(cfg):
+    """The grids that parse_config resolves when the options omit them; the
+    gap pass and the matching step build no patch, so the tests that stop
+    there never grid them."""
+    return GridSpec(48, [24] * (cfg.n - 2) + [48], cfg.rho_star / 4.0)
 
 
 def build_flagship_surface(eps=1e-4, grid=COARSE):
@@ -133,14 +141,20 @@ class TestAssemble:
     def test_single_end_flat_background(self):
         cfg = Configuration(3, [np.zeros(3)], [np.eye(3)], np.zeros((3, 3)), 1e-4, 0.2)
         surf = assemble(cfg, np.array([1.0]), COARSE)
-        gaps, _ = boundary_gap(surf)
+        gaps, _ = boundary_gap(surf, RULE3, 1)
         # the whole gap is the lower-end expansion remainder <= C eps^3 rho^{1-3n}
         bound = cfg.epsilon**3 * cfg.rho_star ** (1 - 9)
         assert gaps[0]["position_gap_sup"] < bound
 
     def test_unset_outer_spacing_resolves_to_a_quarter_rho_star(self):
-        cfg, _, surf = build_flagship_surface(grid=GridSpec(neck_s_nodes=8,
-                                                            neck_angle_nodes=(5, 8)))
+        # configs/flagship.json sets no outer_spacing: parse_config fills it
+        # in, and the outer patch is gridded on it
+        from neckglue.cli import parse_config
+
+        cfg, options = parse_config(str(Path(__file__).resolve().parents[1] / "configs"
+                                        / "flagship.json"))
+        grid = GridSpec(8, (5, 8), options["outer_spacing"])
+        surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
         assert surf.outer.spacings == (cfg.rho_star / 4,) * 3
 
     def test_gap_pass_and_matching_build_no_patch(self, monkeypatch):
@@ -151,8 +165,8 @@ class TestAssemble:
         monkeypatch.setattr(assembler, "graph_patch", refused)
         cfg = flagship_at(1e-4)
         system = build_interaction_system(cfg)
-        surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=48))
-        rule = product_gauss_rule(3, 32)
+        surf = assemble(cfg, system.alpha, default_grid(cfg))
+        rule = RULE3
         step = matching_step(surf, system.gamma, boundary_gap(surf, rule, 8)[1], rule)
         assert step["residual_norm"] < 1e-10 and step["max_relative_delta"] < 0.1
         with pytest.raises(AssertionError, match="a patch was built"):
@@ -186,7 +200,7 @@ class TestBoundaryGap:
         sups = []
         for eps in (1e-3, 3e-4, 1e-4, 3e-5):
             _, _, surf = build_flagship_surface(eps)
-            gaps, _ = boundary_gap(surf)
+            gaps, _ = boundary_gap(surf, RULE3, 1)
             sups.append(max(g["position_gap_sup"] for g in gaps))
         assert all(a > b for a, b in zip(sups, sups[1:]))
 
@@ -199,7 +213,7 @@ class TestBoundaryGap:
         colls, sups, angles = [], [], []
         for eps in eps_values:
             _, _, surf = build_flagship_surface(eps)
-            gaps, _ = boundary_gap(surf)
+            gaps, _ = boundary_gap(surf, RULE3, 1)
             colls.append(max(g["collinear_gap_abs"] for g in gaps))
             sups.append(max(g["position_gap_sup"] for g in gaps))
             angles.append(max(g["conormal_angle_sup"] for g in gaps))
@@ -216,8 +230,8 @@ class TestBoundaryGap:
         colls, sups = [], []
         for eps in (1e-5, 1e-6):
             cfg = quarter_turn_n5(eps)
-            surf = assemble(cfg, build_interaction_system(cfg).alpha, DEFAULT_GRID)
-            gaps, _ = boundary_gap(surf, product_gauss_rule(5, 12))
+            surf = assemble(cfg, build_interaction_system(cfg).alpha, default_grid(cfg))
+            gaps, _ = boundary_gap(surf, product_gauss_rule(5, 12), 1)
             colls.append([g["collinear_gap_abs"] for g in gaps])
             sups.append([g["position_gap_sup"] for g in gaps])
         assert np.all(np.isfinite(colls)) and np.all(np.isfinite(sups))
@@ -234,15 +248,16 @@ class TestBoundaryGap:
         # sum of their magnitudes
         from neckglue import green
 
+        n4 = two_ends_n4(1e-5)
         for cfg, grid, nodes in ((N2_CONFIG, N2_GRID, 32), (flagship_at(1e-4), COARSE, 32),
-                                 (two_ends_n4(1e-5), DEFAULT_GRID, 12)):
+                                 (n4, default_grid(n4), 12)):
             n = cfg.n
             surf = assemble(cfg, build_interaction_system(cfg).alpha, grid)
             rule = product_gauss_rule(n, nodes)
             whole, _ = boundary_gap(surf, rule, 8)
             with monkeypatch.context() as patch:
                 patch.setattr(green, "_CHUNK_POINTS", 7)
-                blocked, _ = boundary_gap(surf, rule)
+                blocked, _ = boundary_gap(surf, rule, 1)
             for j, (one, blocks) in enumerate(zip(whole, blocked)):
                 assert blocks["position_gap_sup"] == one["position_gap_sup"]
                 assert blocks["conormal_angle_sup"] == one["conormal_angle_sup"]
@@ -258,7 +273,7 @@ class TestBoundaryGap:
     def test_flagship_regression_values(self):
         # end-to-end run at eps = 1e-4, COARSE grid; frozen measured values
         _, _, surf = build_flagship_surface(1e-4)
-        gaps, _ = boundary_gap(surf)
+        gaps, _ = boundary_gap(surf, RULE3, 1)
         assert_allclose(
             [g["position_gap_sup"] for g in gaps],
             [1.542334348783e-04, 6.795375137528e-05], rtol=1e-6,
@@ -276,7 +291,7 @@ class TestBoundaryGap:
         # the sups over the 32^2-node rule sit within 5e-3 relative of the
         # sups over a 400 x 800 chart grid that reaches the poles
         _, _, surf = build_flagship_surface(1e-4)
-        gaps, _ = boundary_gap(surf, product_gauss_rule(3, 32))
+        gaps, _ = boundary_gap(surf, RULE3, 1)
         grids = default_angle_grids(3, (400, 800), margin=0.0)
         theta = sphere_chart(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
         for j, gap in enumerate(gaps):
@@ -295,8 +310,8 @@ class TestBoundaryGap:
         delta = 0.1 * system.alpha
         surf_bal = assemble(cfg, system.alpha, COARSE)
         surf_off = assemble(cfg, system.alpha + delta, COARSE)
-        g_bal = np.array([g["position_gap_sup"] for g in boundary_gap(surf_bal)[0]])
-        g_off = np.array([g["position_gap_sup"] for g in boundary_gap(surf_off)[0]])
+        g_bal = np.array([g["position_gap_sup"] for g in boundary_gap(surf_bal, RULE3, 1)[0]])
+        g_off = np.array([g["position_gap_sup"] for g in boundary_gap(surf_off, RULE3, 1)[0]])
         predicted = cfg.epsilon / omega_n(3) * np.abs(system.gamma @ delta) * cfg.rho_star
         # the extra gap contribution matches the linear term within 10%
         extra = g_off - g_bal
@@ -313,7 +328,7 @@ def rotated_flagship(eps, q):
 
 def measured_matching(cfg, degree=8, grid=COARSE, nodes=32):
     system = build_interaction_system(cfg)
-    surf = assemble(cfg, system.alpha, grid)
+    surf = assemble(cfg, system.alpha, grid or default_grid(cfg))
     rule = product_gauss_rule(cfg.n, nodes)
     return matching_step(surf, system.gamma, boundary_gap(surf, rule, degree)[1], rule)
 
@@ -337,7 +352,7 @@ N2_GRID = GridSpec(neck_s_nodes=8, neck_angle_nodes=(8,), outer_spacing=0.3)
 
 @pytest.fixture(scope="module")
 def n4_steps():
-    return {eps: measured_matching(two_ends_n4(eps), grid=DEFAULT_GRID) for eps in N4_EPS}
+    return {eps: measured_matching(two_ends_n4(eps), grid=None) for eps in N4_EPS}
 
 
 class TestMatchingStep:
@@ -382,7 +397,7 @@ class TestMatchingStep:
         # -(2k+n-2) vanishes on constants and match_boundaries refuses
         system = build_interaction_system(N2_CONFIG)
         surf = assemble(N2_CONFIG, system.alpha, N2_GRID)
-        rule = product_gauss_rule(2)
+        rule = product_gauss_rule(2, 32)
         _, discrepancies = boundary_gap(surf, rule, 8)
         with pytest.raises(ValueError, match="vanishes on constants at n = 2"):
             matching_step(surf, system.gamma, discrepancies, rule)
@@ -403,14 +418,14 @@ class TestMatchingStep:
     def test_n4_delta_alpha_invariant_under_common_rotation(self, n4_steps):
         q = random_orthogonal(4, np.random.default_rng(1))
         base = n4_steps[1e-6]["delta_alpha"]
-        turned = measured_matching(two_ends_n4(1e-6, q), grid=DEFAULT_GRID)["delta_alpha"]
+        turned = measured_matching(two_ends_n4(1e-6, q), grid=None)["delta_alpha"]
         assert np.max(np.abs(turned - base)) < 1e-3 * np.max(np.abs(base))
 
 
 def collinear_gaps(cfg, alpha, beta, rule):
     """(c1_j, c2_j): the Theta coefficients of each end's value and conormal
     gap on the surface with outer scales alpha and neck scales beta."""
-    _, discrepancies = boundary_gap(assemble(cfg, alpha, DEFAULT_GRID, beta=beta), rule, 8)
+    _, discrepancies = boundary_gap(assemble(cfg, alpha, default_grid(cfg), beta=beta), rule, 8)
     return np.array([[split_theta(value)[0], split_theta(conormal)[0]]
                      for value, conormal in discrepancies])
 
@@ -425,7 +440,7 @@ class TestMatchingOrientation:
 
     def reported_step(self, cfg, rule):
         system = build_interaction_system(cfg)
-        surf = assemble(cfg, system.alpha, DEFAULT_GRID)
+        surf = assemble(cfg, system.alpha, default_grid(cfg))
         _, discrepancies = boundary_gap(surf, rule, 8)
         return system.alpha, matching_step(surf, system.gamma, discrepancies, rule)
 
@@ -498,7 +513,7 @@ class TestCurvature:
         data = GreenData(cfg, np.array([0.0]))
         from neckglue.green import graph_patch, graph_mean_curvature
 
-        patch = graph_patch(data, half_width=1.2, spacing=0.2, exclusion=0.3)
+        patch = graph_patch(data, 0.2, half_width=1.2)
         base = patch.samples[..., :3][patch.mask]
         H = graph_mean_curvature(data, base)
         assert np.max(np.abs(H)) < 1e-15

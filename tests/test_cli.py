@@ -4,11 +4,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from neckglue.cli import main, parse_config
+from neckglue.cli import OPTION_DEFAULTS, main, parse_config
 
 FLAGSHIP = {
     "n": 3,
@@ -246,7 +247,7 @@ class TestCommands:
         doc = dict(FLAGSHIP, options={"sh_degree": 12})
         assert parse_config(write_config(tmp_path, doc))[1]["sh_degree"] == 12
         doc = dict(FLAGSHIP, options={"neck_angle_nodes": None})
-        assert parse_config(write_config(tmp_path, doc))[1]["neck_angle_nodes"] is None
+        assert parse_config(write_config(tmp_path, doc))[1]["neck_angle_nodes"] == [24, 48]
 
     def test_validate_accepts_sh_degree_above_12(self, tmp_path):
         # the closed-form basis needs no cap on the degree: validate accepts 13
@@ -258,7 +259,19 @@ class TestCommands:
         _, options = parse_config(write_config(tmp_path, doc))
         assert options["quadrature_nodes"] == 16
         assert isinstance(options["quadrature_nodes"], int)
-        assert options["sh_degree"] == 8 and options["outer_spacing"] is None
+        assert options["sh_degree"] == 8 and options["outer_spacing"] == 0.45 / 4.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_option_resolved(self, tmp_path, n):
+        # the options that main hashes and the commands run on hold no None:
+        # no default is left to the library
+        doc = {"n": n, "points": [np.eye(n)[0].tolist(), (-np.eye(n)[0]).tolist()],
+               "rotations": [np.eye(n).tolist()] * 2, "A0": np.eye(n).tolist(),
+               "epsilon": 1e-4, "rho_star": 0.45}
+        _, options = parse_config(write_config(tmp_path, doc))
+        assert set(options) == set(OPTION_DEFAULTS)
+        assert all(value is not None for value in options.values())
+        assert options["neck_angle_nodes"] == [24] * (n - 2) + [48]
 
     def test_missing_file_exit_two(self):
         assert main(["validate", "/nonexistent/cfg.json"]) == 2
@@ -302,6 +315,15 @@ class TestCommands:
     def test_neck_bad_input_exit_two(self, capsys, argv, message):
         assert main(["neck", "--n", "3"] + argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, k", [(72, 0), (100, 1)])
+    def test_spectrum_large_n_warns_nothing(self, capsys, n, k):
+        # the f0 check reads sech(nt) through exp(-|nt|): (cosh nt)^2
+        # overflowed from n = 72 on t in [-5, 5], and cosh itself from 143
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--n", str(n), "--k", str(k)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_neck_command_n2_has_no_waist(self, tmp_path):
         report = tmp_path / "r.json"
@@ -578,18 +600,31 @@ class TestGlueCommand:
     def test_digest_covers_options(self, tmp_path):
         # runs differing only in outer_spacing must not share a digest; an
         # option spelled out at its default resolves to the same digest
-        digests = []
-        for name, options in (("a", {"outer_spacing": 0.6}), ("b", {"outer_spacing": 0.5}),
-                              ("c", {"outer_spacing": 0.6, "sh_degree": 8})):
-            doc = dict(FLAGSHIP)
-            doc["options"] = dict(options, neck_s_nodes=17, neck_angle_nodes=[9, 16])
+        def digest(name, options, command="glue"):
             report_path = tmp_path / f"{name}.json"
-            code = main(["--report", str(report_path), "glue",
-                         write_config(tmp_path, doc, name=f"{name}.cfg.json")])
+            code = main(["--report", str(report_path), command,
+                         write_config(tmp_path, dict(FLAGSHIP, options=options),
+                                      name=f"{name}.cfg.json")])
             assert code == 0
-            digests.append(json.loads(report_path.read_text())["config_digest"])
+            return json.loads(report_path.read_text())["config_digest"]
+
+        grids = {"neck_s_nodes": 17, "neck_angle_nodes": [9, 16]}
+        digests = [digest(name, dict(grids, **options)) for name, options in (
+            ("a", {"outer_spacing": 0.6}), ("b", {"outer_spacing": 0.5}),
+            ("c", {"outer_spacing": 0.6, "sh_degree": 8}))]
         assert digests[0] != digests[1]
         assert digests[0] == digests[2]
+        # so do the defaults that the configuration sets, rho_* / 4 and
+        # [24, 48] at n = 3 (main hashes the same options for every command)
+        omitted = digest("d", {}, "validate")
+        for name, options in (("e", {"outer_spacing": 0.1125}),
+                              ("f", {"neck_angle_nodes": [24, 48]}),
+                              ("g", {"outer_spacing": 0.1125, "neck_angle_nodes": [24, 48],
+                                     "quadrature_nodes": 32, "neck_s_nodes": 48})):
+            assert digest(name, options, "validate") == omitted
+        assert digest("h", {"neck_angle_nodes": [24, 47]}, "validate") != omitted
+        assert digest("i", {"outer_spacing": 1}, "validate") == \
+            digest("j", {"outer_spacing": 1.0}, "validate")
 
     def test_matching_skipped_for_n2(self, tmp_path, capsys):
         # at n = 2 the DtN difference vanishes on constants, so the matching
@@ -730,7 +765,7 @@ class TestPeakMemory:
                 "from neckglue.quadrature import product_gauss_rule\n"
                 "cfg = quarter_turn_n5(1e-6)\n"
                 "system = build_interaction_system(cfg)\n"
-                "surf = assemble(cfg, system.alpha, GridSpec(neck_s_nodes=48))\n"
+                "surf = assemble(cfg, system.alpha, GridSpec(48, [24, 24, 24, 48], 0.1125))\n"
                 f"rule = product_gauss_rule(5, {nodes})\n"
                 f"_, discrepancies = boundary_gap(surf, rule, {degree})\n"
                 "matching_step(surf, system.gamma, discrepancies, rule)\n")

@@ -84,14 +84,14 @@ class TestGammaEntry:
         assert abs(g - oracle) < 1e-12
 
     def test_product_rule_agreement(self, flagship):
-        est = gamma_entry_quadrature(flagship, 0, 1, product_gauss_rule(3))
+        est = gamma_entry_quadrature(flagship, 0, 1, product_gauss_rule(3, 32))
         assert abs(est - gamma_entry(flagship, 0, 1)) < 1e-12
 
     def test_equal_rotations_zero(self):
         cfg = Configuration(3, [[1, 0, 0], [-1, 0, 0]], [rot_e1(0.3), rot_e1(0.3)],
                             np.eye(3), 1e-3, 0.2)
         assert gamma_entry(cfg, 0, 1) == pytest.approx(0.0, abs=1e-15)
-        rule = product_gauss_rule(3)
+        rule = product_gauss_rule(3, 32)
         est = gamma_entry_quadrature(cfg, 0, 1, rule)
         assert abs(est) < 1e-6
 
@@ -103,7 +103,7 @@ class TestGammaEntry:
             [random_orthogonal(4, rng), random_orthogonal(4, rng)],
             np.eye(4), 1e-3, 0.2,
         )
-        rule = product_gauss_rule(4)
+        rule = product_gauss_rule(4, 32)
         est = gamma_entry_quadrature(cfg, 0, 1, rule)
         assert abs(est - gamma_entry(cfg, 0, 1)) < 1e-6
 
@@ -147,7 +147,7 @@ class TestLambda:
         assert abs(lam[1] + 4 * math.pi / 3) < 1e-12      # tr = 1 + 2cos(pi/2)
 
     def test_quadrature_agreement(self, flagship):
-        rule = product_gauss_rule(3)
+        rule = product_gauss_rule(3, 32)
         lam = lambda_vector(flagship)
         for j in range(2):
             est = lambda_entry_quadrature(flagship, j, rule)
@@ -227,7 +227,7 @@ class TestInvariants:
         rots = [random_orthogonal(3, rng) for _ in range(3)]
         A0 = rng.standard_normal((3, 3))
         cfg = Configuration(3, pts, rots, A0, 1e-3, 0.05)
-        rule = product_gauss_rule(3)
+        rule = product_gauss_rule(3, 32)
         G = gamma_matrix(cfg)
         lam = lambda_vector(cfg)
         for j in range(3):

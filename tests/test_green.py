@@ -19,9 +19,12 @@ from neckglue.green import (
     green_laplacian,
     regular_part,
 )
-from neckglue.quadrature import omega_n
+from neckglue.quadrature import omega_n, product_gauss_rule
 
 from conftest import flagship_at, quarter_turn_n5, random_orthogonal
+
+# the product rule at the default 32 nodes per angle
+RULE = product_gauss_rule(3, 32)
 
 
 def rank3_green_gradient(data, x):
@@ -178,21 +181,21 @@ class TestDerivatives:
 class TestExpansionProbe:
     def test_single_end_trivial(self):
         data = single_point_data(alpha=1.0)
-        probe = expansion_probe(data, 0, 0.1 * 0.5 ** np.arange(4))
+        probe = expansion_probe(data, 0, 0.1 * 0.5 ** np.arange(4), RULE)
         assert abs(probe["singular_coeff"] - 1.0) < 1e-10
         assert abs(probe["linear_coeff"]) < 1e-12
 
     def test_flagship_generic_alpha(self, flagship):
         system = build_interaction_system(flagship)
         data = GreenData(flagship, np.array([1.0, 1.0]))
-        probe = expansion_probe(data, 0, 1e-3 * 0.5 ** np.arange(4))
+        probe = expansion_probe(data, 0, 1e-3 * 0.5 ** np.arange(4), RULE)
         expect = (system.gamma[0, 1] * 1.0 - system.lam[0]) / omega_n(3)
         assert abs(probe["linear_coeff"] - expect) < 1e-6
 
     def test_flagship_balanced_alpha(self, flagship):
         system = build_interaction_system(flagship)
         data = GreenData(flagship, system.alpha)
-        probe = expansion_probe(data, 0, 1e-3 * 0.5 ** np.arange(4))
+        probe = expansion_probe(data, 0, 1e-3 * 0.5 ** np.arange(4), RULE)
         assert abs(probe["linear_coeff"]) < 1e-8
 
     def test_singular_coefficient_recovery(self, flagship):
@@ -200,44 +203,44 @@ class TestExpansionProbe:
         data = GreenData(flagship, np.array([4.4, 13.2]))
         radii = np.geomspace(0.05, 0.005, 5)
         for j0, expect in ((0, 4.4), (1, 13.2)):
-            probe = expansion_probe(data, j0, radii)
+            probe = expansion_probe(data, j0, radii, RULE)
             assert abs(probe["singular_coeff"] - expect) < 1e-8
 
     def test_constant_vector_is_regular_part(self, flagship):
         data = GreenData(flagship, np.array([2.0, 5.0]))
         for j0 in range(2):
-            probe = expansion_probe(data, j0, 1e-2 * 0.5 ** np.arange(4))
+            probe = expansion_probe(data, j0, 1e-2 * 0.5 ** np.arange(4), RULE)
             assert_allclose(probe["constant_vec"], regular_part(data, j0), atol=1e-11)
 
     def test_orthogonal_remainder_projection_vanishes(self, flagship):
         # the collinear projection of the desingularized field is linear in
         # rho to float precision: quadratic fit coefficient ~ 0
         data = GreenData(flagship, np.array([3.0, 7.0]))
-        probe = expansion_probe(data, 0, 1e-2 * 0.5 ** np.arange(4))
+        probe = expansion_probe(data, 0, 1e-2 * 0.5 ** np.arange(4), RULE)
         assert abs(probe["regular_fit"][2]) < 1e-8
 
     def test_radii_separation_guard(self, flagship):
         data = GreenData(flagship, np.array([4.0, 12.0]))
         radii = np.array([1e-3, 1e-3 * (1 + 1e-9), 1e-3 * (1 + 2e-9), 1e-3 * (1 + 3e-9)])
         with pytest.raises(ValueError, match="not separated"):
-            expansion_probe(data, 0, radii)
+            expansion_probe(data, 0, radii, RULE)
 
     def test_radii_must_stay_inside(self, flagship):
         data = GreenData(flagship, np.array([4.0, 12.0]))
         with pytest.raises(ValueError, match="separation"):
-            expansion_probe(data, 0, np.array([1.5, 0.75, 0.4, 0.2]))
+            expansion_probe(data, 0, np.array([1.5, 0.75, 0.4, 0.2]), RULE)
 
 
 class TestBalance:
     def test_balanced_alpha(self, flagship):
         system = build_interaction_system(flagship)
-        res = balance_residual(GreenData(flagship, system.alpha))
+        res = balance_residual(GreenData(flagship, system.alpha), RULE)
         assert np.max(res) < 1e-8
 
     def test_perturbed_alpha_matches_gamma_delta(self, flagship):
         system = build_interaction_system(flagship)
         delta = 0.1 * system.alpha
-        res = balance_residual(GreenData(flagship, system.alpha + delta))
+        res = balance_residual(GreenData(flagship, system.alpha + delta), RULE)
         expect = np.abs(system.gamma @ delta) / omega_n(3)
         assert np.max(np.abs(res - expect) / expect) < 0.1
 
@@ -246,10 +249,11 @@ class TestBalance:
         cfg = quarter_turn_n5()
         system = build_interaction_system(cfg)
         assert system.alpha.tolist() == [48.0, 80.0]
-        assert np.max(balance_residual(GreenData(cfg, system.alpha))) < 1e-10
+        rule = product_gauss_rule(5, 32)
+        assert np.max(balance_residual(GreenData(cfg, system.alpha), rule)) < 1e-10
 
     def test_single_end_zero(self):
-        res = balance_residual(single_point_data())
+        res = balance_residual(single_point_data(), RULE)
         assert np.max(res) < 1e-13
 
     def test_linearity_in_alpha(self, flagship):
@@ -259,7 +263,7 @@ class TestBalance:
         vals = []
         for s in (0.01, 0.02, 0.04):
             probe = expansion_probe(
-                GreenData(flagship, system.alpha + s * d), 0, 1e-3 * 0.5 ** np.arange(4)
+                GreenData(flagship, system.alpha + s * d), 0, 1e-3 * 0.5 ** np.arange(4), RULE
             )
             vals.append(probe["linear_coeff"])
         assert abs(vals[1] / vals[0] - 2.0) < 1e-4
@@ -269,13 +273,13 @@ class TestBalance:
 class TestGraphPatch:
     def test_flat_configuration_zero_curvature(self):
         data = single_point_data(alpha=0.0)
-        patch = graph_patch(data, half_width=1.0, spacing=0.25, exclusion=0.3)
+        patch = graph_patch(data, 0.25, half_width=1.0)
         H, valid = mean_curvature_field(patch)
         assert np.max(np.linalg.norm(H, axis=-1)[valid]) < 1e-13
 
     def test_grid_avoids_balls(self, flagship):
         data = GreenData(flagship, np.array([4.0, 12.0]))
-        patch = graph_patch(data, half_width=2.0, spacing=0.2)
+        patch = graph_patch(data, 0.2, half_width=2.0)
         base = patch.samples[..., :3][patch.mask]
         for p in flagship.points:
             assert np.min(np.linalg.norm(base - p, axis=1)) > flagship.rho_star

@@ -243,7 +243,7 @@ class TestAsymptote:
         params = NeckParams(n=3, beta=1.0, epsilon=0.1)
         # 2 (n beta eps)^{1/n} = 1.34; a smaller rho enters the waist region
         with pytest.raises(ValueError):
-            asymptote_residual(params, [0.5], default_angle_grids(3, (5, 8)))
+            asymptote_residual(params, [0.5], default_angle_grids(3, (5, 8), margin=0.35))
 
 
 class TestJacobiFields:
@@ -520,6 +520,18 @@ class TestFusedSphereOperators:
             scale = np.abs(want[valid]).max()
             assert scale > 0.1
             assert np.abs(got - want)[valid].max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, counts", [(3, ORACLE_GRIDS[3]), (3, (201, 400)),
+                                           (4, ORACLE_GRIDS[4])])
+    def test_closed_form_kappa_is_the_fd_connection(self, n, counts):
+        # kappa_k against sum_j (P D_j e_j) . e_k from central differences of
+        # the frame, on the nodes whose polar stencils stay in the grid
+        grids = default_angle_grids(n, counts, margin=0.6)
+        ops, fd = SphereGridOps(grids), PerOperatorOps(grids)
+        inner = fd.interior_valid(1)
+        for k in range(n - 1):
+            want = sum(np.sum(conn * fd.frame[..., :, k], axis=-1) for conn in fd.conn)
+            assert np.abs(ops.kappa[k] - want)[inner].max() <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("kind", ["translation", "dilation", "su", "o2n_rot", "o2n_boost"])

@@ -35,32 +35,32 @@ class TestProductRule:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_weights_sum_to_omega(self, n):
         # 2^20 nodes at n = 5 and 6; n = 5 shares the cached default rule
-        rule = product_gauss_rule(6, 16) if n == 6 else product_gauss_rule(n)
+        rule = product_gauss_rule(6, 16) if n == 6 else product_gauss_rule(n, 32)
         assert abs(rule.weights.sum() - omega_n(n)) < 1e-11
         assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-14)
 
     def test_constant(self):
-        rule = product_gauss_rule(3)
+        rule = product_gauss_rule(3, 32)
         assert abs(integrate(rule, lambda p: np.ones(len(p))) - omega_n(3)) < 1e-11
 
     def test_squared_component(self):
-        rule = product_gauss_rule(3)
+        rule = product_gauss_rule(3, 32)
         val = integrate(rule, lambda p: p[:, 0] ** 2)
         assert abs(val - 4 * math.pi / 3) < 1e-11
 
     def test_odd_integrand_vanishes(self):
-        rule = product_gauss_rule(3)
+        rule = product_gauss_rule(3, 32)
         assert abs(integrate(rule, lambda p: p[:, 0])) < 1e-12
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            product_gauss_rule(1)
+            product_gauss_rule(1, 32)
 
     def test_rule_is_cached_and_read_only(self):
         # one rule object per (n, nodes_per_angle), shared by every caller
         rule = product_gauss_rule(3, 18)
         assert product_gauss_rule(3, 18) is rule
-        assert product_gauss_rule(4) is product_gauss_rule(4)
+        assert product_gauss_rule(4, 32) is product_gauss_rule(4, 32)
         assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rule.weights[0] = 0.0
@@ -183,7 +183,7 @@ class TestSecondMoment:
     # the closed form is the oracle for the product rule
     def test_flagship_axis(self):
         e1 = np.array([1.0, 0.0, 0.0])
-        rule = product_gauss_rule(3)
+        rule = product_gauss_rule(3, 32)
         brute = integrate(rule, lambda p: (p @ e1) ** 2)
         assert abs(second_moment(e1, e1) - brute) < 1e-10
 
@@ -197,7 +197,7 @@ class TestSecondMoment:
     def test_randomized_sweep_vs_quadrature(self):
         rng = np.random.default_rng(0)
         for n in (2, 3, 4):
-            rule = product_gauss_rule(n)
+            rule = product_gauss_rule(n, 32)
             for _ in range(20):
                 u = rng.standard_normal(n)
                 v = rng.standard_normal(n)
