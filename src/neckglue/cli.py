@@ -163,24 +163,20 @@ def parse_config(path: str):
     if nodes ** (n - 1) > MAX_RULE_NODES:
         raise ValueError(f"{path}: quadrature_nodes^(n - 1) = {nodes}^{n - 1} exceeds the "
                          f"sphere rule budget of {MAX_RULE_NODES} nodes")
-    spacing = options.get("outer_spacing")
-    if "outer_spacing" in options and (isinstance(spacing, bool) or not isinstance(
-            spacing, (int, float)) or not 0 < spacing < float("inf")):
+    spacing = options.get("outer_spacing", config.rho_star / 4.0)
+    if isinstance(spacing, bool) or not isinstance(spacing, (int, float)) \
+            or not 0 < spacing < float("inf"):
         raise ValueError(f"{path}: outer_spacing must be a positive finite number, "
                          f"got {spacing!r}")
-    if spacing is not None:
-        # a step as wide as the box leaves no outer patch to measure: at 100
-        # the flagship grid is one node and its FD sup reads 0
-        half_width = default_outer_box(config)
-        if spacing >= half_width:
-            raise ValueError(f"{path}: outer_spacing must be below the outer box half-width "
-                             f"{half_width:.6g}, got {spacing!r}")
-        options["outer_spacing"] = float(spacing)
-    options = dict(OPTION_DEFAULTS, **options)
+    # a step as wide as the box leaves no outer patch to measure: at 100 the
+    # flagship grid is one node and its FD sup reads 0
+    half_width = default_outer_box(config)
+    if spacing >= half_width:
+        raise ValueError(f"{path}: outer_spacing must be below the outer box half-width "
+                         f"{half_width:.6g}, got {spacing!r}")
+    options = {**OPTION_DEFAULTS, **options, "outer_spacing": float(spacing)}
     if options["neck_angle_nodes"] is None:
         options["neck_angle_nodes"] = [24] * (n - 2) + [48]
-    if options["outer_spacing"] is None:
-        options["outer_spacing"] = config.rho_star / 4.0
     return config, options
 
 

@@ -217,6 +217,11 @@ class TestCommands:
             assert main(["glue", write_config(tmp_path, doc)]) == 2
             assert "outer_spacing must be below the outer box half-width 3.23607" \
                 in capsys.readouterr().err
+        # so is the default rho_* / 4, as when it is spelled out: at rho_* = 13
+        # the balls cover the whole box
+        assert main(["validate", write_config(tmp_path, dict(FLAGSHIP, rho_star=13.0))]) == 2
+        assert "outer_spacing must be below the outer box half-width 3.23607, got 3.25" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
         ("neck_s_nodes", 1, "neck_s_nodes must be >= 5"),
