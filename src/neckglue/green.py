@@ -14,10 +14,12 @@ whose linear coefficient vanishes iff alpha solves Gamma alpha = Lambda
 height vanishes identically and the graph's mean curvature is carried by
 the cubic nonlinearity alone.
 
-The probe separates the singular term exactly: G minus its j0 summand is
-evaluated term by term (no cancellation), so the linear coefficient is
-resolvable far below the float noise of the full field, which is that sum
-plus the j0 summand.
+The expansion is exact because R_j0 Theta has degree 1 and every other
+degree of the harmonic field is orthogonal to it on the sphere (Dai and
+Xu 2013, section 1.5).  balance_residual therefore reads the linear
+coefficient from G minus its j0 summand, evaluated term by term (no
+cancellation against the singular term, whose float noise would swamp
+it), at two radii.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .quadrature import QuadratureRule, omega_n
 __all__ = [
     "GreenData",
     "balance_residual",
-    "expansion_probe",
     "graph_mean_curvature",
     "graph_patch",
     "green_eval",
@@ -44,8 +45,7 @@ __all__ = [
 ]
 
 SINGULAR_CLEARANCE = 1e-12
-FIT_COND_LIMIT = 1e8       # largest accepted condition number of an equilibrated probe fit
-BALANCE_RADIUS = 1e-3      # largest probe radius of balance_residual (halved three times)
+BALANCE_RADIUS = 1e-3      # largest sphere radius of balance_residual (it also reads half)
 _CHUNK_POINTS = 8192  # points per block of graph_mean_curvature; bounds its working set
 
 
@@ -65,22 +65,19 @@ class GreenData:
             raise ValueError("alpha must be finite")
 
 
-def _green_term(data: GreenData, j: int, x: np.ndarray) -> np.ndarray:
-    """The Green term alpha_j R_j (x - x_j)/|x - x_j|^n of end j; x is (..., n)."""
-    cfg = data.config
-    u = x - cfg.points[j]
-    r = np.linalg.norm(u, axis=-1, keepdims=True)
-    if np.any(r < SINGULAR_CLEARANCE):
-        raise ValueError(f"evaluation point touches the singular point x_{j}")
-    return data.alpha[j] * (u / r**cfg.n) @ cfg.rotations[j].T
-
-
 def _green_terms(data: GreenData, x: np.ndarray, skip: int = None) -> np.ndarray:
-    """Sum of Green terms (optionally omitting one) plus A_0 x; x is (..., n)."""
-    out = x @ data.config.A0.T
-    for j in range(data.config.k):
-        if j != skip:
-            out = out + _green_term(data, j, x)
+    """Sum of the Green terms alpha_j R_j (x - x_j)/|x - x_j|^n (optionally
+    omitting one) plus A_0 x; x is (..., n)."""
+    cfg = data.config
+    out = x @ cfg.A0.T
+    for j in range(cfg.k):
+        if j == skip:
+            continue
+        u = x - cfg.points[j]
+        r = np.linalg.norm(u, axis=-1, keepdims=True)
+        if np.any(r < SINGULAR_CLEARANCE):
+            raise ValueError(f"evaluation point touches the singular point x_{j}")
+        out = out + data.alpha[j] * (u / r**cfg.n) @ cfg.rotations[j].T
     return out
 
 
@@ -135,85 +132,29 @@ def regular_part(data: GreenData, j0: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Expansion probe and balancing
+# Balancing
 # ----------------------------------------------------------------------
 
-def _fit(design: np.ndarray, values: np.ndarray):
-    """Least squares with column equilibration and a conditioning gate."""
-    scales = np.linalg.norm(design, axis=0)
-    if np.any(scales == 0):
-        raise ValueError("degenerate fit basis")
-    A = design / scales
-    cond = np.linalg.cond(A)
-    if cond > FIT_COND_LIMIT:
-        raise ValueError(
-            f"radii not separated enough for a stable fit (cond {cond:.3e})"
-        )
-    sol, *_ = np.linalg.lstsq(A, values, rcond=None)
-    return sol / scales
+def balance_residual(data: GreenData, rule: QuadratureRule) -> np.ndarray:
+    """|linear coefficient| of the expansion at every end; all entries vanish
+    iff alpha solves Gamma alpha = Lambda.
 
-
-def expansion_probe(data: GreenData, j0: int, radii, rule: QuadratureRule):
-    """Measure the expansion of G at the end j0 over decreasing radii.
-
-    Fits the collinear projection p(rho) = (1/omega_n) int G(x_j0+rho Theta)
-    . R_j0 Theta dtheta against {rho^{1-n}, 1, rho, rho^2} for the singular
-    coefficient, refits the exactly-desingularized projection against
-    {1, rho, rho^2} for the linear coefficient, and recovers the constant
-    vector from the sphere average of the regular field (mean-value
-    property).  Returns a dict with keys singular_coeff, linear_coeff,
-    constant_vec, plus the raw fitted coefficient arrays.
+    With p(rho) = (1/omega_n) sum_i w_i (G - own term)(x_j0 + rho Theta_i)
+    . R_j0 Theta_i on `rule` and q = p / rho, an exact rule gives q(rho) =
+    the coefficient.  A rule that aliases the field's degree-2 term against
+    Theta (3 azimuth nodes) adds an O(rho) error to q, which 2 q(rho/2) -
+    q(rho) cancels; rho is min(BALANCE_RADIUS, d_min / 4).
     """
     cfg = data.config
-    n = cfg.n
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 4:
-        raise ValueError("need at least four probe radii")
-    others = [j for j in range(cfg.k) if j != j0]
-    if others:
-        dmin = min(np.linalg.norm(cfg.points[j0] - cfg.points[j]) for j in others)
-        if np.max(radii) > 0.5 * dmin:
-            raise ValueError("probe radii must stay below half the separation")
-    om = omega_n(n)
+    om = omega_n(cfg.n)
+    rho = min(BALANCE_RADIUS, 0.25 * cfg.min_separation)
     nodes, w = rule.nodes, rule.weights
-    rtheta = nodes @ cfg.rotations[j0].T
-
-    proj_full = np.empty(radii.size)
-    proj_reg = np.empty(radii.size)
-    mean_reg = np.empty((radii.size, n))
-    for i, rho in enumerate(radii):
-        pts = cfg.points[j0] + rho * nodes
-        reg = _green_terms(data, pts, skip=j0)
-        full = reg + _green_term(data, j0, pts)
-        proj_full[i] = float(w @ np.sum(full * rtheta, axis=1)) / om
-        proj_reg[i] = float(w @ np.sum(reg * rtheta, axis=1)) / om
-        mean_reg[i] = (w[:, None] * reg).sum(axis=0) / om
-
-    design_full = np.stack([radii ** (1 - n), np.ones_like(radii), radii, radii**2], axis=1)
-    coeff_full = _fit(design_full, proj_full)
-    design_reg = np.stack([np.ones_like(radii), radii, radii**2], axis=1)
-    coeff_reg = _fit(design_reg, proj_reg)
-    design_mean = np.stack([np.ones_like(radii), radii**2], axis=1)
-    const_vec = np.stack([_fit(design_mean, mean_reg[:, c])[0] for c in range(n)])
-
-    return {
-        "singular_coeff": float(coeff_full[0]),
-        "linear_coeff": float(coeff_reg[1]),
-        "constant_vec": const_vec,
-        "full_fit": coeff_full,
-        "regular_fit": coeff_reg,
-    }
-
-
-def balance_residual(data: GreenData, rule: QuadratureRule) -> np.ndarray:
-    """|linear coefficient| of the expansion at every end, probed on `rule`
-    at four radii halving from min(BALANCE_RADIUS, d_min / 4); all entries
-    vanish (to fit accuracy) iff alpha solves Gamma alpha = Lambda."""
-    cfg = data.config
-    radii = min(BALANCE_RADIUS, 0.25 * cfg.min_separation) * 0.5 ** np.arange(4)
     out = np.empty(cfg.k)
     for j0 in range(cfg.k):
-        out[j0] = abs(expansion_probe(data, j0, radii, rule)["linear_coeff"])
+        rtheta = nodes @ cfg.rotations[j0].T
+        q = [float(w @ np.sum(_green_terms(data, cfg.points[j0] + r * nodes, skip=j0)
+                              * rtheta, axis=1)) / om / r for r in (rho, 0.5 * rho)]
+        out[j0] = abs(2.0 * q[1] - q[0])
     return out
 
 

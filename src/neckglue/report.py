@@ -78,10 +78,8 @@ class RunReport:
     def all_passed(self) -> bool:
         return all(c["pass"] for c in self.data["checks"] if not c.get("skipped"))
 
-    def to_json(self, include_timings: bool = True) -> str:
-        payload = dict(self.data)
-        if include_timings:
-            payload = dict(payload, timings=self.timings)
+    def to_json(self) -> str:
+        payload = dict(self.data, timings=self.timings)
         return json.dumps(payload, sort_keys=True, indent=2, default=_encode)
 
     def write(self, path: str) -> None:

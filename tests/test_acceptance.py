@@ -263,7 +263,7 @@ def test_criterion_10_balancing(flagship):
     res_off = balance_residual(GreenData(flagship, system.alpha + delta), rule)
     predicted = np.abs(system.gamma @ delta) / omega_n(3)
     rel = np.max(np.abs(res_off - predicted) / predicted)
-    ok = float(np.max(res_balanced)) < 1e-8 and np.all(res_off > 1e-4) and rel < 0.1
+    ok = float(np.max(res_balanced)) < 1e-8 and np.all(res_off > 1e-4) and rel < 1e-9
     crit.finish(ok, f"balanced {np.max(res_balanced):.2e}, off-balance rel err {rel:.2e}")
 
 

@@ -251,8 +251,16 @@ class TestCommands:
         assert all(isinstance(c, int) for c in options["neck_angle_nodes"])
         doc = dict(FLAGSHIP, options={"sh_degree": 12})
         assert parse_config(write_config(tmp_path, doc))[1]["sh_degree"] == 12
-        doc = dict(FLAGSHIP, options={"neck_angle_nodes": None})
-        assert parse_config(write_config(tmp_path, doc))[1]["neck_angle_nodes"] == [24, 48]
+
+    @pytest.mark.parametrize("key", list(OPTION_DEFAULTS))
+    def test_null_option_means_omitted(self, tmp_path, key):
+        from neckglue.assembler import config_digest
+
+        omitted = parse_config(write_config(tmp_path, FLAGSHIP, name="omitted.json"))
+        null = parse_config(write_config(tmp_path, dict(FLAGSHIP, options={key: None}),
+                                         name="null.json"))
+        assert null[1] == omitted[1]
+        assert config_digest(*null) == config_digest(*omitted)
 
     def test_validate_accepts_sh_degree_above_12(self, tmp_path):
         # the closed-form basis needs no cap on the degree: validate accepts 13
@@ -329,6 +337,25 @@ class TestCommands:
             warnings.simplefilter("error")
             assert main(["spectrum", "--n", str(n), "--k", str(k)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("n", [132, 300])
+    def test_spectrum_f0_gate_scales_with_n(self, tmp_path, n):
+        # an absolute 1e-12 read 1.8e-12 at n = 132, one ulp of the terms
+        report = tmp_path / "r.json"
+        assert main(["--report", str(report), "spectrum", "--n", str(n), "--k", "0"]) == 0
+        check, = [c for c in json.loads(report.read_text())["checks"]
+                  if c["name"] == "f0 residual"]
+        assert check["value"] < 1e-15
+
+    @pytest.mark.parametrize("n", [3, 132])
+    def test_spectrum_f0_gate_refuses_a_wrong_exponent(self, monkeypatch, capsys, n):
+        # (cosh nt)^(-1/2 - 1e-6) is no kernel element: exit 1
+        from neckglue import spectrum
+
+        monkeypatch.setattr(spectrum, "f0_profile",
+                            lambda n, t: spectrum._sech(n, t) ** (0.5 + 1e-6))
+        assert main(["spectrum", "--n", str(n), "--k", "0"]) == 1
+        assert "[FAIL] f0 residual" in capsys.readouterr().out
 
     def test_neck_command_n2_has_no_waist(self, tmp_path):
         report = tmp_path / "r.json"

@@ -11,7 +11,6 @@ from neckglue.geometry import ImmersionPatch, mean_curvature_field
 from neckglue.green import (
     GreenData,
     balance_residual,
-    expansion_probe,
     graph_mean_curvature,
     graph_patch,
     green_eval,
@@ -178,57 +177,68 @@ class TestDerivatives:
             assert fine < 0.35 * coarse + 1e-7
 
 
+def collinear_projection(data, j0, rho, rule, field):
+    """(1/omega_n) sum_i w_i field(x_j0 + rho Theta_i) . R_j0 Theta_i on rule."""
+    cfg = data.config
+    values = field(cfg.points[j0] + rho * rule.nodes)
+    rtheta = rule.nodes @ cfg.rotations[j0].T
+    return float(rule.weights @ np.sum(values * rtheta, axis=1)) / omega_n(cfg.n)
+
+
+def regular_field(data, j0):
+    """G minus its j0 summand, term by term."""
+    return lambda x: green._green_terms(data, x, skip=j0)
+
+
 class TestExpansionProbe:
+    """The identities balance_residual rests on, by direct quadrature."""
+
     def test_single_end_trivial(self):
         data = single_point_data(alpha=1.0)
-        probe = expansion_probe(data, 0, 0.1 * 0.5 ** np.arange(4), RULE)
-        assert abs(probe["singular_coeff"] - 1.0) < 1e-10
-        assert abs(probe["linear_coeff"]) < 1e-12
+        own = collinear_projection(data, 0, 0.1, RULE, lambda x: green_eval(data, x))
+        assert abs(own / 0.1 ** -2 - 1.0) < 1e-12
+        assert abs(collinear_projection(data, 0, 0.1, RULE, regular_field(data, 0))) < 1e-14
+
+    def test_singular_coefficient_recovery(self, flagship):
+        # the own term's projection is alpha_j0 rho^{1-n}
+        data = GreenData(flagship, np.array([4.4, 13.2]))
+        for j0, expect in ((0, 4.4), (1, 13.2)):
+            def own(x):
+                return green_eval(data, x) - regular_field(data, j0)(x)
+            for rho in (0.1, 1e-2, 1e-3):
+                p = collinear_projection(data, j0, rho, RULE, own)
+                assert abs(p / (expect * rho ** -2) - 1.0) < 1e-12
+
+    def test_constant_vector_is_regular_part(self, flagship):
+        # mean-value property of the harmonic regular field
+        data = GreenData(flagship, np.array([2.0, 5.0]))
+        for j0 in range(2):
+            for rho in (1e-2, 1e-3):
+                pts = flagship.points[j0] + rho * RULE.nodes
+                mean = RULE.weights @ regular_field(data, j0)(pts) / omega_n(3)
+                assert_allclose(mean, regular_part(data, j0), atol=1e-11)
+
+    def test_orthogonal_remainder_projection_vanishes(self, flagship):
+        # p(rho) / rho is the same at rho and rho / 2: no other degree enters
+        data = GreenData(flagship, np.array([3.0, 7.0]))
+        for j0 in range(2):
+            q = [collinear_projection(data, j0, rho, RULE, regular_field(data, j0)) / rho
+                 for rho in (1e-2, 5e-3)]
+            assert abs(q[0] - q[1]) < 1e-11
 
     def test_flagship_generic_alpha(self, flagship):
         system = build_interaction_system(flagship)
         data = GreenData(flagship, np.array([1.0, 1.0]))
-        probe = expansion_probe(data, 0, 1e-3 * 0.5 ** np.arange(4), RULE)
+        q = collinear_projection(data, 0, 1e-3, RULE, regular_field(data, 0)) / 1e-3
         expect = (system.gamma[0, 1] * 1.0 - system.lam[0]) / omega_n(3)
-        assert abs(probe["linear_coeff"] - expect) < 1e-6
+        assert abs(q - expect) < 1e-11
 
     def test_flagship_balanced_alpha(self, flagship):
         system = build_interaction_system(flagship)
         data = GreenData(flagship, system.alpha)
-        probe = expansion_probe(data, 0, 1e-3 * 0.5 ** np.arange(4), RULE)
-        assert abs(probe["linear_coeff"]) < 1e-8
-
-    def test_singular_coefficient_recovery(self, flagship):
-        # radii spanning one decade; coefficient recovered to 1e-8
-        data = GreenData(flagship, np.array([4.4, 13.2]))
-        radii = np.geomspace(0.05, 0.005, 5)
-        for j0, expect in ((0, 4.4), (1, 13.2)):
-            probe = expansion_probe(data, j0, radii, RULE)
-            assert abs(probe["singular_coeff"] - expect) < 1e-8
-
-    def test_constant_vector_is_regular_part(self, flagship):
-        data = GreenData(flagship, np.array([2.0, 5.0]))
         for j0 in range(2):
-            probe = expansion_probe(data, j0, 1e-2 * 0.5 ** np.arange(4), RULE)
-            assert_allclose(probe["constant_vec"], regular_part(data, j0), atol=1e-11)
-
-    def test_orthogonal_remainder_projection_vanishes(self, flagship):
-        # the collinear projection of the desingularized field is linear in
-        # rho to float precision: quadratic fit coefficient ~ 0
-        data = GreenData(flagship, np.array([3.0, 7.0]))
-        probe = expansion_probe(data, 0, 1e-2 * 0.5 ** np.arange(4), RULE)
-        assert abs(probe["regular_fit"][2]) < 1e-8
-
-    def test_radii_separation_guard(self, flagship):
-        data = GreenData(flagship, np.array([4.0, 12.0]))
-        radii = np.array([1e-3, 1e-3 * (1 + 1e-9), 1e-3 * (1 + 2e-9), 1e-3 * (1 + 3e-9)])
-        with pytest.raises(ValueError, match="not separated"):
-            expansion_probe(data, 0, radii, RULE)
-
-    def test_radii_must_stay_inside(self, flagship):
-        data = GreenData(flagship, np.array([4.0, 12.0]))
-        with pytest.raises(ValueError, match="separation"):
-            expansion_probe(data, 0, np.array([1.5, 0.75, 0.4, 0.2]), RULE)
+            q = collinear_projection(data, j0, 1e-3, RULE, regular_field(data, j0)) / 1e-3
+            assert abs(q) < 1e-8
 
 
 class TestBalance:
@@ -237,12 +247,20 @@ class TestBalance:
         res = balance_residual(GreenData(flagship, system.alpha), RULE)
         assert np.max(res) < 1e-8
 
+    def test_balanced_alpha_on_three_nodes_per_angle(self, flagship):
+        # the 3-node azimuth aliases the degree-2 term into an O(rho) error
+        # of p / rho (4.9e-4 read at one radius); the quotient at rho and
+        # rho / 2 cancels it
+        system = build_interaction_system(flagship)
+        res = balance_residual(GreenData(flagship, system.alpha), product_gauss_rule(3, 3))
+        assert np.max(res) < 1e-8
+
     def test_perturbed_alpha_matches_gamma_delta(self, flagship):
         system = build_interaction_system(flagship)
         delta = 0.1 * system.alpha
         res = balance_residual(GreenData(flagship, system.alpha + delta), RULE)
         expect = np.abs(system.gamma @ delta) / omega_n(3)
-        assert np.max(np.abs(res - expect) / expect) < 0.1
+        assert np.max(np.abs(res - expect) / expect) < 1e-9
 
     def test_balanced_alpha_n5(self):
         # on the default product rule (32^4 nodes); 6.7e-3 on Monte Carlo
@@ -257,17 +275,13 @@ class TestBalance:
         assert np.max(res) < 1e-13
 
     def test_linearity_in_alpha(self, flagship):
-        # three collinear alpha samples give collinear residuals
+        # alpha + s d for s = 0.01, 0.02, 0.04 gives residuals in ratio 1 : 2 : 4
         system = build_interaction_system(flagship)
         d = np.array([1.0, -0.5])
-        vals = []
-        for s in (0.01, 0.02, 0.04):
-            probe = expansion_probe(
-                GreenData(flagship, system.alpha + s * d), 0, 1e-3 * 0.5 ** np.arange(4), RULE
-            )
-            vals.append(probe["linear_coeff"])
-        assert abs(vals[1] / vals[0] - 2.0) < 1e-4
-        assert abs(vals[2] / vals[0] - 4.0) < 1e-4
+        vals = [balance_residual(GreenData(flagship, system.alpha + s * d), RULE)
+                for s in (0.01, 0.02, 0.04)]
+        assert np.max(np.abs(vals[1] / vals[0] - 2.0)) < 1e-4
+        assert np.max(np.abs(vals[2] / vals[0] - 4.0)) < 1e-4
 
 
 class TestGraphPatch:
