@@ -140,7 +140,8 @@ def parse_config(path: str):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
-    options = doc.get("options", {})
+    # a null object, like a null entry, means it was omitted
+    options = {} if doc.get("options") is None else doc["options"]
     if not isinstance(options, dict):
         raise ValueError(f"{path}: 'options' must be an object")
     unknown = sorted(set(options) - set(OPTION_DEFAULTS))
@@ -263,12 +264,10 @@ def cmd_neck(args, report) -> None:
     report.check("minimality FD order - 2", abs(order - 2.0), 0.4)
 
     # the lower end leaves its graph rho Theta + i eps beta rho^(1-n) R Theta
-    # at the rate rho^(1-3n) (n >= 3; at n = 2 it is the graph).  The gap is
-    # radial, the same in every direction, so a coarse angle grid serves.
+    # at the rate rho^(1-3n) (n >= 3; at n = 2 it is the graph)
     n = args.n
     rho = params.scale * np.array([2.0, 4.0, 8.0])
-    _, gaps = asymptote_residual(params, rho, default_angle_grids(
-        n, (9,) * (n - 2) + (16,), margin=0.5))
+    gaps = asymptote_residual(params, rho)
     asymptote = {"rho": rho.tolist(), "sup_by_rho": gaps.tolist()}
     if n == 2:
         asymptote["relative_gap"] = float(np.max(
@@ -332,11 +331,11 @@ def cmd_glue(args, report, config, options) -> None:
 
     grid = GridSpec(options["neck_s_nodes"], options["neck_angle_nodes"], options["outer_spacing"])
     surface = assemble(config, system.alpha, grid)
-    rule = product_gauss_rule(config.n, nodes)
-    balance = balance_residual(surface.green, rule=rule)
+    balance = balance_residual(surface.green)
     report.section("balance", {"residual_per_end": balance})
     report.check("balance residual at Gamma^-1 Lambda", float(np.max(balance)), 1e-8)
 
+    rule = product_gauss_rule(config.n, nodes)
     gaps, discrepancies = boundary_gap(surface, rule, degree)
     curv = curvature_report(surface)
     report.section("boundary_gap", gaps)

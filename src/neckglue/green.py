@@ -2,8 +2,8 @@
 
     G(x) = sum_j alpha_j R_j (x - x_j)/|x - x_j|^n  +  A_0 x,
 
-its graph x -> x + i eps G(x) as an immersion patch, and the numerical
-verification of the expansion of G near a marked point x_j0,
+its graph x -> x + i eps G(x) as an immersion patch, and the balancing
+identity at a marked point x_j0,
 
     G(x_j0 + rho Theta) . R_j0 Theta  integrates to
         alpha_j0 rho^{1-n} + (1/omega_n)(sum_{j != j0} gamma_j0j alpha_j
@@ -16,10 +16,11 @@ the cubic nonlinearity alone.
 
 The expansion is exact because R_j0 Theta has degree 1 and every other
 degree of the harmonic field is orthogonal to it on the sphere (Dai and
-Xu 2013, section 1.5).  balance_residual therefore reads the linear
-coefficient from G minus its j0 summand, evaluated term by term (no
-cancellation against the singular term, whose float noise would swamp
-it), at two radii.
+Xu 2013, section 1.5).  Only the linear Taylor term of F = G minus its j0
+summand meets R_j0 Theta, and the sphere's second moment is omega_n I / n,
+so the linear coefficient is tr(R_j0^T DF(x_j0)) / n: balance_residual
+reads it at the one point x_j0, from DF evaluated term by term (no
+cancellation against the singular term).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from .config import Configuration
 from .geometry import ImmersionPatch, _metric_inverse
-from .quadrature import QuadratureRule, omega_n
 
 __all__ = [
     "GreenData",
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 SINGULAR_CLEARANCE = 1e-12
-BALANCE_RADIUS = 1e-3      # largest sphere radius of balance_residual (it also reads half)
 _CHUNK_POINTS = 8192  # points per block of graph_mean_curvature; bounds its working set
 
 
@@ -87,14 +86,16 @@ def green_eval(data: GreenData, x) -> np.ndarray:
     return _green_terms(data, x)
 
 
-def green_gradient(data: GreenData, x) -> np.ndarray:
-    """Jacobian dG_i/dx_l, shape (..., n, n); per end, with u = x - x_j,
-    d(R_j u / r^n)/du = R_j / r^n - n (R_j u) u^T / r^{n+2}."""
+def green_gradient(data: GreenData, x, skip: int = None) -> np.ndarray:
+    """Jacobian dG_i/dx_l (optionally omitting one term), shape (..., n, n);
+    per end, with u = x - x_j, d(R_j u / r^n)/du = R_j / r^n - n (R_j u) u^T / r^{n+2}."""
     x = np.asarray(x, dtype=float)
     cfg = data.config
     n = cfg.n
     out = np.broadcast_to(cfg.A0, x.shape[:-1] + (n, n)).copy()
     for j in range(cfg.k):
+        if j == skip:
+            continue
         u = x - cfg.points[j]
         r = np.sqrt(np.sum(u * u, axis=-1))[..., None, None]
         Ru = u @ cfg.rotations[j].T
@@ -135,27 +136,13 @@ def regular_part(data: GreenData, j0: int) -> np.ndarray:
 # Balancing
 # ----------------------------------------------------------------------
 
-def balance_residual(data: GreenData, rule: QuadratureRule) -> np.ndarray:
-    """|linear coefficient| of the expansion at every end; all entries vanish
-    iff alpha solves Gamma alpha = Lambda.
-
-    With p(rho) = (1/omega_n) sum_i w_i (G - own term)(x_j0 + rho Theta_i)
-    . R_j0 Theta_i on `rule` and q = p / rho, an exact rule gives q(rho) =
-    the coefficient.  A rule that aliases the field's degree-2 term against
-    Theta (3 azimuth nodes) adds an O(rho) error to q, which 2 q(rho/2) -
-    q(rho) cancels; rho is min(BALANCE_RADIUS, d_min / 4).
-    """
+def balance_residual(data: GreenData) -> np.ndarray:
+    """|linear coefficient| (Gamma alpha - Lambda)_j0 / omega_n of the
+    expansion at every end, tr(R_j0^T DF(x_j0)) / n with F = G minus its j0
+    term; all entries vanish iff alpha solves Gamma alpha = Lambda."""
     cfg = data.config
-    om = omega_n(cfg.n)
-    rho = min(BALANCE_RADIUS, 0.25 * cfg.min_separation)
-    nodes, w = rule.nodes, rule.weights
-    out = np.empty(cfg.k)
-    for j0 in range(cfg.k):
-        rtheta = nodes @ cfg.rotations[j0].T
-        q = [float(w @ np.sum(_green_terms(data, cfg.points[j0] + r * nodes, skip=j0)
-                              * rtheta, axis=1)) / om / r for r in (rho, 0.5 * rho)]
-        out[j0] = abs(2.0 * q[1] - q[0])
-    return out
+    return np.array([abs(np.sum(cfg.rotations[j0] * green_gradient(data, cfg.points[j0], skip=j0)))
+                     / cfg.n for j0 in range(cfg.k)])
 
 
 # ----------------------------------------------------------------------

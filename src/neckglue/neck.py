@@ -17,7 +17,9 @@ The lower-end radius of the neck scaled by (n beta eps)^{1/n} is
 
 decreasing on the lower branch (0, pi/(2(n-1))] from +infinity to its waist
 minimum at s = pi/(2(n-1)) for n >= 3.  At n = 2 there is no waist: r falls
-to 0 as s -> pi/2.
+to 0 as s -> pi/2.  Past the waist the lower end approaches the graph
+rho Theta + i eps beta rho^{1-n} R Theta; at rho = r(s) the gap is radial,
+|rho tan s - eps beta rho^{1-n}| in every direction Theta.
 
 Evaluation.  NeckParams.evaluate is the one place the scaled, twisted neck
 
@@ -223,31 +225,20 @@ def neck_patch(params: NeckParams, angle_grids, t_grid) -> ImmersionPatch:
     return ImmersionPatch(spacings=tuple(spacings), samples=samples, periodic=periodic)
 
 
-def asymptote_residual(params: NeckParams, rho_values, angle_grids):
-    """Sup distance between the exact lower end and its leading graph.
+def asymptote_residual(params: NeckParams, rho_values) -> np.ndarray:
+    """Distance between the exact lower end and its leading graph
+    rho Theta + i eps beta rho^{1-n} R Theta (+ translation), one per radius.
 
-    The graph is rho Theta + i eps beta rho^{1-n} R Theta (+ translation);
-    the exact point sits at s = s_of_radius(rho).  Returns (sup, per_rho)
-    with per_rho the sup over angles at each radius.
+    At s = s_of_radius(rho), with rho then set to radius_of_s(s), the
+    x-parts agree and the y-parts are both multiples of the unit vector
+    R Theta, so the gap is |rho tan s - eps beta rho^{1-n}| in every direction.
     """
     rho_values = np.atleast_1d(np.asarray(rho_values, dtype=float))
     if np.any(rho_values < 2.0 * params.scale):
         raise ValueError("rho too small: enters the waist region (need rho >= 2 (n beta eps)^{1/n})")
-    angles_mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
-    theta = sphere_chart(angles_mesh)
-    rtheta = theta @ params.rotation.T
-    per_rho = np.empty(rho_values.size)
-    n, eps, beta = params.n, params.epsilon, params.beta
-    for i, rho in enumerate(rho_values):
-        exact_x, exact_y = params.evaluate(s_of_radius(params, float(rho)), theta)
-        graph_x = rho * theta + params.translation.x
-        graph_y = eps * beta * rho ** (1 - n) * rtheta + params.translation.y
-        gap = np.sqrt(
-            np.sum((exact_x - graph_x) ** 2, axis=-1)
-            + np.sum((exact_y - graph_y) ** 2, axis=-1)
-        )
-        per_rho[i] = float(np.max(gap))
-    return float(np.max(per_rho)), per_rho
+    s = np.array([s_of_radius(params, float(rho)) for rho in rho_values])
+    rho = radius_of_s(params, s)
+    return np.abs(rho * np.tan(s) - params.epsilon * params.beta * rho ** (1 - params.n))
 
 
 # ----------------------------------------------------------------------

@@ -93,7 +93,7 @@ def mode_system_matrix(n: int, k: int, t: float, family: str = "exact") -> np.nd
     if family not in ("exact", "coexact"):
         raise ValueError("family must be 'exact' or 'coexact'")
     th = math.tanh(n * t)
-    sech2 = 1.0 / math.cosh(n * t) ** 2
+    sech2 = float(_sech(n, t)) ** 2
 
     if family == "coexact":
         if k < 1:

@@ -262,6 +262,18 @@ class TestCommands:
         assert null[1] == omitted[1]
         assert config_digest(*null) == config_digest(*omitted)
 
+    def test_null_options_object_means_omitted(self, tmp_path):
+        from neckglue.assembler import config_digest
+
+        omitted = parse_config(write_config(tmp_path, FLAGSHIP, name="omitted.json"))
+        null = parse_config(write_config(tmp_path, dict(FLAGSHIP, options=None),
+                                         name="null.json"))
+        assert null[1] == omitted[1]
+        assert config_digest(*null) == config_digest(*omitted)
+        # any other non-object is still refused
+        with pytest.raises(ValueError, match="'options' must be an object"):
+            parse_config(write_config(tmp_path, dict(FLAGSHIP, options=[]), name="list.json"))
+
     def test_validate_accepts_sh_degree_above_12(self, tmp_path):
         # the closed-form basis needs no cap on the degree: validate accepts 13
         doc = dict(FLAGSHIP, options={"sh_degree": 13})
@@ -369,7 +381,7 @@ class TestCommands:
     ])
     def test_neck_asymptote_gate_passes(self, tmp_path, n, name):
         # measured slopes -8.0013 (n = 3) and -11.0005 (n = 4); at n = 2 the
-        # neck is its own graph, a relative gap of 1.8e-15
+        # neck is its own graph, a relative gap of 4.7e-16
         report = tmp_path / "r.json"
         assert main(["--report", str(report), "neck", "--n", str(n), "--grid", "0.4"]) == 0
         doc = json.loads(report.read_text())
@@ -388,12 +400,11 @@ class TestCommands:
 
         exact = cli.asymptote_residual
 
-        def wrong_rate(params, rho_values, angle_grids):
+        def wrong_rate(params, rho_values):
             rho = np.asarray(rho_values)
-            _, per_rho = exact(params, rho, angle_grids)
-            per_rho = per_rho * rho / rho[0] if n > 2 else \
+            per_rho = exact(params, rho)
+            return per_rho * rho / rho[0] if n > 2 else \
                 per_rho + 1e-9 * params.epsilon * params.beta / rho
-            return float(np.max(per_rho)), per_rho
 
         monkeypatch.setattr(cli, "asymptote_residual", wrong_rate)
         assert main(["neck", "--n", str(n), "--grid", "0.4"]) == 1
@@ -610,9 +621,10 @@ class TestGlueCommand:
         assert checks["matching max |delta|/alpha"]["value"] < 0.01
         assert report["sections"]["interaction"]["alpha"] == [16.0, 32.0]
 
-    def test_quadrature_nodes_set_the_balance_rule(self, tmp_path):
-        # the balance residual and the boundary gaps are sampled on the
-        # configured rule, so its node count moves them
+    def test_quadrature_nodes_set_the_gap_rule_not_the_balance(self, tmp_path):
+        # the boundary gaps are sampled on the configured rule, so its node
+        # count moves them; the balance residual is read at the ends
+        # themselves, on no rule
         sections = []
         # 17 nodes is the smallest rule that serves the default sh_degree 8
         for nodes in (17, 32):
@@ -623,11 +635,22 @@ class TestGlueCommand:
             assert main(["--report", str(report_path), "glue", cfg]) == 0
             sections.append(json.loads(report_path.read_text())["sections"])
         coarse, fine = sections
-        assert coarse["balance"] != fine["balance"]
+        assert coarse["balance"] == fine["balance"]
         assert max(coarse["balance"]["residual_per_end"]) < 1e-8
         for key in ("collinear_gap_abs", "position_gap_sup"):
             assert [g[key] for g in coarse["boundary_gap"]] != \
                 [g[key] for g in fine["boundary_gap"]]
+
+    def test_balanced_flagship_passes_on_four_nodes_per_angle(self, tmp_path):
+        # the smallest rule that serves sh_degree 1; its even azimuth aliases
+        # sphere sums at the ends (1.25e-7 against the 1e-8 gate), which the
+        # balance residual does not take
+        doc = dict(FLAGSHIP, options={"quadrature_nodes": 4, "sh_degree": 1, "neck_s_nodes": 17,
+                                      "neck_angle_nodes": [9, 16], "outer_spacing": 0.6})
+        report_path = tmp_path / "glue.json"
+        assert main(["--report", str(report_path), "glue", write_config(tmp_path, doc)]) == 0
+        checks = {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+        assert checks["balance residual at Gamma^-1 Lambda"]["value"] < 1e-12
 
     def test_digest_covers_options(self, tmp_path):
         # runs differing only in outer_spacing must not share a digest; an

@@ -122,6 +122,19 @@ class TestDerivatives:
             fd = (green_eval(data, x0 + e) - green_eval(data, x0 - e)) / (2 * h)
             assert np.max(np.abs(fd - DG[:, l])) < 1e-7
 
+    def test_gradient_skip_is_the_regular_field_gradient(self, flagship):
+        # at the skipped end itself, where the full gradient is singular
+        data = GreenData(flagship, np.array([4.0, 12.0]))
+        h = 1e-6
+        for j0 in range(2):
+            x0 = flagship.points[j0]
+            DF = green_gradient(data, x0, skip=j0)
+            for l in range(3):
+                e = np.zeros(3)
+                e[l] = h
+                fd = (regular_field(data, j0)(x0 + e) - regular_field(data, j0)(x0 - e)) / (2 * h)
+                assert np.max(np.abs(fd - DF[:, l])) < 1e-7
+
     def test_hessian_fd_and_symmetry(self, flagship):
         data = GreenData(flagship, np.array([4.0, 12.0]))
         x0 = np.array([-0.2, 0.5, 0.9])
@@ -227,11 +240,14 @@ class TestExpansionProbe:
             assert abs(q[0] - q[1]) < 1e-11
 
     def test_flagship_generic_alpha(self, flagship):
+        # the sphere sum p / rho, balance_residual's tr(R^T DF) / n and the
+        # closed form (Gamma alpha - Lambda) / omega_n are one coefficient
         system = build_interaction_system(flagship)
         data = GreenData(flagship, np.array([1.0, 1.0]))
         q = collinear_projection(data, 0, 1e-3, RULE, regular_field(data, 0)) / 1e-3
         expect = (system.gamma[0, 1] * 1.0 - system.lam[0]) / omega_n(3)
         assert abs(q - expect) < 1e-11
+        assert abs(balance_residual(data)[0] - abs(q)) < 1e-11
 
     def test_flagship_balanced_alpha(self, flagship):
         system = build_interaction_system(flagship)
@@ -244,41 +260,31 @@ class TestExpansionProbe:
 class TestBalance:
     def test_balanced_alpha(self, flagship):
         system = build_interaction_system(flagship)
-        res = balance_residual(GreenData(flagship, system.alpha), RULE)
-        assert np.max(res) < 1e-8
-
-    def test_balanced_alpha_on_three_nodes_per_angle(self, flagship):
-        # the 3-node azimuth aliases the degree-2 term into an O(rho) error
-        # of p / rho (4.9e-4 read at one radius); the quotient at rho and
-        # rho / 2 cancels it
-        system = build_interaction_system(flagship)
-        res = balance_residual(GreenData(flagship, system.alpha), product_gauss_rule(3, 3))
+        res = balance_residual(GreenData(flagship, system.alpha))
         assert np.max(res) < 1e-8
 
     def test_perturbed_alpha_matches_gamma_delta(self, flagship):
         system = build_interaction_system(flagship)
         delta = 0.1 * system.alpha
-        res = balance_residual(GreenData(flagship, system.alpha + delta), RULE)
+        res = balance_residual(GreenData(flagship, system.alpha + delta))
         expect = np.abs(system.gamma @ delta) / omega_n(3)
-        assert np.max(np.abs(res - expect) / expect) < 1e-9
+        assert np.max(np.abs(res - expect) / expect) < 1e-12
 
     def test_balanced_alpha_n5(self):
-        # on the default product rule (32^4 nodes); 6.7e-3 on Monte Carlo
         cfg = quarter_turn_n5()
         system = build_interaction_system(cfg)
         assert system.alpha.tolist() == [48.0, 80.0]
-        rule = product_gauss_rule(5, 32)
-        assert np.max(balance_residual(GreenData(cfg, system.alpha), rule)) < 1e-10
+        assert np.max(balance_residual(GreenData(cfg, system.alpha))) < 1e-10
 
     def test_single_end_zero(self):
-        res = balance_residual(single_point_data(), RULE)
+        res = balance_residual(single_point_data())
         assert np.max(res) < 1e-13
 
     def test_linearity_in_alpha(self, flagship):
         # alpha + s d for s = 0.01, 0.02, 0.04 gives residuals in ratio 1 : 2 : 4
         system = build_interaction_system(flagship)
         d = np.array([1.0, -0.5])
-        vals = [balance_residual(GreenData(flagship, system.alpha + s * d), RULE)
+        vals = [balance_residual(GreenData(flagship, system.alpha + s * d))
                 for s in (0.01, 0.02, 0.04)]
         assert np.max(np.abs(vals[1] / vals[0] - 2.0)) < 1e-4
         assert np.max(np.abs(vals[2] / vals[0] - 4.0)) < 1e-4

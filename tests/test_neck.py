@@ -220,30 +220,46 @@ class TestEvaluate:
 
 class TestAsymptote:
     def test_epsilon_cubic_decay(self):
-        grids = default_angle_grids(3, (9, 16), margin=0.6)
-        rho = np.array([1.0])
         sups = []
         eps_values = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
         for eps in eps_values:
             params = NeckParams(n=3, beta=1.0, epsilon=eps)
-            sup, _ = asymptote_residual(params, rho, grids)
-            sups.append(sup)
+            sups.append(asymptote_residual(params, 1.0)[0])
         slope = np.polyfit(np.log(eps_values), np.log(sups), 1)[0]
         assert abs(slope - 3.0) < 0.1
 
     def test_rho_power_decay(self):
-        grids = default_angle_grids(3, (9, 16), margin=0.6)
         params = NeckParams(n=3, beta=1.0, epsilon=1e-2)
-        _, per = asymptote_residual(params, np.array([1.0, 2.0, 4.0]), grids)
+        per = asymptote_residual(params, np.array([1.0, 2.0, 4.0]))
         slopes = np.diff(np.log(per)) / math.log(2.0)
         for s in slopes:
             assert abs(s - (1 - 9)) < 0.2  # 1 - 3n with n = 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gap_is_the_sup_over_directions(self, n):
+        # the closed form against the twisted, translated neck and its graph
+        # sampled on an angle grid at the same s
+        params = twisted_neck(n, np.random.default_rng(40 + n), proper=True)
+        rho = params.scale * np.array([2.0, 4.0])
+        grids = default_angle_grids(n, (9,) * (n - 2) + (16,), margin=0.5)
+        theta = sphere_chart(np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1))
+        gaps = asymptote_residual(params, rho)
+        height = params.epsilon * params.beta * rho ** (1 - n)
+        for r0, gap, h in zip(rho, gaps, height):
+            s = s_of_radius(params, r0)
+            r = radius_of_s(params, s)
+            x, y = params.evaluate(s, theta)
+            graph_x = r * theta + params.translation.x
+            graph_y = params.epsilon * params.beta * r ** (1 - n) * theta @ params.rotation.T \
+                + params.translation.y
+            sampled = np.sqrt(np.sum((x - graph_x) ** 2 + (y - graph_y) ** 2, axis=-1))
+            assert np.max(np.abs(sampled - gap)) < 1e-12 * h
 
     def test_waist_guard(self):
         params = NeckParams(n=3, beta=1.0, epsilon=0.1)
         # 2 (n beta eps)^{1/n} = 1.34; a smaller rho enters the waist region
         with pytest.raises(ValueError):
-            asymptote_residual(params, [0.5], default_angle_grids(3, (5, 8), margin=0.35))
+            asymptote_residual(params, [0.5])
 
 
 class TestJacobiFields:

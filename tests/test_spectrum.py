@@ -85,6 +85,17 @@ class TestFrozenRoots:
                         assert np.array_equal(coexact, [[float((Fraction(n - 2, 2) + k) ** 2)]])
                     assert np.array_equal(M, np.array(want, dtype=float))
 
+    @pytest.mark.parametrize("t", [240.0, -240.0, 1e4, -1e4])
+    def test_matrix_far_out_is_the_frozen_system(self, t):
+        # cosh(nt) overflows a float from |nt| ~ 710 on; sech^2(nt) is
+        # below the smallest float there, so M(t) is M(-+inf) to the last bit
+        side = math.copysign(math.inf, t)
+        for k in range(3):
+            assert np.array_equal(mode_system_matrix(3, k, t), mode_system_matrix(3, k, side))
+            if k >= 1:
+                assert np.array_equal(mode_system_matrix(3, k, t, family="coexact"),
+                                      mode_system_matrix(3, k, side, family="coexact"))
+
 
 class TestF0:
     @pytest.mark.parametrize("n", [2, 3, 4])

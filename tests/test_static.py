@@ -279,3 +279,61 @@ def test_every_export_has_a_caller_in_src_or_bench():
     bench = {path.stem: path.read_text()
              for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
     assert unreferenced_exports(package, bench) == []
+
+
+def _constants(tree):
+    """(name, node) of every module-level UPPER_CASE assignment target."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id.isupper():
+                    yield name.id, node
+
+
+def unread_constants(package, bench):
+    """"module.NAME" for every module-level UPPER_CASE constant of a package
+    module that no package module or bench file reads outside its own
+    assignment; package and bench map names to sources, as for
+    unreferenced_exports."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = [(node, _reads(node, module == "__init__")) for module, tree in trees.items()
+             for node in tree.body]
+    reads += [(None, _reads(ast.parse(source))) for source in bench.values()]
+    missing = []
+    for module, tree in trees.items():
+        for name, own in _constants(tree):
+            if not any(node is not own and (name in names or (module, name) in names)
+                       for node, names in reads):
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_checker_sees_unread_constants():
+    package = {
+        "__init__": "from .a import REEXPORTED\n",
+        "a": ("USED = 1\n"
+              "_PRIVATE: int = 2\n"
+              "LEFT, ALSO_LEFT = 3, 4\n"
+              "SELF = 5\n"
+              "REEXPORTED = 6\n"
+              "IMPORTED = 7\n"
+              "TRACED = 8\n"
+              "lower = 9\n"
+              "def f():\n"
+              "    return USED + _PRIVATE\n"),
+        "b": "from .a import IMPORTED\nSELF_REF = SELF_REF if False else 1\n",
+    }
+    bench = {"tracing": "COUNTED = ('a.TRACED',)\n"}
+    # a re-export from the package __init__ is not a read; a constant whose
+    # only reader is its own assignment is unread
+    assert unread_constants(package, bench) == ["a.LEFT", "a.ALSO_LEFT", "a.SELF",
+                                                "a.REEXPORTED", "b.SELF_REF"]
+
+
+def test_every_constant_is_read_in_src_or_bench():
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = {path.stem: path.read_text()
+             for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
+    assert unread_constants(package, bench) == []
