@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 import os as _os
 
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "NUMEXPR_NUM_THREADS")
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
 
 
 def _configure_threads() -> None:
@@ -21,7 +21,7 @@ def _configure_threads() -> None:
     count = _os.environ.get("NECKGLUE_THREADS")
     if not count:
         return
-    for var in _BLAS_THREAD_VARS:
+    for var in BLAS_THREAD_VARS:
         _os.environ.setdefault(var, count)
 
 

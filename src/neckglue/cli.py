@@ -6,7 +6,8 @@ validate <cfg>           hypothesis verdicts H1/H2/H3 and the neck scales
 interaction <cfg>        Gamma/Lambda closed forms cross-checked by quadrature
 neck --n N --beta B --eps E [--grid H] [--export P]
                          model-neck identities, FD minimality floor and the
-                         lower end's approach to its plane graph
+                         lower end's approach to its plane graph; refuses a
+                         sweep above NECK_SWEEP_MAX_BYTES of samples
 spectrum --n N --k K     indicial roots, frozen-coefficient check, explicit
                          solutions (n=3, k=1)
 glue <cfg> [--export P]  assemble the surface, boundary gaps, curvature,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -52,6 +54,10 @@ __all__ = ["main", "parse_config"]
 # parse_config).  Keys with an int default must be integers.
 OPTION_DEFAULTS = {"quadrature_nodes": 32, "sh_degree": 8, "neck_s_nodes": 48,
                    "neck_angle_nodes": None, "outer_spacing": None}
+# Bytes of samples neck's finer FD level may hold.  2 cores, 5 GB ulimit -v: n = 5
+# at the default grid (1.17 GB) passes in 34 s at 3.7 GB peak, n = 7 at --grid 0.8
+# (0.74 GB) in 39 s at 4.1 GB; n = 6 (default) needs 29 GB, n = 8 (--grid 0.8) 7.6 GB.
+NECK_SWEEP_MAX_BYTES = 1.25e9
 # Smallest accepted counts: the neck's nested second differences in s need 5
 # nodes, a central difference along each neck angle 3.
 OPTION_MINIMA = {"quadrature_nodes": 1, "sh_degree": 1, "neck_s_nodes": 5,
@@ -163,10 +169,13 @@ def parse_config(path: str):
         value = options[key]
         if min(value if isinstance(value, list) else [value]) < low:
             raise ValueError(f"{path}: {key} must be >= {low}, got {value!r}")
-    nodes = options["quadrature_nodes"]
+    degree, nodes = options["sh_degree"], options["quadrature_nodes"]
     if nodes ** (n - 1) > MAX_RULE_NODES:
         raise ValueError(f"{path}: quadrature_nodes^(n - 1) = {nodes}^{n - 1} exceeds the "
                          f"sphere rule budget of {MAX_RULE_NODES} nodes")
+    if n >= 3 and 2 * degree + 1 > nodes:
+        raise ValueError(f"{path}: sh_degree {degree} needs quadrature_nodes >= "
+                         f"2 sh_degree + 1 = {2 * degree + 1}, got {nodes}")
     spacing = options["outer_spacing"]
     if isinstance(spacing, bool) or not isinstance(spacing, (int, float)) \
             or not 0 < spacing < float("inf"):
@@ -244,15 +253,26 @@ def cmd_neck(args, report) -> None:
     report.check("sin(ns) cosh(nt) - 1", float(np.max(np.abs(np.sin(args.n * s) * np.cosh(args.n * t) - 1.0))), 1e-12)
     report.check("cos(ns) + tanh(nt)", float(np.max(np.abs(np.cos(args.n * s) + np.tanh(args.n * t)))), 1e-12)
 
-    def build(h):
-        t_nodes = int(round(2.4 / h)) + 1
+    def level(h):
+        # t nodes and angle counts of the FD level at spacing h
         polar = max(9, int(round((np.pi - 1.0) / h)) | 1)
         azim = max(16, int(round(2 * np.pi / h)))
-        counts = (polar,) * (args.n - 2) + (azim,)
-        grids = default_angle_grids(args.n, counts, margin=0.5)
-        return neck_patch(params, angle_grids=grids,
+        return int(round(2.4 / h)) + 1, (polar,) * (args.n - 2) + (azim,)
+
+    def build(h):
+        t_nodes, counts = level(h)
+        return neck_patch(params, angle_grids=default_angle_grids(args.n, counts, margin=0.5),
                           t_grid=np.linspace(-1.2, 1.2, t_nodes))
 
+    try:
+        t_nodes, counts = level(args.grid / 2)
+    except OverflowError:   # 2.4 / h is inf
+        t_nodes, counts = math.inf, ()
+    size = t_nodes * math.prod(counts) * 2 * args.n * 8
+    if size > NECK_SWEEP_MAX_BYTES:
+        raise ValueError(f"the FD sweep's finer level (--grid / 2 = {args.grid / 2:g}) holds "
+                         f"{size / 1e9:.3g} GB of samples at --n {args.n}, above the "
+                         f"{NECK_SWEEP_MAX_BYTES / 1e9:g} GB cap; raise --grid or lower --n")
     coarse = build(args.grid)
     sups = []
     for patch in (coarse, build(args.grid / 2)):
@@ -321,9 +341,6 @@ def cmd_glue(args, report, config, options) -> None:
     if args.export and csv_path == args.export:
         raise ValueError(f"--export {args.export!r}: the CSV file would overwrite the PLY file")
     degree, nodes = options["sh_degree"], options["quadrature_nodes"]
-    if config.n >= 3 and 2 * degree + 1 > nodes:
-        raise ValueError(f"{args.config}: sh_degree {degree} needs quadrature_nodes >= "
-                         f"2 sh_degree + 1 = {2 * degree + 1}, got {nodes}")
     system = build_interaction_system(config)
     _interaction_sections(report, system)
     if not (system.h1_holds and system.h2 and system.h3):

@@ -12,12 +12,15 @@ metric-contracted second derivatives,
 which coincides with g^{ij}(d_i d_j X - Gamma^k_ij d_k X) and is exactly
 orthogonal to the FD tangent space by construction.
 
-The sphere chart is the hyperspherical one with mutually orthogonal
-coordinate directions: theta_1 .. theta_{n-2} in [0, pi] are polar angles,
-theta_{n-1} in [0, 2pi) is the azimuth, and
+The sphere chart is the hyperspherical one: theta_1 .. theta_{n-2} in [0, pi]
+are polar angles, theta_{n-1} in [0, 2pi) is the azimuth, and
 
     Theta = (sin t1 ... sin t_{n-2} cos t_{n-1},
              sin t1 ... sin t_{n-2} sin t_{n-1}, ..., sin t1 cos t2, cos t1).
+
+Its coordinate directions are mutually orthogonal, |dTheta/dtheta_k| =
+prod_{i<k} sin t_i, and the unit one e_k is the chart turned a quarter:
+Theta with t_i -> pi/2 for i < k and t_k -> t_k + pi/2.
 
 Chart poles (any polar angle at 0 or pi) are masked, never evaluated.
 """
@@ -33,6 +36,7 @@ __all__ = [
     "ImmersionPatch",
     "check_orthogonal",
     "mean_curvature_field",
+    "metric_inverse",
     "sphere_chart",
 ]
 
@@ -71,48 +75,18 @@ def check_orthogonal(M: np.ndarray) -> float:
 # Hyperspherical chart
 # ----------------------------------------------------------------------
 
-def sphere_chart(angles: np.ndarray, with_jacobian: bool = False):
-    """Evaluate Theta(angles) on S^{n-1}, broadcasting over leading axes.
-
-    Parameters
-    ----------
-    angles : (..., n-1) array
-        Chart angles; the last one is the azimuth.
-    with_jacobian : bool
-        Also return the (..., n, n-1) array of coordinate derivatives
-        d Theta / d theta_k.
-
-    The chart satisfies |Theta| = 1 and dTheta/dtheta_j . dTheta/dtheta_k = 0
-    for j != k, with |dTheta/dtheta_j| = prod_{i<j} sin theta_i.
-    """
+def sphere_chart(angles: np.ndarray) -> np.ndarray:
+    """Theta(angles) on S^{n-1} from (..., n-1) chart angles (the last one
+    the azimuth), broadcasting over leading axes; built from the azimuth
+    outward, one polar angle at a time."""
     angles = np.asarray(angles, dtype=float)
-    m = angles.shape[-1]
-    if m < 1:
+    if angles.shape[-1] < 1:
         raise ValueError("need at least one angle (dimension >= 2)")
-
-    def rec(a):
-        # a: (..., m') -> Theta (..., m'+1), J (..., m'+1, m')
-        s, c = np.sin(a[..., 0]), np.cos(a[..., 0])
-        if a.shape[-1] == 1:
-            theta = np.stack([c, s], axis=-1)
-            if not with_jacobian:
-                return theta, None
-            jac = np.stack([-s, c], axis=-1)[..., None]
-            return theta, jac
-        sub, subj = rec(a[..., 1:])
-        theta = np.concatenate([s[..., None] * sub, c[..., None]], axis=-1)
-        if not with_jacobian:
-            return theta, None
-        d_first = np.concatenate([c[..., None] * sub, -s[..., None]], axis=-1)
-        d_rest = s[..., None, None] * subj
-        zeros = np.zeros(d_rest.shape[:-2] + (1, d_rest.shape[-1]))
-        jac = np.concatenate(
-            [d_first[..., None], np.concatenate([d_rest, zeros], axis=-2)], axis=-1
-        )
-        return theta, jac
-
-    theta, jac = rec(angles)
-    return (theta, jac) if with_jacobian else theta
+    theta = np.stack([np.cos(angles[..., -1]), np.sin(angles[..., -1])], axis=-1)
+    for k in range(angles.shape[-1] - 2, -1, -1):
+        a = angles[..., k]
+        theta = np.concatenate([np.sin(a)[..., None] * theta, np.cos(a)[..., None]], axis=-1)
+    return theta
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +198,7 @@ def _stencil_valid(mask: np.ndarray, periodic) -> np.ndarray:
     return valid
 
 
-def _metric_inverse(J):
+def metric_inverse(J):
     """Entries ginv[a][b] of the inverse of g_ab = J_a . J_b, per node.
 
     Unpivoted LDL^T over the m x m entries, then g^{-1} = L^{-T} D^{-1} L^{-1}.
@@ -283,7 +257,7 @@ def _mean_curvature_block(rows, spacings):
         return central_difference(centre, a, spacings[a], order)
 
     J = [diff(a) for a in range(m)]
-    ginv, ok = _metric_inverse(J)
+    ginv, ok = metric_inverse(J)
     # W = g^{ab} d_a d_b X, one mixed difference d_b(d_a X) per pair a < b
     for a in range(m):
         d2 = diff(a, 2)

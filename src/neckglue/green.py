@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Configuration
-from .geometry import ImmersionPatch, _metric_inverse
+from .geometry import ImmersionPatch, metric_inverse
 
 __all__ = [
     "GreenData",
@@ -195,7 +195,7 @@ def graph_mean_curvature(data: GreenData, x) -> np.ndarray:
         # columns J_l = (e_l, eps d_l G); g >= I, so every LDL^T pivot is >= 1
         J = [np.concatenate([np.broadcast_to(e, xb.shape), eps * DG[:, :, l]], axis=-1)
              for l, e in enumerate(np.eye(n))]
-        ginv = np.array(_metric_inverse(J)[0]).transpose(2, 0, 1)
+        ginv = np.array(metric_inverse(J)[0]).transpose(2, 0, 1)
         Wy = eps * green_laplacian(data, xb, ginv)
         # g^{-1} J^T W, with J^T W = eps DG^T Wy since W = (0, Wy)
         coeff = (ginv @ (eps * Wy[:, None, :] @ DG)[:, 0, :, None])[:, :, 0]

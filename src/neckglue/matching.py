@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import green
 from .config import Configuration
 from .quadrature import QuadratureRule, gegenbauer_recurrence, omega_n
 
@@ -65,6 +64,8 @@ __all__ = [
     "sh_analyze",
     "split_theta",
 ]
+
+_CHUNK_POINTS = 8192  # rule nodes per block of sh_analyze; bounds its working set
 
 
 class SphereGrid:
@@ -161,11 +162,11 @@ class SHExpansion:
 def sh_analyze(sample, grid: SphereGrid, rule: QuadratureRule) -> list:
     """Project m R^n-valued maps onto grid's basis.  `sample` takes a block of
     the rule's nodes (B, n) to their values (B, m, n); the nodes are streamed
-    in blocks (of at most green._CHUNK_POINTS), with one basis evaluation per
+    in blocks (of at most _CHUNK_POINTS), with one basis evaluation per
     block.  Returns a list of m SHExpansions."""
     nodes, weights, dim = rule.nodes, rule.weights, grid.degrees.size
     # at most 1024 basis rows of _CHUNK_POINTS values (64 MB) per block
-    block = max(1, min(green._CHUNK_POINTS, green._CHUNK_POINTS * 1024 // dim))
+    block = max(1, min(_CHUNK_POINTS, _CHUNK_POINTS * 1024 // dim))
     coeffs = 0.0
     for start in range(0, len(nodes), block):
         rows = slice(start, start + block)

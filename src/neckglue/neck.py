@@ -186,24 +186,14 @@ def s_of_radius(params: NeckParams, r_target: float) -> float:
 # Parametrization
 # ----------------------------------------------------------------------
 
-def polar_angle_grid(count: int, margin: float):
-    """Uniform open grid of a polar angle on [margin, pi - margin]."""
-    return np.linspace(margin, math.pi - margin, count)
-
-
-def azimuth_grid(count: int):
-    """Uniform periodic grid on [0, 2 pi)."""
-    return 2.0 * math.pi * np.arange(count) / count
-
-
 def default_angle_grids(n: int, counts, margin: float):
-    """Polar grids away from the chart poles plus a full periodic azimuth."""
+    """Uniform polar grids on [margin, pi - margin], away from the chart
+    poles, plus a full periodic azimuth on [0, 2 pi)."""
     counts = list(counts)
     if len(counts) != n - 1:
         raise ValueError("one node count per angle required")
-    grids = [polar_angle_grid(c, margin) for c in counts[:-1]]
-    grids.append(azimuth_grid(counts[-1]))
-    return tuple(grids)
+    polar = [np.linspace(margin, math.pi - margin, c) for c in counts[:-1]]
+    return tuple(polar) + (2.0 * math.pi * np.arange(counts[-1]) / counts[-1],)
 
 
 def neck_patch(params: NeckParams, angle_grids, t_grid) -> ImmersionPatch:
@@ -229,16 +219,22 @@ def asymptote_residual(params: NeckParams, rho_values) -> np.ndarray:
     """Distance between the exact lower end and its leading graph
     rho Theta + i eps beta rho^{1-n} R Theta (+ translation), one per radius.
 
-    At s = s_of_radius(rho), with rho then set to radius_of_s(s), the
-    x-parts agree and the y-parts are both multiples of the unit vector
-    R Theta, so the gap is |rho tan s - eps beta rho^{1-n}| in every direction.
+    At s = s_of_radius(rho) the x-parts agree and the y-parts are both
+    multiples of the unit vector R Theta, so the gap is
+    |rho tan s - eps beta rho^{1-n}| in every direction.  Expanding sin ns
+    = Im (cos s + i sin s)^n, whose k = 1 term cancels, it is without the
+    subtraction scale (sin ns)^{-1/n} |sum_{odd k = 3..n} (-1)^{(k-1)/2}
+    C(n, k) cos^{n-k}s sin^k s| / (n cos^{n-1}s), exactly 0 at n = 2.
     """
     rho_values = np.atleast_1d(np.asarray(rho_values, dtype=float))
     if np.any(rho_values < 2.0 * params.scale):
         raise ValueError("rho too small: enters the waist region (need rho >= 2 (n beta eps)^{1/n})")
+    n = params.n
     s = np.array([s_of_radius(params, float(rho)) for rho in rho_values])
-    rho = radius_of_s(params, s)
-    return np.abs(rho * np.tan(s) - params.epsilon * params.beta * rho ** (1 - params.n))
+    cos_s, sin_s = np.cos(s), np.sin(s)
+    tail = sum((-1) ** ((k - 1) // 2) * math.comb(n, k) * cos_s ** (n - k) * sin_s ** k
+               for k in range(3, n + 1, 2))
+    return params.scale * np.sin(n * s) ** (-1.0 / n) * np.abs(tail) / (n * cos_s ** (n - 1))
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +252,9 @@ class SphereGridOps:
     Fields are shaped (..., *grid) for scalars and (..., *grid, n) for
     ambient-component tangent fields; derivative axes are the trailing grid
     axes.  The last angle is periodic; polar angles must stay away from the
-    chart poles.  `sphere_terms` builds the frame-based
+    chart poles.  The scale factors |dTheta/dtheta_k| are the cumulative
+    polar sines and each unit frame vector e_k is the chart turned a quarter
+    (the identity in geometry's docstring).  `sphere_terms` builds the frame-based
 
         grad f = sum_j (e_j f) e_j,          div T = sum_j (D_j T).e_j,
         Lap f  = sum_j e_j(e_j f) - kappa_j (e_j f),
@@ -285,11 +283,17 @@ class SphereGridOps:
             if not np.allclose(np.diff(g), h, rtol=0, atol=1e-12):
                 raise ValueError("angle grids must be uniform")
         mesh = np.stack(np.meshgrid(*self.angle_grids, indexing="ij"), axis=-1)
-        theta, jac = sphere_chart(mesh, with_jacobian=True)
-        self.theta = theta                                  # grid + (n,)
-        norms = np.linalg.norm(jac, axis=-2)                # grid + (m,)
-        self.norms = norms
-        self.frame = jac / norms[..., None, :]              # grid + (n, m)
+        self.theta = sphere_chart(mesh)                     # grid + (n,)
+        ones = np.ones_like(mesh[..., :1])
+        self.norms = norms = np.cumprod(np.concatenate([ones, np.sin(mesh[..., :-1])], -1), -1)
+
+        def turned(k):
+            angles = mesh.copy()
+            angles[..., :k] = math.pi / 2
+            angles[..., k] += math.pi / 2
+            return sphere_chart(angles)
+
+        self.frame = np.stack([turned(k) for k in range(self.m)], axis=-1)  # grid + (n, m)
         sinc = [math.sin(h) / h for h in self.spacings]
         self.kappa = [-sum(sinc[k + 1:]) / (np.tan(mesh[..., k]) * norms[..., k])
                       for k in range(self.m - 1)] + [np.zeros(norms.shape[:-1])]

@@ -10,7 +10,7 @@ import platform
 import sys
 import time
 
-from . import _BLAS_THREAD_VARS, __version__
+from . import BLAS_THREAD_VARS, __version__
 
 __all__ = ["RunReport"]
 
@@ -27,7 +27,7 @@ def _environment() -> dict:
         scipy_version = metadata.version("scipy")
     except metadata.PackageNotFoundError:
         scipy_version = None
-    threads = {var: os.environ.get(var) for var in ("NECKGLUE_THREADS",) + _BLAS_THREAD_VARS}
+    threads = {var: os.environ.get(var) for var in ("NECKGLUE_THREADS",) + BLAS_THREAD_VARS}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy_version, "threads": threads}
 

@@ -246,7 +246,7 @@ class TestBoundaryGap:
         # R_j Theta written out here, on any rule and at any degree.  Its
         # terms cancel ~1e4-fold, so its rounding is measured against the
         # sum of their magnitudes
-        from neckglue import green
+        from neckglue import matching
 
         n4 = two_ends_n4(1e-5)
         for cfg, grid, nodes in ((N2_CONFIG, N2_GRID, 32), (flagship_at(1e-4), COARSE, 32),
@@ -256,7 +256,7 @@ class TestBoundaryGap:
             rule = product_gauss_rule(n, nodes)
             whole, _ = boundary_gap(surf, rule, 8)
             with monkeypatch.context() as patch:
-                patch.setattr(green, "_CHUNK_POINTS", 7)
+                patch.setattr(matching, "_CHUNK_POINTS", 7)
                 blocked, _ = boundary_gap(surf, rule, 1)
             for j, (one, blocks) in enumerate(zip(whole, blocked)):
                 assert blocks["position_gap_sup"] == one["position_gap_sup"]

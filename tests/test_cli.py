@@ -177,7 +177,8 @@ class TestCommands:
         doc = {"n": n, "points": [np.eye(n)[0].tolist(), (-np.eye(n)[0]).tolist()],
                "rotations": [np.eye(n).tolist()] * 2, "A0": np.eye(n).tolist(),
                "epsilon": 1e-4, "rho_star": 0.45,
-               "options": {} if nodes is None else {"quadrature_nodes": nodes}}
+               # sh_degree 7 is the largest that 16 nodes resolve
+               "options": {} if nodes is None else {"quadrature_nodes": nodes, "sh_degree": 7}}
         cfg = write_config(tmp_path, doc)
         if accepted:
             assert parse_config(cfg)[1]["quadrature_nodes"] == nodes
@@ -202,10 +203,12 @@ class TestCommands:
     def test_glue_needs_a_rule_resolving_sh_degree(self, tmp_path, capsys):
         # the matching gaps are analyzed on the sphere rule, whose azimuth
         # integrates degree-2 sh_degree products on 2 sh_degree + 1 nodes
+        # parse_config refuses it, so validate refuses the file glue refuses
         doc = dict(FLAGSHIP, options={"sh_degree": 16, "quadrature_nodes": 32})
-        assert main(["glue", write_config(tmp_path, doc)]) == 2
-        err = capsys.readouterr().err
-        assert "sh_degree 16 needs quadrature_nodes >= 2 sh_degree + 1 = 33, got 32" in err
+        for command in ("glue", "validate"):
+            assert main([command, write_config(tmp_path, doc)]) == 2
+            err = capsys.readouterr().err
+            assert "sh_degree 16 needs quadrature_nodes >= 2 sh_degree + 1 = 33, got 32" in err
 
     def test_outer_spacing_must_stay_inside_the_box(self, tmp_path, capsys):
         # at 100 the flagship outer patch is one node and its FD sup reads 0
@@ -244,11 +247,18 @@ class TestCommands:
         assert_option_refused(capsys.readouterr().err, key, message)
 
     def test_option_range_boundaries_accepted(self, tmp_path):
+        # at n >= 3 sh_degree 1 needs quadrature_nodes >= 3; n = 2 has no
+        # matching expansion and takes a one-node rule
         doc = dict(FLAGSHIP, options={"neck_s_nodes": 5, "neck_angle_nodes": [3, 3.0],
-                                      "quadrature_nodes": 1, "sh_degree": 1})
+                                      "quadrature_nodes": 3, "sh_degree": 1})
         _, options = parse_config(write_config(tmp_path, doc))
         assert options["neck_angle_nodes"] == [3, 3]
         assert all(isinstance(c, int) for c in options["neck_angle_nodes"])
+        doc = {"n": 2, "points": [[1.0, 0.0], [-1.0, 0.0]],
+               "rotations": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+               "A0": [[3.0, 0.0], [0.0, 1.0]], "epsilon": 1e-4, "rho_star": 0.45,
+               "options": {"quadrature_nodes": 1, "sh_degree": 1}}
+        assert parse_config(write_config(tmp_path, doc))[1]["quadrature_nodes"] == 1
         doc = dict(FLAGSHIP, options={"sh_degree": 12})
         assert parse_config(write_config(tmp_path, doc))[1]["sh_degree"] == 12
 
@@ -280,9 +290,9 @@ class TestCommands:
         assert main(["validate", write_config(tmp_path, doc)]) == 0
 
     def test_options_resolved_with_defaults(self, tmp_path):
-        doc = dict(FLAGSHIP, options={"quadrature_nodes": 16.0})
+        doc = dict(FLAGSHIP, options={"quadrature_nodes": 17.0})
         _, options = parse_config(write_config(tmp_path, doc))
-        assert options["quadrature_nodes"] == 16
+        assert options["quadrature_nodes"] == 17
         assert isinstance(options["quadrature_nodes"], int)
         assert options["sh_degree"] == 8 and options["outer_spacing"] == 0.45 / 4.0
 
@@ -340,6 +350,35 @@ class TestCommands:
     def test_neck_bad_input_exit_two(self, capsys, argv, message):
         assert main(["neck", "--n", "3"] + argv) == 2
         assert message in capsys.readouterr().err
+
+    class Built(Exception):
+        """Raised in place of building a neck patch."""
+
+    @pytest.fixture
+    def no_neck_patch(self, monkeypatch):
+        from neckglue import cli
+
+        def no_patch(*args, **kwargs):
+            raise self.Built
+
+        monkeypatch.setattr(cli, "neck_patch", no_patch)
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--n", "8", "--grid", "0.8"], "7.62 GB"),
+        (["--n", "6"], "29.4 GB"),
+        (["--n", "3", "--grid", "1e-310"], "inf GB"),
+    ], ids=["n8-grid0.8", "n6-default", "grid-tiny"])
+    def test_neck_refuses_a_sweep_too_large_for_memory(self, capsys, no_neck_patch, argv, size):
+        assert main(["neck"] + argv) == 2
+        err = capsys.readouterr().err
+        assert f"holds {size} of samples at --n" in err
+        assert "raise --grid or lower --n" in err
+
+    @pytest.mark.parametrize("argv", [["--n", "5"], ["--n", "7", "--grid", "0.8"]])
+    def test_neck_sweep_cap_keeps_the_measured_runs(self, no_neck_patch, argv):
+        # 1.17 GB and 0.74 GB of samples, which pass within 4.1 GB
+        with pytest.raises(self.Built):
+            main(["neck"] + argv)
 
     @pytest.mark.parametrize("n, k", [(72, 0), (100, 1)])
     def test_spectrum_large_n_warns_nothing(self, capsys, n, k):
@@ -518,7 +557,7 @@ class TestGlueCommand:
     def test_glue_samples_each_sphere_once(self, tmp_path, monkeypatch):
         # one pass over the rho_* spheres feeds the gaps and the matching
         # step: each end is sampled once per block of the 32^2-node rule
-        from neckglue import assembler, green
+        from neckglue import assembler, matching
 
         calls = []
         sampler = assembler._boundary_samples
@@ -528,7 +567,7 @@ class TestGlueCommand:
             return sampler(surface, j, theta)
 
         monkeypatch.setattr(assembler, "_boundary_samples", counted)
-        monkeypatch.setattr(green, "_CHUNK_POINTS", 256)
+        monkeypatch.setattr(matching, "_CHUNK_POINTS", 256)
         doc = dict(FLAGSHIP, options={"neck_s_nodes": 24, "neck_angle_nodes": [13, 24],
                                       "outer_spacing": 0.3})
         assert main(["glue", write_config(tmp_path, doc)]) == 0

@@ -18,6 +18,7 @@ from neckglue.geometry import (
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch
 
 from conftest import rot_e1
+from oracles import chart_jacobian
 
 DEFAULT_BLOCK_BYTES = geometry._BLOCK_BYTES
 
@@ -86,29 +87,34 @@ class TestSphereChart:
         theta = sphere_chart(np.array([0.0]))
         assert_allclose(theta, [1.0, 0.0], atol=1e-15)
 
+    @staticmethod
+    def assert_frame(grids):
+        """SphereGridOps' frame is orthonormal and tangent, and frame * norms is
+        the chart's exact central difference."""
+        ops = neck.SphereGridOps(grids)
+        frame, m = ops.frame, len(grids)
+        gram = np.einsum("...ij,...ik->...jk", frame, frame)
+        assert np.max(np.abs(gram - np.eye(m))) < 1e-14
+        assert np.max(np.abs(np.einsum("...ij,...i->...j", frame, ops.theta))) < 1e-15
+        assert np.max(np.abs(np.sum(ops.theta**2, axis=-1) - 1.0)) < 1e-14
+        mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1)
+        jac = chart_jacobian(mesh)
+        assert_allclose(frame * ops.norms[..., None, :], jac, rtol=0, atol=1e-14)
+        assert_allclose(ops.norms, np.linalg.norm(jac, axis=-2), rtol=1e-14, atol=0)
+
     def test_random_n4_derivatives_orthogonal(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            angles = np.empty(3)
-            angles[:2] = rng.uniform(0.1, math.pi - 0.1, 2)
-            angles[2] = rng.uniform(0.0, 2 * math.pi)
-            theta, D = sphere_chart(angles, with_jacobian=True)
-            assert D.shape == (4, 3)
-            assert abs(np.linalg.norm(theta) - 1.0) < 1e-14
-            gram = D.T @ D
-            off = gram - np.diag(np.diag(gram))
-            assert np.max(np.abs(off)) < 1e-12
+        for _ in range(10):
+            start = rng.uniform(0.1, 1.0, 2)
+            polar = [np.linspace(a, math.pi - b, c) for a, b, c in
+                     zip(start, rng.uniform(0.1, 1.0, 2), rng.integers(3, 9, 2))]
+            count = int(rng.integers(3, 9))
+            azimuth = rng.uniform(0.0, 2 * math.pi) + 2 * math.pi * np.arange(count) / count
+            self.assert_frame(polar + [azimuth])
 
     def test_pole_sweep_orthogonality(self):
-        # quantified sweep over ~10^3 non-pole nodes
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            angles = np.empty(2)
-            angles[0] = rng.uniform(0.05, math.pi - 0.05)
-            angles[1] = rng.uniform(0.0, 2 * math.pi)
-            theta, D = sphere_chart(angles, with_jacobian=True)
-            assert abs(D[:, 0] @ D[:, 1]) < 1e-12
-            assert abs(theta @ theta - 1.0) < 1e-14
+        # ~10^3 non-pole nodes, polar angles from 0.05 to pi - 0.05
+        self.assert_frame(default_angle_grids(3, (41, 25), margin=0.05))
 
     def test_dimension_error(self):
         with pytest.raises(ValueError):

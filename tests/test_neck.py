@@ -24,7 +24,7 @@ from neckglue.neck import (
 )
 
 from conftest import BENCH, random_orthogonal, rot_e1
-from oracles import full_grid_linearized_apply, neck_point
+from oracles import chart_jacobian, full_grid_linearized_apply, neck_point
 
 
 def unit_scale_params(n):
@@ -255,6 +255,20 @@ class TestAsymptote:
             sampled = np.sqrt(np.sum((x - graph_x) ** 2 + (y - graph_y) ** 2, axis=-1))
             assert np.max(np.abs(sampled - gap)) < 1e-12 * h
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_slope_without_cancellation(self, n):
+        # the subtraction rho tan s - eps beta rho^(1-n) cancels to rounding at
+        # these radii from n = 5 on (from n = 8 on at neck's 2, 4 and 8
+        # scales, where the rho^(-2n) term still holds n = 3 at -8.0013)
+        params = NeckParams(n=n, beta=1.0, epsilon=1e-3)
+        rho = params.scale * np.array([4.0, 8.0, 16.0])
+        gaps = asymptote_residual(params, rho)
+        if n == 2:
+            assert np.all(gaps == 0.0)
+        else:
+            slope = np.polyfit(np.log(rho), np.log(gaps), 1)[0]
+            assert abs(slope - (1 - 3 * n)) < 1e-4
+
     def test_waist_guard(self):
         params = NeckParams(n=3, beta=1.0, epsilon=0.1)
         # 2 (n beta eps)^{1/n} = 1.34; a smaller rho enters the waist region
@@ -423,7 +437,7 @@ class PerOperatorOps:
         self.spacings = [float(g[1] - g[0]) for g in angle_grids]
         self.periodic = (False,) * (self.m - 1) + (True,)
         mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
-        self.theta, jac = sphere_chart(mesh, with_jacobian=True)
+        self.theta, jac = sphere_chart(mesh), chart_jacobian(mesh)
         self.norms = np.linalg.norm(jac, axis=-2)
         self.frame = jac / self.norms[..., None, :]
         self.conn = [self.project(self.d(self.frame[..., :, j], j, vector=True))

@@ -337,3 +337,46 @@ def test_every_constant_is_read_in_src_or_bench():
     bench = {path.stem: path.read_text()
              for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
     assert unread_constants(package, bench) == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def cross_module_private_reads(source: str):
+    """(line, name) of every private name a module takes from another: one
+    imported by `from x import _y`, or read as `x._y` on a name an import
+    binds.  Dunders are exempt."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for _, node in _imports_by_scope(tree, tree, []):
+        for alias in node.names:
+            imported.add(alias.asname or alias.name.split(".")[0])
+            if isinstance(node, ast.ImportFrom) and _private(alias.name):
+                found.append((node.lineno, alias.name))
+    found += [(sub.lineno, f"{sub.value.id}.{sub.attr}") for sub in ast.walk(tree)
+              if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in imported and _private(sub.attr)]
+    return sorted(found)
+
+
+def test_checker_sees_cross_module_private_reads():
+    source = ("import os as _os\n"
+              "import numpy as np\n"
+              "from . import green, __version__, _PRIVATE\n"
+              "from .geometry import _metric_inverse, sphere_chart\n"
+              "_LOCAL = 1\n"
+              "class C:\n"
+              "    _own = 2\n"
+              "    def f(self):\n"
+              "        return (self._own, _LOCAL, _os.sep, green.__name__,\n"
+              "                green._CHUNK, np._core)\n")
+    assert cross_module_private_reads(source) == [(3, "_PRIVATE"), (4, "_metric_inverse"),
+                                                  (10, "green._CHUNK"), (10, "np._core")]
+
+
+def test_no_cross_module_private_reads():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in cross_module_private_reads(path.read_text())]
+    assert found == []
