@@ -30,7 +30,6 @@ _configure_threads()
 from .config import Configuration, InteractionSystem, build_interaction_system
 from .geometry import AmbientPoint, ImmersionPatch
 from .green import GreenData
-from .matching import SHExpansion
 from .neck import NeckParams, NormalField
 from .spectrum import IndicialTable, ModeSolution
 
@@ -45,7 +44,6 @@ __all__ = [
     "ModeSolution",
     "NeckParams",
     "NormalField",
-    "SHExpansion",
     "__version__",
     "build_interaction_system",
 ]

@@ -203,30 +203,34 @@ def boundary_gap(surface: GluedSurface, rule: QuadratureRule, degree: int):
                     rho * (outer_dr[:, n:] - neck_dr[:, n:]) @ params.rotation]
         return np.stack(out, axis=1)
 
-    expansions = sh_analyze(gaps, SphereGrid(n, degree), rule)
-    discrepancies = list(zip(expansions[0::2], expansions[1::2]))
+    grid = SphereGrid(n, degree)
+    coeffs = sh_analyze(gaps, grid, rule)
+    discrepancies = list(zip(coeffs[0::2], coeffs[1::2]))
     rows = [{"position_gap_sup": float(p), "conormal_angle_sup": float(a),
-             "collinear_gap_abs": abs(split_theta(value)[0])}
+             "collinear_gap_abs": abs(split_theta(value, grid)[0])}
             for p, a, (value, _) in zip(position, angle, discrepancies)]
     return rows, discrepancies
 
 
-def matching_step(surface: GluedSurface, gamma, discrepancies, rule: QuadratureRule) -> dict:
+def matching_step(surface: GluedSurface, gamma, discrepancies, rule: QuadratureRule,
+                  degree: int) -> dict:
     """Run one linear matching solve (n >= 3) on the per-end discrepancies
-    of boundary_gap, analyzed on `rule` (recorded by its node count).
-    max_relative_delta = max_j max(|delta alpha_j|, |delta beta_j|) / alpha_j
-    measures how far the measured surface sits from the solved scales.
+    that boundary_gap expanded up to `degree` on `rule` (recorded by its
+    node count).  max_relative_delta = max_j max(|delta alpha_j|, |delta
+    beta_j|) / alpha_j measures how far the measured surface sits from the
+    solved scales.
     """
-    corr = match_boundaries(surface.config, surface.alpha, discrepancies, gamma=gamma)
+    corr = match_boundaries(surface.config, surface.alpha, SphereGrid(surface.config.n, degree),
+                            discrepancies, gamma=gamma)
     relative = np.maximum(np.abs(corr.delta_alpha), np.abs(corr.delta_beta)) / surface.alpha
     return {
-        "sh_degree": discrepancies[0][0].grid.L,
+        "sh_degree": degree,
         "rule_nodes": len(rule.nodes),
         "delta_alpha": corr.delta_alpha,
         "delta_beta": corr.delta_beta,
         "max_relative_delta": float(np.max(relative)),
-        "phi_l2": [p.norm() for p in corr.phi],
-        "phi_tilde_l2": [p.norm() for p in corr.phi_tilde],
+        "phi_l2": [float(np.sqrt(np.sum(p * p))) for p in corr.phi],
+        "phi_tilde_l2": [float(np.sqrt(np.sum(p * p))) for p in corr.phi_tilde],
         "residual_norm": corr.residual_norm,
     }
 

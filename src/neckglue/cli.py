@@ -7,7 +7,7 @@ interaction <cfg>        Gamma/Lambda closed forms cross-checked by quadrature
 neck --n N --beta B --eps E [--grid H] [--export P]
                          model-neck identities, FD minimality floor and the
                          lower end's approach to its plane graph; refuses a
-                         sweep above NECK_SWEEP_MAX_BYTES of samples
+                         sweep above PATCH_MAX_BYTES of samples
 spectrum --n N --k K     indicial roots, frozen-coefficient check, explicit
                          solutions (n=3, k=1)
 glue <cfg> [--export P]  assemble the surface, boundary gaps, curvature,
@@ -54,10 +54,13 @@ __all__ = ["main", "parse_config"]
 # parse_config).  Keys with an int default must be integers.
 OPTION_DEFAULTS = {"quadrature_nodes": 32, "sh_degree": 8, "neck_s_nodes": 48,
                    "neck_angle_nodes": None, "outer_spacing": None}
-# Bytes of samples neck's finer FD level may hold.  2 cores, 5 GB ulimit -v: n = 5
-# at the default grid (1.17 GB) passes in 34 s at 3.7 GB peak, n = 7 at --grid 0.8
-# (0.74 GB) in 39 s at 4.1 GB; n = 6 (default) needs 29 GB, n = 8 (--grid 0.8) 7.6 GB.
-NECK_SWEEP_MAX_BYTES = 1.25e9
+# Bytes of samples one patch may hold: glue's outer box and each of its neck
+# patches (refused in parse_config) and neck's finer FD level.  2 cores, 5 GB
+# ulimit -v: neck at n = 5 on the default grid (1.17 GB) passes in 34 s at
+# 3.7 GB peak, n = 7 at --grid 0.8 (0.74 GB) in 39 s at 4.1 GB; n = 6 (default)
+# needs 29 GB, n = 8 (--grid 0.8) 7.6 GB.  glue at n = 4 on the default grids
+# (a 0.77 GB box) passes in 38.6 s at 3.5 GB peak.
+PATCH_MAX_BYTES = 1.25e9
 # Smallest accepted counts: the neck's nested second differences in s need 5
 # nodes, a central difference along each neck angle 3.
 OPTION_MINIMA = {"quadrature_nodes": 1, "sh_degree": 1, "neck_s_nodes": 5,
@@ -145,6 +148,11 @@ def parse_config(path: str):
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    # balls that meet leave no outer piece between two necks to glue them to
+    if rho_star >= config.min_separation / 2:
+        raise ValueError(f"{path}: rho_star {rho_star!r} must be below half the smallest end "
+                         f"separation {config.min_separation:.6g}, so that the rho_* balls "
+                         f"are disjoint")
 
     # a null object, like a null entry, means it was omitted
     options = {} if doc.get("options") is None else doc["options"]
@@ -188,6 +196,20 @@ def parse_config(path: str):
         raise ValueError(f"{path}: outer_spacing must be below the outer box half-width "
                          f"{half_width:.6g}, got {spacing!r}")
     options["outer_spacing"] = float(spacing)
+    # bytes of samples (2n floats a node) of glue's outer box, whose axis is
+    # np.arange(-half_width, half_width + spacing / 2, spacing), and of one
+    # neck patch, counted, not built; a count past the cap, which alone
+    # exceeds it, is clipped to it so the sizes stay finite floats
+    axis = math.ceil(min((half_width + spacing / 2 + half_width) / spacing, PATCH_MAX_BYTES))
+    neck = [options["neck_s_nodes"], *options["neck_angle_nodes"]]
+    for size, grid in ((axis ** n * 2 * n * 8,
+                        f"outer_spacing {spacing!r} grids the outer box with {axis}^{n}"),
+                       (math.prod(min(c, PATCH_MAX_BYTES) for c in neck) * 2 * n * 8,
+                        "neck_s_nodes x neck_angle_nodes grid each neck with "
+                        + " x ".join(map(str, neck)))):
+        if size > PATCH_MAX_BYTES:
+            raise ValueError(f"{path}: {grid} nodes, {size / 1e9:.3g} GB of samples, above "
+                             f"the {PATCH_MAX_BYTES / 1e9:g} GB cap")
     return config, options
 
 
@@ -269,10 +291,10 @@ def cmd_neck(args, report) -> None:
     except OverflowError:   # 2.4 / h is inf
         t_nodes, counts = math.inf, ()
     size = t_nodes * math.prod(counts) * 2 * args.n * 8
-    if size > NECK_SWEEP_MAX_BYTES:
+    if size > PATCH_MAX_BYTES:
         raise ValueError(f"the FD sweep's finer level (--grid / 2 = {args.grid / 2:g}) holds "
                          f"{size / 1e9:.3g} GB of samples at --n {args.n}, above the "
-                         f"{NECK_SWEEP_MAX_BYTES / 1e9:g} GB cap; raise --grid or lower --n")
+                         f"{PATCH_MAX_BYTES / 1e9:g} GB cap; raise --grid or lower --n")
     coarse = build(args.grid)
     sups = []
     for patch in (coarse, build(args.grid / 2)):
@@ -368,7 +390,7 @@ def cmd_glue(args, report, config, options) -> None:
         report.skip("matching step", "the DtN difference -(2k+n-2) vanishes on constants at "
                                      "n = 2, so the matching operator is singular")
     else:
-        step = matching_step(surface, system.gamma, discrepancies, rule)
+        step = matching_step(surface, system.gamma, discrepancies, rule, degree)
         report.section("matching_step", step)
         report.check("matching residual", step["residual_norm"], 1e-10)
         # the correction falls like eps^2 in the asymptotic range (0.046 on

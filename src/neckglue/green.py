@@ -183,6 +183,10 @@ def graph_mean_curvature(data: GreenData, x) -> np.ndarray:
 
     With J = [I; eps DG] and g = I + eps^2 DG^T DG,
         H = W - J g^{-1} J^T W,   W = (0, eps g^{lm} d_l d_m G).
+    G is harmonic, so g^{lm} d_l d_m G = (g^{-1} - I)^{lm} d_l d_m G, and
+    g^{-1} - I = -eps^2 g^{-1} DG^T DG (symmetric: g^{-1} commutes with
+    DG^T DG) gives W_y = -eps^3 (g^{-1} DG^T DG)^{lm} d_l d_m G without the
+    O(eps^2) cancellation of contracting g^{-1} itself.
     """
     x = np.asarray(x, dtype=float)
     n = data.config.n
@@ -196,7 +200,7 @@ def graph_mean_curvature(data: GreenData, x) -> np.ndarray:
         J = [np.concatenate([np.broadcast_to(e, xb.shape), eps * DG[:, :, l]], axis=-1)
              for l, e in enumerate(np.eye(n))]
         ginv = np.array(metric_inverse(J)[0]).transpose(2, 0, 1)
-        Wy = eps * green_laplacian(data, xb, ginv)
+        Wy = -eps**3 * green_laplacian(data, xb, ginv @ (DG.transpose(0, 2, 1) @ DG))
         # g^{-1} J^T W, with J^T W = eps DG^T Wy since W = (0, Wy)
         coeff = (ginv @ (eps * Wy[:, None, :] @ DG)[:, 0, :, None])[:, :, 0]
         out[start:start + len(xb), :n] = -coeff

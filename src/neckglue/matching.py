@@ -3,9 +3,10 @@ leading-order matching solve, for every n >= 3.
 
 R^n-valued boundary data Phi on the unit sphere S^{n-1} are expanded per
 Cartesian component in one orthonormal basis of H_0 + ... + H_L, where H_k
-holds the spherical harmonics of degree k.  Harmonic extensions multiply
-degree-k coefficients by r^k inside and r^{2-n-k} outside; the
-Dirichlet-to-Neumann maps are therefore diagonal,
+holds the spherical harmonics of degree k: an (n, dim) coefficient array,
+whose slots have the degrees SphereGrid.degrees.  Harmonic extensions
+multiply degree-k coefficients by r^k inside and r^{2-n-k} outside; the
+Dirichlet-to-Neumann maps are therefore per-degree weights,
 
     P_int = k,    P_ext = -(k+n-2),    P_ext - P_int = -(2k+n-2),
 
@@ -55,12 +56,8 @@ from .quadrature import QuadratureRule, gegenbauer_recurrence, omega_n
 
 __all__ = [
     "MatchCorrection",
-    "SHExpansion",
     "SphereGrid",
-    "dtn_solve",
     "match_boundaries",
-    "p_ext",
-    "p_int",
     "sh_analyze",
     "split_theta",
 ]
@@ -118,52 +115,21 @@ class SphereGrid:
         return table.T.reshape(points.shape[:-1] + (len(table),))
 
     @functools.cached_property
-    def theta(self) -> "SHExpansion":
-        """The identity map Theta, exactly degree 1: its coefficient on a
-        degree-1 slot Y is int Theta Y dtheta = (omega_n / n) grad Y."""
+    def theta(self) -> np.ndarray:
+        """Coefficients (n, dim) of the identity map Theta, exactly degree 1:
+        its coefficient on a degree-1 slot Y is int Theta Y dtheta =
+        (omega_n / n) grad Y.  Read-only, as the grid shares it."""
         coeffs = omega_n(self.n) / self.n * self.basis_at(np.eye(self.n))
         coeffs[:, self.degrees != 1] = 0.0
-        return SHExpansion(self, coeffs)
+        coeffs.flags.writeable = False
+        return coeffs
 
 
-@dataclass
-class SHExpansion:
-    """Coefficients (n, dim) of an R^n-valued sphere map in grid's basis."""
-
-    grid: SphereGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        want = (self.grid.n, self.grid.degrees.size)
-        if self.coeffs.shape != want:
-            raise ValueError(f"coefficients must have shape {want}")
-
-    def scaled(self, factors: np.ndarray) -> "SHExpansion":
-        return SHExpansion(self.grid, self.coeffs * factors[None, :])
-
-    def norm(self) -> float:
-        """L^2 norm on the sphere; unlike a coefficient sup it does not
-        depend on the choice of orthonormal basis inside each degree."""
-        return float(np.sqrt(np.sum(self.coeffs * self.coeffs)))
-
-    def __add__(self, other):
-        return SHExpansion(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return SHExpansion(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, c):
-        return SHExpansion(self.grid, self.coeffs * float(c))
-
-    __rmul__ = __mul__
-
-
-def sh_analyze(sample, grid: SphereGrid, rule: QuadratureRule) -> list:
+def sh_analyze(sample, grid: SphereGrid, rule: QuadratureRule) -> np.ndarray:
     """Project m R^n-valued maps onto grid's basis.  `sample` takes a block of
     the rule's nodes (B, n) to their values (B, m, n); the nodes are streamed
     in blocks (of at most _CHUNK_POINTS), with one basis evaluation per
-    block.  Returns a list of m SHExpansions."""
+    block.  Returns the coefficients, shape (m, n, dim)."""
     nodes, weights, dim = rule.nodes, rule.weights, grid.degrees.size
     # at most 1024 basis rows of _CHUNK_POINTS values (64 MB) per block
     block = max(1, min(_CHUNK_POINTS, _CHUNK_POINTS * 1024 // dim))
@@ -173,46 +139,32 @@ def sh_analyze(sample, grid: SphereGrid, rule: QuadratureRule) -> list:
         part = np.asarray(sample(nodes[rows]), dtype=float)
         coeffs = coeffs + grid.basis_at(nodes[rows]).T @ (
             weights[rows, None] * part.reshape(len(part), -1))
-    coeffs = np.moveaxis(coeffs.reshape((dim,) + part.shape[1:]), 0, -1)
-    return [SHExpansion(grid, c) for c in coeffs]
+    return np.moveaxis(coeffs.reshape((dim,) + part.shape[1:]), 0, -1)
 
 
-def p_int(expansion: SHExpansion) -> SHExpansion:
-    """Radial derivative at r = 1 of the interior harmonic extension."""
-    return expansion.scaled(expansion.grid.degrees.astype(float))
-
-
-def p_ext(expansion: SHExpansion) -> SHExpansion:
-    """Radial derivative at r = 1 of the decaying exterior harmonic extension."""
-    return expansion.scaled(-(expansion.grid.degrees + expansion.grid.n - 2.0))
-
-
-def dtn_solve(rhs: SHExpansion) -> SHExpansion:
-    """Solve (P_ext - P_int) Phi = rhs; divide degree-k slots by -(2k+n-2)."""
-    return rhs.scaled(-1.0 / (2.0 * rhs.grid.degrees + rhs.grid.n - 2.0))
-
-
-def split_theta(expansion: SHExpansion):
-    """Split Phi into its Theta-collinear coefficient and orthogonal rest.
+def split_theta(coeffs: np.ndarray, grid: SphereGrid):
+    """Split Phi, coefficients (n, dim) in grid's basis, into its
+    Theta-collinear coefficient and orthogonal rest.
 
     Returns (c, orthogonal) with c = (1/omega_n) int Phi . Theta dtheta and
     orthogonal = Phi - c Theta, whose Theta-projection vanishes.
     """
-    theta_exp = expansion.grid.theta
+    theta = grid.theta
     # L^2 pairing of orthonormal coefficients equals the sphere integral;
     # int |Theta|^2 = omega_n is evaluated through the same coefficients so
     # the split is an exact projector in floating point
-    denom = float(np.sum(theta_exp.coeffs * theta_exp.coeffs))
-    c = float(np.sum(expansion.coeffs * theta_exp.coeffs)) / denom
-    return c, expansion - c * theta_exp
+    denom = float(np.sum(theta * theta))
+    c = float(np.sum(coeffs * theta)) / denom
+    return c, coeffs - c * theta
 
 
 @dataclass
 class MatchCorrection:
     """Solution of the leading-order matching: per-end boundary corrections
-    (outer side Phi, neck side tilde Phi, both Theta-orthogonal) plus the
-    scale updates delta_alpha and delta_beta, each current - solved: the
-    solved scales are alpha_star - delta_alpha and alpha_star - delta_beta."""
+    (outer side Phi, neck side tilde Phi, both Theta-orthogonal, as (n, dim)
+    coefficient arrays) plus the scale updates delta_alpha and delta_beta,
+    each current - solved: the solved scales are alpha_star - delta_alpha and
+    alpha_star - delta_beta."""
 
     phi: list
     phi_tilde: list
@@ -221,17 +173,18 @@ class MatchCorrection:
     residual_norm: float
 
 
-def match_boundaries(config: Configuration, alpha_star: np.ndarray,
+def match_boundaries(config: Configuration, alpha_star: np.ndarray, grid: SphereGrid,
                      discrepancies, gamma: np.ndarray) -> MatchCorrection:
     """Solve the linear skeleton of the matching equations.
 
-    discrepancies: per end j, a pair (value_gap, conormal_gap) of
-    SHExpansions; the conormal entry is already scaled by rho_*.  The
-    orthogonal parts are eliminated per end through the diagonal DtN
-    difference; the collinear parts yield the per-end 2x2 systems and one
-    global solve with the configuration's Gamma (invertible: H2 holds).
-    The surface is the one built at alpha = beta = alpha_star; the returned
-    delta_alpha and delta_beta are current - solved, relative to it.
+    discrepancies: per end j, a pair (value_gap, conormal_gap) of (n, dim)
+    coefficient arrays in grid's basis; the conormal entry is already scaled
+    by rho_*.  The orthogonal parts are eliminated per end through the DtN
+    maps, applied as the per-degree weights P_int = k and P_ext = -(k+n-2);
+    the collinear parts yield the per-end 2x2 systems and one global solve
+    with the configuration's Gamma (invertible: H2 holds).  The surface is
+    the one built at alpha = beta = alpha_star; the returned delta_alpha and
+    delta_beta are current - solved, relative to it.
     """
     if config.n < 3:
         raise ValueError(f"the DtN difference -(2k+n-2) vanishes on constants at "
@@ -244,22 +197,28 @@ def match_boundaries(config: Configuration, alpha_star: np.ndarray,
         raise ValueError("one discrepancy pair per end required")
     eps, rho, n = config.epsilon, config.rho_star, config.n
     om = omega_n(n)
+    interior = grid.degrees.astype(float)             # P_int
+    exterior = -(grid.degrees + n - 2.0)              # P_ext
+    inverse = -1.0 / (2.0 * grid.degrees + n - 2.0)   # of P_ext - P_int
+
+    def norm(coeffs):   # L^2 norm on the sphere, independent of the basis in each degree
+        return float(np.sqrt(np.sum(coeffs * coeffs)))
 
     phi, phi_tilde = [], []
     u, w = np.empty(k), np.empty(k)
     resid = 0.0   # post-solve residual of all four equation blocks
     for j, (value_gap, conormal_gap) in enumerate(discrepancies):
-        c1, g1o = split_theta(value_gap)
-        c2, g2o = split_theta(conormal_gap)
+        c1, g1o = split_theta(value_gap, grid)
+        c2, g2o = split_theta(conormal_gap, grid)
         # collinear 2x2: u + w = c1, (1-n) u + w = c2
         u[j] = (c1 - c2) / n
         w[j] = c1 - u[j]
-        # orthogonal elimination
-        pj = dtn_solve(g2o - p_int(g1o))
+        # orthogonal elimination: (P_ext - P_int) Phi_j = g2 - P_int g1
+        pj = (g2o - g1o * interior) * inverse
         phi.append(pj)
         phi_tilde.append(pj - g1o)
-        resid = max(resid, (pj - phi_tilde[j] - g1o).norm(),
-                    (p_ext(pj) - p_int(phi_tilde[j]) - g2o).norm())
+        resid = max(resid, norm(pj - phi_tilde[j] - g1o),
+                    norm(pj * exterior - phi_tilde[j] * interior - g2o))
 
     delta_alpha = np.linalg.solve(gamma, om * w / (eps * rho))
     delta_beta = delta_alpha - u * rho ** (n - 1) / eps

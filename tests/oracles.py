@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 
 from neckglue.assembler import GluedSurface
 from neckglue.geometry import AmbientPoint, _stencil_valid, central_difference, sphere_chart
-from neckglue.matching import SHExpansion, SphereGrid
+from neckglue.matching import SphereGrid
 from neckglue.neck import NeckParams, NormalField, SphereGridOps
 from neckglue.quadrature import omega_n
 from neckglue.spectrum import ModeSolution, mode_system_matrix
@@ -120,25 +120,21 @@ def full_grid_linearized_apply(field: NormalField) -> NormalField:
     return NormalField(n=n, s=s, angle_grids=field.angle_grids, f=F, T=TT, valid=valid)
 
 
-def zero_expansion(grid: SphereGrid) -> SHExpansion:
-    """The zero map in grid's basis."""
-    return SHExpansion(grid, np.zeros((grid.n, grid.degrees.size)))
+def sh_synthesize(coeffs: np.ndarray, grid: SphereGrid, points) -> np.ndarray:
+    """Evaluate the map with coefficients (n, dim) in grid's basis at unit
+    vectors points (..., n)."""
+    return grid.basis_at(points) @ coeffs.T
 
 
-def sh_synthesize(expansion: SHExpansion, points) -> np.ndarray:
-    """Evaluate the expansion at unit vectors points (..., n)."""
-    return expansion.grid.basis_at(points) @ expansion.coeffs.T
-
-
-def harmonic_extension(expansion: SHExpansion, side: str, points) -> np.ndarray:
-    """Evaluate the harmonic extension at points x (..., n) of R^n.
+def harmonic_extension(coeffs: np.ndarray, grid: SphereGrid, side: str, points) -> np.ndarray:
+    """Evaluate the harmonic extension of the map with coefficients (n, dim)
+    in grid's basis at points x (..., n) of R^n.
 
     side "interior" uses |x|^k (|x| <= 1); "exterior" uses |x|^{2-n-k}
     (|x| >= 1), the unique extension decaying at infinity.
     """
     points = np.asarray(points, dtype=float)
     r = np.linalg.norm(points, axis=-1, keepdims=True)
-    grid = expansion.grid
     if side == "interior":
         if np.any(r > 1.0 + 1e-12):
             raise ValueError("interior extension needs |x| <= 1")
@@ -151,7 +147,7 @@ def harmonic_extension(expansion: SHExpansion, side: str, points) -> np.ndarray:
         raise ValueError("side must be 'interior' or 'exterior'")
     # at the origin only the constant survives r^k; any direction serves
     direction = points / np.where(r > 0.0, r, 1.0)
-    return (radial * grid.basis_at(direction)) @ expansion.coeffs.T
+    return (radial * grid.basis_at(direction)) @ coeffs.T
 
 
 def hausdorff_to_planes(surface: GluedSurface, exclusion: float) -> float:

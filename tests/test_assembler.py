@@ -19,7 +19,7 @@ from neckglue.assembler import _boundary_samples, _point_rows
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.green import GreenData, regular_part
 from neckglue.geometry import ImmersionPatch, sphere_chart
-from neckglue.matching import split_theta
+from neckglue.matching import SphereGrid, split_theta
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
 from neckglue.quadrature import omega_n, product_gauss_rule
 
@@ -167,7 +167,7 @@ class TestAssemble:
         system = build_interaction_system(cfg)
         surf = assemble(cfg, system.alpha, default_grid(cfg))
         rule = RULE3
-        step = matching_step(surf, system.gamma, boundary_gap(surf, rule, 8)[1], rule)
+        step = matching_step(surf, system.gamma, boundary_gap(surf, rule, 8)[1], rule, 8)
         assert step["residual_norm"] < 1e-10 and step["max_relative_delta"] < 0.1
         with pytest.raises(AssertionError, match="a patch was built"):
             surf.necks
@@ -330,7 +330,7 @@ def measured_matching(cfg, degree=8, grid=COARSE, nodes=32):
     system = build_interaction_system(cfg)
     surf = assemble(cfg, system.alpha, grid or default_grid(cfg))
     rule = product_gauss_rule(cfg.n, nodes)
-    return matching_step(surf, system.gamma, boundary_gap(surf, rule, degree)[1], rule)
+    return matching_step(surf, system.gamma, boundary_gap(surf, rule, degree)[1], rule, degree)
 
 
 TWIST4 = np.eye(4)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]  # e2 -> e3
@@ -400,7 +400,7 @@ class TestMatchingStep:
         rule = product_gauss_rule(2, 32)
         _, discrepancies = boundary_gap(surf, rule, 8)
         with pytest.raises(ValueError, match="vanishes on constants at n = 2"):
-            matching_step(surf, system.gamma, discrepancies, rule)
+            matching_step(surf, system.gamma, discrepancies, rule, 8)
 
     def test_n4_delta_alpha_quadratic_in_epsilon(self, n4_steps):
         sizes = [np.max(np.abs(n4_steps[eps]["delta_alpha"])) for eps in N4_EPS]
@@ -426,7 +426,8 @@ def collinear_gaps(cfg, alpha, beta, rule):
     """(c1_j, c2_j): the Theta coefficients of each end's value and conormal
     gap on the surface with outer scales alpha and neck scales beta."""
     _, discrepancies = boundary_gap(assemble(cfg, alpha, default_grid(cfg), beta=beta), rule, 8)
-    return np.array([[split_theta(value)[0], split_theta(conormal)[0]]
+    grid = SphereGrid(cfg.n, 8)
+    return np.array([[split_theta(value, grid)[0], split_theta(conormal, grid)[0]]
                      for value, conormal in discrepancies])
 
 
@@ -442,7 +443,7 @@ class TestMatchingOrientation:
         system = build_interaction_system(cfg)
         surf = assemble(cfg, system.alpha, default_grid(cfg))
         _, discrepancies = boundary_gap(surf, rule, 8)
-        return system.alpha, matching_step(surf, system.gamma, discrepancies, rule)
+        return system.alpha, matching_step(surf, system.gamma, discrepancies, rule, 8)
 
     def fed_back_gaps(self, cfg, rule):
         """sup|c1, c2| before the step, after it, and after it with delta_beta

@@ -177,8 +177,11 @@ class TestCommands:
         doc = {"n": n, "points": [np.eye(n)[0].tolist(), (-np.eye(n)[0]).tolist()],
                "rotations": [np.eye(n).tolist()] * 2, "A0": np.eye(n).tolist(),
                "epsilon": 1e-4, "rho_star": 0.45,
-               # sh_degree 7 is the largest that 16 nodes resolve
-               "options": {} if nodes is None else {"quadrature_nodes": nodes, "sh_degree": 7}}
+               # sh_degree 7 is the largest that 16 nodes resolve; the default
+               # grids hold more than the patch cap allows at n = 5 and 6
+               "options": {} if nodes is None else {
+                   "quadrature_nodes": nodes, "sh_degree": 7, "outer_spacing": 1.0,
+                   "neck_angle_nodes": [8] * (n - 2) + [16]}}
         cfg = write_config(tmp_path, doc)
         if accepted:
             assert parse_config(cfg)[1]["quadrature_nodes"] == nodes
@@ -220,11 +223,72 @@ class TestCommands:
             assert main(["glue", write_config(tmp_path, doc)]) == 2
             assert "outer_spacing must be below the outer box half-width 3.23607" \
                 in capsys.readouterr().err
-        # so is the default rho_* / 4, as when it is spelled out: at rho_* = 13
-        # the balls cover the whole box
+        # at rho_* = 13 the default rho_* / 4 sat above it; the balls overlap
+        # there, which is refused first, and with disjoint balls rho_* / 4 is
+        # always below the half-width
         assert main(["validate", write_config(tmp_path, dict(FLAGSHIP, rho_star=13.0))]) == 2
-        assert "outer_spacing must be below the outer box half-width 3.23607, got 3.25" \
+        assert "rho_star 13.0 must be below half the smallest end separation 2" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "interaction", "glue"])
+    @pytest.mark.parametrize("rho_star", [1.0, 1.2])
+    def test_overlapping_balls_refused(self, tmp_path, capsys, command, rho_star):
+        # the ends are 2 apart: at rho_* = 1.2 glue used to pass every check
+        doc = dict(FLAGSHIP, rho_star=rho_star, epsilon=1e-6)
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        assert f"rho_star {rho_star} must be below half the smallest end separation 2, " \
+            "so that the rho_* balls are disjoint" in capsys.readouterr().err
+
+    def test_balls_just_apart_accepted(self, tmp_path):
+        assert parse_config(write_config(tmp_path, dict(FLAGSHIP, rho_star=0.999)))[0].rho_star \
+            == 0.999
+
+    @staticmethod
+    def quarter_turn_n5_doc(**options):
+        from conftest import quarter_turn_n5
+
+        cfg = quarter_turn_n5()
+        return {"n": 5, "points": cfg.points.tolist(), "rotations": cfg.rotations.tolist(),
+                "A0": cfg.A0.tolist(), "epsilon": cfg.epsilon, "rho_star": cfg.rho_star,
+                "options": options}
+
+    @pytest.mark.parametrize("command", ["validate", "glue"])
+    @pytest.mark.parametrize("case, message", [
+        ("flagship-spacing-0.01", "outer_spacing 0.01 grids the outer box with 648^3 nodes, "
+                                  "13.1 GB of samples, above the 1.25 GB cap"),
+        ("n5-default", "outer_spacing 0.1125 grids the outer box with 59^5 nodes, 57.2 GB"),
+        ("n5-spacing-0.5", "neck_s_nodes x neck_angle_nodes grid each neck with "
+                           "48 x 24 x 24 x 24 x 48 nodes, 2.55 GB of samples"),
+        ("flagship-spacing-tiny", "outer_spacing 5e-324 grids the outer box"),
+        ("flagship-neck-huge", "neck_s_nodes x neck_angle_nodes grid each neck with 1000"),
+    ])
+    def test_patch_too_large_refused(self, tmp_path, capsys, monkeypatch, command, case,
+                                     message):
+        # refused in parse_config, before glue builds anything
+        from neckglue import assembler
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a patch was built")
+
+        monkeypatch.setattr(assembler, "graph_patch", refused)
+        monkeypatch.setattr(assembler, "neck_patch", refused)
+        doc = {"flagship-spacing-0.01": dict(FLAGSHIP, options={"outer_spacing": 0.01}),
+               "n5-default": self.quarter_turn_n5_doc(),
+               "n5-spacing-0.5": self.quarter_turn_n5_doc(outer_spacing=0.5),
+               "flagship-spacing-tiny": dict(FLAGSHIP, options={"outer_spacing": 5e-324}),
+               "flagship-neck-huge": dict(FLAGSHIP, options={"neck_s_nodes": 10**400}),
+               }[case]
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_patch_cap_keeps_n4_defaults(self, tmp_path):
+        # a 59^4 box of 0.77 GB and 85 MB necks, on which glue passes at n = 4
+        n = 4
+        turn = np.eye(n)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]
+        doc = {"n": n, "points": [np.eye(n)[0].tolist(), (-np.eye(n)[0]).tolist()],
+               "rotations": [np.eye(n).tolist(), turn.tolist()], "A0": np.eye(n).tolist(),
+               "epsilon": 1e-6, "rho_star": 0.45}
+        assert main(["validate", write_config(tmp_path, doc)]) == 0
 
     @pytest.mark.parametrize("key, value, message", [
         ("neck_s_nodes", 1, "neck_s_nodes must be >= 5"),
@@ -322,7 +386,7 @@ class TestCommands:
         assert sec["coexact"] == ["3/2", "-3/2"]
 
     def test_dtn_command_removed(self):
-        # it compared p_ext - p_int with the diagonal the two define; the DtN
+        # it compared P_ext - P_int with the diagonal the two define; the DtN
         # identity itself is checked by FD radial derivatives in test_matching
         with pytest.raises(SystemExit) as exc:
             main(["dtn"])
@@ -862,8 +926,39 @@ class TestPeakMemory:
                 "surf = assemble(cfg, system.alpha, GridSpec(48, [24, 24, 24, 48], 0.1125))\n"
                 f"rule = product_gauss_rule(5, {nodes})\n"
                 f"_, discrepancies = boundary_gap(surf, rule, {degree})\n"
-                "matching_step(surf, system.gamma, discrepancies, rule)\n")
+                f"matching_step(surf, system.gamma, discrepancies, rule, {degree})\n")
         code = ("import resource, subprocess, sys\n"
                 f"subprocess.run([sys.executable, '-c', {work!r}], check=True)\n"
                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
         assert int(_fresh_python(code)) < 300 * 1024   # KiB on Linux
+
+    @pytest.mark.parametrize("command", ["validate", "glue"])
+    def test_refused_box_allocates_nothing(self, tmp_path, command):
+        # the flagship at outer_spacing 0.01 would grid a 648^3 box of 13.1 GB;
+        # the patch cap refuses it in parse_config, at the ~35 MB the
+        # interpreter and numpy take
+        cfg = write_config(tmp_path, dict(FLAGSHIP, options={"outer_spacing": 0.01}))
+        work = ("import sys\nfrom neckglue.cli import main\n"
+                f"sys.exit(main([{command!r}, {cfg!r}]))\n")
+        code = ("import resource, subprocess, sys\n"
+                f"rc = subprocess.run([sys.executable, '-c', {work!r}], "
+                "stderr=subprocess.DEVNULL)\n"
+                "print(rc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        rc, peak = _fresh_python(code).split()
+        assert rc == "2" and int(peak) < 100 * 1024   # KiB on Linux
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_benchmark_flagship_gate(workloads, seed, tmp_path, monkeypatch):
+    """The flagship_export certificate check of the benchmark, through its own
+    Flagship workload, on a glue run without --export: every report check,
+    alpha and the balance residual, and at seed 0 the FD and analytic
+    curvature sups against the reference.  The export bytes are checked by
+    test_assembler's export tests."""
+    ref = json.loads((REPO / "bench" / "reference.json").read_text())
+    inputs = workloads.make_inputs("flagship_export", seed, str(REPO), str(tmp_path))
+    gate = workloads.Flagship(inputs, str(tmp_path))
+    gate.setup()
+    monkeypatch.setattr(gate, "_check_export", list)
+    rc = main(["glue", inputs["config"], "--report", gate.report])
+    assert gate.check(rc, ref, seed) == []

@@ -354,6 +354,24 @@ class TestGraphPatch:
         slope = np.polyfit(np.log(eps_values), np.log(sups), 1)[0]
         assert abs(slope - 3.0) < 0.3
 
+    def test_analytic_sup_converges_at_tiny_eps(self):
+        # sup|H|/eps^3 on the flagship box tends to its limit like eps^2 (it
+        # reads 90630211.5972, .7056 and .7067 at eps = 1e-7, 1e-8, 1e-9);
+        # contracting g^{-1} itself, with g = I + O(eps^2), lost it to the
+        # cancellation: 90638498.8 and 89751604.8 at eps = 1e-8 and 1e-9.
+        # The sup sits in the shells rho_* < |x - x_j| < 2 rho_*
+        sups = []
+        for eps in (1e-8, 1e-9):
+            cfg = flagship_at(eps)
+            data = GreenData(cfg, np.array([4.0, 12.0]))
+            patch = graph_patch(data, cfg.rho_star / 4)
+            x = patch.samples[..., :3][patch.mask]
+            shells = np.min(np.linalg.norm(x[:, None] - cfg.points, axis=-1), axis=1) \
+                < 2 * cfg.rho_star
+            H = graph_mean_curvature(data, x[shells])
+            sups.append(np.linalg.norm(H, axis=-1).max() / eps**3)
+        assert abs(sups[0] - sups[1]) < 1e-8 * sups[1]
+
 
 class TestStreamedCurvature:
     """graph_mean_curvature in blocks of _CHUNK_POINTS, against the rank-3

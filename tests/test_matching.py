@@ -8,18 +8,14 @@ from numpy.testing import assert_allclose
 from neckglue.config import Configuration, build_interaction_system
 from neckglue.matching import (
     MatchCorrection,
-    SHExpansion,
     SphereGrid,
-    dtn_solve,
     match_boundaries,
-    p_ext,
-    p_int,
     sh_analyze,
     split_theta,
 )
 from neckglue.quadrature import omega_n, product_gauss_rule
 
-from oracles import harmonic_extension, sh_synthesize, zero_expansion
+from oracles import harmonic_extension, sh_synthesize
 
 
 L = 8
@@ -44,7 +40,17 @@ def random_expansion(rng, scale=1.0, degrees=None, grid=GRID):
     coeffs = scale * rng.standard_normal((grid.n, grid.degrees.size))
     if degrees is not None:
         coeffs[:, ~np.isin(grid.degrees, degrees)] = 0.0
-    return SHExpansion(grid, coeffs)
+    return coeffs
+
+
+def dtn_weights(grid):
+    """The paper's sphere DtN maps on grid's slots, (P_int, P_ext) = (k, -(k+n-2)):
+    the weights match_boundaries applies."""
+    return grid.degrees.astype(float), -(grid.degrees + grid.n - 2.0)
+
+
+def l2(coeffs):
+    return float(np.sqrt(np.sum(coeffs * coeffs)))
 
 
 def polar(theta, phi):
@@ -53,10 +59,10 @@ def polar(theta, phi):
                      math.cos(theta)])
 
 
-def degree_norms(expansion):
+def degree_norms(coeffs, grid):
     """L^2 norm of each degree-k part."""
-    sq = np.sum(expansion.coeffs**2, axis=0)
-    return np.sqrt(np.bincount(expansion.grid.degrees, weights=sq))
+    sq = np.sum(coeffs**2, axis=0)
+    return np.sqrt(np.bincount(grid.degrees, weights=sq))
 
 
 class TestBasis:
@@ -122,87 +128,99 @@ class TestBasis:
         q, _ = np.linalg.qr(m)
         exp = random_expansion(np.random.default_rng(seed), grid=grid)
         rule = exact_rule(grid)
-        turned, = sh_analyze(lambda p: sh_synthesize(exp, p @ q)[:, None], grid, rule)
-        assert_allclose(degree_norms(turned), degree_norms(exp), rtol=1e-10)
+        turned, = sh_analyze(lambda p: sh_synthesize(exp, grid, p @ q)[:, None], grid, rule)
+        assert_allclose(degree_norms(turned, grid), degree_norms(exp, grid), rtol=1e-10)
 
 
 class TestAnalyzeSynthesize:
     def test_constant_map(self):
         exp, = sh_analyze(lambda p: np.tile([1.0, -2.0, 0.5], (len(p), 1, 1)), GRID, RULE)
-        assert np.max(np.abs(exp.coeffs[:, 1:])) < 1e-13
-        back = sh_synthesize(exp, polar(0.7, 1.1))
+        assert np.max(np.abs(exp[:, 1:])) < 1e-13
+        back = sh_synthesize(exp, GRID, polar(0.7, 1.1))
         assert_allclose(back, [1.0, -2.0, 0.5], atol=1e-13)
 
     def test_identity_map_is_degree_one(self):
         exp, = sh_analyze(lambda p: p[:, None], GRID, RULE)
-        assert np.max(np.abs(exp.coeffs[:, DEG != 1])) < 1e-13
-        assert np.max(np.abs(exp.coeffs[:, DEG == 1])) > 1.0
+        assert np.max(np.abs(exp[:, DEG != 1])) < 1e-13
+        assert np.max(np.abs(exp[:, DEG == 1])) > 1.0
 
     def test_theta_closed_form_matches_analysis(self, grid):
         # (omega_n / n) basis_at(e_i) on the degree-1 slots, zero elsewhere
         exp, = sh_analyze(lambda p: p[:, None], grid, exact_rule(grid))
-        assert np.max(np.abs(grid.theta.coeffs - exp.coeffs)) < 1e-13
-        assert np.all(grid.theta.coeffs[:, grid.degrees != 1] == 0.0)
+        assert np.max(np.abs(grid.theta - exp)) < 1e-13
+        assert np.all(grid.theta[:, grid.degrees != 1] == 0.0)
 
     def test_stacked_maps_analyze_together(self):
         rng = np.random.default_rng(15)
         exps = [random_expansion(rng) for _ in range(3)]
 
         def sample(nodes):
-            return np.stack([sh_synthesize(e, nodes) for e in exps], axis=1)
+            return np.stack([sh_synthesize(e, GRID, nodes) for e in exps], axis=1)
 
-        for one, e in zip(sh_analyze(sample, GRID, RULE), exps):
-            assert np.max(np.abs(one.coeffs - e.coeffs)) < 1e-10
+        coeffs = sh_analyze(sample, GRID, RULE)
+        assert coeffs.shape == (3, 3, DEG.size)
+        for one, e in zip(coeffs, exps):
+            assert np.max(np.abs(one - e)) < 1e-10
 
     def test_band_limited_round_trip(self):
         rng = np.random.default_rng(0)
         exp = random_expansion(rng)
-        back, = sh_analyze(lambda p: sh_synthesize(exp, p)[:, None], GRID, RULE)
-        assert np.max(np.abs(back.coeffs - exp.coeffs)) < 1e-10
+        back, = sh_analyze(lambda p: sh_synthesize(exp, GRID, p)[:, None], GRID, RULE)
+        assert np.max(np.abs(back - exp)) < 1e-10
+
+
+def solve_at_end_zero(config, g1, g2):
+    """(Phi, tilde Phi) that match_boundaries solves for end 0 from the gaps
+    (g1, g2) there and none at end 1."""
+    system = build_interaction_system(config)
+    zero = np.zeros_like(g1)
+    corr = match_boundaries(config, system.alpha, GRID, [(g1, g2), (zero, zero)],
+                            gamma=system.gamma)
+    return corr.phi[0], corr.phi_tilde[0]
 
 
 class TestDtN:
-    def test_p_int_kills_constants(self):
+    def test_interior_weight_kills_constants(self):
         rng = np.random.default_rng(1)
-        exp = random_expansion(rng, degrees=[0])
-        assert np.max(np.abs(p_int(exp).coeffs)) == 0.0
+        coeffs = random_expansion(rng, degrees=[0])
+        assert np.max(np.abs(coeffs * dtn_weights(GRID)[0])) == 0.0
 
-    def test_p_ext_degree_one(self):
+    def test_exterior_weight_degree_one(self):
         rng = np.random.default_rng(2)
-        exp = random_expansion(rng, degrees=[1])
-        assert_allclose(p_ext(exp).coeffs, -2.0 * exp.coeffs, atol=1e-15)
+        coeffs = random_expansion(rng, degrees=[1])
+        assert_allclose(coeffs * dtn_weights(GRID)[1], -2.0 * coeffs, atol=1e-15)
 
     def test_difference_degree_two(self):
         rng = np.random.default_rng(3)
-        exp = random_expansion(rng, degrees=[2])
-        diff = p_ext(exp) - p_int(exp)
-        assert_allclose(diff.coeffs, -5.0 * exp.coeffs, atol=1e-15)
+        coeffs = random_expansion(rng, degrees=[2])
+        interior, exterior = dtn_weights(GRID)
+        assert_allclose(coeffs * exterior - coeffs * interior, -5.0 * coeffs, atol=1e-15)
 
     def test_eigenvalues_strictly_negative(self):
         eigs = -(2.0 * DEG + 1.0)
         assert np.all(eigs < 0)
-        # basis sweep: the operator is exactly diagonal
-        for slot in range(0, (L + 1) ** 2, 7):
-            e = np.zeros((3, (L + 1) ** 2))
-            e[1, slot] = 1.0
-            diff = p_ext(SHExpansion(GRID, e)) - p_int(SHExpansion(GRID, e))
-            assert np.max(np.abs(diff.coeffs - eigs[slot] * e)) == 0.0
+        interior, exterior = dtn_weights(GRID)
+        assert np.array_equal(exterior - interior, eigs)
 
-    def test_dtn_solve_zero(self):
-        out = dtn_solve(zero_expansion(GRID))
-        assert np.max(np.abs(out.coeffs)) == 0.0
+    def test_solve_zero_right_hand_side(self, flagship):
+        # g2 = P_int g1 leaves (P_ext - P_int) Phi = 0: Phi = 0, tilde Phi = -g1
+        g1 = split_theta(random_expansion(np.random.default_rng(4)), GRID)[1]
+        phi, phi_tilde = solve_at_end_zero(flagship, g1, g1 * dtn_weights(GRID)[0])
+        assert np.max(np.abs(phi)) < 1e-15
+        assert np.max(np.abs(phi_tilde + g1)) < 1e-15
 
-    def test_dtn_solve_degree_zero(self):
-        rng = np.random.default_rng(4)
-        rhs = random_expansion(rng, degrees=[0])
-        assert_allclose(dtn_solve(rhs).coeffs, -rhs.coeffs, atol=1e-16)
+    def test_solve_degree_zero(self, flagship):
+        # -(2k+n-2) is -1 on the constants at n = 3
+        rhs = random_expansion(np.random.default_rng(4), degrees=[0])
+        phi, phi_tilde = solve_at_end_zero(flagship, np.zeros_like(rhs), rhs)
+        assert_allclose(phi, -rhs, atol=1e-16)
+        assert np.array_equal(phi_tilde, phi)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        rhs = random_expansion(rng)
-        phi = dtn_solve(rhs)
-        back = p_ext(phi) - p_int(phi)
-        assert np.max(np.abs(back.coeffs - rhs.coeffs)) < 1e-12
+    def test_round_trip(self, flagship):
+        rhs = split_theta(random_expansion(np.random.default_rng(5)), GRID)[1]
+        phi, _ = solve_at_end_zero(flagship, np.zeros_like(rhs), rhs)
+        interior, exterior = dtn_weights(GRID)
+        assert np.max(np.abs(phi * exterior - phi * interior - rhs)) < 1e-12
 
 
 class TestHarmonicExtension:
@@ -210,28 +228,28 @@ class TestHarmonicExtension:
         rng = np.random.default_rng(6)
         exp = random_expansion(rng)
         x = polar(0.9, 2.0)
-        assert_allclose(harmonic_extension(exp, "interior", x), sh_synthesize(exp, x),
-                        atol=1e-13)
+        assert_allclose(harmonic_extension(exp, GRID, "interior", x),
+                        sh_synthesize(exp, GRID, x), atol=1e-13)
 
     def test_exterior_degree_one_decay(self):
         rng = np.random.default_rng(7)
         exp = random_expansion(rng, degrees=[1])
         x = polar(1.2, 0.3)
-        vals = harmonic_extension(exp, "exterior", 2.0 * x)
-        assert_allclose(vals, 0.25 * sh_synthesize(exp, x), atol=1e-14)
+        vals = harmonic_extension(exp, GRID, "exterior", 2.0 * x)
+        assert_allclose(vals, 0.25 * sh_synthesize(exp, GRID, x), atol=1e-14)
 
     def test_exterior_tends_to_zero(self):
         rng = np.random.default_rng(8)
         exp = random_expansion(rng)
-        far = harmonic_extension(exp, "exterior", 1e4 * polar(1.0, 1.0))
+        far = harmonic_extension(exp, GRID, "exterior", 1e4 * polar(1.0, 1.0))
         assert np.max(np.abs(far)) < 1e-3
 
     def test_side_guards(self):
-        exp = zero_expansion(GRID)
+        exp = np.zeros((GRID.n, DEG.size))
         with pytest.raises(ValueError):
-            harmonic_extension(exp, "interior", 1.5 * polar(0.5, 0.5))
+            harmonic_extension(exp, GRID, "interior", 1.5 * polar(0.5, 0.5))
         with pytest.raises(ValueError):
-            harmonic_extension(exp, "exterior", 0.5 * polar(0.5, 0.5))
+            harmonic_extension(exp, GRID, "exterior", 0.5 * polar(0.5, 0.5))
 
     def test_radial_derivative_matches_operators(self, grid):
         # one-sided five-point O(h^4) radial derivative at r = 1
@@ -241,14 +259,15 @@ class TestHarmonicExtension:
         x = rng.standard_normal(grid.n)
         x /= np.linalg.norm(x)
         stencil = np.array([25.0 / 12, -4.0, 3.0, -4.0 / 3, 0.25]) / h
-        for side, op, orient in (("interior", p_int, -1.0), ("exterior", p_ext, +1.0)):
+        for side, weight, orient in zip(("interior", "exterior"), dtn_weights(grid),
+                                        (-1.0, +1.0)):
             vals = sum(
-                c * harmonic_extension(exp, side, (1.0 + orient * k * h) * x)
+                c * harmonic_extension(exp, grid, side, (1.0 + orient * k * h) * x)
                 for k, c in enumerate(stencil)
             )
             # the backward stencil yields +f'; on forward points it flips sign
             fd = -orient * vals
-            target = sh_synthesize(op(exp), x)
+            target = sh_synthesize(exp * weight, grid, x)
             assert np.max(np.abs(fd - target)) < 1e-8
 
     def test_fd_laplacian_vanishes(self, grid):
@@ -261,53 +280,54 @@ class TestHarmonicExtension:
         for _ in range(5):
             p = rng.uniform(-0.4, 0.4, n)
             p[-1] += 0.3
-            lap = -2.0 * n * harmonic_extension(exp, "interior", p)
+            lap = -2.0 * n * harmonic_extension(exp, grid, "interior", p)
             for e in h * np.eye(n):
-                lap = lap + harmonic_extension(exp, "interior", np.stack([p + e, p - e])).sum(0)
+                lap = lap + harmonic_extension(exp, grid, "interior",
+                                               np.stack([p + e, p - e])).sum(0)
             assert np.max(np.abs(lap / h**2)) < 1e-4  # ~ h^2 * degree^4 scale
 
 
 class TestSplitTheta:
     def test_pure_collinear(self):
-        c, orth = split_theta(3.7 * GRID.theta)
+        c, orth = split_theta(3.7 * GRID.theta, GRID)
         assert abs(c - 3.7) < 1e-13
-        assert orth.norm() < 1e-13
+        assert l2(orth) < 1e-13
 
     def test_pure_orthogonal(self):
         rng = np.random.default_rng(11)
         exp = random_expansion(rng)
-        _, orth = split_theta(exp)
-        c2, _ = split_theta(orth)
+        _, orth = split_theta(exp, GRID)
+        c2, _ = split_theta(orth, GRID)
         assert abs(c2) < 1e-13
 
     def test_reassembly(self):
         rng = np.random.default_rng(12)
         exp = random_expansion(rng)
-        c, orth = split_theta(exp)
+        c, orth = split_theta(exp, GRID)
         back = orth + c * GRID.theta
-        assert np.max(np.abs(back.coeffs - exp.coeffs)) < 1e-12
+        assert np.max(np.abs(back - exp)) < 1e-12
 
     def test_matches_integral_definition(self, grid):
         rng = np.random.default_rng(13)
         exp = random_expansion(rng, grid=grid)
         rule = exact_rule(grid)
-        vals = sh_synthesize(exp, rule.nodes)
+        vals = sh_synthesize(exp, grid, rule.nodes)
         integral = float(np.sum(rule.weights * np.sum(vals * rule.nodes, axis=-1)))
-        c, orth = split_theta(exp)
+        c, orth = split_theta(exp, grid)
         assert abs(c - integral / omega_n(grid.n)) < 1e-12
-        assert abs(split_theta(orth)[0]) < 1e-13
+        assert abs(split_theta(orth, grid)[0]) < 1e-13
 
 
 def forward_discrepancies(cfg, gamma, dalpha, dbeta, phis, phi_tildes):
     """Build the boundary discrepancies generated by known corrections."""
     eps, rho, n = cfg.epsilon, cfg.rho_star, cfg.n
-    theta_exp = GRID.theta
+    interior, exterior = dtn_weights(GRID)
     w = (eps / omega_n(n)) * (gamma @ dalpha) * rho
     u = eps * (dalpha - dbeta) * rho ** (1 - n)
     out = []
     for j in range(cfg.k):
-        g1 = (phis[j] - phi_tildes[j]) + (u[j] + w[j]) * theta_exp
-        g2 = (p_ext(phis[j]) - p_int(phi_tildes[j])) + ((1 - n) * u[j] + w[j]) * theta_exp
+        g1 = (phis[j] - phi_tildes[j]) + (u[j] + w[j]) * GRID.theta
+        g2 = (phis[j] * exterior - phi_tildes[j] * interior) + ((1 - n) * u[j] + w[j]) * GRID.theta
         out.append((g1, g2))
     return out
 
@@ -315,27 +335,26 @@ def forward_discrepancies(cfg, gamma, dalpha, dbeta, phis, phi_tildes):
 class TestMatchBoundaries:
     def test_zero_discrepancy(self, flagship):
         system = build_interaction_system(flagship)
-        zeros = [(zero_expansion(GRID), zero_expansion(GRID)) for _ in range(2)]
-        corr = match_boundaries(flagship, system.alpha, zeros, gamma=system.gamma)
+        zeros = [(np.zeros((3, DEG.size)), np.zeros((3, DEG.size))) for _ in range(2)]
+        corr = match_boundaries(flagship, system.alpha, GRID, zeros, gamma=system.gamma)
         assert np.max(np.abs(corr.delta_alpha)) < 1e-15
         assert np.max(np.abs(corr.delta_beta)) < 1e-15
         for p in corr.phi + corr.phi_tilde:
-            assert p.norm() == 0.0
+            assert l2(p) == 0.0
         assert corr.residual_norm < 1e-15
 
     def test_collinear_only_single_end_two_by_two(self, flagship):
         # discrepancy collinear with Theta at one end only: Phi corrections
         # vanish and (u, w) comes from the exact 2x2 inversion
         system = build_interaction_system(flagship)
-        theta_exp = GRID.theta
         c1, c2 = 3e-4, -1e-4
         disc = [
-            (c1 * theta_exp, c2 * theta_exp),
-            (zero_expansion(GRID), zero_expansion(GRID)),
+            (c1 * GRID.theta, c2 * GRID.theta),
+            (np.zeros((3, DEG.size)), np.zeros((3, DEG.size))),
         ]
-        corr = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
+        corr = match_boundaries(flagship, system.alpha, GRID, disc, gamma=system.gamma)
         for p in corr.phi + corr.phi_tilde:
-            assert p.norm() < 1e-18
+            assert l2(p) < 1e-18
         u0 = (c1 - c2) / 3.0
         w = np.array([c1 - u0, 0.0])
         expect_dalpha = np.linalg.solve(
@@ -354,15 +373,15 @@ class TestMatchBoundaries:
             rng = np.random.default_rng(900 + trial)
             dalpha = rng.standard_normal(2)
             dbeta = rng.standard_normal(2)
-            phis = [split_theta(random_expansion(rng, scale))[1] for _ in range(2)]
-            phts = [split_theta(random_expansion(rng, scale))[1] for _ in range(2)]
+            phis = [split_theta(random_expansion(rng, scale), GRID)[1] for _ in range(2)]
+            phts = [split_theta(random_expansion(rng, scale), GRID)[1] for _ in range(2)]
             disc = forward_discrepancies(flagship, system.gamma, dalpha, dbeta, phis, phts)
-            corr = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
+            corr = match_boundaries(flagship, system.alpha, GRID, disc, gamma=system.gamma)
             err = max(
                 np.max(np.abs(corr.delta_alpha - dalpha)),
                 np.max(np.abs(corr.delta_beta - dbeta)),
-                max((corr.phi[j] - phis[j]).norm() for j in range(2)),
-                max((corr.phi_tilde[j] - phts[j]).norm() for j in range(2)),
+                max(l2(corr.phi[j] - phis[j]) for j in range(2)),
+                max(l2(corr.phi_tilde[j] - phts[j]) for j in range(2)),
             )
             worst = max(worst, err)
         assert worst < 1e-9
@@ -370,27 +389,27 @@ class TestMatchBoundaries:
     def test_linearity(self, flagship):
         system = build_interaction_system(flagship)
         rng = np.random.default_rng(77)
-        phis = [split_theta(random_expansion(rng, 1e-4))[1] for _ in range(2)]
-        phts = [split_theta(random_expansion(rng, 1e-4))[1] for _ in range(2)]
+        phis = [split_theta(random_expansion(rng, 1e-4), GRID)[1] for _ in range(2)]
+        phts = [split_theta(random_expansion(rng, 1e-4), GRID)[1] for _ in range(2)]
         disc = forward_discrepancies(
             flagship, system.gamma, np.array([0.3, -0.2]), np.array([0.1, 0.5]), phis, phts
         )
-        corr1 = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
+        corr1 = match_boundaries(flagship, system.alpha, GRID, disc, gamma=system.gamma)
         disc3 = [(3.0 * a, 3.0 * b) for a, b in disc]
-        corr3 = match_boundaries(flagship, system.alpha, disc3, gamma=system.gamma)
+        corr3 = match_boundaries(flagship, system.alpha, GRID, disc3, gamma=system.gamma)
         assert_allclose(corr3.delta_alpha, 3.0 * corr1.delta_alpha, rtol=1e-12)
         assert_allclose(corr3.delta_beta, 3.0 * corr1.delta_beta, rtol=1e-12)
         for j in range(2):
             diff = corr3.phi[j] - 3.0 * corr1.phi[j]
-            assert diff.norm() < 1e-12 * max(1.0, corr1.phi[j].norm())
+            assert l2(diff) < 1e-12 * max(1.0, l2(corr1.phi[j]))
 
     def test_recovery_residual_reported(self, flagship):
         system = build_interaction_system(flagship)
         rng = np.random.default_rng(78)
-        phis = [split_theta(random_expansion(rng, 1e-4))[1] for _ in range(2)]
-        phts = [split_theta(random_expansion(rng, 1e-4))[1] for _ in range(2)]
+        phis = [split_theta(random_expansion(rng, 1e-4), GRID)[1] for _ in range(2)]
+        phts = [split_theta(random_expansion(rng, 1e-4), GRID)[1] for _ in range(2)]
         disc = forward_discrepancies(
             flagship, system.gamma, np.array([1.0, 2.0]), np.array([0.5, -1.0]), phis, phts
         )
-        corr = match_boundaries(flagship, system.alpha, disc, gamma=system.gamma)
+        corr = match_boundaries(flagship, system.alpha, GRID, disc, gamma=system.gamma)
         assert corr.residual_norm < 1e-12

@@ -647,6 +647,18 @@ def test_benchmark_jacobi_gate(workloads, seed, tmp_path):
         assert resid <= bound * (1 + workloads.JACOBI_SLACK), kind
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_benchmark_neck4_gate(workloads, seed, tmp_path):
+    """The neck_modes minimality check of the benchmark, through its own
+    Neck4 part: the n = 4 FD sups at h = 0.2 and 0.1, under the seeded twist
+    (seed 0: none), within its tolerance of the reference, at order 2."""
+    ref = json.loads((BENCH / "reference.json").read_text())
+    part = workloads.Neck4(workloads.make_inputs("neck_modes", seed, str(tmp_path),
+                                                 str(tmp_path)))
+    part.setup()
+    assert part.check(part.iterate(), ref, seed) == []
+
+
 class TestNeckMinimality:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fd_minimality_order_two(self, n):
