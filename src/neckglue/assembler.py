@@ -41,8 +41,7 @@ import numpy as np
 
 from .config import Configuration
 from .geometry import AmbientPoint, ImmersionPatch, mean_curvature_field
-from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, \
-    green_gradient, regular_part
+from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, green_gradient
 from .matching import SphereGrid, match_boundaries, sh_analyze, split_theta
 from .neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
 from .quadrature import QuadratureRule
@@ -52,6 +51,7 @@ __all__ = [
     "GridSpec",
     "assemble",
     "boundary_gap",
+    "config_digest",
     "curvature_report",
     "export_csv",
     "export_ply",
@@ -133,10 +133,10 @@ def assemble(config: Configuration, alpha, grid: GridSpec, beta=None) -> GluedSu
     green = GreenData(config, alpha)
     eps, rho_star = config.epsilon, config.rho_star
     params_list, scales = [], []
-    for j in range(config.k):
+    for j, x_j in enumerate(config.points):
         params = NeckParams(
             n=config.n, beta=float(beta[j]), epsilon=eps, rotation=config.rotations[j],
-            translation=AmbientPoint(config.points[j], eps * regular_part(green, j)),
+            translation=AmbientPoint(x_j, eps * green_eval(green, x_j, skip=j)),
         )
         s_star = s_of_radius(params, rho_star)  # raises when rho_* is unreachable
         params_list.append(params)

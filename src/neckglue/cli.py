@@ -5,11 +5,11 @@ Commands
 validate <cfg>           hypothesis verdicts H1/H2/H3 and the neck scales
 interaction <cfg>        Gamma/Lambda closed forms cross-checked by quadrature
 neck --n N --beta B --eps E [--grid H] [--export P]
-                         model-neck identities, FD minimality floor and the
-                         lower end's approach to its plane graph; refuses a
-                         sweep above PATCH_MAX_BYTES of samples
-spectrum --n N --k K     indicial roots, frozen-coefficient check, explicit
-                         solutions (n=3, k=1)
+                         model-neck identities, FD minimality floor, the lower
+                         end's approach to its plane graph; refuses a sweep above
+                         PATCH_MAX_BYTES of samples or below 3 coarse t nodes
+spectrum --n N --k K     indicial roots, frozen-coefficient check (root errors
+                         over (n/2 + k)^2), explicit solutions (n=3, k=1)
 glue <cfg> [--export P]  assemble the surface, boundary gaps, curvature,
                          one matching step
 
@@ -65,6 +65,12 @@ PATCH_MAX_BYTES = 1.25e9
 # nodes, a central difference along each neck angle 3.
 OPTION_MINIMA = {"quadrature_nodes": 1, "sh_degree": 1, "neck_s_nodes": 5,
                  "neck_angle_nodes": 3}
+
+
+def _patch_bytes(counts, n) -> float:
+    """Bytes of samples, 2n floats a node, of a patch, counted, not built, as a
+    float product: a count at the cap, which alone exceeds it, counts as inf."""
+    return math.prod(float(c) if c < PATCH_MAX_BYTES else math.inf for c in counts) * 2 * n * 8
 
 
 def _integer(path, key, value):
@@ -196,15 +202,13 @@ def parse_config(path: str):
         raise ValueError(f"{path}: outer_spacing must be below the outer box half-width "
                          f"{half_width:.6g}, got {spacing!r}")
     options["outer_spacing"] = float(spacing)
-    # bytes of samples (2n floats a node) of glue's outer box, whose axis is
-    # np.arange(-half_width, half_width + spacing / 2, spacing), and of one
-    # neck patch, counted, not built; a count past the cap, which alone
-    # exceeds it, is clipped to it so the sizes stay finite floats
+    # glue's outer box, whose axis is np.arange(-half_width, half_width +
+    # spacing / 2, spacing) (clipped to the cap, so its ceiling is an int)
     axis = math.ceil(min((half_width + spacing / 2 + half_width) / spacing, PATCH_MAX_BYTES))
     neck = [options["neck_s_nodes"], *options["neck_angle_nodes"]]
-    for size, grid in ((axis ** n * 2 * n * 8,
+    for size, grid in ((_patch_bytes([axis] * n, n),
                         f"outer_spacing {spacing!r} grids the outer box with {axis}^{n}"),
-                       (math.prod(min(c, PATCH_MAX_BYTES) for c in neck) * 2 * n * 8,
+                       (_patch_bytes(neck, n),
                         "neck_s_nodes x neck_angle_nodes grid each neck with "
                         + " x ".join(map(str, neck)))):
         if size > PATCH_MAX_BYTES:
@@ -276,7 +280,9 @@ def cmd_neck(args, report) -> None:
     report.check("cos(ns) + tanh(nt)", float(np.max(np.abs(np.cos(args.n * s) + np.tanh(args.n * t)))), 1e-12)
 
     def level(h):
-        # t nodes and angle counts of the FD level at spacing h
+        # t nodes and angle counts of the FD level at spacing h (raised to
+        # 1/PATCH_MAX_BYTES, below which the t count alone exceeds the cap)
+        h = max(h, 1 / PATCH_MAX_BYTES)
         polar = max(9, int(round((np.pi - 1.0) / h)) | 1)
         azim = max(16, int(round(2 * np.pi / h)))
         return int(round(2.4 / h)) + 1, (polar,) * (args.n - 2) + (azim,)
@@ -286,11 +292,12 @@ def cmd_neck(args, report) -> None:
         return neck_patch(params, angle_grids=default_angle_grids(args.n, counts, margin=0.5),
                           t_grid=np.linspace(-1.2, 1.2, t_nodes))
 
-    try:
-        t_nodes, counts = level(args.grid / 2)
-    except OverflowError:   # 2.4 / h is inf
-        t_nodes, counts = math.inf, ()
-    size = t_nodes * math.prod(counts) * 2 * args.n * 8
+    t_nodes, counts = level(args.grid)
+    if t_nodes < 3:   # no interior t node to measure
+        raise ValueError(f"--grid {args.grid:g} gives the FD sweep's coarser level {t_nodes} "
+                         f"t nodes, below the 3 its central differences need; lower --grid")
+    t_nodes, counts = level(args.grid / 2)
+    size = _patch_bytes([t_nodes, *counts], args.n)
     if size > PATCH_MAX_BYTES:
         raise ValueError(f"the FD sweep's finer level (--grid / 2 = {args.grid / 2:g}) holds "
                          f"{size / 1e9:.3g} GB of samples at --n {args.n}, above the "
@@ -337,11 +344,13 @@ def cmd_spectrum(args, report) -> None:
                           float(table.exact_nu[0]), float(table.exact_nu[1])])
         err = float(np.max(np.abs(np.sort(roots) - expect)))
         sec["frozen_roots"] = list(np.sort(roots))
-        report.check("frozen roots vs closed form", err, 1e-12)
+        # divided by (n/2 + k)^2, M's scale: exact roots read 1.1e-12 at n = 3, k = 95
+        scale = (args.n / 2 + args.k) ** 2
+        report.check("frozen roots vs closed form", err / scale, 1e-12)
         rootsc = frozen_characteristic_roots(args.n, args.k, family="coexact")
         g = float(table.coexact[0])
         report.check("frozen coexact roots vs closed form",
-                     float(np.max(np.abs(np.sort(rootsc) - np.array([-g, g])))), 1e-12)
+                     float(np.max(np.abs(np.sort(rootsc) - np.array([-g, g])))) / scale, 1e-12)
     # divided by n^2/4, the scale of the equation's terms: one ulp of 3n^2/4
     # exceeds an absolute 1e-12 from n = 105 on
     report.check("f0 residual", verify_f0(args.n, np.linspace(-5.0, 5.0, 2001))

@@ -39,7 +39,9 @@ __all__ = [
     "build_interaction_system",
     "check_h1",
     "gamma_entry",
+    "gamma_entry_quadrature",
     "gamma_matrix",
+    "lambda_entry_quadrature",
     "lambda_vector",
     "neck_scales",
 ]
@@ -154,16 +156,9 @@ def check_h1(config: Configuration) -> list:
         for jp in range(j + 1, config.k):
             M = np.eye(config.n) - config.rotations[jp].T @ config.rotations[j]
             U, S, _ = np.linalg.svd(M)
-            if S.size and S[0] > 0:
-                rank = int(np.sum(S > H1_RANK_CUT * S[0]))
-            else:
-                rank = 0
+            Ur = U[:, :int(np.sum(S > H1_RANK_CUT * S[0]))]   # M = 0: rank 0, residual |xi|
             xi = config.xi(j, jp)
-            if rank:
-                Ur = U[:, :rank]
-                residual = float(np.linalg.norm(xi - Ur @ (Ur.T @ xi)))
-            else:
-                residual = float(np.linalg.norm(xi))
+            residual = float(np.linalg.norm(xi - Ur @ (Ur.T @ xi)))
             out.append(H1PairResult(j, jp, residual, residual > H1_RESIDUAL_CUT))
     return out
 

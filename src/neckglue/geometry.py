@@ -34,6 +34,7 @@ import numpy as np
 __all__ = [
     "AmbientPoint",
     "ImmersionPatch",
+    "central_difference",
     "check_orthogonal",
     "mean_curvature_field",
     "metric_inverse",

@@ -36,12 +36,12 @@ from .geometry import ImmersionPatch, metric_inverse
 __all__ = [
     "GreenData",
     "balance_residual",
+    "default_outer_box",
     "graph_mean_curvature",
     "graph_patch",
     "green_eval",
     "green_gradient",
     "green_laplacian",
-    "regular_part",
 ]
 
 SINGULAR_CLEARANCE = 1e-12
@@ -64,26 +64,29 @@ class GreenData:
             raise ValueError("alpha must be finite")
 
 
-def _green_terms(data: GreenData, x: np.ndarray, skip: int = None) -> np.ndarray:
-    """Sum of the Green terms alpha_j R_j (x - x_j)/|x - x_j|^n (optionally
-    omitting one) plus A_0 x; x is (..., n)."""
+def _ends(data: GreenData, x: np.ndarray, skip: int = None):
+    """(j, u = x - x_j, r = |u| on a kept axis) for every end but `skip`;
+    x is (..., n).  Refuses a point within SINGULAR_CLEARANCE of an end."""
     cfg = data.config
-    out = x @ cfg.A0.T
     for j in range(cfg.k):
         if j == skip:
             continue
         u = x - cfg.points[j]
-        r = np.linalg.norm(u, axis=-1, keepdims=True)
+        r = np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
         if np.any(r < SINGULAR_CLEARANCE):
             raise ValueError(f"evaluation point touches the singular point x_{j}")
+        yield j, u, r
+
+
+def green_eval(data: GreenData, x, skip: int = None) -> np.ndarray:
+    """G(x), optionally omitting one end's term, for an n-vector or (..., n)
+    batch x; at x_j with skip=j, the regular part (neck translation c_j)."""
+    x = np.asarray(x, dtype=float)
+    cfg = data.config
+    out = x @ cfg.A0.T
+    for j, u, r in _ends(data, x, skip):
         out = out + data.alpha[j] * (u / r**cfg.n) @ cfg.rotations[j].T
     return out
-
-
-def green_eval(data: GreenData, x) -> np.ndarray:
-    """G(x); x may be a single n-vector or an (..., n) batch."""
-    x = np.asarray(x, dtype=float)
-    return _green_terms(data, x)
 
 
 def green_gradient(data: GreenData, x, skip: int = None) -> np.ndarray:
@@ -93,11 +96,8 @@ def green_gradient(data: GreenData, x, skip: int = None) -> np.ndarray:
     cfg = data.config
     n = cfg.n
     out = np.broadcast_to(cfg.A0, x.shape[:-1] + (n, n)).copy()
-    for j in range(cfg.k):
-        if j == skip:
-            continue
-        u = x - cfg.points[j]
-        r = np.sqrt(np.sum(u * u, axis=-1))[..., None, None]
+    for j, u, r in _ends(data, x, skip):
+        r = r[..., None]
         Ru = u @ cfg.rotations[j].T
         out += data.alpha[j] * (cfg.rotations[j] / r**n
                                 - n * Ru[..., :, None] * u[..., None, :] / r ** (n + 2))
@@ -116,20 +116,12 @@ def green_laplacian(data: GreenData, x, ginv) -> np.ndarray:
     n = cfg.n
     tr = np.trace(ginv, axis1=-2, axis2=-1)[..., None]
     out = np.zeros(np.broadcast_shapes(x.shape, tr.shape))
-    for j in range(cfg.k):
-        u = x - cfg.points[j]
-        r = np.sqrt(np.sum(u * u, axis=-1))[..., None]
+    for j, u, r in _ends(data, x):
         gu = (ginv @ u[..., None])[..., 0]
         q = np.sum(u * gu, axis=-1, keepdims=True)
         lap = -n * (2 * gu + tr * u) / r ** (n + 2) + n * (n + 2) * q * u / r ** (n + 4)
         out += data.alpha[j] * lap @ cfg.rotations[j].T
     return out
-
-
-def regular_part(data: GreenData, j0: int) -> np.ndarray:
-    """G minus its own singular term, evaluated at x_j0: the neck translation
-    constant c_j0 = sum_{j != j0} alpha_j R_j (x_j0-x_j)/|x_j0-x_j|^n + A_0 x_j0."""
-    return _green_terms(data, data.config.points[j0], skip=j0)
 
 
 # ----------------------------------------------------------------------

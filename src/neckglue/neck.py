@@ -66,6 +66,7 @@ __all__ = [
     "NormalField",
     "SphereGridOps",
     "asymptote_residual",
+    "default_angle_grids",
     "jacobi_field",
     "linearized_apply",
     "neck_patch",

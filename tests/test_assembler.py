@@ -17,7 +17,7 @@ from neckglue.assembler import (
 from neckglue import assembler
 from neckglue.assembler import _boundary_samples, _point_rows
 from neckglue.config import Configuration, build_interaction_system
-from neckglue.green import GreenData, regular_part
+from neckglue.green import GreenData, green_eval
 from neckglue.geometry import ImmersionPatch, sphere_chart
 from neckglue.matching import SphereGrid, split_theta
 from neckglue.neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
@@ -116,7 +116,7 @@ class TestAssemble:
         data = GreenData(cfg, system.alpha)
         for j in range(2):
             assert_allclose(surf.neck_params[j].translation.y,
-                            cfg.epsilon * regular_part(data, j), atol=1e-16)
+                            cfg.epsilon * green_eval(data, cfg.points[j], skip=j), atol=1e-16)
 
     def test_rescaling_identity(self):
         cfg, system, surf = build_flagship_surface()
@@ -538,8 +538,6 @@ class TestEnds:
         cfg = flagship_at(1e-4)
         system = build_interaction_system(cfg)
         data = GreenData(cfg, system.alpha)
-        from neckglue.green import green_eval
-
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.uniform(-1, 1, 3)

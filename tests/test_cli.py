@@ -431,12 +431,34 @@ class TestCommands:
         (["--n", "8", "--grid", "0.8"], "7.62 GB"),
         (["--n", "6"], "29.4 GB"),
         (["--n", "3", "--grid", "1e-310"], "inf GB"),
-    ], ids=["n8-grid0.8", "n6-default", "grid-tiny"])
+        # node products past float range, which an exact int product
+        # cannot divide into GB
+        (["--n", "250"], "inf GB"),
+        (["--n", "400", "--grid", "0.8"], "inf GB"),
+        (["--n", "3", "--grid", "1e-150"], "inf GB"),
+        (["--n", "4", "--grid", "1e-100"], "inf GB"),
+    ], ids=["n8-grid0.8", "n6-default", "grid-tiny", "n250-default", "n400-grid0.8",
+            "n3-grid1e-150", "n4-grid1e-100"])
     def test_neck_refuses_a_sweep_too_large_for_memory(self, capsys, no_neck_patch, argv, size):
         assert main(["neck"] + argv) == 2
         err = capsys.readouterr().err
         assert f"holds {size} of samples at --n" in err
         assert "raise --grid or lower --n" in err
+
+    @pytest.mark.parametrize("grid, t_nodes", [("1.6", 2), ("2", 2), ("3", 2), ("4", 2),
+                                                ("10", 1)])
+    def test_neck_refuses_a_coarser_level_below_three_t_nodes(self, capsys, no_neck_patch,
+                                                               grid, t_nodes):
+        # round(2.4 / h) + 1 t nodes leave no interior node to measure
+        assert main(["neck", "--n", "3", "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert f"--grid {grid} gives the FD sweep's coarser level {t_nodes} t nodes" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", ["1.5", "1.59"])
+    def test_neck_coarse_grids_with_three_t_nodes_run(self, no_neck_patch, grid):
+        with pytest.raises(self.Built):
+            main(["neck", "--n", "3", "--grid", grid])
 
     @pytest.mark.parametrize("argv", [["--n", "5"], ["--n", "7", "--grid", "0.8"]])
     def test_neck_sweep_cap_keeps_the_measured_runs(self, no_neck_patch, argv):
@@ -452,6 +474,37 @@ class TestCommands:
             warnings.simplefilter("error")
             assert main(["spectrum", "--n", str(n), "--k", str(k)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("n, k", [(3, 95), (4, 106)])
+    def test_spectrum_frozen_root_gates_scale_with_k(self, tmp_path, n, k):
+        # an absolute 1e-12 read 1.1e-12 and 1.2e-12 here, on exact roots
+        report = tmp_path / "r.json"
+        assert main(["--report", str(report), "spectrum", "--n", str(n), "--k", str(k)]) == 0
+        checks = {c["name"]: c["value"] for c in json.loads(report.read_text())["checks"]}
+        assert checks["frozen roots vs closed form"] < 1e-15
+        assert checks["frozen coexact roots vs closed form"] < 1e-15
+
+    @pytest.mark.parametrize("family, check", [
+        ("exact_nu", "frozen roots vs closed form"),
+        ("coexact", "frozen coexact roots vs closed form")])
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 95)])
+    def test_spectrum_frozen_root_gates_refuse_a_wrong_root(self, monkeypatch, capsys, n, k,
+                                                           family, check):
+        # a closed-form root planted 1e-6 off fails its gate at either scale
+        import dataclasses
+        from fractions import Fraction
+        from neckglue import cli, spectrum
+
+        def planted(n, k):
+            table = spectrum.indicial_roots(n, k)
+            root, other = getattr(table, family)
+            return dataclasses.replace(table, **{family: (root + Fraction(1, 10**6), other)})
+
+        monkeypatch.setattr(cli, "indicial_roots", planted)
+        assert main(["spectrum", "--n", str(n), "--k", str(k)]) == 1
+        out = capsys.readouterr().out
+        assert f"[FAIL] {check}" in out
+        assert out.count("[FAIL]") == 1
 
     @pytest.mark.parametrize("n", [132, 300])
     def test_spectrum_f0_gate_scales_with_n(self, tmp_path, n):
@@ -825,6 +878,20 @@ class TestGlueCommand:
         assert "balance" not in report["sections"]
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["h3 positivity"]
         assert "=> SOME CHECKS FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "interaction", "glue"])
+    def test_singular_gamma_fails_h2_and_h3(self, tmp_path, capsys, command):
+        # R_1 = R_2 = I on the flagship ends: gamma_12 = 0, so Gamma = 0 and
+        # rcond = 0; no alpha is solved, and glue stops before balancing
+        doc = dict(FLAGSHIP, rotations=[np.eye(3).tolist()] * 2)
+        report_path = tmp_path / "report.json"
+        assert main(["--report", str(report_path), command, write_config(tmp_path, doc)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] h2 rcond" in out
+        assert "[FAIL] h3 positivity (Gamma numerically singular)" in out
+        report = json.loads(report_path.read_text())
+        assert report["sections"]["interaction"]["rcond"] == 0.0
+        assert "balance" not in report["sections"]
 
 
 class TestConsoleEntryPoint:

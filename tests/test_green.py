@@ -16,7 +16,6 @@ from neckglue.green import (
     green_eval,
     green_gradient,
     green_laplacian,
-    regular_part,
 )
 from neckglue.quadrature import omega_n, product_gauss_rule
 
@@ -109,6 +108,18 @@ class TestGreenEval:
         with pytest.raises(ValueError):
             green_eval(data, np.zeros(3))
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda data, x: green_eval(data, x),
+        lambda data, x: green_gradient(data, x),
+        lambda data, x: green_laplacian(data, x, np.eye(3)),
+    ], ids=["value", "gradient", "laplacian"])
+    def test_every_evaluator_refuses_an_end(self, flagship, evaluate):
+        # one end walk, one refusal: within 1e-12 of x_1, also inside a batch
+        data = GreenData(flagship, np.array([4.0, 12.0]))
+        x = np.array([[0.3, 0.7, -0.2], flagship.points[1] + 1e-13])
+        with pytest.raises(ValueError, match="touches the singular point x_1"):
+            evaluate(data, x)
+
 
 class TestDerivatives:
     def test_gradient_fd(self, flagship):
@@ -200,7 +211,7 @@ def collinear_projection(data, j0, rho, rule, field):
 
 def regular_field(data, j0):
     """G minus its j0 summand, term by term."""
-    return lambda x: green._green_terms(data, x, skip=j0)
+    return lambda x: green_eval(data, x, skip=j0)
 
 
 class TestExpansionProbe:
@@ -229,7 +240,7 @@ class TestExpansionProbe:
             for rho in (1e-2, 1e-3):
                 pts = flagship.points[j0] + rho * RULE.nodes
                 mean = RULE.weights @ regular_field(data, j0)(pts) / omega_n(3)
-                assert_allclose(mean, regular_part(data, j0), atol=1e-11)
+                assert_allclose(mean, green_eval(data, flagship.points[j0], skip=j0), atol=1e-11)
 
     def test_orthogonal_remainder_projection_vanishes(self, flagship):
         # p(rho) / rho is the same at rho and rho / 2: no other degree enters

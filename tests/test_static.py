@@ -380,3 +380,48 @@ def test_no_cross_module_private_reads():
              for path in sorted(SRC.glob("*.py"))
              for line, name in cross_module_private_reads(path.read_text())]
     assert found == []
+
+
+def unexported_imports(package):
+    """"importer: module.name" for every name a package module imports from
+    another (`from .module import name`, or `from . import name` from the
+    package __init__) that the other's __all__ does not list.  package maps
+    module names ("__init__" for the package's own) to sources.  A name that
+    is itself a package module is exempt, and so are UPPER_CASE constants,
+    which test_every_constant_is_read_in_src_or_bench covers."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    missing = []
+    for importer, tree in trees.items():
+        for _, node in _imports_by_scope(tree, tree, []):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            module = node.module or "__init__"
+            exported = _exported(trees[module]) if module in trees else set()
+            missing += [f"{importer}: {module}.{alias.name}" for alias in node.names
+                        if alias.name not in exported and not alias.name.isupper()
+                        and not (node.module is None and alias.name in trees)]
+    return missing
+
+
+def test_checker_sees_unexported_imports():
+    package = {
+        "__init__": "from .a import f\n__version__ = '1'\n__all__ = ['f', '__version__']\n",
+        "a": ("__all__ = ['f']\n"
+              "K = 1\n"
+              "def f(): pass\n"
+              "def g(): pass\n"),
+        "b": ("import os\n"
+              "from json import dumps\n"
+              "from . import a, __version__, hidden\n"
+              "from .a import K, f, g\n"
+              "def h():\n"
+              "    from .a import g as local\n"
+              "    from .gone import x\n"),
+    }
+    assert unexported_imports(package) == ["b: __init__.hidden", "b: a.g", "b: a.g",
+                                           "b: gone.x"]
+
+
+def test_every_imported_name_is_exported():
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unexported_imports(package) == []
