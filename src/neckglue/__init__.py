@@ -28,14 +28,13 @@ def _configure_threads() -> None:
 _configure_threads()
 
 from .config import Configuration, InteractionSystem, build_interaction_system
-from .geometry import AmbientPoint, ImmersionPatch
+from .geometry import ImmersionPatch
 from .green import GreenData
 from .neck import NeckParams, NormalField
 from .spectrum import IndicialTable, ModeSolution
 
 
 __all__ = [
-    "AmbientPoint",
     "Configuration",
     "GreenData",
     "ImmersionPatch",

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Configuration
-from .geometry import AmbientPoint, ImmersionPatch, mean_curvature_field
+from .geometry import ImmersionPatch, mean_curvature_field
 from .green import GreenData, graph_mean_curvature, graph_patch, green_eval, green_gradient
 from .matching import SphereGrid, match_boundaries, sh_analyze, split_theta
 from .neck import NeckParams, default_angle_grids, neck_patch, s_of_radius, s_to_t
@@ -136,9 +136,14 @@ def assemble(config: Configuration, alpha, grid: GridSpec, beta=None) -> GluedSu
     for j, x_j in enumerate(config.points):
         params = NeckParams(
             n=config.n, beta=float(beta[j]), epsilon=eps, rotation=config.rotations[j],
-            translation=AmbientPoint(x_j, eps * green_eval(green, x_j, skip=j)),
+            translation=np.concatenate([x_j, eps * green_eval(green, x_j, skip=j)]),
         )
-        s_star = s_of_radius(params, rho_star)  # raises when rho_* is unreachable
+        try:
+            s_star = s_of_radius(params, rho_star)
+        except ValueError as exc:   # rho_* is inside the waist
+            scale = f"alpha_{j} = {alpha[j]:g}" + (
+                "" if beta is alpha else f", beta_{j} = {beta[j]:g}")
+            raise ValueError(f"end {j} ({scale}): {exc}; raise rho_star or lower epsilon") from exc
         params_list.append(params)
         scales.append({"s_star": s_star, "t_star": float(s_to_t(s_star, config.n)),
                        "rho_star": rho_star})
@@ -159,14 +164,13 @@ def _boundary_samples(surface: GluedSurface, j: int, theta):
     from the waist like the outer (Theta, eps DG Theta)).
     """
     cfg = surface.config
-    x, y, dx, dy = surface.neck_params[j].evaluate(surface.scales[j]["s_star"], theta,
-                                                   with_ds=True)
-    drds = np.sum(dx * theta, axis=-1, keepdims=True)   # dx/ds = (dr/ds) Theta
+    point, tangent = surface.neck_params[j].evaluate(surface.scales[j]["s_star"], theta,
+                                                     with_ds=True)
+    drds = np.sum(tangent[..., :cfg.n] * theta, axis=-1, keepdims=True)   # dx/ds = (dr/ds) Theta
     base_x = cfg.points[j] + surface.scales[j]["rho_star"] * theta
     data = surface.green
     outer_dy = cfg.epsilon * np.einsum("...il,...l->...i", green_gradient(data, base_x), theta)
-    return (np.concatenate([x, y], axis=-1),
-            np.concatenate([dx, dy], axis=-1) / drds,
+    return (point, tangent / drds,
             np.concatenate([base_x, cfg.epsilon * green_eval(data, base_x)], axis=-1),
             np.concatenate([theta, outer_dy], axis=-1))
 

@@ -1,7 +1,8 @@
 """Dimension-generic ambient geometry and a finite-difference engine for
 sampled immersions into R^{2n} ~ C^n.
 
-Ambient points are pairs (x, y) of real n-vectors identified with x + iy.
+A point x + iy of C^n is the real 2n-vector (x_1 .. x_n, y_1 .. y_n), one
+trailing axis of length 2n in every array of points or tangents.
 Immersions are sampled on rectangular parameter grids; the first fundamental
 form and the mean-curvature vector are obtained from second-order central
 differences.  The mean-curvature vector is the normal projection of the
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "AmbientPoint",
     "ImmersionPatch",
     "central_difference",
     "check_orthogonal",
@@ -40,28 +40,6 @@ __all__ = [
     "metric_inverse",
     "sphere_chart",
 ]
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A point x + iy of C^n stored as the real pair (x, y)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("real and imaginary parts must be equal-length vectors")
-        if x.size < 2:
-            raise ValueError("ambient dimension n must be >= 2")
-
-    @property
-    def n(self) -> int:
-        return self.x.size
 
 
 def check_orthogonal(M: np.ndarray) -> float:

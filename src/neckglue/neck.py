@@ -25,7 +25,8 @@ Evaluation.  NeckParams.evaluate is the one place the scaled, twisted neck
 
     (x, y) = (n beta eps)^{1/n} (sin ns)^{-1/n} (cos s Theta, sin s R Theta)
 
-is written out; its s-derivative is taken in closed form,
+is written out, as one real 2n-vector plus the neck's translation (a
+2n-vector too); its s-derivative is taken in closed form,
 
     d(x, y)/ds = (n beta eps)^{1/n} (sin ns)^{-1/n-1}
                  (-cos((n-1)s) Theta, sin((n-1)s) R Theta),
@@ -58,8 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AmbientPoint, ImmersionPatch, central_difference, check_orthogonal, \
-    sphere_chart
+from .geometry import ImmersionPatch, central_difference, check_orthogonal, sphere_chart
 
 __all__ = [
     "NeckParams",
@@ -81,13 +81,13 @@ __all__ = [
 @dataclass(frozen=True)
 class NeckParams:
     """Scaled, twisted, translated neck: (n beta eps)^{1/n} (cos s Theta,
-    sin s R Theta) + translation."""
+    sin s R Theta) + translation, a point of R^{2n} stored as (x, y)."""
 
     n: int
     beta: float
     epsilon: float
     rotation: np.ndarray = None
-    translation: AmbientPoint = None
+    translation: np.ndarray = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -95,35 +95,40 @@ class NeckParams:
         if not (0 < self.beta < math.inf and 0 < self.epsilon < math.inf):
             raise ValueError(f"beta and epsilon must be positive and finite, got beta = "
                              f"{self.beta}, epsilon = {self.epsilon}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"neck scale (n beta epsilon)^(1/n) must be positive and finite, "
+                             f"got {self.scale} at beta = {self.beta}, epsilon = {self.epsilon}")
         R = np.eye(self.n) if self.rotation is None else np.asarray(self.rotation, float)
         if check_orthogonal(R) > 1e-10:
             raise ValueError("neck rotation is not orthogonal")
         object.__setattr__(self, "rotation", R)
-        if self.translation is None:
-            zero = np.zeros(self.n)
-            object.__setattr__(self, "translation", AmbientPoint(zero, zero))
-        elif self.translation.n != self.n:
-            raise ValueError("translation dimension mismatch")
+        c = np.zeros(2 * self.n) if self.translation is None else \
+            np.asarray(self.translation, dtype=float)
+        if c.shape != (2 * self.n,):
+            raise ValueError(f"translation must have shape ({2 * self.n},), got {c.shape}")
+        object.__setattr__(self, "translation", c)
 
     @property
     def scale(self) -> float:
         return (self.n * self.beta * self.epsilon) ** (1.0 / self.n)
 
     def evaluate(self, s, theta, with_ds: bool = False):
-        """Neck point (x, y) over unit vectors theta (..., n); s broadcasts
-        against theta's leading axes.  With with_ds also the closed-form
-        tangent (dx/ds, dy/ds), returned as (x, y, dx, dy)."""
+        """Neck point (x, y) as one (..., 2n) array over unit vectors theta
+        (..., n); s broadcasts against theta's leading axes.  With with_ds
+        also the closed-form tangent (dx/ds, dy/ds), returned as (point,
+        tangent), both (..., 2n)."""
         n = self.n
         s = np.asarray(s, dtype=float)[..., None]
         rtheta = theta @ self.rotation.T
         sin_ns = np.sin(n * s)
         rad = self.scale * sin_ns ** (-1.0 / n)
-        x = rad * np.cos(s) * theta + self.translation.x
-        y = rad * np.sin(s) * rtheta + self.translation.y
+        point = np.concatenate([rad * np.cos(s) * theta, rad * np.sin(s) * rtheta], axis=-1)
+        point += self.translation
         if not with_ds:
-            return x, y
+            return point
         rate = rad / sin_ns
-        return x, y, -rate * np.cos((n - 1) * s) * theta, rate * np.sin((n - 1) * s) * rtheta
+        return point, np.concatenate([-rate * np.cos((n - 1) * s) * theta,
+                                      rate * np.sin((n - 1) * s) * rtheta], axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +215,7 @@ def neck_patch(params: NeckParams, angle_grids, t_grid) -> ImmersionPatch:
     angles_mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
     theta = sphere_chart(angles_mesh)
     s_col = s_values.reshape((-1,) + (1,) * (theta.ndim - 1))
-    samples = np.concatenate(params.evaluate(s_col, theta), axis=-1)
+    samples = params.evaluate(s_col, theta)
     spacings = [step] + [float(g[1] - g[0]) for g in angle_grids]
     periodic = (False,) + (False,) * (len(angle_grids) - 1) + (True,)
     return ImmersionPatch(spacings=tuple(spacings), samples=samples, periodic=periodic)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from neckglue.assembler import GluedSurface
-from neckglue.geometry import AmbientPoint, _stencil_valid, central_difference, sphere_chart
+from neckglue.geometry import _stencil_valid, central_difference, sphere_chart
 from neckglue.matching import SphereGrid
 from neckglue.neck import NeckParams, NormalField, SphereGridOps
 from neckglue.quadrature import omega_n
@@ -61,11 +61,12 @@ def symmetric_pair_gamma(R1: np.ndarray, R2: np.ndarray, n: int,
     return -omega_n(n) / 2**n * bracket
 
 
-def neck_point(params: NeckParams, s: float, angles) -> AmbientPoint:
-    """One sample of the (scaled, twisted, translated) neck."""
+def neck_point(params: NeckParams, s: float, angles) -> np.ndarray:
+    """One sample of the (scaled, twisted, translated) neck, the (2n,) point
+    (x, y)."""
     if not 0.0 < s < math.pi / params.n:
         raise ValueError("s must lie strictly inside (0, pi/n)")
-    return AmbientPoint(*params.evaluate(s, sphere_chart(np.asarray(angles, dtype=float))))
+    return params.evaluate(s, sphere_chart(np.asarray(angles, dtype=float)))
 
 
 def chart_jacobian(angles, h: float = 0.5) -> np.ndarray:

@@ -83,8 +83,12 @@ class TestScales:
     def test_unreachable_rho(self):
         with pytest.raises(ValueError, match="neck too large"):
             truncation(1e-3, 0.05, 12.0)
-        with pytest.raises(ValueError, match="neck too large"):
+        with pytest.raises(ValueError, match=r"^end 0 \(alpha_0 = 4\): neck too large.*; "
+                                             r"raise rho_star or lower epsilon$"):
             assemble(flagship_at(1e-3, 0.05), [4.0, 12.0], COARSE)
+        # with neck scales of their own, the message names beta_j too
+        with pytest.raises(ValueError, match=r"^end 1 \(alpha_1 = 12, beta_1 = 50\): neck "):
+            assemble(flagship_at(1e-3, 0.3), [4.0, 12.0], COARSE, beta=[2.0, 50.0])
 
 
 class TestAssemble:
@@ -106,8 +110,7 @@ class TestAssemble:
             # upper circle: radius rho_* in the rotated frame; |X| cos(s_*)
             s_star = surf.scales[j]["s_star"]
             rel = patch.samples[-1].copy()
-            rel[..., :3] -= cfg.points[j]
-            rel[..., 3:] -= surf.neck_params[j].translation.y
+            rel -= surf.neck_params[j].translation
             r_up = np.linalg.norm(rel, axis=-1) * math.cos(s_star)
             assert np.max(np.abs(r_up - cfg.rho_star)) < 1e-10
 
@@ -115,7 +118,7 @@ class TestAssemble:
         cfg, system, surf = build_flagship_surface()
         data = GreenData(cfg, system.alpha)
         for j in range(2):
-            assert_allclose(surf.neck_params[j].translation.y,
+            assert_allclose(surf.neck_params[j].translation[3:],
                             cfg.epsilon * green_eval(data, cfg.points[j], skip=j), atol=1e-16)
 
     def test_rescaling_identity(self):
@@ -123,8 +126,7 @@ class TestAssemble:
         eps = cfg.epsilon
         for j in range(2):
             rel = surf.necks[j].samples.copy()
-            rel[..., :3] -= cfg.points[j]
-            rel[..., 3:] -= surf.neck_params[j].translation.y
+            rel -= surf.neck_params[j].translation
             rel *= eps ** (-1.0 / 3.0)
             ref_params = NeckParams(
                 n=3, beta=float(system.alpha[j]), epsilon=1.0,

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -460,6 +461,16 @@ class TestCommands:
         with pytest.raises(self.Built):
             main(["neck", "--n", "3", "--grid", grid])
 
+    @pytest.mark.parametrize("value, scale", [("1e200", "inf"), ("1e-300", "0.0")])
+    def test_neck_scale_outside_float_range_exit_two(self, capsys, no_neck_patch, value, scale):
+        # beta and eps pass one at a time; their product n beta eps does not
+        start = time.perf_counter()
+        assert main(["neck", "--n", "3", "--beta", value, "--eps", value]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert (f"neck scale (n beta epsilon)^(1/n) must be positive and finite, got {scale} "
+                f"at beta = {float(value)}, epsilon = {float(value)}") in err
+
     @pytest.mark.parametrize("argv", [["--n", "5"], ["--n", "7", "--grid", "0.8"]])
     def test_neck_sweep_cap_keeps_the_measured_runs(self, no_neck_patch, argv):
         # 1.17 GB and 0.74 GB of samples, which pass within 4.1 GB
@@ -747,6 +758,20 @@ class TestGlueCommand:
         gate = checks["matching max |delta|/alpha"]
         assert gate["threshold"] == 0.1 and 4.0 < gate["value"] < 5.5
         assert checks["matching residual"]["pass"]
+
+    def test_neck_too_large_names_the_end_and_the_keys(self, tmp_path, capsys):
+        # at epsilon 0.05 the waists are 0.669 (end 0) and 0.965 (end 1), both
+        # above rho_* = 0.45; validate cannot see this, since it needs alpha
+        cfg = write_config(tmp_path, dict(FLAGSHIP, epsilon=0.05))
+        assert main(["validate", cfg]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["glue", cfg]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: glue: end 0 (alpha_0 = 4): neck too large for requested "
+                              "radius: r=0.45 < waist 0.669433")
+        assert err.rstrip().endswith("; raise rho_star or lower epsilon")
 
     def test_neck_floor_gate_trips_on_a_coarse_grid(self, tmp_path, capsys):
         # 5 x [3, 3] is accepted as input but resolves nothing: sup|H|*scale ~ 4

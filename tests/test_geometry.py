@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from neckglue import geometry, neck
 from neckglue.geometry import (
-    AmbientPoint,
     ImmersionPatch,
     central_difference,
     check_orthogonal,
@@ -60,21 +59,6 @@ def plane_patch(h=0.1, count=9):
     samples = np.zeros(mesh.shape[:-1] + (4,))
     samples[..., :2] = mesh
     return ImmersionPatch(spacings=(h, h), samples=samples)
-
-
-class TestAmbientPoint:
-    def test_round_trip(self):
-        p = AmbientPoint([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        assert p.n == 3
-        # patches store a point flat as (x_1..x_n, y_1..y_n)
-        x, y = np.split(np.concatenate([p.x, p.y]), 2)
-        assert_allclose(AmbientPoint(x, y).x, p.x)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            AmbientPoint([1.0], [2.0])
-        with pytest.raises(ValueError):
-            AmbientPoint([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestSphereChart:

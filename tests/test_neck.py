@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,15 +122,14 @@ class TestNeckPoint:
     def test_n2_diagonal_point(self):
         params = unit_scale_params(2)
         p = neck_point(params, math.pi / 4, [0.0])
-        v = np.concatenate([p.x, p.y])
         c = math.cos(math.pi / 4)
-        assert_allclose(v, [c, 0.0, c, 0.0], atol=1e-14)
+        assert_allclose(p, [c, 0.0, c, 0.0], atol=1e-14)
 
     def test_n3_unit_radius_point(self):
         params = unit_scale_params(3)
         p = neck_point(params, math.pi / 6, [math.pi / 2, 0.0])
-        assert_allclose(p.x, [math.cos(math.pi / 6), 0, 0], atol=1e-14)
-        assert_allclose(p.y, [math.sin(math.pi / 6), 0, 0], atol=1e-14)
+        assert_allclose(p, [math.cos(math.pi / 6), 0, 0, math.sin(math.pi / 6), 0, 0],
+                        atol=1e-14)
 
     def test_norm_identity(self):
         params = unit_scale_params(4)
@@ -140,19 +140,18 @@ class TestNeckPoint:
                 rng.uniform(0.2, math.pi - 0.2, 2), [rng.uniform(0, 2 * math.pi)]
             ])
             p = neck_point(params, s, angles)
-            norm2 = p.x @ p.x + p.y @ p.y
+            norm2 = p @ p
             assert abs(norm2 - math.sin(4 * s) ** (-0.5)) < 1e-12
 
     def test_rotation_and_translation(self):
-        from neckglue.geometry import AmbientPoint
-
         R = rot_e1(math.pi / 2)
-        shift = AmbientPoint([1.0, 2.0, 3.0], [0.5, 0.0, -0.5])
+        shift = np.array([1.0, 2.0, 3.0, 0.5, 0.0, -0.5])
         params = NeckParams(n=3, beta=1.0, epsilon=1.0 / 3.0, rotation=R,
                             translation=shift)
         p = neck_point(params, math.pi / 6, [math.pi / 2, 0.0])
-        assert_allclose(p.x, shift.x + [math.cos(math.pi / 6), 0, 0], atol=1e-14)
-        assert_allclose(p.y, shift.y + math.sin(math.pi / 6) * (R @ [1.0, 0, 0]), atol=1e-14)
+        assert_allclose(p[:3], shift[:3] + [math.cos(math.pi / 6), 0, 0], atol=1e-14)
+        assert_allclose(p[3:], shift[3:] + math.sin(math.pi / 6) * (R @ [1.0, 0, 0]),
+                        atol=1e-14)
 
     def test_s_range_guard(self):
         with pytest.raises(ValueError):
@@ -161,24 +160,23 @@ class TestNeckPoint:
 
 def parent_neck_samples(params, s_grid, theta_grid):
     """The (s x angles) neck samples as neck_patch built them before
-    NeckParams.evaluate existed: an oracle for bit-identical samples."""
+    NeckParams.evaluate existed, one (x, y) half at a time: an oracle for
+    bit-identical samples."""
     n = params.n
     s = np.asarray(s_grid, dtype=float).reshape((-1,) + (1,) * theta_grid.ndim)
     rad = params.scale * np.sin(n * s) ** (-1.0 / n)
     x = rad * np.cos(s) * theta_grid[None]
     y = rad * np.sin(s) * (theta_grid @ params.rotation.T)[None]
-    x = x + params.translation.x
-    y = y + params.translation.y
+    x = x + params.translation[:n]
+    y = y + params.translation[n:]
     return np.concatenate([x, y], axis=-1)
 
 
 def twisted_neck(n, rng, proper):
-    from neckglue.geometry import AmbientPoint
-
     R = random_orthogonal(n, rng)
     if (np.linalg.det(R) > 0) != proper:
         R[:, 0] = -R[:, 0]
-    shift = AmbientPoint(rng.standard_normal(n), rng.standard_normal(n))
+    shift = np.concatenate([rng.standard_normal(n), rng.standard_normal(n)])
     return NeckParams(n=n, beta=rng.uniform(0.5, 3.0), epsilon=rng.uniform(1e-4, 1e-1),
                       rotation=R, translation=shift)
 
@@ -192,17 +190,40 @@ class TestEvaluate:
         theta = rng.standard_normal((6, n))
         theta /= np.linalg.norm(theta, axis=-1, keepdims=True)
         s = rng.uniform(0.1, 0.9, 6) * math.pi / n
-        x, y, dx, dy = params.evaluate(s, theta, with_ds=True)
-        assert np.array_equal(np.concatenate([x, y], -1),
-                              np.concatenate(params.evaluate(s, theta), -1))
+        point, closed = params.evaluate(s, theta, with_ds=True)
+        assert point.shape == closed.shape == (6, 2 * n)
+        assert np.array_equal(point, params.evaluate(s, theta))
         h = 2e-4 * math.pi / n
 
         def at(shift):
-            return np.concatenate(params.evaluate(s + shift, theta), axis=-1)
+            return params.evaluate(s + shift, theta)
 
         fd = (at(-2 * h) - 8 * at(-h) + 8 * at(h) - at(2 * h)) / (12 * h)
-        closed = np.concatenate([dx, dy], axis=-1)
         assert np.max(np.abs(closed - fd)) < 1e-9 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_translation_adds_to_the_point_alone(self, n):
+        # a neck point is one 2n-vector: the translation is added to it bit
+        # for bit and leaves the tangent as it is
+        rng = np.random.default_rng(20 + n)
+        moved = twisted_neck(n, rng, proper=True)
+        still = NeckParams(n=n, beta=moved.beta, epsilon=moved.epsilon,
+                           rotation=moved.rotation)
+        assert np.array_equal(still.translation, np.zeros(2 * n))
+        theta = rng.standard_normal((3, 5, n))
+        theta /= np.linalg.norm(theta, axis=-1, keepdims=True)
+        s = rng.uniform(0.1, 0.9, (3, 1)) * math.pi / n
+        point, tangent = moved.evaluate(s, theta, with_ds=True)
+        base, base_tangent = still.evaluate(s, theta, with_ds=True)
+        assert point.shape == (3, 5, 2 * n)
+        assert np.array_equal(point, base + moved.translation)
+        assert np.array_equal(tangent, base_tangent)
+
+    @pytest.mark.parametrize("shape", [(3,), (7,), (2, 3)])
+    def test_translation_shape_guard(self, shape):
+        with pytest.raises(ValueError, match=rf"translation must have shape \(6,\), got "
+                                             rf"{re.escape(str(shape))}"):
+            NeckParams(n=3, beta=1.0, epsilon=1e-3, translation=np.zeros(shape))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_neck_patch_samples_bit_identical_to_parent(self, n):
@@ -248,11 +269,11 @@ class TestAsymptote:
         for r0, gap, h in zip(rho, gaps, height):
             s = s_of_radius(params, r0)
             r = radius_of_s(params, s)
-            x, y = params.evaluate(s, theta)
-            graph_x = r * theta + params.translation.x
-            graph_y = params.epsilon * params.beta * r ** (1 - n) * theta @ params.rotation.T \
-                + params.translation.y
-            sampled = np.sqrt(np.sum((x - graph_x) ** 2 + (y - graph_y) ** 2, axis=-1))
+            graph = np.concatenate([
+                r * theta,
+                params.epsilon * params.beta * r ** (1 - n) * theta @ params.rotation.T,
+            ], axis=-1) + params.translation
+            sampled = np.linalg.norm(params.evaluate(s, theta) - graph, axis=-1)
             assert np.max(np.abs(sampled - gap)) < 1e-12 * h
 
     @pytest.mark.parametrize("n", range(2, 11))
