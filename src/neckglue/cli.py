@@ -19,9 +19,9 @@ n x n matrices, nested or flat), A0 (row-major), epsilon, rho_star, and an
 optional "options" object (quadrature_nodes, sh_degree, outer_spacing,
 neck_s_nodes, neck_angle_nodes).  The sphere rule has quadrature_nodes^(n-1)
 nodes, at most quadrature.MAX_RULE_NODES.  glue samples each rho_* sphere
-once on it and expands the gaps there up to sh_degree; at n >= 3 the
-matching solve reads that expansion, whose degree-2 sh_degree products need
-quadrature_nodes >= 2 sh_degree + 1 (the azimuth's exactness).
+once on it and expands the gaps there up to sh_degree; the gaps and the
+matching solve read that expansion, whose degree-2 sh_degree products need
+quadrature_nodes >= 2 sh_degree + 1 (the azimuth's exactness) at every n.
 NECKGLUE_THREADS caps the BLAS/OpenMP thread pools.
 """
 
@@ -187,7 +187,7 @@ def parse_config(path: str):
     if nodes ** (n - 1) > MAX_RULE_NODES:
         raise ValueError(f"{path}: quadrature_nodes^(n - 1) = {nodes}^{n - 1} exceeds the "
                          f"sphere rule budget of {MAX_RULE_NODES} nodes")
-    if n >= 3 and 2 * degree + 1 > nodes:
+    if 2 * degree + 1 > nodes:
         raise ValueError(f"{path}: sh_degree {degree} needs quadrature_nodes >= "
                          f"2 sh_degree + 1 = {2 * degree + 1}, got {nodes}")
     spacing = options["outer_spacing"]
@@ -245,6 +245,14 @@ def _interaction_sections(report, system):
         report.flag("h3 positivity", False, "Gamma numerically singular")
 
 
+def _refuse_report_over(args, *exports) -> None:
+    """Refuse a --report path that names one of the files the command exports."""
+    for path in exports:
+        if args.report and path and os.path.realpath(args.report) == os.path.realpath(path):
+            raise ValueError(f"--report {args.report!r}: the JSON report would overwrite the "
+                             f"export file {path!r}")
+
+
 def cmd_validate(args, report, config, options) -> None:
     _interaction_sections(report, build_interaction_system(config))
 
@@ -271,6 +279,7 @@ def cmd_interaction(args, report, config, options) -> None:
 def cmd_neck(args, report) -> None:
     if not 0 < args.grid < np.inf:
         raise ValueError(f"--grid must be positive and finite, got {args.grid}")
+    _refuse_report_over(args, args.export)
     params = NeckParams(n=args.n, beta=args.beta, epsilon=args.eps)
 
     s = np.linspace(1e-3, np.pi / args.n - 1e-3, 20001)
@@ -371,6 +380,7 @@ def cmd_glue(args, report, config, options) -> None:
     csv_path = os.path.splitext(args.export)[0] + ".csv" if args.export else None
     if args.export and csv_path == args.export:
         raise ValueError(f"--export {args.export!r}: the CSV file would overwrite the PLY file")
+    _refuse_report_over(args, args.export, csv_path)
     degree, nodes = options["sh_degree"], options["quadrature_nodes"]
     system = build_interaction_system(config)
     _interaction_sections(report, system)

@@ -38,7 +38,6 @@ __all__ = [
     "InteractionSystem",
     "build_interaction_system",
     "check_h1",
-    "gamma_entry",
     "gamma_entry_quadrature",
     "gamma_matrix",
     "lambda_entry_quadrature",
@@ -90,13 +89,8 @@ class Configuration:
                     f"rotations[{j}] orthogonality defect {defect:.3e} exceeds "
                     f"{ORTHOGONALITY_TOL:.0e}"
                 )
-        for j in range(k):
-            for jp in range(j + 1, k):
-                d = float(np.linalg.norm(self.points[j] - self.points[jp]))
-                if d <= DISTINCTNESS_TOL:
-                    raise ValueError(
-                        f"points[{j}] and points[{jp}] coincide (distance {d:.3e})"
-                    )
+        for _ in self.pairs():   # refuses coincident points
+            pass
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.rho_star > 0:
@@ -108,14 +102,20 @@ class Configuration:
 
     @property
     def min_separation(self) -> float:
-        """Smallest distance |x_a - x_b| between two marked points (inf if k = 1)."""
-        return min((float(np.linalg.norm(self.points[a] - self.points[b]))
-                    for a in range(self.k) for b in range(a + 1, self.k)), default=np.inf)
+        """Smallest distance |x_j - x_j'| between two marked points (inf if k = 1)."""
+        return min((d for _, _, d, _ in self.pairs()), default=np.inf)
 
-    def xi(self, j: int, jp: int) -> np.ndarray:
-        """Unit separation direction xi_jj' = (x_j - x_j')/|x_j - x_j'|."""
-        d = self.points[j] - self.points[jp]
-        return d / np.linalg.norm(d)
+    def pairs(self):
+        """Yield (j, j', d, xi) for every pair j < j': the distance
+        d = |x_j - x_j'| and the unit direction xi_jj' = (x_j - x_j')/d.
+        Refuses two points within DISTINCTNESS_TOL of each other."""
+        for j in range(self.k):
+            for jp in range(j + 1, self.k):
+                diff = self.points[j] - self.points[jp]
+                d = float(np.linalg.norm(diff))
+                if d <= DISTINCTNESS_TOL:
+                    raise ValueError(f"points[{j}] and points[{jp}] coincide (distance {d:.3e})")
+                yield j, jp, d, diff / d
 
 
 @dataclass
@@ -152,37 +152,23 @@ def check_h1(config: Configuration) -> list:
     residual exceeds 1e-8.
     """
     out = []
-    for j in range(config.k):
-        for jp in range(j + 1, config.k):
-            M = np.eye(config.n) - config.rotations[jp].T @ config.rotations[j]
-            U, S, _ = np.linalg.svd(M)
-            Ur = U[:, :int(np.sum(S > H1_RANK_CUT * S[0]))]   # M = 0: rank 0, residual |xi|
-            xi = config.xi(j, jp)
-            residual = float(np.linalg.norm(xi - Ur @ (Ur.T @ xi)))
-            out.append(H1PairResult(j, jp, residual, residual > H1_RESIDUAL_CUT))
+    for j, jp, _, xi in config.pairs():
+        M = np.eye(config.n) - config.rotations[jp].T @ config.rotations[j]
+        U, S, _ = np.linalg.svd(M)
+        Ur = U[:, :int(np.sum(S > H1_RANK_CUT * S[0]))]   # M = 0: rank 0, residual |xi|
+        residual = float(np.linalg.norm(xi - Ur @ (Ur.T @ xi)))
+        out.append(H1PairResult(j, jp, residual, residual > H1_RESIDUAL_CUT))
     return out
-
-
-def gamma_entry(config: Configuration, j: int, jp: int) -> float:
-    """Closed-form interaction coefficient gamma_jj' (j != j')."""
-    if j == jp:
-        raise ValueError("gamma_jj is identically zero; request off-diagonal entries")
-    d = float(np.linalg.norm(config.points[j] - config.points[jp]))
-    xi = config.xi(j, jp)
-    Rj, Rjp = config.rotations[j], config.rotations[jp]
-    tr = float(np.trace(Rjp.T @ Rj))
-    cross = float((Rj @ xi) @ (Rjp @ xi))
-    n = config.n
-    return omega_n(n) / (n * d**n) * (tr - n * cross)
 
 
 def gamma_entry_quadrature(config: Configuration, j: int, jp: int,
                            rule: QuadratureRule):
-    """Direct sphere quadrature of the gamma_jj' integrand (cross-check route)."""
+    """Direct sphere quadrature of the gamma_jj' integrand (the independent cross-check)."""
     if j == jp:
         raise ValueError("gamma_jj is identically zero")
-    d = float(np.linalg.norm(config.points[j] - config.points[jp]))
-    xi = config.xi(j, jp)
+    diff = config.points[j] - config.points[jp]
+    d = float(np.linalg.norm(diff))
+    xi = diff / d
     Rj, Rjp = config.rotations[j], config.rotations[jp]
     n = config.n
 
@@ -195,12 +181,14 @@ def gamma_entry_quadrature(config: Configuration, j: int, jp: int,
 
 
 def gamma_matrix(config: Configuration) -> np.ndarray:
-    k = config.k
-    G = np.zeros((k, k))
-    for j in range(k):
-        for jp in range(k):
-            if j != jp:
-                G[j, jp] = gamma_entry(config, j, jp)
+    """Closed-form Gamma: each gamma_jj' = gamma_j'j once per pair, zero diagonal."""
+    n = config.n
+    G = np.zeros((config.k, config.k))
+    for j, jp, d, xi in config.pairs():
+        Rj, Rjp = config.rotations[j], config.rotations[jp]
+        tr = float(np.trace(Rjp.T @ Rj))
+        cross = float((Rj @ xi) @ (Rjp @ xi))
+        G[j, jp] = G[jp, j] = omega_n(n) / (n * d**n) * (tr - n * cross)
     return G
 
 

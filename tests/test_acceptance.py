@@ -14,7 +14,6 @@ from neckglue.assembler import _point_rows
 from neckglue.config import (
     Configuration,
     build_interaction_system,
-    gamma_entry,
     gamma_entry_quadrature,
     gamma_matrix,
     neck_scales,
@@ -49,7 +48,7 @@ class _Criterion:
 
 def test_criterion_1_gamma12_closed_form(flagship):
     crit = _Criterion(1, "gamma_12 closed form")
-    g = gamma_entry(flagship, 0, 1)
+    g = gamma_matrix(flagship)[0, 1]
     err_value = abs(g + math.pi / 3)
     oracle = symmetric_pair_gamma(np.eye(3), rot_e1(math.pi / 2), 3)
     err_oracle = abs(g - oracle)

@@ -312,8 +312,7 @@ class TestCommands:
         assert_option_refused(capsys.readouterr().err, key, message)
 
     def test_option_range_boundaries_accepted(self, tmp_path):
-        # at n >= 3 sh_degree 1 needs quadrature_nodes >= 3; n = 2 has no
-        # matching expansion and takes a one-node rule
+        # sh_degree 1 needs quadrature_nodes >= 3, at n = 2 as at n >= 3
         doc = dict(FLAGSHIP, options={"neck_s_nodes": 5, "neck_angle_nodes": [3, 3.0],
                                       "quadrature_nodes": 3, "sh_degree": 1})
         _, options = parse_config(write_config(tmp_path, doc))
@@ -322,8 +321,8 @@ class TestCommands:
         doc = {"n": 2, "points": [[1.0, 0.0], [-1.0, 0.0]],
                "rotations": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
                "A0": [[3.0, 0.0], [0.0, 1.0]], "epsilon": 1e-4, "rho_star": 0.45,
-               "options": {"quadrature_nodes": 1, "sh_degree": 1}}
-        assert parse_config(write_config(tmp_path, doc))[1]["quadrature_nodes"] == 1
+               "options": {"quadrature_nodes": 3, "sh_degree": 1}}
+        assert parse_config(write_config(tmp_path, doc))[1]["quadrature_nodes"] == 3
         doc = dict(FLAGSHIP, options={"sh_degree": 12})
         assert parse_config(write_config(tmp_path, doc))[1]["sh_degree"] == 12
 
@@ -470,6 +469,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert (f"neck scale (n beta epsilon)^(1/n) must be positive and finite, got {scale} "
                 f"at beta = {float(value)}, epsilon = {float(value)}") in err
+
+    def test_neck_report_over_the_export_exit_two(self, tmp_path, capsys, no_neck_patch):
+        # the JSON report would replace the exported mesh
+        out = tmp_path / "x.ply"
+        start = time.perf_counter()
+        assert main(["neck", "--n", "3", "--export", str(out),
+                     "--report", f"{tmp_path}/./x.ply"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"error: neck: --report '{tmp_path}/./x.ply': the JSON report would overwrite " \
+               f"the export file {str(out)!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["--n", "5"], ["--n", "7", "--grid", "0.8"]])
     def test_neck_sweep_cap_keeps_the_measured_runs(self, no_neck_patch, argv):
@@ -744,6 +754,20 @@ class TestGlueCommand:
         assert main(["glue", write_config(tmp_path, FLAGSHIP), "--export", str(out)]) == 2
         assert "--export" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["csv", "ply"])
+    def test_report_over_an_export_exit_two(self, tmp_path, capsys, kind):
+        # glue --export x.ply writes x.ply and x.csv; the JSON report would
+        # replace either
+        cfg = write_config(tmp_path, FLAGSHIP)
+        report = tmp_path / f"x.{kind}"
+        start = time.perf_counter()
+        assert main(["glue", cfg, "--export", str(tmp_path / "x.ply"),
+                     "--report", str(report)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"error: glue: --report {str(report)!r}: the JSON report would overwrite the " \
+               f"export file {str(report)!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_matching_gate_trips_outside_asymptotic_range(self, tmp_path, capsys):
         # at eps = 1e-3, rho_* = 0.45 the measured correction is ~4.7 times
@@ -1038,6 +1062,26 @@ class TestPeakMemory:
                 "print(rc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
         rc, peak = _fresh_python(code).split()
         assert rc == "2" and int(peak) < 100 * 1024   # KiB on Linux
+
+    @pytest.mark.parametrize("command", ["validate", "glue"])
+    def test_refused_sh_degree_allocates_nothing(self, tmp_path, command):
+        # an n = 2 file that passes H1-H3: at sh_degree 1e9 glue would build
+        # an 8 GB list of sphere harmonics; the rule's 2 sh_degree + 1 bound,
+        # at every n, refuses it in parse_config
+        doc = {"n": 2, "points": [[1.0, 0.0], [-1.0, 0.0]],
+               "rotations": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+               "A0": [[1.0, 0.0], [0.0, 0.0]], "epsilon": 1e-4, "rho_star": 0.45,
+               "options": {"sh_degree": 10 ** 9}}
+        cfg = write_config(tmp_path, doc)
+        work = ("import sys\nfrom neckglue.cli import main\n"
+                f"sys.exit(main([{command!r}, {cfg!r}]))\n")
+        code = ("import resource, subprocess, sys\n"
+                f"rc = subprocess.run([sys.executable, '-c', {work!r}], "
+                "capture_output=True, text=True)\n"
+                "print(rc.returncode, 'sh_degree 1000000000 needs quadrature_nodes' in rc.stderr,"
+                " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        rc, named, peak = _fresh_python(code).split()
+        assert (rc, named) == ("2", "True") and int(peak) < 100 * 1024   # KiB on Linux
 
 
 @pytest.mark.parametrize("seed", range(2))

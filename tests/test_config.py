@@ -8,7 +8,6 @@ from neckglue.config import (
     Configuration,
     build_interaction_system,
     check_h1,
-    gamma_entry,
     gamma_entry_quadrature,
     gamma_matrix,
     lambda_entry_quadrature,
@@ -75,22 +74,22 @@ class TestH1:
 
 class TestGammaEntry:
     def test_flagship_value(self, flagship):
-        g = gamma_entry(flagship, 0, 1)
+        g = gamma_matrix(flagship)[0, 1]
         assert abs(g + math.pi / 3) < 1e-13
 
     def test_symmetric_oracle_agreement(self, flagship):
-        g = gamma_entry(flagship, 0, 1)
+        g = gamma_matrix(flagship)[0, 1]
         oracle = symmetric_pair_gamma(np.eye(3), rot_e1(math.pi / 2), 3)
         assert abs(g - oracle) < 1e-12
 
     def test_product_rule_agreement(self, flagship):
         est = gamma_entry_quadrature(flagship, 0, 1, product_gauss_rule(3, 32))
-        assert abs(est - gamma_entry(flagship, 0, 1)) < 1e-12
+        assert abs(est - gamma_matrix(flagship)[0, 1]) < 1e-12
 
     def test_equal_rotations_zero(self):
         cfg = Configuration(3, [[1, 0, 0], [-1, 0, 0]], [rot_e1(0.3), rot_e1(0.3)],
                             np.eye(3), 1e-3, 0.2)
-        assert gamma_entry(cfg, 0, 1) == pytest.approx(0.0, abs=1e-15)
+        assert gamma_matrix(cfg)[0, 1] == pytest.approx(0.0, abs=1e-15)
         rule = product_gauss_rule(3, 32)
         est = gamma_entry_quadrature(cfg, 0, 1, rule)
         assert abs(est) < 1e-6
@@ -105,11 +104,7 @@ class TestGammaEntry:
         )
         rule = product_gauss_rule(4, 32)
         est = gamma_entry_quadrature(cfg, 0, 1, rule)
-        assert abs(est - gamma_entry(cfg, 0, 1)) < 1e-6
-
-    def test_diagonal_entry_rejected(self, flagship):
-        with pytest.raises(ValueError):
-            gamma_entry(flagship, 1, 1)
+        assert abs(est - gamma_matrix(cfg)[0, 1]) < 1e-6
 
 
 class TestSymmetricPairGamma:
@@ -252,4 +247,4 @@ class TestInvariants:
             np.eye(5), 1e-3, 0.2,
         )
         est = gamma_entry_quadrature(cfg, 0, 1, product_gauss_rule(5, 8))
-        assert abs(est - gamma_entry(cfg, 0, 1)) < 1e-12
+        assert abs(est - gamma_matrix(cfg)[0, 1]) < 1e-12
