@@ -26,23 +26,3 @@ def _configure_threads() -> None:
 
 
 _configure_threads()
-
-from .config import Configuration, InteractionSystem, build_interaction_system
-from .geometry import ImmersionPatch
-from .green import GreenData
-from .neck import NeckParams, NormalField
-from .spectrum import IndicialTable, ModeSolution
-
-
-__all__ = [
-    "Configuration",
-    "GreenData",
-    "ImmersionPatch",
-    "IndicialTable",
-    "InteractionSystem",
-    "ModeSolution",
-    "NeckParams",
-    "NormalField",
-    "__version__",
-    "build_interaction_system",
-]

@@ -257,9 +257,15 @@ def curvature_report(surface: GluedSurface):
                 "histogram_counts": hist.tolist(), "histogram_edges": edges.tolist()}
 
     report = {"necks": []}
-    for patch in surface.necks:
-        H, valid = mean_curvature_field(patch)
-        report["necks"].append(stats(np.linalg.norm(H, axis=-1)[valid]))
+    for j, (patch, params) in enumerate(zip(surface.necks, surface.neck_params)):
+        with np.errstate(all="ignore"):   # a non-finite |H| is refused below
+            H, valid = mean_curvature_field(patch)
+            mags = np.linalg.norm(H, axis=-1)[valid]
+        if not np.all(np.isfinite(mags)):
+            raise ValueError(f"neck[{j}]: the FD mean curvature is not finite: the neck scale "
+                             f"{params.scale:.3g} leaves its patch no float resolution next "
+                             f"to its translation; raise epsilon")
+        report["necks"].append(stats(mags))
     outer = surface.outer
     Ha = graph_mean_curvature(surface.green, outer.samples[..., :surface.config.n][outer.mask])
     Hfd, valid = mean_curvature_field(outer)
@@ -273,38 +279,27 @@ def curvature_report(surface: GluedSurface):
 # Export
 # ----------------------------------------------------------------------
 
-def _point_rows(patches, m: int, ambient: int):
-    """Flatten all valid nodes to (patch_id, params..., coords...) rows."""
-    rows = []
-    for pid, patch in enumerate(patches):
-        if patch.m != m or patch.ambient_dim != ambient:
-            raise ValueError("patches disagree on parameter or ambient dimension")
-        grids = [np.arange(d) * h for d, h in zip(patch.param_dims, patch.spacings)]
-        mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1)
-        coords = patch.samples[patch.mask]
-        ids = np.full((len(coords), 1), pid, dtype=float)
-        rows.append(np.concatenate([ids, mesh[patch.mask], coords], axis=1))
-    return np.concatenate(rows, axis=0) if rows else np.empty((0, 1 + m + ambient))
-
-
 _CHUNK_ROWS = 4096  # rows per block: fastest of 250-16,384 on the flagship, peak RSS within 0.5 MB
 
 
 def _write_point_cloud(source, ply_path=None, csv_path=None) -> None:
-    """Write the valid nodes as ASCII PLY and/or CSV in one chunked pass.  Per
-    block of _CHUNK_ROWS rows, each column's distinct values (by 64-bit
-    pattern, so -0.0 stays "-0") are rendered by one `%` ("%d" for the patch
-    id, else "%.17g": lossless) and expanded through the inverse index; PLY
-    lines are "coords id params", CSV lines "id,params,coords"."""
+    """Write the valid nodes as ASCII PLY and/or CSV in one pass, patch by
+    patch in blocks of at most _CHUNK_ROWS of its valid nodes: "%d" renders
+    the patch id, "%.17g" (lossless) each parameter axis once per patch and,
+    per block, each coordinate column's distinct values (by 64-bit pattern,
+    so -0.0 stays "-0").  PLY lines are "coords id params", CSV lines
+    "id,params,coords"."""
     patches = [source.outer, *source.necks] if isinstance(source, GluedSurface) else list(source)
     if not patches:
         raise ValueError("nothing to export")
     m, ambient = patches[0].m, patches[0].ambient_dim
-    rows = _point_rows(patches, m, ambient)
+    if any(patch.m != m or patch.ambient_dim != ambient for patch in patches):
+        raise ValueError("patches disagree on parameter or ambient dimension")
+    count = sum(int(np.count_nonzero(patch.mask)) for patch in patches)
     names = (["x", "y", "z"] + [f"c{i}" for i in range(3, ambient)])[:ambient]
     ply_header = (
         "ply\nformat ascii 1.0\ncomment ambient space is R^{2n}; x y z are the "
-        f"first three ambient coordinates (projection)\nelement vertex {len(rows)}\n"
+        f"first three ambient coordinates (projection)\nelement vertex {count}\n"
         + "".join(f"property double {name}\n" for name in names) + "property int patch_id\n"
         + "".join(f"property double p{i}\n" for i in range(m)) + "end_header\n"
     )
@@ -313,21 +308,27 @@ def _write_point_cloud(source, ply_path=None, csv_path=None) -> None:
     # (label, path, header, separator, leading columns moved to the line's end)
     sinks = [sink for sink in (("PLY", ply_path, ply_header, " ", 1 + m),
                                ("CSV", csv_path, csv_header, ",", 0)) if sink[1]]
-    specs = ["%d"] + ["%.17g"] * (m + ambient)
     try:
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(open(path, "w")) for _, path, *_ in sinks]
             for fh, (_, _, header, _, _) in zip(files, sinks):
                 fh.write(header)
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                texts = []
-                for spec, column in zip(specs, rows[start:start + _CHUNK_ROWS].T):
-                    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-                    distinct = "\n".join([spec] * len(bits)) % tuple(bits.view(float).tolist())
-                    texts.append(np.array(distinct.split("\n"), dtype=object)[inverse].tolist())
-                for fh, (_, _, _, sep, shift) in zip(files, sinks):
-                    lines = zip(*texts[shift:], *texts[:shift])
-                    fh.write("\n".join(map(sep.join, lines)) + "\n")
+            for pid, patch in enumerate(patches):
+                axes = [np.array(["%.17g" % v for v in np.arange(d) * h], dtype=object)
+                        for d, h in zip(patch.param_dims, patch.spacings)]
+                nodes = np.flatnonzero(patch.mask)
+                for start in range(0, len(nodes), _CHUNK_ROWS):
+                    index = np.unravel_index(nodes[start:start + _CHUNK_ROWS], patch.param_dims)
+                    texts = [["%d" % pid] * len(index[0])]
+                    texts += [axis[i].tolist() for axis, i in zip(axes, index)]
+                    for column in patch.samples[index].T:
+                        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+                        spec = "\n".join(["%.17g"] * len(bits))
+                        distinct = (spec % tuple(bits.view(float).tolist())).split("\n")
+                        texts.append(np.array(distinct, dtype=object)[inverse].tolist())
+                    for fh, (_, _, _, sep, shift) in zip(files, sinks):
+                        lines = zip(*texts[shift:], *texts[:shift])
+                        fh.write("\n".join(map(sep.join, lines)) + "\n")
     except OSError as exc:
         where = " and ".join(f"{label} export to {path!r}" for label, path, *_ in sinks)
         raise OSError(f"{where} failed: {exc}") from exc

@@ -54,12 +54,13 @@ __all__ = ["main", "parse_config"]
 # parse_config).  Keys with an int default must be integers.
 OPTION_DEFAULTS = {"quadrature_nodes": 32, "sh_degree": 8, "neck_s_nodes": 48,
                    "neck_angle_nodes": None, "outer_spacing": None}
-# Bytes of samples one patch may hold: glue's outer box and each of its neck
-# patches (refused in parse_config) and neck's finer FD level.  2 cores, 5 GB
-# ulimit -v: neck at n = 5 on the default grid (1.17 GB) passes in 34 s at
-# 3.7 GB peak, n = 7 at --grid 0.8 (0.74 GB) in 39 s at 4.1 GB; n = 6 (default)
-# needs 29 GB, n = 8 (--grid 0.8) 7.6 GB.  glue at n = 4 on the default grids
-# (a 0.77 GB box) passes in 38.6 s at 3.5 GB peak.
+# Bytes of samples a run may hold: glue's outer box, each of its neck patches
+# and all of them together (refused in parse_config), and neck's finer FD
+# level.  2 cores, 5 GB ulimit -v: neck at n = 5 on the default grid (1.17 GB)
+# passes in 34 s at 3.7 GB peak, n = 7 at --grid 0.8 (0.74 GB) in 39 s at
+# 4.1 GB; n = 6 (default) needs 29 GB, n = 8 (--grid 0.8) 7.6 GB.  glue at
+# n = 4 on the default grids (a 0.77 GB box) passes in 38.6 s at 3.5 GB peak;
+# the flagship at neck_s_nodes 10000 (1.12 GB of necks) peaks at 2.47 GB.
 PATCH_MAX_BYTES = 1.25e9
 # Smallest accepted counts: the neck's nested second differences in s need 5
 # nodes, a central difference along each neck angle 3.
@@ -206,10 +207,14 @@ def parse_config(path: str):
     # spacing / 2, spacing) (clipped to the cap, so its ceiling is an int)
     axis = math.ceil(min((half_width + spacing / 2 + half_width) / spacing, PATCH_MAX_BYTES))
     neck = [options["neck_s_nodes"], *options["neck_angle_nodes"]]
-    for size, grid in ((_patch_bytes([axis] * n, n),
-                        f"outer_spacing {spacing!r} grids the outer box with {axis}^{n}"),
-                       (_patch_bytes(neck, n),
-                        "neck_s_nodes x neck_angle_nodes grid each neck with "
+    box, each_neck = _patch_bytes([axis] * n, n), _patch_bytes(neck, n)
+    # glue keeps the box and every neck patch at once
+    for size, grid in ((box, f"outer_spacing {spacing!r} grids the outer box with {axis}^{n}"),
+                       (each_neck, "neck_s_nodes x neck_angle_nodes grid each neck with "
+                                   + " x ".join(map(str, neck))),
+                       (box + config.k * each_neck,
+                        f"outer_spacing, neck_s_nodes and neck_angle_nodes grid the outer box "
+                        f"and the {config.k} necks together with {axis}^{n} + {config.k} x "
                         + " x ".join(map(str, neck)))):
         if size > PATCH_MAX_BYTES:
             raise ValueError(f"{path}: {grid} nodes, {size / 1e9:.3g} GB of samples, above "

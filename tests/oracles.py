@@ -176,6 +176,19 @@ def hausdorff_to_planes(surface: GluedSurface, exclusion: float) -> float:
     return float(np.max(np.min(np.stack(dists), axis=0)))
 
 
+def point_rows(patches) -> np.ndarray:
+    """(patch_id, params..., coords...) of every valid node, patch after
+    patch: the rows the exporters write, gathered from each patch's whole
+    parameter mesh into one table."""
+    rows = []
+    for pid, patch in enumerate(patches):
+        axes = [np.arange(d) * h for d, h in zip(patch.param_dims, patch.spacings)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        coords = patch.samples[patch.mask]
+        rows.append(np.column_stack([np.full(len(coords), pid), mesh[patch.mask], coords]))
+    return np.concatenate(rows)
+
+
 def dop853_mode_solve(n, k, initial, t_span, num=801, family="exact",
                       frozen=False) -> ModeSolution:
     """The per-mode system z'' = M z by adaptive RK (DOP853, tol RK_TOLERANCE,

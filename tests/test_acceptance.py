@@ -10,7 +10,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from neckglue.assembler import GridSpec, assemble, boundary_gap, export_csv, export_ply
-from neckglue.assembler import _point_rows
 from neckglue.config import (
     Configuration,
     build_interaction_system,
@@ -29,7 +28,7 @@ from neckglue.spectrum import ModeSolution, decay_rate, explicit_n3_residual, \
     indicial_roots, integrate_mode_system, verify_f0
 
 from conftest import flagship_at, rot_e1
-from oracles import symmetric_pair_gamma
+from oracles import point_rows, symmetric_pair_gamma
 
 
 class _Criterion:
@@ -297,7 +296,7 @@ def test_criterion_11_glue_end_to_end(tmp_path):
     csv = tmp_path / "glued.csv"
     export_ply(surfaces[-1], str(ply))
     export_csv(surfaces[-1], str(csv))
-    rows = _point_rows([surfaces[-1].outer] + list(surfaces[-1].necks), 3, 6)
+    rows = point_rows([surfaces[-1].outer, *surfaces[-1].necks])
     csv_back = np.loadtxt(csv, delimiter=",", skiprows=1)
     with open(ply) as fh:
         lines = fh.read().splitlines()

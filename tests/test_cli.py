@@ -262,6 +262,10 @@ class TestCommands:
                            "48 x 24 x 24 x 24 x 48 nodes, 2.55 GB of samples"),
         ("flagship-spacing-tiny", "outer_spacing 5e-324 grids the outer box"),
         ("flagship-neck-huge", "neck_s_nodes x neck_angle_nodes grid each neck with 1000"),
+        # each 1.22 GB neck is under the cap, the two together are not
+        ("flagship-necks-together", "outer_spacing, neck_s_nodes and neck_angle_nodes grid the "
+                                    "outer box and the 2 necks together with 59^3 + 2 x 22000 "
+                                    "x 24 x 48 nodes, 2.44 GB of samples, above the 1.25 GB cap"),
     ])
     def test_patch_too_large_refused(self, tmp_path, capsys, monkeypatch, command, case,
                                      message):
@@ -278,12 +282,14 @@ class TestCommands:
                "n5-spacing-0.5": self.quarter_turn_n5_doc(outer_spacing=0.5),
                "flagship-spacing-tiny": dict(FLAGSHIP, options={"outer_spacing": 5e-324}),
                "flagship-neck-huge": dict(FLAGSHIP, options={"neck_s_nodes": 10**400}),
+               "flagship-necks-together": dict(FLAGSHIP, options={"neck_s_nodes": 22000}),
                }[case]
         assert main([command, write_config(tmp_path, doc)]) == 2
         assert message in capsys.readouterr().err
 
     def test_patch_cap_keeps_n4_defaults(self, tmp_path):
-        # a 59^4 box of 0.77 GB and 85 MB necks, on which glue passes at n = 4
+        # a 59^4 box of 0.77 GB and two 85 MB necks, 0.94 GB together, on
+        # which glue passes at n = 4
         n = 4
         turn = np.eye(n)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]
         doc = {"n": n, "points": [np.eye(n)[0].tolist(), (-np.eye(n)[0]).tolist()],
@@ -810,6 +816,23 @@ class TestGlueCommand:
             assert gate["threshold"] == 0.1 and gate["value"] > 1.0
         assert checks["matching max |delta|/alpha"]["pass"]
 
+    @pytest.mark.parametrize("epsilon, code, message", [
+        # the neck scales (2.3e-20, 3.3e-20) sit below the float spacing of
+        # their +-e1 translations: the FD floor reads 3.3e15, a named FAIL
+        (1e-60, 1, "[FAIL] neck[0] FD sup|H|*scale: 3.342e+15 < 0.1"),
+        # at 2.3e-50 |H| overflows, at 2.3e-100 the FD metric's inverse does
+        (1e-150, 2, "error: glue: neck[0]: the FD mean curvature is not finite: the neck "
+                    "scale 2.29e-50 leaves its patch no float resolution next to its "
+                    "translation; raise epsilon"),
+        (1e-300, 2, "the neck scale 2.29e-100 leaves its patch no float resolution"),
+    ], ids=["1e-60", "1e-150", "1e-300"])
+    def test_tiny_epsilon_fails_by_name(self, tmp_path, capsys, epsilon, code, message):
+        # pytest turns a RuntimeWarning into an error, so none was raised
+        assert main(["glue", write_config(tmp_path, dict(FLAGSHIP, epsilon=epsilon))]) == code
+        out, err = capsys.readouterr()
+        assert message in out + err
+        assert err == "" if code == 1 else err.count("\n") == 1
+
     def test_glue_n4_runs_matching(self, tmp_path):
         # two ends in R^4, the second twisted in (e2, e3): alpha = (16, 32)
         twist = np.eye(4)[[0, 2, 1, 3]] * np.array([1.0, -1.0, 1.0, 1.0])[:, None]
@@ -996,9 +1019,9 @@ class TestImportGraph:
                 "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert _fresh_python(code) == "0 []"
 
-    def test_package_names_load_no_scipy(self):
+    def test_package_import_loads_no_scipy(self):
         code = ("import sys\n"
-                "from neckglue import IndicialTable\n"
+                "import neckglue\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert _fresh_python(code) == "[]"
 
@@ -1008,12 +1031,6 @@ class TestImportGraph:
                 "integrate_mode_system(3, 1, 'asymptotic', [0.7, -0.3, 0.2, 0.5], (0.0, 5.0))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         assert _fresh_python(code) == "[]"
-
-    def test_unknown_attribute(self):
-        import neckglue
-
-        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
-            neckglue.Nope
 
 
 class TestPeakMemory:
@@ -1062,6 +1079,23 @@ class TestPeakMemory:
                 "print(rc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
         rc, peak = _fresh_python(code).split()
         assert rc == "2" and int(peak) < 100 * 1024   # KiB on Linux
+
+    @pytest.mark.parametrize("command", ["validate", "glue"])
+    def test_refused_run_total_allocates_nothing(self, tmp_path, command):
+        # the flagship at neck_s_nodes 22000 has two 1.22 GB necks, each under
+        # the patch cap; glue keeps both, so the summed cap refuses the file in
+        # parse_config, at the ~35 MB the interpreter and numpy take
+        cfg = write_config(tmp_path, dict(FLAGSHIP, options={"neck_s_nodes": 22000}))
+        work = ("import sys\nfrom neckglue.cli import main\n"
+                f"sys.exit(main([{command!r}, {cfg!r}]))\n")
+        code = ("import resource, subprocess, sys, time\n"
+                "start = time.perf_counter()\n"
+                f"rc = subprocess.run([sys.executable, '-c', {work!r}], "
+                "stderr=subprocess.DEVNULL)\n"
+                "print(rc.returncode, time.perf_counter() - start,"
+                " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        rc, wall, peak = _fresh_python(code).split()
+        assert rc == "2" and float(wall) < 1.0 and int(peak) < 100 * 1024   # KiB on Linux
 
     @pytest.mark.parametrize("command", ["validate", "glue"])
     def test_refused_sh_degree_allocates_nothing(self, tmp_path, command):

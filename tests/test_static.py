@@ -82,8 +82,8 @@ def test_checker_sees_function_scope_imports():
 
 
 def test_cli_imports_at_module_level():
-    # the package __init__ loads numpy and the library before any command
-    # runs, so a call-time import in cli.py would delay nothing
+    # every command runs library code, so a call-time import in cli.py
+    # would only move an import that each run makes anyway
     assert function_scope_imports((SRC / "cli.py").read_text()) == []
 
 
@@ -208,16 +208,22 @@ def test_traced_names_are_bound():
 
 def _reads(node, package_init=False):
     """Names that node reads: loaded Name ids, attribute names, imported
-    names (not in the package __init__, whose imports only re-export) and
-    "module.attr" strings, as the pair (module, attr)."""
+    names (not in the package __init__, whose imports only re-export),
+    "module.attr" strings as the pair (module, attr), and names read through
+    the package (`neckglue.NAME`, `from neckglue import NAME` or, inside it,
+    `from . import NAME`) as the string "neckglue.NAME"."""
     found = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             found.add(sub.attr)
+            if isinstance(sub.value, ast.Name) and sub.value.id == "neckglue":
+                found.add(f"neckglue.{sub.attr}")
         elif isinstance(sub, ast.ImportFrom) and not package_init:
             found |= {alias.name for alias in sub.names}
+            if (sub.level, sub.module) in ((0, "neckglue"), (1, None)):
+                found |= {f"neckglue.{alias.name}" for alias in sub.names}
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                 and sub.value.count(".") == 1:
             found.add(tuple(sub.value.split(".")))
@@ -230,7 +236,8 @@ def unreferenced_exports(package, bench):
     and the __all__ lists.  package maps module names ("__init__" for the
     package's own) to sources, bench maps bench file names to sources; a
     bench file may also name the export as the string "module.name", the
-    form the tracer takes."""
+    form the tracer takes.  A name of the package's own __all__ is read only
+    through the package: a bare read of the same name is the module's."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     reads = []   # (module or None for bench, top-level node, names read)
     for module, tree in trees.items():
@@ -244,9 +251,13 @@ def unreferenced_exports(package, bench):
     for module, tree in trees.items():
         for name in sorted(_exported(tree)):
             own = {id(node) for node in tree.body if getattr(node, "name", None) == name}
-            if not any((name in names and id(node) not in own)
-                       or (where is None and (module, name) in names)
-                       for where, node, names in reads):
+            if module == "__init__":
+                read = any(f"neckglue.{name}" in names for _, _, names in reads)
+            else:
+                read = any((name in names and id(node) not in own)
+                           or (where is None and (module, name) in names)
+                           for where, node, names in reads)
+            if not read:
                 missing.append(f"{module}.{name}")
     return missing
 
@@ -272,6 +283,25 @@ def test_checker_sees_exports_only_tests_use():
     assert unreferenced_exports(package, bench) == ["__init__.reexported", "a.K",
                                                     "a.only_tested", "a.recursive",
                                                     "a.reexported"]
+
+
+def test_checker_reads_package_names_only_through_the_package():
+    names = "'by_attr', 'by_import', 'by_relative', 'bare'"
+    package = {
+        "__init__": f"from .a import by_attr, by_import, by_relative, bare\n__all__ = [{names}]\n",
+        "a": f"__all__ = [{names}]\n" + "".join(
+            f"def {name}(): pass\n" for name in ("by_attr", "by_import", "by_relative", "bare")),
+        "b": ("from . import by_relative\n"
+              "from .a import bare\n"
+              "__all__ = []\n"
+              "def f():\n"
+              "    return by_relative(), bare()\n"),
+    }
+    bench = {"run": ("import neckglue\n"
+                     "from neckglue import by_import\n"
+                     "neckglue.by_attr(), by_import()\n")}
+    # b reads a's bare, not the package's: the re-export is unread
+    assert unreferenced_exports(package, bench) == ["__init__.bare"]
 
 
 def test_every_export_has_a_caller_in_src_or_bench():
@@ -387,7 +417,8 @@ def unexported_imports(package):
     another (`from .module import name`, or `from . import name` from the
     package __init__) that the other's __all__ does not list.  package maps
     module names ("__init__" for the package's own) to sources.  A name that
-    is itself a package module is exempt, and so are UPPER_CASE constants,
+    is itself a package module is exempt, and so are dunders (module data
+    such as __version__, which no __all__ lists) and UPPER_CASE constants,
     which test_every_constant_is_read_in_src_or_bench covers."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     missing = []
@@ -399,13 +430,14 @@ def unexported_imports(package):
             exported = _exported(trees[module]) if module in trees else set()
             missing += [f"{importer}: {module}.{alias.name}" for alias in node.names
                         if alias.name not in exported and not alias.name.isupper()
+                        and not (alias.name.startswith("__") and alias.name.endswith("__"))
                         and not (node.module is None and alias.name in trees)]
     return missing
 
 
 def test_checker_sees_unexported_imports():
     package = {
-        "__init__": "from .a import f\n__version__ = '1'\n__all__ = ['f', '__version__']\n",
+        "__init__": "from .a import f\n__version__ = '1'\n__all__ = ['f']\n",
         "a": ("__all__ = ['f']\n"
               "K = 1\n"
               "def f(): pass\n"
