@@ -98,6 +98,10 @@ class NeckParams:
         if not 0 < self.scale < math.inf:
             raise ValueError(f"neck scale (n beta epsilon)^(1/n) must be positive and finite, "
                              f"got {self.scale} at beta = {self.beta}, epsilon = {self.epsilon}")
+        if self.scale ** 2 < np.finfo(float).tiny:
+            raise ValueError(f"neck scale^2 = {self.scale ** 2}, the order of the FD metric, is "
+                             f"below the smallest normal float at beta = {self.beta}, epsilon = "
+                             f"{self.epsilon}")
         R = np.eye(self.n) if self.rotation is None else np.asarray(self.rotation, float)
         if check_orthogonal(R) > 1e-10:
             raise ValueError("neck rotation is not orthogonal")
@@ -202,21 +206,29 @@ def default_angle_grids(n: int, counts, margin: float):
     return tuple(polar) + (2.0 * math.pi * np.arange(counts[-1]) / counts[-1],)
 
 
+def _uniform_step(grid, name: str) -> float:
+    """Step of a uniform grid; refuses a non-uniform one as "<name> must be uniform"."""
+    grid = np.asarray(grid, dtype=float)
+    h = float(grid[1] - grid[0])
+    if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-12):
+        raise ValueError(f"{name} must be uniform")
+    return h
+
+
 def neck_patch(params: NeckParams, angle_grids, t_grid) -> ImmersionPatch:
     """ImmersionPatch of the neck over t_grid x angle_grids.
 
-    t_grid must be uniform.  The t-chart suits truncated necks reaching into
-    the ends, where s-derivatives of the immersion blow up while
-    t-derivatives stay uniformly moderate.  The azimuth is periodic.
+    t_grid and the angle grids must be uniform.  The t-chart suits truncated
+    necks reaching into the ends, where s-derivatives of the immersion blow
+    up while t-derivatives stay uniformly moderate.  The azimuth is periodic.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    step = float(t_grid[1] - t_grid[0])
+    spacings = [_uniform_step(t_grid, "t grid")] + [_uniform_step(g, "angle grids")
+                                                     for g in angle_grids]
     s_values = t_to_s(t_grid, params.n)
     angles_mesh = np.stack(np.meshgrid(*angle_grids, indexing="ij"), axis=-1)
     theta = sphere_chart(angles_mesh)
     s_col = s_values.reshape((-1,) + (1,) * (theta.ndim - 1))
     samples = params.evaluate(s_col, theta)
-    spacings = [step] + [float(g[1] - g[0]) for g in angle_grids]
     periodic = (False,) + (False,) * (len(angle_grids) - 1) + (True,)
     return ImmersionPatch(spacings=tuple(spacings), samples=samples, periodic=periodic)
 
@@ -284,10 +296,7 @@ class SphereGridOps:
     def __init__(self, angle_grids):
         self.angle_grids = tuple(np.asarray(g, dtype=float) for g in angle_grids)
         self.m = len(self.angle_grids)
-        self.spacings = tuple(float(g[1] - g[0]) for g in self.angle_grids)
-        for g, h in zip(self.angle_grids, self.spacings):
-            if not np.allclose(np.diff(g), h, rtol=0, atol=1e-12):
-                raise ValueError("angle grids must be uniform")
+        self.spacings = tuple(_uniform_step(g, "angle grids") for g in self.angle_grids)
         mesh = np.stack(np.meshgrid(*self.angle_grids, indexing="ij"), axis=-1)
         self.theta = sphere_chart(mesh)                     # grid + (n,)
         ones = np.ones_like(mesh[..., :1])
@@ -425,9 +434,7 @@ def linearized_apply(field: NormalField) -> NormalField:
     s = field.s
     if s.size < 5:
         raise ValueError("s grid too coarse for nested second differences")
-    hs = float(s[1] - s[0])
-    if not np.allclose(np.diff(s), hs, rtol=0, atol=1e-12):
-        raise ValueError("s grid must be uniform")
+    hs = _uniform_step(s, "s grid")
     s_col = s.reshape((s.size,) + (1,) * ops.m)
     sin_ns = np.sin(n * s_col)
     cos_ns = np.cos(n * s_col)[2:-2]

@@ -84,22 +84,36 @@ def indicial_roots(n: int, k: int) -> IndicialTable:
 # Per-mode systems
 # ----------------------------------------------------------------------
 
-def mode_system_matrix(n: int, k: int, t: float, family: str = "exact") -> np.ndarray:
-    """Coefficient matrix M(t) of the second-order system z'' = M(t) z.
+def _float_array(t) -> np.ndarray:
+    """t as an array: a floating dtype is kept (long double in
+    explicit_n3_residual), anything else becomes float64."""
+    t = np.asarray(t)
+    return t if t.dtype.kind == "f" else t.astype(float)
+
+
+def _sech(n: int, t) -> np.ndarray:
+    """sech(nt) = 2 e / (1 + e^2) with e = exp(-|nt|): no overflow at any nt."""
+    e = np.exp(-np.abs(n * _float_array(t)))
+    return 2.0 * e / (1.0 + e * e)
+
+
+def mode_system_matrix(n: int, k: int, t, family: str = "exact") -> np.ndarray:
+    """Coefficient matrix M(t) of the second-order system z'' = M(t) z, of
+    shape (d, d) + t.shape in t's floating dtype (float64 for anything else).
 
     At t = -inf or +inf, tanh(nt) is exactly -1 or +1 and sech^2(nt) exactly
     0: the constant-coefficient system frozen at that end of the cylinder.
     """
     if family not in ("exact", "coexact"):
         raise ValueError("family must be 'exact' or 'coexact'")
-    th = math.tanh(n * t)
-    sech2 = float(_sech(n, t)) ** 2
+    if family == "coexact" and k < 1:
+        raise ValueError("coexact modes require k >= 1")
+    t = _float_array(t)
+    th = np.tanh(n * t)
+    sech2 = _sech(n, t) ** 2
 
     if family == "coexact":
-        if k < 1:
-            raise ValueError("coexact modes require k >= 1")
         return np.array([[((n - 2) / 2.0 + k) ** 2 - (16 - n * n) / 4.0 * sech2]])
-
     if k == 0:
         return np.array([[n * n / 4.0 - 3.0 * n * n / 4.0 * sech2]])
     K = k * (n - 2 + k)
@@ -111,25 +125,17 @@ def mode_system_matrix(n: int, k: int, t: float, family: str = "exact") -> np.nd
     )
 
 
-def _companion(M: np.ndarray) -> np.ndarray:
-    """First-order companion [[0, I], [M, 0]] of z'' = M z."""
-    d = M.shape[0]
-    comp = np.zeros((2 * d, 2 * d))
-    comp[:d, d:] = np.eye(d)
-    comp[d:, :d] = M
-    return comp
-
-
 def frozen_characteristic_roots(n: int, k: int, side: int = -1,
                                 family: str = "exact") -> np.ndarray:
     """Sorted characteristic exponents of the system frozen at t -> side*inf:
-    the eigenvalues of the first-order companion of mode_system_matrix at
-    t = side * inf, which are the indicial roots.
+    the eigenvalues of the first-order companion [[0, I], [M, 0]] of
+    M = mode_system_matrix at t = side * inf, which are the indicial roots.
     """
     if side not in (-1, 1):
         raise ValueError("side must be -1 or +1")
     M = mode_system_matrix(n, k, side * math.inf, family=family)
-    roots = np.linalg.eigvals(_companion(M))
+    zero = np.zeros_like(M)
+    roots = np.linalg.eigvals(np.block([[zero, np.eye(len(M))], [M, zero]]))
     return np.sort_complex(roots).real if np.allclose(roots.imag, 0, atol=1e-10) \
         else np.sort_complex(roots)
 
@@ -158,9 +164,9 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     coupled ones; it and t_span must be finite.  Raises on blow-up of
     |a| + |b| past 1e12 with the location.
     """
+    M0 = mode_system_matrix(n, k, -math.inf, family=family)
+    d = len(M0)
     initial = np.asarray(initial, dtype=float)
-    scalar = (family == "coexact") or (k == 0)
-    d = 1 if scalar else 2
     if initial.shape != (2 * d,):
         raise ValueError(f"initial data must have length {2 * d}")
     if not np.all(np.isfinite(initial)):
@@ -169,8 +175,6 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     if t_span.shape != (2,) or not np.all(np.isfinite(t_span)):
         raise ValueError(f"t_span must be two finite times, got {t_span.tolist()}")
     t_eval = np.linspace(t_span[0], t_span[1], num)
-
-    M0 = mode_system_matrix(n, k, -math.inf, family=family)
     if kind != "asymptotic":
         raise ValueError(f"kind must be 'asymptotic' (the frozen system), got {kind!r}")
 
@@ -183,8 +187,8 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     # where s = 0 (n = 2, k = 1, nu = 0)
     roots = indicial_roots(n, k)
     first = roots.coexact if family == "coexact" else roots.exact_mu
-    s = np.array([float(first[0])] + ([] if scalar else [float(roots.exact_nu[0])]))
-    P = np.ones((1, 1)) if scalar else np.stack([np.full(2, -M0[0, 1]), M0[0, 0] - s**2])
+    s = np.array([float(first[0])] + ([] if d == 1 else [float(roots.exact_nu[0])]))
+    P = np.ones((1, 1)) if d == 1 else np.stack([np.full(2, -M0[0, 1]), M0[0, 0] - s**2])
     u0, du0 = np.linalg.solve(P, initial.reshape(2, d).T).T
     nonzero = s > 0
     s_or_1 = np.where(nonzero, s, 1.0)
@@ -212,18 +216,12 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
                 lo = mid
             mid = 0.5 * (lo + hi)
         raise ValueError(f"mode solution blew up past {BLOWUP_LIMIT:g} at t = {hi:.4f}")
-    return ModeSolution(n=n, k=k, t=t_eval, a=z[:, 0], b=None if scalar else z[:, 1])
+    return ModeSolution(n=n, k=k, t=t_eval, a=z[:, 0], b=None if d == 1 else z[:, 1])
 
 
 # ----------------------------------------------------------------------
 # Explicit objects
 # ----------------------------------------------------------------------
-
-def _sech(n: int, t) -> np.ndarray:
-    """sech(nt) = 2 e / (1 + e^2) with e = exp(-|nt|): no overflow at any nt."""
-    e = np.exp(-np.abs(n * np.asarray(t, dtype=float)))
-    return 2.0 * e / (1.0 + e * e)
-
 
 def f0_profile(n: int, t):
     """The exact k = 0 kernel element f_0(t) = (cosh nt)^{-1/2}."""
@@ -237,10 +235,10 @@ def f0_second_derivative(n: int, t):
 
 
 def verify_f0(n: int, t_grid) -> float:
-    """Sup residual of f_0 in the k = 0 equation with analytic derivatives."""
-    f = f0_profile(n, t_grid)
-    resid = f0_second_derivative(n, t_grid) - n * n / 4.0 * f \
-        + 3.0 * n * n / 4.0 * f * _sech(n, t_grid) ** 2
+    """Sup residual of f_0 in the k = 0 equation f'' = M(t) f, M =
+    mode_system_matrix, with the analytic f_0''."""
+    resid = f0_second_derivative(n, t_grid) \
+        - mode_system_matrix(n, 0, t_grid)[0, 0] * f0_profile(n, t_grid)
     return float(np.max(np.abs(resid)))
 
 
@@ -255,9 +253,7 @@ def explicit_n3_solution(t):
     within float epsilon of pi.  A floating t keeps its dtype (long double
     for explicit_n3_residual); anything else is taken as float64.
     """
-    t = np.asarray(t)
-    if t.dtype.kind != "f":
-        t = t.astype(float)
+    t = _float_array(t)
     one = t.dtype.type(1)
     s = 2 * one / 3 * np.arctan(np.exp(3 * t))    # t_to_s, in t's dtype
     w = np.cosh(3 * t) ** (one / 6)
@@ -266,27 +262,23 @@ def explicit_n3_solution(t):
     return a, b
 
 
-def explicit_n3_residual(t_grid, h: float = 1e-3) -> float:
-    """Sup residual of (a_1, b_1) in the n = 3, k = 1 system under 5-point
-    FD second derivatives at step h.
+def explicit_n3_residual(t_grid) -> float:
+    """Sup residual of (a_1, b_1) in the n = 3, k = 1 system z'' = M(t) z,
+    M = mode_system_matrix, under 5-point FD second derivatives at step
+    h = 1e-3.
 
     Evaluated in extended precision: at h = 1e-3 the stencil amplifies
     float64 rounding past the 1e-8 scale, while the truncation error itself
     is O(h^4) ~ 1e-10.
     """
     ld = np.longdouble
+    h = ld(1e-3)
     t = np.asarray(t_grid, dtype=ld)
-    hh = ld(h)
-    vals = [explicit_n3_solution(t + k * hh) for k in (-2, -1, 0, 1, 2)]
-    stencil = np.array([-1, 16, -30, 16, -1], dtype=ld) / (12 * hh * hh)
-    app = sum(c * v[0] for c, v in zip(stencil, vals))
-    bpp = sum(c * v[1] for c, v in zip(stencil, vals))
-    a, b = vals[2]
-    th = np.tanh(3 * t)
-    sech2 = 1 / np.cosh(3 * t) ** 2
-    Ma = (2 + ld(9) / 4) * a + 4 * th * b - ld(27) / 4 * a * sech2
-    Mb = (2 + ld(1) / 4) * b + 2 * th * a - ld(7) / 4 * b * sech2
-    return float(max(np.max(np.abs(app - Ma)), np.max(np.abs(bpp - Mb))))
+    z = np.array([explicit_n3_solution(t + j * h) for j in (-2, -1, 0, 1, 2)])
+    stencil = np.array([-1, 16, -30, 16, -1], dtype=ld) / (12 * h * h)
+    zpp = np.tensordot(stencil, z, axes=1)
+    Mz = np.einsum("ij...,j...->i...", mode_system_matrix(3, 1, t), z[2])
+    return float(np.max(np.abs(zpp - Mz)))
 
 
 def exterior_mode_solve(n: int, a0: float, b0: float):

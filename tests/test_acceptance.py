@@ -173,7 +173,7 @@ def test_criterion_6_indicial_roots():
 def test_criterion_7_explicit_solutions():
     crit = _Criterion(7, "explicit solutions and decay rates")
     f0_res = max(verify_f0(n, np.linspace(-5, 5, 2001)) for n in (2, 3, 4))
-    sys_res = explicit_n3_residual(np.linspace(-3, 3, 241), h=1e-3)
+    sys_res = explicit_n3_residual(np.linspace(-3, 3, 241))
     tneg = np.linspace(-12.0, -2.0, 400)
     a, b = explicit_n3_solution(tneg)
     rate_neg, _ = decay_rate(ModeSolution(3, 1, tneg, a, b), end=-1)

@@ -476,6 +476,26 @@ class TestCommands:
         assert (f"neck scale (n beta epsilon)^(1/n) must be positive and finite, got {scale} "
                 f"at beta = {float(value)}, epsilon = {float(value)}") in err
 
+    @pytest.mark.parametrize("argv, beta, eps", [
+        (["--eps", "1e-310"], 1.0, 1e-310),
+        (["--eps", "1e-300", "--beta", "1e-10"], 1e-10, 1e-300),
+    ], ids=["eps-1e-310", "eps-1e-300-beta-1e-10"])
+    def test_neck_subnormal_scale_squared_exit_two(self, capsys, argv, beta, eps):
+        # the FD metric is of order scale^2 = 2e-310, below the smallest
+        # normal float: its inverse overflowed and the FD order read nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["neck", "--n", "2"] + argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: neck: neck scale^2 = 2e-310, the order of the FD metric, is below the "
+            f"smallest normal float at beta = {beta}, epsilon = {eps}"]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("n, eps", [("2", "1.2e-308"), ("3", "5e-324")])
+    def test_neck_normal_scale_squared_runs(self, n, eps):
+        # scale^2 = 2.4e-308 at n = 2 and (3 * 5e-324)^(2/3) ~ 6e-216 at n = 3
+        assert main(["neck", "--n", n, "--eps", eps]) == 0
+
     def test_neck_report_over_the_export_exit_two(self, tmp_path, capsys, no_neck_patch):
         # the JSON report would replace the exported mesh
         out = tmp_path / "x.ply"

@@ -49,6 +49,35 @@ class TestNeckParams:
         assert abs(params.scale - 3.0 ** (1 / 3)) < 1e-15
 
 
+class TestUniformGrids:
+    """neck_patch, SphereGridOps and linearized_apply read one step per grid
+    and refuse a grid whose steps differ from it."""
+
+    @pytest.mark.parametrize("caller, message", [
+        ("neck_patch-t", "t grid must be uniform"),
+        ("neck_patch-angle", "angle grids must be uniform"),
+        ("SphereGridOps", "angle grids must be uniform"),
+        ("linearized_apply", "s grid must be uniform"),
+    ], ids=["neck_patch-t", "neck_patch-angle", "SphereGridOps", "linearized_apply"])
+    def test_non_uniform_grid_refused(self, caller, message):
+        polar, azimuth = default_angle_grids(3, [8, 12], 0.3)
+        t = np.linspace(-1.0, 1.0, 9)
+
+        def bent(grid):
+            return np.append(grid[:-1], grid[-1] + 1e-9)
+
+        params = NeckParams(n=3, beta=1.0, epsilon=1e-3)
+        calls = {
+            "neck_patch-t": lambda: neck_patch(params, (polar, azimuth), bent(t)),
+            "neck_patch-angle": lambda: neck_patch(params, (bent(polar), azimuth), t),
+            "SphereGridOps": lambda: SphereGridOps((polar, bent(azimuth))),
+            "linearized_apply": lambda: linearized_apply(
+                jacobi_field("dilation", 3, bent(t_to_s(t, 3)), (polar, azimuth), delta=1.0)),
+        }
+        with pytest.raises(ValueError, match=message):
+            calls[caller]()
+
+
 class TestCoordinates:
     def test_waist_barycenter_maps_to_zero(self):
         for n in (2, 3, 4):

@@ -96,6 +96,20 @@ class TestFrozenRoots:
                 assert np.array_equal(mode_system_matrix(3, k, t, family="coexact"),
                                       mode_system_matrix(3, k, side, family="coexact"))
 
+    @pytest.mark.parametrize("family,k", [("exact", 0), ("exact", 1), ("exact", 3),
+                                          ("coexact", 2)])
+    def test_array_t_stacks_the_scalar_matrices(self, family, k):
+        t = np.array([[-math.inf, -2.0, -0.1], [0.0, 0.7, math.inf]])
+        M = mode_system_matrix(4, k, t, family)
+        d = 1 if family == "coexact" or k == 0 else 2
+        assert M.shape == (d, d) + t.shape and M.dtype == np.float64
+        for idx in np.ndindex(t.shape):
+            assert np.array_equal(M[(...,) + idx], mode_system_matrix(4, k, float(t[idx]), family))
+        assert mode_system_matrix(4, k, 0, family).dtype == np.float64
+        long = mode_system_matrix(4, k, t.astype(np.longdouble), family)
+        assert long.dtype == np.longdouble
+        assert_allclose(long.astype(float), M, rtol=1e-15, atol=0)
+
 
 class TestF0:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -112,6 +126,27 @@ class TestF0:
         assert sympy.simplify(d2 - closed) == 0
         resid = d2 - n**2 / 4 * f0 + 3 * n**2 / 4 * f0 / sympy.cosh(n * t) ** 2
         assert sympy.simplify(resid) == 0
+
+
+def test_spectrum_checks_read_the_mode_system(monkeypatch, capsys):
+    # sech^2 coefficients 3n^2/4 -> 3n^2/5 (k >= 1) and 3n^2/4 -> 2n^2/4
+    # (k = 0): the frozen roots (sech = 0) still pass, the f0 and explicit
+    # residuals must not
+    from neckglue.cli import main
+
+    exact = spectrum.mode_system_matrix
+
+    def perturbed(n, k, t, family="exact"):
+        M = exact(n, k, t, family)
+        M[0, 0] += (0.75 - (0.6 if k else 0.5)) * n * n * spectrum._sech(n, t) ** 2
+        return M
+
+    monkeypatch.setattr(spectrum, "mode_system_matrix", perturbed)
+    assert main(["spectrum", "--n", "3", "--k", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] f0 residual" in out
+    assert "[FAIL] explicit (a1,b1) residual" in out
+    assert out.count("[FAIL]") == 2
 
 
 class TestConjugationExponent:
@@ -150,7 +185,7 @@ class TestExplicitSolution:
         assert abs(b + 0.5) < 1e-14
 
     def test_residual_in_system(self):
-        assert explicit_n3_residual(np.linspace(-3, 3, 241), h=1e-3) < 1e-8
+        assert explicit_n3_residual(np.linspace(-3, 3, 241)) < 1e-8
 
     def test_asymptotic_rates(self):
         tneg = np.linspace(-12.0, -2.0, 400)
