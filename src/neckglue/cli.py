@@ -4,10 +4,11 @@ Commands
 --------
 validate <cfg>           hypothesis verdicts H1/H2/H3 and the neck scales
 interaction <cfg>        Gamma/Lambda closed forms cross-checked by quadrature
-neck --n N --beta B --eps E [--grid H] [--export P]
-                         model-neck identities, FD minimality floor, the lower
-                         end's approach to its plane graph; refuses a sweep above
-                         PATCH_MAX_BYTES of samples or below 3 coarse t nodes
+neck --n N --eps E [--grid H] [--export P]
+                         model-neck identities (beta = 1), FD minimality floor,
+                         the lower end's approach to its plane graph; refuses a
+                         sweep above PATCH_MAX_BYTES of samples, below 3 coarse
+                         t nodes or whose FD metric overflows a float
 spectrum --n N --k K     indicial roots, frozen-coefficient check (root errors
                          over (n/2 + k)^2), explicit solutions (n=3, k=1)
 glue <cfg> [--export P]  assemble the surface, boundary gaps, curvature,
@@ -41,8 +42,8 @@ from .config import H1_RESIDUAL_CUT, H2_RCOND_CUT, Configuration, build_interact
     gamma_entry_quadrature, lambda_entry_quadrature
 from .geometry import mean_curvature_field
 from .green import balance_residual, default_outer_box
-from .neck import NeckParams, asymptote_residual, default_angle_grids, neck_patch, s_to_t, \
-    t_to_s, waist_radius
+from .neck import NeckParams, asymptote_residual, default_angle_grids, neck_patch, \
+    s_of_radius, s_to_t, t_to_s, waist_radius
 from .quadrature import MAX_RULE_NODES, product_gauss_rule
 from .report import RunReport
 from .spectrum import ModeSolution, decay_rate, explicit_n3_residual, explicit_n3_solution, \
@@ -285,7 +286,7 @@ def cmd_neck(args, report) -> None:
     if not 0 < args.grid < np.inf:
         raise ValueError(f"--grid must be positive and finite, got {args.grid}")
     _refuse_report_over(args, args.export)
-    params = NeckParams(n=args.n, beta=args.beta, epsilon=args.eps)
+    params = NeckParams(n=args.n, beta=1.0, epsilon=args.eps)
 
     s = np.linspace(1e-3, np.pi / args.n - 1e-3, 20001)
     t = s_to_t(s, args.n)
@@ -318,9 +319,14 @@ def cmd_neck(args, report) -> None:
                          f"{PATCH_MAX_BYTES / 1e9:g} GB cap; raise --grid or lower --n")
     coarse = build(args.grid)
     sups = []
-    for patch in (coarse, build(args.grid / 2)):
-        H, valid = mean_curvature_field(patch)
-        sups.append(float(np.max(np.linalg.norm(H, axis=-1)[valid])))
+    try:   # the FD metric is of order scale^2: at n = 2 it is 2 eps
+        with np.errstate(over="raise", invalid="raise"):
+            for patch in (coarse, build(args.grid / 2)):
+                H, valid = mean_curvature_field(patch)
+                sups.append(float(np.max(np.linalg.norm(H, axis=-1)[valid])))
+    except FloatingPointError as exc:
+        raise ValueError(f"epsilon {args.eps!r}: the FD metric, of order scale^2 = "
+                         f"{params.scale ** 2:.3g}, overflows a float ({exc}); lower --eps") from exc
     order = float(np.log2(sups[0] / sups[1]))
     report.section("minimality", {"waist_radius": waist_radius(params),
                                   "fd_sup_by_level": sups, "observed_order": order})
@@ -333,8 +339,11 @@ def cmd_neck(args, report) -> None:
     gaps = asymptote_residual(params, rho)
     asymptote = {"rho": rho.tolist(), "sup_by_rho": gaps.tolist()}
     if n == 2:
-        asymptote["relative_gap"] = float(np.max(
-            gaps / (params.epsilon * params.beta * rho ** (1 - n))))
+        # the closed form is exactly 0 here: read the gap at Theta = e_1 (R = I)
+        height = params.epsilon * params.beta * rho ** (1 - n)
+        point = params.evaluate([s_of_radius(params, r) for r in rho], np.eye(n)[0])
+        graph = np.stack([rho, 0 * rho, height, 0 * rho], axis=-1)
+        asymptote["relative_gap"] = float(np.max(np.linalg.norm(point - graph, axis=-1) / height))
         report.check("asymptote gap / (eps beta rho^(1-n))", asymptote["relative_gap"], 1e-12)
     else:
         asymptote["slope"] = float(np.polyfit(np.log(rho), np.log(gaps), 1)[0])
@@ -457,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("neck", cmd_neck, "model neck identities and minimality")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--grid", type=float, default=0.2,
                    help="FD grid spacing in the cylindrical chart (default 0.2)")

@@ -150,13 +150,12 @@ def default_outer_box(config: Configuration) -> float:
     return 2.0 / rho0
 
 
-def graph_patch(data: GreenData, spacing: float, half_width: float = None) -> ImmersionPatch:
-    """Sample x + i eps G(x) on a uniform box grid of step `spacing` (half-width
-    default_outer_box) minus the balls of radius rho_* about the ends."""
+def graph_patch(data: GreenData, spacing: float) -> ImmersionPatch:
+    """Sample x + i eps G(x) on a uniform box grid of step `spacing` and
+    half-width default_outer_box, minus the balls of radius rho_* about the ends."""
     cfg = data.config
     n = cfg.n
-    if half_width is None:
-        half_width = default_outer_box(cfg)
+    half_width = default_outer_box(cfg)
     axis = np.arange(-half_width, half_width + spacing / 2, spacing)
     samples = np.zeros((len(axis),) * n + (2 * n,))
     for i, coordinate in enumerate(np.meshgrid(*[axis] * n, indexing="ij", sparse=True)):

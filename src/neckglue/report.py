@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import sys
 import time
 
 from . import BLAS_THREAD_VARS, __version__
@@ -86,27 +85,23 @@ class RunReport:
         with open(path, "w") as fh:
             fh.write(self.to_json() + "\n")
 
-    def print_summary(self, stream=None) -> None:
-        stream = stream or sys.stdout
+    def print_summary(self) -> None:
         d = self.data
-        print(f"neckglue {d['tool_version']} :: {d['command']}", file=stream)
+        print(f"neckglue {d['tool_version']} :: {d['command']}")
         if d["config_digest"]:
-            print(f"config digest {d['config_digest']}", file=stream)
+            print(f"config digest {d['config_digest']}")
         for c in d["checks"]:
             mark = "skip" if c.get("skipped") else "ok " if c["pass"] else "FAIL"
             if c["value"] is not None:
-                print(
-                    f"  [{mark}] {c['name']}: {c['value']:.6g} {c['op']} {c['threshold']:.6g}",
-                    file=stream,
-                )
+                print(f"  [{mark}] {c['name']}: {c['value']:.6g} {c['op']} {c['threshold']:.6g}")
             else:
                 detail = f" ({c['detail']})" if c.get("detail") else ""
-                print(f"  [{mark}] {c['name']}{detail}", file=stream)
+                print(f"  [{mark}] {c['name']}{detail}")
         verdict = "all checks passed" if self.all_passed else "SOME CHECKS FAILED"
         skipped = sum(1 for c in d["checks"] if c.get("skipped"))
         if skipped:
             verdict += f" ({skipped} skipped)"
-        print(f"  => {verdict}", file=stream)
+        print(f"  => {verdict}")
 
 
 def _encode(obj):

@@ -125,15 +125,13 @@ def mode_system_matrix(n: int, k: int, t, family: str = "exact") -> np.ndarray:
     )
 
 
-def frozen_characteristic_roots(n: int, k: int, side: int = -1,
-                                family: str = "exact") -> np.ndarray:
-    """Sorted characteristic exponents of the system frozen at t -> side*inf:
+def frozen_characteristic_roots(n: int, k: int, family: str = "exact") -> np.ndarray:
+    """Sorted characteristic exponents of the system frozen at t -> -inf:
     the eigenvalues of the first-order companion [[0, I], [M, 0]] of
-    M = mode_system_matrix at t = side * inf, which are the indicial roots.
+    M = mode_system_matrix at t = -inf, which are the indicial roots.  At
+    +inf, M is conjugate to this one by diag(1, -1): the roots are the same.
     """
-    if side not in (-1, 1):
-        raise ValueError("side must be -1 or +1")
-    M = mode_system_matrix(n, k, side * math.inf, family=family)
+    M = mode_system_matrix(n, k, -math.inf, family=family)
     zero = np.zeros_like(M)
     roots = np.linalg.eigvals(np.block([[zero, np.eye(len(M))], [M, zero]]))
     return np.sort_complex(roots).real if np.allclose(roots.imag, 0, atol=1e-10) \
@@ -151,10 +149,9 @@ class ModeSolution:
     b: np.ndarray = None  # absent for scalar modes
 
 
-def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
-                          num: int = 801, family: str = "exact") -> ModeSolution:
-    """Solution of the frozen mode system z'' = M z, M = mode_system_matrix at
-    t = -inf, sampled at num points of t_span.
+def integrate_mode_system(n: int, k: int, kind: str, initial, t_span) -> ModeSolution:
+    """Solution of the frozen exact-mode system z'' = M z, M =
+    mode_system_matrix at t = -inf, sampled at 801 points of t_span.
 
     kind names that system and must be "asymptotic".  M is constant and its
     eigenvalues are the squared indicial roots, so the exact flow is
@@ -164,7 +161,7 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     coupled ones; it and t_span must be finite.  Raises on blow-up of
     |a| + |b| past 1e12 with the location.
     """
-    M0 = mode_system_matrix(n, k, -math.inf, family=family)
+    M0 = mode_system_matrix(n, k, -math.inf)
     d = len(M0)
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (2 * d,):
@@ -174,7 +171,7 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     t_span = np.asarray(t_span, dtype=float)
     if t_span.shape != (2,) or not np.all(np.isfinite(t_span)):
         raise ValueError(f"t_span must be two finite times, got {t_span.tolist()}")
-    t_eval = np.linspace(t_span[0], t_span[1], num)
+    t_eval = np.linspace(t_span[0], t_span[1], 801)
     if kind != "asymptotic":
         raise ValueError(f"kind must be 'asymptotic' (the frozen system), got {kind!r}")
 
@@ -186,8 +183,7 @@ def integrate_mode_system(n: int, k: int, kind: str, initial, t_span,
     # is c+ e^{s tau} + c- e^{-s tau}, c+- = (u0 +- u0'/s)/2, or u0 + u0' tau
     # where s = 0 (n = 2, k = 1, nu = 0)
     roots = indicial_roots(n, k)
-    first = roots.coexact if family == "coexact" else roots.exact_mu
-    s = np.array([float(first[0])] + ([] if d == 1 else [float(roots.exact_nu[0])]))
+    s = np.array([float(roots.exact_mu[0])] + ([] if d == 1 else [float(roots.exact_nu[0])]))
     P = np.ones((1, 1)) if d == 1 else np.stack([np.full(2, -M0[0, 1]), M0[0, 0] - s**2])
     u0, du0 = np.linalg.solve(P, initial.reshape(2, d).T).T
     nonzero = s > 0

@@ -516,7 +516,7 @@ class TestCurvature:
         data = GreenData(cfg, np.array([0.0]))
         from neckglue.green import graph_patch, graph_mean_curvature
 
-        patch = graph_patch(data, 0.2, half_width=1.2)
+        patch = graph_patch(data, 0.2)
         base = patch.samples[..., :3][patch.mask]
         H = graph_mean_curvature(data, base)
         assert np.max(np.abs(H)) < 1e-15

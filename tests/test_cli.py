@@ -403,8 +403,7 @@ class TestCommands:
 
     def test_neck_command_with_export(self, tmp_path):
         out = tmp_path / "neck.ply"
-        code = main(["neck", "--n", "3", "--beta", "1.0", "--eps", "0.001",
-                     "--export", str(out)])
+        code = main(["neck", "--n", "3", "--eps", "0.001", "--export", str(out)])
         assert code == 0
         assert out.exists()
         assert out.read_text().startswith("ply")
@@ -413,10 +412,9 @@ class TestCommands:
         (["--grid", "0"], "--grid must be positive and finite, got 0.0"),
         (["--grid", "-1"], "--grid must be positive and finite, got -1.0"),
         (["--grid", "nan"], "--grid must be positive and finite, got nan"),
-        (["--beta", "inf"], "beta and epsilon must be positive and finite, got beta = inf"),
         (["--eps", "inf"], "beta and epsilon must be positive and finite, got beta = 1.0, "
                            "epsilon = inf"),
-    ], ids=["grid-0", "grid-negative", "grid-nan", "beta-inf", "eps-inf"])
+    ], ids=["grid-0", "grid-negative", "grid-nan", "eps-inf"])
     def test_neck_bad_input_exit_two(self, capsys, argv, message):
         assert main(["neck", "--n", "3"] + argv) == 2
         assert message in capsys.readouterr().err
@@ -466,20 +464,17 @@ class TestCommands:
         with pytest.raises(self.Built):
             main(["neck", "--n", "3", "--grid", grid])
 
-    @pytest.mark.parametrize("value, scale", [("1e200", "inf"), ("1e-300", "0.0")])
-    def test_neck_scale_outside_float_range_exit_two(self, capsys, no_neck_patch, value, scale):
-        # beta and eps pass one at a time; their product n beta eps does not
+    @pytest.mark.parametrize("n, eps", [("3", "1e308"), ("2", "1e308")])
+    def test_neck_scale_outside_float_range_exit_two(self, capsys, no_neck_patch, n, eps):
+        # eps passes alone; the product n beta eps does not
         start = time.perf_counter()
-        assert main(["neck", "--n", "3", "--beta", value, "--eps", value]) == 2
+        assert main(["neck", "--n", n, "--eps", eps]) == 2
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert (f"neck scale (n beta epsilon)^(1/n) must be positive and finite, got {scale} "
-                f"at beta = {float(value)}, epsilon = {float(value)}") in err
+        assert ("neck scale (n beta epsilon)^(1/n) must be positive and finite, got inf "
+                "at beta = 1.0, epsilon = 1e+308") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, beta, eps", [
-        (["--eps", "1e-310"], 1.0, 1e-310),
-        (["--eps", "1e-300", "--beta", "1e-10"], 1e-10, 1e-300),
-    ], ids=["eps-1e-310", "eps-1e-300-beta-1e-10"])
+    @pytest.mark.parametrize("argv, beta, eps", [(["--eps", "1e-310"], 1.0, 1e-310)],
+                             ids=["eps-1e-310"])
     def test_neck_subnormal_scale_squared_exit_two(self, capsys, argv, beta, eps):
         # the FD metric is of order scale^2 = 2e-310, below the smallest
         # normal float: its inverse overflowed and the FD order read nan
@@ -491,10 +486,23 @@ class TestCommands:
             f"smallest normal float at beta = {beta}, epsilon = {eps}"]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize("n, eps", [("2", "1.2e-308"), ("3", "5e-324")])
-    def test_neck_normal_scale_squared_runs(self, n, eps):
-        # scale^2 = 2.4e-308 at n = 2 and (3 * 5e-324)^(2/3) ~ 6e-216 at n = 3
+    @pytest.mark.parametrize("eps", ["2e307", "6e307"])
+    def test_neck_fd_metric_overflow_exit_two(self, capfd, eps):
+        # the FD metric, of order scale^2 = 2 eps, overflows at many nodes:
+        # the sweep dropped them (at 6e307 it kept 155 of 341 coarse nodes)
+        # and printed 16 lines of numpy warnings, while every check passed
+        assert main(["neck", "--n", "2", "--eps", eps]) == 2
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: neck: epsilon {float(eps)!r}: the FD metric, of order "
+                                 f"scale^2 = {2 * float(eps):.3g}, overflows a float")
+
+    @pytest.mark.parametrize("n, eps", [("2", "1.2e-308"), ("3", "5e-324"), ("2", "1e307")])
+    def test_neck_normal_scale_squared_runs(self, capfd, n, eps):
+        # scale^2 = 2.4e-308 at n = 2 and (3 * 5e-324)^(2/3) ~ 6e-216 at n = 3;
+        # at n = 2 and 1e307 the FD metric, of order 2e307, keeps every node
         assert main(["neck", "--n", n, "--eps", eps]) == 0
+        assert capfd.readouterr().err == ""
 
     def test_neck_report_over_the_export_exit_two(self, tmp_path, capsys, no_neck_patch):
         # the JSON report would replace the exported mesh
@@ -584,7 +592,7 @@ class TestCommands:
     ])
     def test_neck_asymptote_gate_passes(self, tmp_path, n, name):
         # measured slopes -8.0013 (n = 3) and -11.0005 (n = 4); at n = 2 the
-        # neck is its own graph, a relative gap of 4.7e-16
+        # neck is its own graph, a relative gap of 1.3e-15
         report = tmp_path / "r.json"
         assert main(["--report", str(report), "neck", "--n", str(n), "--grid", "0.4"]) == 0
         doc = json.loads(report.read_text())
@@ -597,22 +605,28 @@ class TestCommands:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_neck_asymptote_gate_trips_on_a_wrong_rate(self, capsys, monkeypatch, n):
-        # a gap one power of rho too slow (n = 3), or at n = 2 a gap of 1e-9
-        # of the graph's height, fails the check and the command
-        from neckglue import cli
+        # a gap one power of rho too slow (n = 3), or at n = 2, where the
+        # closed form is exactly 0 whatever s it reads, an s(rho) 1 % off
+        # (read through NeckParams.evaluate: 0.64), fails the check and the
+        # command
+        from neckglue import cli, neck
 
-        exact = cli.asymptote_residual
+        if n > 2:
+            exact = cli.asymptote_residual
 
-        def wrong_rate(params, rho_values):
-            rho = np.asarray(rho_values)
-            per_rho = exact(params, rho)
-            return per_rho * rho / rho[0] if n > 2 else \
-                per_rho + 1e-9 * params.epsilon * params.beta / rho
+            def wrong_rate(params, rho_values):
+                rho = np.asarray(rho_values)
+                return exact(params, rho) * rho / rho[0]
 
-        monkeypatch.setattr(cli, "asymptote_residual", wrong_rate)
+            monkeypatch.setattr(cli, "asymptote_residual", wrong_rate)
+        else:
+            exact = neck.s_of_radius
+            for module in (neck, cli):
+                monkeypatch.setattr(module, "s_of_radius", lambda *a: 1.01 * exact(*a))
         assert main(["neck", "--n", str(n), "--grid", "0.4"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] asymptote" in out
+        assert out.count("[FAIL]") == 1
 
     @pytest.mark.parametrize("report_first", [True, False], ids=["report-first", "report-last"])
     @pytest.mark.parametrize("command", ["validate", "interaction", "neck", "spectrum", "glue"])

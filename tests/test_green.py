@@ -304,13 +304,13 @@ class TestBalance:
 class TestGraphPatch:
     def test_flat_configuration_zero_curvature(self):
         data = single_point_data(alpha=0.0)
-        patch = graph_patch(data, 0.25, half_width=1.0)
+        patch = graph_patch(data, 0.25)
         H, valid = mean_curvature_field(patch)
         assert np.max(np.linalg.norm(H, axis=-1)[valid]) < 1e-13
 
     def test_grid_avoids_balls(self, flagship):
         data = GreenData(flagship, np.array([4.0, 12.0]))
-        patch = graph_patch(data, 0.2, half_width=2.0)
+        patch = graph_patch(data, 0.2)
         base = patch.samples[..., :3][patch.mask]
         for p in flagship.points:
             assert np.min(np.linalg.norm(base - p, axis=1)) > flagship.rho_star

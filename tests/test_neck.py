@@ -40,6 +40,24 @@ class TestNeckParams:
         with pytest.raises(ValueError):
             NeckParams(n=3, beta=1.0, epsilon=-1e-3)
 
+    @pytest.mark.parametrize("n, beta, eps, message", [
+        (3, math.inf, 1e-3, "beta and epsilon must be positive and finite, got beta = inf, "
+                            "epsilon = 0.001"),
+        # each passes alone; the product n beta eps does not
+        (3, 1e200, 1e200, "neck scale (n beta epsilon)^(1/n) must be positive and finite, "
+                          "got inf at beta = 1e+200, epsilon = 1e+200"),
+        (3, 1e-300, 1e-300, "neck scale (n beta epsilon)^(1/n) must be positive and finite, "
+                            "got 0.0 at beta = 1e-300, epsilon = 1e-300"),
+        (2, 1e-10, 1e-300, "neck scale^2 = 2e-310, the order of the FD metric, is below the "
+                           "smallest normal float at beta = 1e-10, epsilon = 1e-300"),
+    ], ids=["beta-inf", "scale-inf", "scale-0", "scale-squared-subnormal"])
+    def test_scale_outside_float_range_refused(self, n, beta, eps, message):
+        # glue sets beta = alpha_j: beta is checked as eps is, and so is
+        # their product
+        with pytest.raises(ValueError) as err:
+            NeckParams(n=n, beta=beta, epsilon=eps)
+        assert str(err.value) == message
+
     def test_rotation_validated(self):
         with pytest.raises(ValueError):
             NeckParams(n=3, beta=1.0, epsilon=1e-3, rotation=1.01 * np.eye(3))
@@ -705,6 +723,19 @@ def test_benchmark_neck4_gate(workloads, seed, tmp_path):
     ref = json.loads((BENCH / "reference.json").read_text())
     part = workloads.Neck4(workloads.make_inputs("neck_modes", seed, str(tmp_path),
                                                  str(tmp_path)))
+    part.setup()
+    assert part.check(part.iterate(), ref, seed) == []
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_benchmark_jacobi_modes_gate(workloads, seed, tmp_path):
+    """The neck_modes Jacobi and ODE-oracle checks of the benchmark, through
+    its own JacobiModes part: the five seeded Jacobi families under
+    linearized_apply, and the seeded exterior_mode_solve data through
+    integrate_mode_system, each within its reference bound."""
+    ref = json.loads((BENCH / "reference.json").read_text())
+    part = workloads.JacobiModes(workloads.make_inputs("neck_modes", seed, str(tmp_path),
+                                                       str(tmp_path)))
     part.setup()
     assert part.check(part.iterate(), ref, seed) == []
 

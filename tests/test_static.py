@@ -457,3 +457,104 @@ def test_checker_sees_unexported_imports():
 def test_every_imported_name_is_exported():
     package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unexported_imports(package) == []
+
+
+def _defaulted(tree):
+    """(qualified name, call name, offset, positional names, defaulted
+    names) of every function and method with a default.  A method's offset
+    is 1, its self; a call of its class calls its __init__."""
+    found = []
+
+    def visit(node, prefix, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                offset = int(cls is not None and not static)
+                call = cls if cls is not None and child.name == "__init__" else child.name
+                if defaulted:
+                    found.append((prefix + child.name, call, offset, positional, defaulted))
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(tree, "")
+    return found
+
+
+def _set_by(call, offset, positional, defaulted):
+    """The defaulted parameters that one call sets: by keyword, by a
+    positional argument at its place, or by unpacking (* sets every place
+    from its own on, ** every parameter)."""
+    if any(kw.arg is None for kw in call.keywords):
+        return set(defaulted)
+    names = {kw.arg for kw in call.keywords}
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return names | set(positional[i + offset:])
+        names |= set(positional[i + offset:i + offset + 1])
+    return names
+
+
+def unset_defaults(package, bench):
+    """"module.function: parameter" for every defaulted parameter of a
+    package function or method that no call in a package module or bench
+    file sets; package and bench map names to sources, as for
+    unreferenced_exports.  Calls are matched by the callee's name."""
+    calls = {}
+    for source in list(package.values()) + list(bench.values()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    missing = []
+    for module, source in package.items():
+        for qual, name, offset, positional, defaulted in _defaulted(ast.parse(source)):
+            unset = set(defaulted)
+            for call in calls.get(name, []):
+                unset -= _set_by(call, offset, positional, defaulted)
+            missing += [f"{module}.{qual}: {param}" for param in defaulted if param in unset]
+    return missing
+
+
+def test_checker_sees_defaults_only_tests_set():
+    package = {
+        "a": ("def f(x, by_place=1, by_keyword=2, unset=3, *, kw_only=4):\n"
+              "    return f(x, 0) + f(x, by_keyword=0)\n"
+              "def g(x, starred=1, also=2): pass\n"
+              "def h(x, spread=1, *, kw=2): pass\n"
+              "def lone(x, never=1):\n"
+              "    def inner(y, nested=1): pass\n"
+              "    return inner(y=0)\n"
+              "class C:\n"
+              "    def __init__(self, by_class=None, not_by_self=None): pass\n"
+              "    def m(self, by_method=1, unset=2): pass\n"
+              "    @staticmethod\n"
+              "    def s(by_static=1): pass\n"),
+        "b": ("from .a import C, g, h\n"
+              "C(1).m(2)\n"
+              "C.s(3)\n"
+              "g(*args)\n"
+              "h(0, **options)\n"),
+    }
+    bench = {"run": "from neckglue.a import f\nf(0, kw_only=1)\n"}
+    # C(1) sets by_class, not self; m(2) sets by_method, not self
+    assert unset_defaults(package, bench) == [
+        "a.f: unset", "a.lone: never", "a.lone.inner: nested", "a.C.__init__: not_by_self",
+        "a.C.m: unset"]
+
+
+def test_every_default_is_set_in_src_or_bench():
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = {path.stem: path.read_text()
+             for path in sorted((SRC.parents[1] / "bench").glob("*.py"))}
+    # the one exemption: tests plant beta != alpha in assemble to check that
+    # the matching recovers delta beta, and iterating the matching step to
+    # the gluing fixed point will assemble at (alpha, beta)
+    assert unset_defaults(package, bench) == ["assembler.assemble: beta"]
